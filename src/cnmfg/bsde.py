@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .flows import ConditionalMeasureFlow
-from .girsanov import self_normalized_mean, stochastic_exponential
+from .girsanov import log_increments, self_normalized_mean, stochastic_exponential
 from .problem import ProblemSpec, minimize_hamiltonian_batch
 from .sde import NoiseBundle, PathBundle, TimeGrid
 
@@ -28,6 +28,7 @@ __all__ = [
     "solve_bsde",
     "extract_control",
     "evaluate_objective",
+    "stacked_objective_influence",
     "policy_to_csv",
 ]
 
@@ -330,6 +331,43 @@ def extract_control(solution: BsdeSolution, spec: ProblemSpec,
                         solution=solution, z_window=z_window, label="bsde-feedback")
 
 
+def _stacked_payoffs(spec: ProblemSpec, flow: ConditionalMeasureFlow, step_actions,
+                     paths: PathBundle, on_drift=None) -> np.ndarray:
+    """Pathwise payoffs of C stacked controls in one pass over (step, bin).
+
+    ``step_actions(k)`` gives the (C, n, d_action) actions at step k.  The
+    running cost is accumulated step by step, then the terminal cost added;
+    returns (C, n).  When ``on_drift`` is given it receives, in step order,
+    ``(k, lam_k)`` with the (C, n, d_state) sigma^-1 drift samples of step k.
+    """
+    grid = paths.grid
+    n = paths.n_paths
+    sig_inv_t = spec.sigma_inv.T
+    run_cost = None
+    for k in range(grid.n_steps):
+        a_k = step_actions(k)
+        c = a_k.shape[0]
+        if run_cost is None:
+            run_cost = np.zeros((c, n))
+        lam_k = np.empty((c, n, spec.d_state)) if on_drift is not None else None
+        keys = paths.xc[:, flow.key_index(k), 0]
+        bins = flow.assign(k, keys)
+        t_k = grid.times[k]
+        for b in np.unique(bins):
+            sel = bins == b
+            mu = flow.summary(k, int(b))
+            x_b = np.tile(paths.x[sel, k], (c, 1))
+            a_b = a_k[:, sel].reshape(x_b.shape[0], -1)
+            if lam_k is not None:
+                drift = np.asarray(spec.drift(t_k, x_b, mu, a_b), float)
+                lam_k[:, sel] = (drift @ sig_inv_t).reshape(c, -1, spec.d_state)
+            run_cost[:, sel] += np.asarray(
+                spec.running_cost(t_k, x_b, mu, a_b), float).reshape(c, -1) * grid.dt
+        if on_drift is not None:
+            on_drift(k, lam_k)
+    return run_cost + _terminal_values(spec, flow, paths)
+
+
 def objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                         control_samples: np.ndarray, paths: PathBundle,
                         noise: NoiseBundle, weights=None):
@@ -339,32 +377,47 @@ def objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     paths by the stochastic exponential, and self-normalizes.  Precomputed
     weights for the same control may be passed to skip the exponential.
     """
-    grid = paths.grid
     n = paths.n_paths
-    n_steps = grid.n_steps
+    n_steps = paths.grid.n_steps
     a = np.asarray(control_samples, float)
     if a.shape[:2] != (n, n_steps):
         raise ValueError(f"control_samples shape {a.shape} does not match paths")
     lam = np.empty((n, n_steps, spec.d_state)) if weights is None else None
-    run_cost = np.zeros(n)
-    sig_inv_t = spec.sigma_inv.T
-    for k in range(n_steps):
-        keys = paths.xc[:, flow.key_index(k), 0]
-        bins = flow.assign(k, keys)
-        t_k = grid.times[k]
-        for b in np.unique(bins):
-            sel = bins == b
-            mu = flow.summary(k, int(b))
-            if lam is not None:
-                drift = np.asarray(spec.drift(t_k, paths.x[sel, k], mu, a[sel, k]), float)
-                lam[sel, k] = drift @ sig_inv_t
-            run_cost[sel] += np.asarray(
-                spec.running_cost(t_k, paths.x[sel, k], mu, a[sel, k]), float) * grid.dt
+
+    def store(k, lam_k):
+        lam[:, k] = lam_k[0]
+
+    payoff = _stacked_payoffs(spec, flow, lambda k: a[None, :, k], paths,
+                              on_drift=store if weights is None else None)
     if weights is None:
         weights = stochastic_exponential(spec, lam, noise)
-    payoff = run_cost + _terminal_values(spec, flow, paths)
-    est, se, infl = self_normalized_mean(payoff, weights.m_terminal)
+    est, se, infl = self_normalized_mean(payoff[0], weights.m_terminal)
     return est, se, infl, weights
+
+
+def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
+                                step_actions, paths: PathBundle, noise: NoiseBundle):
+    """``objective_influence`` for C controls scored together in one pass.
+
+    ``step_actions(k)`` gives the (C, n, d_action) actions at step k.  Each
+    control's terminal log-weight is accumulated in step order, the order of
+    ``stochastic_exponential``'s cumulative sum, so every (estimate, stderr,
+    influence) triple in the returned list equals ``objective_influence`` on
+    that control bitwise.  Only (C, n) arrays persist across steps.
+    """
+    dt = paths.grid.dt
+    log_m = None
+
+    def accumulate(k, lam_k):
+        nonlocal log_m
+        if not np.all(np.isfinite(lam_k)):
+            raise RuntimeError(f"non-finite drift sample at step {k}")
+        inc = log_increments(lam_k, noise.dw[:, k], dt)
+        log_m = inc if log_m is None else log_m + inc
+
+    payoff = _stacked_payoffs(spec, flow, step_actions, paths, on_drift=accumulate)
+    m_terminal = np.exp(log_m)
+    return [self_normalized_mean(payoff[c], m_terminal[c]) for c in range(payoff.shape[0])]
 
 
 def evaluate_objective(spec: ProblemSpec, flow: ConditionalMeasureFlow,

@@ -23,6 +23,7 @@ from . import __version__
 from .bsde import policy_to_csv, solve_bsde
 from .equilibrium import (
     SolverConfig,
+    _reference,
     apply_phi,
     exploitability,
     initial_flow,
@@ -247,8 +248,9 @@ def _cmd_solve(spec, config, args, outputs) -> int:
 def _cmd_phi(spec, config, args, outputs) -> int:
     out = _out_dir(args, outputs)
     t0 = time.perf_counter()
-    m0 = initial_flow(spec, config)
-    phi = apply_phi(spec, m0, config)
+    reference = _reference(spec, config)
+    m0 = initial_flow(spec, config, reference[1])
+    phi = apply_phi(spec, m0, config, reference)
     total_ms = (time.perf_counter() - t0) * 1e3
     flow_to_csv(phi.flow, out / "flow.csv")
     _write_csv(out / "bsde_residuals.csv", ["step", "residual_var"],

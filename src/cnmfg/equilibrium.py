@@ -21,8 +21,8 @@ from .bsde import (
     BsdeSolution,
     MarkovPolicy,
     extract_control,
-    objective_influence,
     solve_bsde,
+    stacked_objective_influence,
 )
 from .flows import ConditionalMeasureFlow, estimate_conditional_flow, flow_distance, mix_flows
 from .girsanov import GirsanovWeights, stochastic_exponential
@@ -264,25 +264,29 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
     paths = simulate_driftless_state(spec, noise)
 
     a_pol = spec.clip_action(_policy_actions_along(policy, flow, paths, spec.d_action))
-    j_pol, _, infl_pol, _ = objective_influence(spec, flow, a_pol, paths, noise)
-
-    candidates = []
     br = solve_bsde(spec, flow, paths, noise, config.basis(), store_actions=True)
-    candidates.append(("bsde-best-response", br.control_samples))
     axes = [np.linspace(spec.action_lo[j], spec.action_hi[j], n_const)
             for j in range(spec.d_action)]
     mesh = np.meshgrid(*axes, indexing="ij")
     consts = np.column_stack([g.ravel() for g in mesh])[:81]
-    for c in consts:
-        candidates.append((f"const{tuple(np.round(c, 6))}",
-                           np.tile(c, (paths.n_paths, grid.n_steps, 1))))
-    for s in (-delta, delta):
-        candidates.append((f"shift{s:+g}", spec.clip_action(a_pol + s)))
-    candidates.append(("self", a_pol))
+    shifts = (-delta, delta)
+    names = (["self", "bsde-best-response"]
+             + [f"const{tuple(np.round(c, 6))}" for c in consts]
+             + [f"shift{s:+g}" for s in shifts])
 
+    def step_actions(k):
+        a_k = np.empty((len(names), paths.n_paths, spec.d_action))
+        a_k[0] = a_pol[:, k]
+        a_k[1] = br.control_samples[:, k]
+        a_k[2:2 + len(consts)] = consts[:, None, :]
+        for i, s in enumerate(shifts):
+            a_k[2 + len(consts) + i] = spec.clip_action(a_pol[:, k] + s)
+        return a_k
+
+    scores = stacked_objective_influence(spec, flow, step_actions, paths, noise)
+    j_pol, _, infl_pol = scores[0]
     best = (j_pol, infl_pol, "self")
-    for name, actions in candidates:
-        j, _, infl, _ = objective_influence(spec, flow, actions, paths, noise)
+    for name, (j, _, infl) in zip(names[1:], scores[1:]):
         if j < best[0]:
             best = (j, infl, name)
     eps = j_pol - best[0]

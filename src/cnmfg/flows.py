@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .girsanov import GirsanovWeights
 from .problem import MeasureSummary
@@ -130,10 +130,13 @@ def wasserstein_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -
 
 
 def lp_transport(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -> float:
-    """Exact optimal transport cost on the coupling polytope, via LP (HiGHS).
+    """Exact optimal transport cost on the coupling polytope.
 
     Supports above 256 atoms per side are reduced by deterministic stratified
-    subsampling so the combined support stays at or below 512 atoms.
+    subsampling so the combined support stays at or below 512 atoms.  Equal
+    atom counts with uniform weights on both sides are solved as an assignment
+    problem: by Birkhoff-von Neumann the polytope's optimal vertex is then a
+    permutation.  Every other pair goes to the HiGHS LP.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")
@@ -147,9 +150,19 @@ def lp_transport(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -> 
     if xb.shape[0] > _MAX_LP_ATOMS:
         xb = _systematic_resample(xb, wb, _MAX_LP_ATOMS)
         wb = np.full(_MAX_LP_ATOMS, 1.0 / _MAX_LP_ATOMS)
-    n, m = xa.shape[0], xb.shape[0]
     diff = xa[:, None, :] - xb[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** q
+    if xa.shape[0] == xb.shape[0] and np.all(wa == wa[0]) and np.all(wb == wb[0]):
+        rows, cols = linear_sum_assignment(cost)
+        total = float(cost[rows, cols].mean())
+    else:
+        total = _transport_lp(cost, wa, wb)
+    return total ** (1.0 / q)
+
+
+def _transport_lp(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+    """Optimal coupling cost of marginals wa, wb under an (n, m) cost matrix (HiGHS)."""
+    n, m = cost.shape
     # marginal constraints; the last row is redundant and dropped
     row_marg = sp.kron(sp.eye(n, format="csr"), np.ones((1, m)), format="csr")
     col_marg = sp.kron(np.ones((1, n)), sp.eye(m, format="csr"), format="csr")
@@ -163,7 +176,7 @@ def lp_transport(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -> 
                            "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return max(res.fun, 0.0) ** (1.0 / q)
+    return max(res.fun, 0.0)
 
 
 def _wq(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float) -> float:

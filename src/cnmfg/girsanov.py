@@ -18,6 +18,7 @@ from .sde import NoiseBundle, TimeGrid
 __all__ = [
     "GirsanovWeights",
     "stochastic_exponential",
+    "log_increments",
     "weighted_expectation",
     "self_normalized_mean",
     "weighted_conditional_values",
@@ -71,11 +72,17 @@ def stochastic_exponential(spec: ProblemSpec, drift_samples: np.ndarray,
     if not np.all(np.isfinite(lam)):
         path, step = np.argwhere(~np.isfinite(lam).all(axis=2))[0]
         raise RuntimeError(f"non-finite drift sample at path {path}, step {step}")
-    dt = noise.grid.dt
-    dlog = np.einsum("nsk,nsk->ns", lam, noise.dw) - 0.5 * dt * np.einsum("nsk,nsk->ns", lam, lam)
     log_m = np.zeros((lam.shape[0], noise.grid.n_steps + 1))
-    np.cumsum(dlog, axis=1, out=log_m[:, 1:])
+    np.cumsum(log_increments(lam, noise.dw, noise.grid.dt), axis=1, out=log_m[:, 1:])
     return GirsanovWeights(grid=noise.grid, log_m=log_m)
+
+
+def log_increments(lam: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+    """Per-step log-weight increments lambda . dW - |lambda|^2 dt / 2 (last axis summed).
+
+    Leading axes broadcast, so stacked drift samples share one increment array.
+    """
+    return np.einsum("...k,...k->...", lam, dw) - 0.5 * dt * np.einsum("...k,...k->...", lam, lam)
 
 
 def self_normalized_mean(values: np.ndarray, weights: np.ndarray):

@@ -6,6 +6,7 @@ Coefficient callables are vectorized over a batch of paths:
     common_drift(t, xc)       xc (n, d_common)                           -> (n, d_common)
     running_cost(t, x, mu, a)                                            -> (n,)
     terminal_cost(x, mu)                                                 -> (n,)
+    argmin_action(t, x, mu, z)  optional, z (n, d_state)                 -> (n, d_action)
 
 ``mu`` is always a :class:`MeasureSummary` (finite support plus cached
 moments); the solver never holds any other representation of a measure.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -116,6 +117,7 @@ class ProblemSpec:
     init_common_sampler: Callable
     family: str = "custom"
     params: dict = field(default_factory=dict)
+    argmin_action: Optional[Callable] = None
 
     def __post_init__(self):
         for name in ("d_state", "d_common", "d_action"):
@@ -147,6 +149,7 @@ class ProblemSpec:
         object.__setattr__(self, "_cond_sigma", float(np.linalg.cond(self.sigma)))
         object.__setattr__(self, "_cond_sigmac", float(np.linalg.cond(self.sigmac)))
         object.__setattr__(self, "_sigma_inv", None)
+        object.__setattr__(self, "argmin_action", _bind_argmin(self, self.argmin_action))
 
     @property
     def cond_sigma(self) -> float:
@@ -174,6 +177,34 @@ class ProblemSpec:
     def action_in_box(self, a: np.ndarray, tol: float = 1e-9) -> bool:
         a = np.atleast_1d(np.asarray(a, float))
         return bool(np.all(a >= self.action_lo - tol) and np.all(a <= self.action_hi + tol))
+
+
+class _ClosedFormArgmin:
+    """An ``argmin_action`` hook tied to the coefficients it was derived from."""
+
+    __slots__ = ("fn", "derived_from")
+
+    def __init__(self, fn: Callable, derived_from: tuple):
+        self.fn = fn
+        self.derived_from = derived_from
+
+    def __call__(self, t, x, mu, z):
+        return self.fn(t, x, mu, z)
+
+
+def _bind_argmin(spec: ProblemSpec, hook: Optional[Callable]) -> Optional[_ClosedFormArgmin]:
+    """Binds a hook to the spec's Hamiltonian coefficients.
+
+    ``dataclasses.replace`` hands the old spec's bound hook to the new spec; a
+    hook bound to other coefficients (a swapped drift, running cost or sigma)
+    no longer minimizes this spec's Hamiltonian and is dropped.
+    """
+    if hook is None:
+        return None
+    derived_from = (spec.drift, spec.running_cost, spec.sigma.tobytes())
+    if isinstance(hook, _ClosedFormArgmin):
+        return hook if hook.derived_from == derived_from else None
+    return _ClosedFormArgmin(hook, derived_from)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +315,22 @@ def _golden_section_coord(objective, base_a, base_val, j, a_lo, a_hi, iters):
 
 
 def minimize_hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray,
-                               mu: MeasureSummary, z: np.ndarray,
-                               grid_points: int = 33, gs_iters: int = 40,
-                               sweeps: int = 3):
-    """Vectorized Hamiltonian minimization; returns (actions (n, d_action), values (n,))."""
+                               mu: MeasureSummary, z: np.ndarray):
+    """Vectorized Hamiltonian minimization; returns (actions (n, d_action), values (n,)).
+
+    With an ``argmin_action`` hook the unconstrained minimizer is clipped to
+    the action box; otherwise the generic box search runs.
+    """
     n = x.shape[0]
+    if spec.argmin_action is not None:
+        a = np.asarray(spec.argmin_action(t, x, mu, z), float).reshape(n, spec.d_action)
+        a = spec.clip_action(a)
+        return a, hamiltonian_batch(spec, t, x, mu, a, z)
 
     def objective(a):
         return hamiltonian_batch(spec, t, x, mu, a, z)
 
-    return box_minimize_batch(objective, spec.action_lo, spec.action_hi, n,
-                              grid_points=grid_points, gs_iters=gs_iters, sweeps=sweeps)
+    return box_minimize_batch(objective, spec.action_lo, spec.action_hi, n)
 
 
 def minimize_hamiltonian(spec: ProblemSpec, t: float, x, mu: MeasureSummary, z):
@@ -452,6 +488,11 @@ def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
         dev = x[:, 0] - w * mu.mean[0]
         return 0.5 * cg * dev ** 2
 
+    # H = ca a^2 / 2 + (z / sigma) a + terms free of a; with ca <= 0 the
+    # minimizer sits on the box boundary and the box search finds it
+    def argmin_action(t, x, mu, z):
+        return -(z / float(sigma)) / ca
+
     if common_init_std > 0:
         common_sampler = truncated_gaussian_sampler(common_init, common_init_std, dim=1)
     else:
@@ -468,6 +509,7 @@ def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
         init_state_sampler=truncated_gaussian_sampler(init_mean, init_std, clip=init_clip, dim=1),
         init_common_sampler=common_sampler,
         family="lq",
+        argmin_action=argmin_action if ca > 0 else None,
         params=dict(action_weight=ca, state_weight=cx, terminal_weight=cg,
                     interaction=w, sigma=float(sigma), sigma0=float(sigma0),
                     sigmac=float(sigmac), horizon=float(horizon),
@@ -501,6 +543,10 @@ def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float =
     def terminal_cost(x, mu):
         return cw * np.abs(x[:, 0] - w * mu.mean[0])
 
+    # H = a^2 / 2 + (z / sigma) a + terms free of a
+    def argmin_action(t, x, mu, z):
+        return -(z / float(sigma))
+
     if common_init_std > 0:
         common_sampler = truncated_gaussian_sampler(common_init, common_init_std, dim=1)
     else:
@@ -517,6 +563,7 @@ def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float =
         init_state_sampler=truncated_gaussian_sampler(init_mean, init_std, clip=init_clip, dim=1),
         init_common_sampler=common_sampler,
         family="tanh",
+        argmin_action=argmin_action,
         params=dict(gain=g0, cost_weight=cw, interaction=w, sigma=float(sigma),
                     sigma0=float(sigma0), sigmac=float(sigmac), horizon=float(horizon),
                     action_lo=float(action_lo), action_hi=float(action_hi),

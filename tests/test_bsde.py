@@ -8,7 +8,9 @@ from cnmfg.bsde import (
     BsdeSolution,
     evaluate_objective,
     extract_control,
+    objective_influence,
     solve_bsde,
+    stacked_objective_influence,
 )
 from cnmfg.equilibrium import initial_flow
 from cnmfg.flows import estimate_conditional_flow
@@ -164,6 +166,30 @@ class TestEvaluateObjective:
             assert j_opt <= j_p + 3 * np.hypot(se_opt, se_p)
         j_zero, se_zero = evaluate_objective(spec, flow, np.zeros_like(a_opt), paths, noise)
         assert j_opt <= j_zero + 3 * np.hypot(se_opt, se_zero)
+
+
+class TestStackedScoring:
+    @pytest.mark.parametrize("family", ["lq", "tanh"])
+    def test_bitwise_equal_to_per_control(self, family):
+        spec = cnmfg.make_instance(family)
+        grid, noise, paths, flow = _setup(spec, n_paths=3000, n_steps=12, seed=9)
+        rng = np.random.default_rng(4)
+        controls = rng.uniform(-1.0, 1.0, size=(4, 3000, 12, 1))
+        stacked = stacked_objective_influence(spec, flow, lambda k: controls[:, :, k],
+                                              paths, noise)
+        assert len(stacked) == 4
+        for a, (est, se, infl) in zip(controls, stacked):
+            est1, se1, infl1, _ = objective_influence(spec, flow, a, paths, noise)
+            assert (est, se) == (est1, se1)
+            np.testing.assert_array_equal(infl, infl1)
+
+    def test_rejects_nonfinite_drift(self, lq_spec):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)
+        controls = np.zeros((2, 1000, 4, 1))
+        controls[1, 7, 2, 0] = np.nan
+        with pytest.raises(RuntimeError, match="step 2"):
+            stacked_objective_influence(lq_spec, flow, lambda k: controls[:, :, k],
+                                        paths, noise)
 
 
 class TestRegression:

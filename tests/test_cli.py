@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cnmfg import equilibrium
 from cnmfg.cli import ConfigError, parse_config, run_command
 
 MINIMAL = """
@@ -139,10 +140,15 @@ class TestRunCommand:
                             "--threads", "4"]) == 0
         assert _hash_dir(out1, names) == _hash_dir(out2, names)
 
-    def test_phi_writes_flow(self, tmp_path):
+    def test_phi_writes_flow(self, tmp_path, monkeypatch):
+        calls = []
+        real = equilibrium.generate_noise
+        monkeypatch.setattr(equilibrium, "generate_noise",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
         cfg = _write(tmp_path, MINIMAL)
         out = tmp_path / "phi"
         assert run_command(["phi", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert len(calls) == 1   # one reference system serves the seed flow and the map
         assert (out / "flow.csv").exists()
         assert (out / "bsde_residuals.csv").exists()
 

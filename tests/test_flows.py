@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import cnmfg
 from cnmfg.equilibrium import SolverConfig
+import cnmfg.flows as flows_mod
 from cnmfg.flows import (
     ConditionalMeasureFlow,
     EmpiricalMeasure,
@@ -85,6 +86,35 @@ class TestLpTransport:
         d = lp_transport(mu, nu, 1.0)
         exact = wasserstein_1d(mu, nu, 1.0)
         assert abs(d - exact) < 0.15  # stratified subsample, not exact
+
+    @pytest.mark.parametrize("dim,n", [(1, 1), (1, 7), (1, 60), (2, 7), (2, 60), (2, 256)])
+    def test_uniform_equal_size_assignment_matches_lp(self, monkeypatch, dim, n):
+        rng = np.random.default_rng(dim * 1000 + n)
+        xa = rng.normal(size=(n, dim))
+        xb = rng.normal(0.5, 1.5, size=(n, dim))
+        lp_calls = []
+        real_lp = flows_mod._transport_lp
+        monkeypatch.setattr(flows_mod, "_transport_lp",
+                            lambda *args: lp_calls.append(1) or real_lp(*args))
+        uniform = np.full(n, 1.0 / n)
+        for q in (1.0, 2.0):
+            d = lp_transport(EmpiricalMeasure(xa), EmpiricalMeasure(xb), q)
+            assert not lp_calls
+            cost = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=2) ** q
+            assert d == pytest.approx(real_lp(cost, uniform, uniform) ** (1.0 / q), abs=1e-9)
+            if dim == 1:
+                exact = wasserstein_1d(EmpiricalMeasure(xa), EmpiricalMeasure(xb), q)
+                assert d == pytest.approx(exact, abs=1e-9)
+
+    def test_non_uniform_pair_goes_through_lp(self, monkeypatch):
+        def no_assignment(cost):
+            raise AssertionError("assignment path taken for non-uniform weights")
+
+        monkeypatch.setattr(flows_mod, "linear_sum_assignment", no_assignment)
+        mu = _measure([0.1, 0.5, -2.0], [0.2, 0.5, 0.3])
+        nu = _measure([0.0, 1.0, 2.0])
+        assert lp_transport(mu, nu, 1.0) == pytest.approx(wasserstein_1d(mu, nu, 1.0),
+                                                          abs=1e-9)
 
 
 class TestMetricAxioms:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from cnmfg.problem import (
     MeasureSummary,
     box_minimize_batch,
     hamiltonian,
+    hamiltonian_batch,
     make_instance,
     minimize_hamiltonian,
     minimize_hamiltonian_batch,
@@ -115,6 +118,55 @@ class TestMinimizeHamiltonian:
             assert h_batch[i] == pytest.approx(h_single, abs=1e-12)
 
 
+class TestClosedFormArgmin:
+    # the box search resolves the argmin to about sqrt(ulp(H) / c_a), so the
+    # sampled states keep |H| of order one, as on the solver's paths
+    @pytest.mark.parametrize("family,params", [
+        ("lq", dict(interaction=1.0, state_weight=1.0)),
+        ("lq", dict(interaction=1.0, state_weight=1.0, sigma=0.6, action_weight=0.7)),
+        ("tanh", dict()),
+        ("tanh", dict(sigma=1.7, gain=0.3, action_lo=-0.5, action_hi=2.0)),
+    ])
+    def test_hook_matches_box_search(self, family, params):
+        spec = make_instance(family, **params)
+        assert spec.argmin_action is not None
+        rng = np.random.default_rng(11)
+        n = 400
+        for t in rng.uniform(0.0, spec.horizon, size=3):
+            x = rng.normal(0.0, 1.0, size=(n, 1))
+            z = rng.uniform(-4.0, 4.0, size=(n, 1))
+            mu = MeasureSummary.from_atoms(rng.normal(0.0, 1.0, size=(7, 1)))
+            a, h = minimize_hamiltonian_batch(spec, t, x, mu, z)
+            a_box, h_box = box_minimize_batch(
+                lambda act: hamiltonian_batch(spec, t, x, mu, act, z),
+                spec.action_lo, spec.action_hi, n)
+            assert np.any(a == spec.action_lo) and np.any(a == spec.action_hi)
+            assert np.max(np.abs(a - a_box)) <= 1e-7
+            assert np.max(h - h_box) <= 1e-12
+            np.testing.assert_array_equal(h, hamiltonian_batch(spec, t, x, mu, a, z))
+
+    def test_spec_without_hook_uses_box_search(self, lq_unit_spec, dirac0):
+        spec = replace(lq_unit_spec, argmin_action=None)
+        z = np.array([[0.3], [-0.8], [2.0]])
+        x = np.zeros((3, 1))
+        a, h = minimize_hamiltonian_batch(spec, 0.0, x, dirac0, z)
+        a_box, h_box = box_minimize_batch(
+            lambda act: hamiltonian_batch(spec, 0.0, x, dirac0, act, z),
+            spec.action_lo, spec.action_hi, 3)
+        np.testing.assert_array_equal(a, a_box)
+        np.testing.assert_array_equal(h, h_box)
+
+    def test_replace_keeps_hook_only_for_its_coefficients(self, lq_unit_spec, dirac0):
+        assert replace(lq_unit_spec, horizon=2.0).argmin_action is lq_unit_spec.argmin_action
+        assert replace(lq_unit_spec, sigma=[[2.0]]).argmin_action is None
+        doubled = replace(lq_unit_spec, drift=lambda t, x, mu, a: 2.0 * a)
+        assert doubled.argmin_action is None
+        # H = a^2/2 + 2 z a + ...: the argmin is -2z, not the stale closed form -z
+        a, _ = minimize_hamiltonian_batch(doubled, 0.0, np.zeros((1, 1)), dirac0,
+                                          np.array([[0.2]]))
+        assert a[0, 0] == pytest.approx(-0.4, abs=1e-7)
+
+
 class TestValidateSpec:
     def test_lq_passes(self, lq_spec):
         report = validate_spec(lq_spec, n_probes=128, seed=1)
@@ -132,8 +184,6 @@ class TestValidateSpec:
 
     def test_drift_bound_violation(self):
         base = make_instance("lq")
-        from dataclasses import replace
-
         spec = replace(base, drift=lambda t, x, mu, a: 2.0 * a, drift_bound=1.0)
         report = validate_spec(spec, n_probes=64, seed=2)
         assert not report.passed
