@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .flows import ConditionalMeasureFlow
+from .flows import ConditionalMeasureFlow, ungroup
 from .girsanov import log_increments, self_normalized_mean, stochastic_exponential
 from .problem import ProblemSpec, minimize_hamiltonian_batch
 from .sde import NoiseBundle, PathBundle, TimeGrid
@@ -75,6 +75,14 @@ class BasisSpec:
         return len(self.exponents(n_vars))
 
     def fit_stats(self, paths: PathBundle) -> "BasisSpec":
+        """Basis fitted to the paths; the statistics are cached on the bundle per degree."""
+        cached = paths.basis_stats.get(self.degree)
+        if cached is None:
+            cached = paths.basis_stats[self.degree] = self._fit(paths)
+        return BasisSpec(degree=self.degree, ridge=self.ridge,
+                         stats=cached.stats, col_stats=cached.col_stats)
+
+    def _fit(self, paths: PathBundle) -> "BasisSpec":
         raw = np.concatenate([paths.x, paths.xc], axis=2)
         mean = raw.mean(axis=0)
         std = raw.std(axis=0)
@@ -182,14 +190,12 @@ class BsdeSolution:
 def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                      paths: PathBundle) -> np.ndarray:
     k = paths.grid.n_steps
-    keys = paths.xc[:, flow.key_index(k), 0]
-    bins = flow.assign(k, keys)
-    out = np.empty(paths.n_paths)
-    for b in np.unique(bins):
-        sel = bins == b
-        mu = flow.summary(k, int(b))
-        out[sel] = np.asarray(spec.terminal_cost(paths.x[sel, k], mu), float)
-    return out
+    perm, groups = flow.groups(k, paths.xc[:, flow.key_index(k), 0])
+    x_g = paths.x[perm, k]
+    out_g = np.empty(paths.n_paths)
+    for b, lo, hi in groups:
+        out_g[lo:hi] = np.asarray(spec.terminal_cost(x_g[lo:hi], flow.summary(k, b)), float)
+    return ungroup(perm, out_g)
 
 
 def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundle,
@@ -241,17 +247,17 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
             h = np.zeros(n)
         else:
             z_hat = feats @ z_coef[k].T
-            keys = paths.xc[:, flow.key_index(k), 0]
-            bins = flow.assign(k, keys)
-            h = np.empty(n)
+            perm, groups = flow.groups(k, paths.xc[:, flow.key_index(k), 0])
+            x_g, z_g = paths.x[perm, k], z_hat[perm]
+            a_g = np.empty((n, spec.d_action))
+            h_g = np.empty(n)
             t_k = grid.times[k]
-            for b in np.unique(bins):
-                sel = bins == b
-                mu = flow.summary(k, int(b))
-                a_b, h_b = minimize_hamiltonian_batch(spec, t_k, paths.x[sel, k], mu, z_hat[sel])
-                h[sel] = h_b
-                if store_actions:
-                    actions[sel, k] = a_b
+            for b, lo, hi in groups:
+                a_g[lo:hi], h_g[lo:hi] = minimize_hamiltonian_batch(
+                    spec, t_k, x_g[lo:hi], flow.summary(k, b), z_g[lo:hi])
+            h = ungroup(perm, h_g)
+            if store_actions:
+                actions[perm, k] = a_g
 
         raw_sum += h * dt
         target = y_next + h * dt
@@ -292,14 +298,14 @@ class MarkovPolicy:
         x = np.atleast_2d(x)
         if self.kind == "feedback":
             z_hat = self.solution.z_smoothed(k, x, np.atleast_2d(xc), self.z_window)
-            bins = self.flow.assign(k, key)
-            out = np.empty((x.shape[0], self.spec.d_action))
+            perm, groups = self.flow.groups(k, key)
+            x_g, z_g = x[perm], z_hat[perm]
+            out_g = np.empty((x.shape[0], self.spec.d_action))
             t_k = self.grid.times[k]
-            for b in np.unique(bins):
-                sel = bins == b
-                mu = self.flow.summary(k, int(b))
-                out[sel], _ = minimize_hamiltonian_batch(self.spec, t_k, x[sel], mu, z_hat[sel])
-            return out
+            for b, lo, hi in groups:
+                out_g[lo:hi], _ = minimize_hamiltonian_batch(
+                    self.spec, t_k, x_g[lo:hi], self.flow.summary(k, b), z_g[lo:hi])
+            return ungroup(perm, out_g)
         if self.kind == "table":
             return _bilinear(self.x_axes[k], self.key_axes[k], self.tables[k],
                              x[:, 0], np.asarray(key, float))
@@ -349,21 +355,24 @@ def _stacked_payoffs(spec: ProblemSpec, flow: ConditionalMeasureFlow, step_actio
         c = a_k.shape[0]
         if run_cost is None:
             run_cost = np.zeros((c, n))
-        lam_k = np.empty((c, n, spec.d_state)) if on_drift is not None else None
-        keys = paths.xc[:, flow.key_index(k), 0]
-        bins = flow.assign(k, keys)
+        perm, groups = flow.groups(k, paths.xc[:, flow.key_index(k), 0])
+        x_g, a_g = paths.x[perm, k], a_k[:, perm]
+        lam_g = np.empty((c, n, spec.d_state)) if on_drift is not None else None
+        cost_g = np.empty((c, n))
         t_k = grid.times[k]
-        for b in np.unique(bins):
-            sel = bins == b
-            mu = flow.summary(k, int(b))
-            x_b = np.tile(paths.x[sel, k], (c, 1))
-            a_b = a_k[:, sel].reshape(x_b.shape[0], -1)
-            if lam_k is not None:
+        for b, lo, hi in groups:
+            mu = flow.summary(k, b)
+            x_b = np.tile(x_g[lo:hi], (c, 1))
+            a_b = a_g[:, lo:hi].reshape(x_b.shape[0], -1)
+            if lam_g is not None:
                 drift = np.asarray(spec.drift(t_k, x_b, mu, a_b), float)
-                lam_k[:, sel] = (drift @ sig_inv_t).reshape(c, -1, spec.d_state)
-            run_cost[:, sel] += np.asarray(
+                lam_g[:, lo:hi] = (drift @ sig_inv_t).reshape(c, -1, spec.d_state)
+            cost_g[:, lo:hi] = np.asarray(
                 spec.running_cost(t_k, x_b, mu, a_b), float).reshape(c, -1) * grid.dt
+        run_cost[:, perm] += cost_g
         if on_drift is not None:
+            lam_k = np.empty_like(lam_g)
+            lam_k[:, perm] = lam_g
             on_drift(k, lam_k)
     return run_cost + _terminal_values(spec, flow, paths)
 
@@ -437,8 +446,9 @@ def policy_to_csv(policy: MarkovPolicy, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "xc"] + [f"a{j}" for j in range(d_a)])
         for k in range(policy.tables.shape[0]):
+            t_str = f"{times[k]:.17g}"
+            key_strs = [f"{kv:.17g}" for kv in policy.key_axes[k]]
             for i, xv in enumerate(policy.x_axes[k]):
-                for j, kv in enumerate(policy.key_axes[k]):
-                    row = [f"{times[k]:.17g}", f"{xv:.17g}", f"{kv:.17g}"]
-                    row.extend(f"{v:.17g}" for v in policy.tables[k, i, j])
-                    writer.writerow(row)
+                x_str = f"{xv:.17g}"
+                writer.writerows([t_str, x_str, kv] + [f"{v:.17g}" for v in acts]
+                                 for kv, acts in zip(key_strs, policy.tables[k, i]))

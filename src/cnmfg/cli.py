@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,7 +55,6 @@ _SOLVER_KEYS = {
     "order": ("flow_order", float),
     "seed": ("seed", int),
     "eval_seed": ("eval_seed", int),
-    "threads": ("threads", int),
     "retained_eval_paths": ("retained_eval_paths", int),
     "partition": ("partition_times", "times"),
 }
@@ -148,23 +146,16 @@ def _apply_overrides(config: SolverConfig, args) -> SolverConfig:
     fields = {}
     for attr, name in (("seed", "seed"), ("paths", "n_paths"), ("steps", "n_steps"),
                        ("bins", "n_bins"), ("damping", "damping"),
-                       ("max_iters", "max_iters"), ("tol", "tol"), ("threads", "threads")):
+                       ("max_iters", "max_iters"), ("tol", "tol")):
         val = getattr(args, attr, None)
         if val is not None:
             fields[name] = val
-    # worker-count env var honoured only when the flag is absent; results never
-    # depend on it either way (fixed-order reductions)
-    if getattr(args, "threads", None) is None and os.environ.get("CNMFG_THREADS"):
-        try:
-            fields["threads"] = int(os.environ["CNMFG_THREADS"])
-        except ValueError:
-            pass
     if not fields:
         return config
     kv = {f: getattr(config, f) for f in (
         "n_paths", "n_steps", "n_bins", "min_bin_count", "basis_degree", "ridge",
         "damping", "max_iters", "tol", "flow_order", "seed", "eval_seed",
-        "partition_times", "retained_eval_paths", "threads")}
+        "partition_times", "retained_eval_paths")}
     kv.update(fields)
     if "seed" in fields and "eval_seed" not in fields:
         kv["eval_seed"] = None   # re-derive from the new seed
@@ -192,7 +183,7 @@ def _write_manifest(path: Path, spec: ProblemSpec, config: SolverConfig,
         kv[f"problem.{key}"] = repr(val)
     for f in ("n_paths", "n_steps", "n_bins", "min_bin_count", "basis_degree", "ridge",
               "damping", "max_iters", "tol", "flow_order", "seed", "eval_seed",
-              "partition_times", "retained_eval_paths", "threads"):
+              "partition_times", "retained_eval_paths"):
         kv[f"solver.{f}"] = repr(getattr(config, f))
     kv.update({k: repr(v) for k, v in extra.items()})
     with open(path, "w") as fh:
@@ -370,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--tol", type=float)
         p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--threads", type=int)
     return parser
 
 

@@ -61,7 +61,6 @@ class SolverConfig:
     eval_seed: Optional[int] = None
     partition_times: Optional[tuple] = None
     retained_eval_paths: int = 2048
-    threads: Optional[int] = None    # recorded for manifests; results never depend on it
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -164,14 +163,14 @@ def apply_phi(spec: ProblemSpec, m: ConditionalMeasureFlow, config: SolverConfig
     lam = np.empty((n, config.n_steps, spec.d_state))
     sig_inv_t = spec.sigma_inv.T
     for k in range(config.n_steps):
-        keys = paths.xc[:, m.key_index(k), 0]
-        bins = m.assign(k, keys)
+        perm, groups = m.groups(k, paths.xc[:, m.key_index(k), 0])
+        x_g, a_g = paths.x[perm, k], actions[perm, k]
+        lam_g = np.empty((n, spec.d_state))
         t_k = paths.grid.times[k]
-        for b in np.unique(bins):
-            sel = bins == b
-            mu = m.summary(k, int(b))
-            lam[sel, k] = np.asarray(
-                spec.drift(t_k, paths.x[sel, k], mu, actions[sel, k]), float) @ sig_inv_t
+        for b, lo, hi in groups:
+            lam_g[lo:hi] = np.asarray(
+                spec.drift(t_k, x_g[lo:hi], m.summary(k, b), a_g[lo:hi]), float) @ sig_inv_t
+        lam[perm, k] = lam_g
     weights = stochastic_exponential(spec, lam, noise)
     m_next = estimate_conditional_flow(
         paths, weights, config.n_bins, mode=config.mode,

@@ -22,12 +22,14 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .girsanov import GirsanovWeights
 from .problem import MeasureSummary
-from .sde import PathBundle, TimeGrid
+from .sde import PathBundle, TimeGrid, stable_column_order
 
 __all__ = [
     "EmpiricalMeasure",
     "ConditionalMeasureFlow",
     "estimate_conditional_flow",
+    "group_rows",
+    "ungroup",
     "wasserstein_1d",
     "lp_transport",
     "kr_norm_diff",
@@ -230,8 +232,10 @@ class StepBins:
         return len(self.measures)
 
 
-def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
+def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray,
+                        order: Optional[np.ndarray] = None) -> np.ndarray:
+    if order is None:
+        order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order]
     cw = np.cumsum(w)
@@ -239,18 +243,47 @@ def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray)
     return np.interp(qs, cw, v)
 
 
-def _make_step_bins(keys: np.ndarray, atoms: np.ndarray, weights: np.ndarray,
-                    n_bins: int, min_bin_count: int) -> tuple[StepBins, np.ndarray]:
+def group_rows(labels: np.ndarray, n_groups: int):
+    """Rows grouped by label: (permutation, [(label, lo, hi), ...] of the non-empty groups).
+
+    ``labels[perm[lo:hi]] == label`` and, within a group, rows keep their
+    original order, so each slice holds exactly the rows of the boolean mask
+    ``labels == label`` in the same order.  Labels must lie in [0, n_groups).
+    """
+    small = np.int16 if n_groups <= np.iinfo(np.int16).max else np.intp
+    perm = np.argsort(labels.astype(small), kind="stable")   # radix sort for int16
+    counts = np.bincount(labels, minlength=n_groups)
+    ends = np.cumsum(counts)
+    return perm, [(int(b), int(ends[b] - counts[b]), int(ends[b]))
+                  for b in np.flatnonzero(counts)]
+
+
+def ungroup(perm: np.ndarray, grouped: np.ndarray) -> np.ndarray:
+    """Rows of ``grouped`` (gathered by ``perm``) put back in their original order."""
+    out = np.empty_like(grouped)
+    out[perm] = grouped
+    return out
+
+
+def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
+                    weights: np.ndarray, n_bins: int, min_bin_count: int) -> StepBins:
+    """Quantile bins of ``keys``; ``order`` is a stable argsort of ``keys``."""
     n = keys.shape[0]
+    sorted_keys = keys[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)
-    edges = _weighted_quantiles(keys, weights, qs)
+    edges = _weighted_quantiles(keys, weights, qs, order)
+    lo_key, hi_key = sorted_keys[0], sorted_keys[-1]
     interior = np.unique(edges[1:-1])
-    interior = interior[(interior > keys.min()) & (interior < keys.max())]
-    assign = np.searchsorted(interior, keys, side="right")
+    interior = interior[(interior > lo_key) & (interior < hi_key)]
+
+    def bin_counts(interior):
+        # keys below edge j: the rows of bins 0..j under searchsorted(..., "right")
+        below = np.searchsorted(sorted_keys, interior, side="left")
+        return np.diff(np.concatenate([[0], below, [n]]))
 
     # merge-nearest rule: drop the separating edge of any undersized bin
+    counts = bin_counts(interior)
     while interior.size > 0:
-        counts = np.bincount(assign, minlength=interior.size + 1)
         small = np.argwhere(counts < min_bin_count).ravel()
         if small.size == 0:
             break
@@ -262,18 +295,19 @@ def _make_step_bins(keys: np.ndarray, atoms: np.ndarray, weights: np.ndarray,
         else:
             drop = b - 1 if counts[b - 1] <= counts[b + 1] else b
         interior = np.delete(interior, drop)
-        assign = np.searchsorted(interior, keys, side="right")
+        counts = bin_counts(interior)
 
-    counts = np.bincount(assign, minlength=interior.size + 1)
-    full_edges = np.concatenate([[keys.min()], interior, [keys.max()]])
+    full_edges = np.concatenate([[lo_key], interior, [hi_key]])
     measures = []
-    for b in range(interior.size + 1):
-        sel = assign == b
-        if not np.any(sel):
+    ends = np.cumsum(counts)
+    for lo, hi in zip(ends - counts, ends):
+        if lo == hi:
             measures.append(EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1)))
         else:
-            measures.append(EmpiricalMeasure(atoms[sel], weights[sel]))
-    return StepBins(edges=full_edges, measures=measures, counts=counts), assign
+            # the bin's rows in path order, as the mask assign == b lists them
+            rows = np.sort(order[lo:hi])
+            measures.append(EmpiricalMeasure(atoms[rows], weights[rows]))
+    return StepBins(edges=full_edges, measures=measures, counts=counts)
 
 
 @dataclass
@@ -290,6 +324,7 @@ class ConditionalMeasureFlow:
     min_bin_count: int
     flow_p: float = 2.0
     retained: int = 2048
+    src_order: Optional[np.ndarray] = None    # (n, n_steps + 1) stable argsort of src_key
     _summaries: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -305,6 +340,14 @@ class ConditionalMeasureFlow:
     def assign(self, k: int, keys: np.ndarray) -> np.ndarray:
         edges = self.steps[k].edges
         return np.searchsorted(edges[1:-1], np.asarray(keys, float), side="right")
+
+    def groups(self, k: int, keys: np.ndarray):
+        """``keys`` grouped by their bin at step k; see ``group_rows``.
+
+        Gather rowwise arrays by the permutation, evaluate each bin's
+        coefficients on its contiguous slice, then scatter back.
+        """
+        return group_rows(self.assign(k, keys), self.steps[k].n_bins)
 
     def measure(self, k: int, bin_idx: int) -> EmpiricalMeasure:
         return self.steps[k].measures[bin_idx]
@@ -374,33 +417,25 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
         w_steps = weights.m.copy()
         w_steps /= w_steps.sum(axis=0, keepdims=True)
 
-    src_key = x_paths.xc[:, key_idx, 0]
-    steps = []
-    for k in range(grid.n_steps + 1):
-        bins, _ = _make_step_bins(src_key[:, k], x_paths.x[:, k], w_steps[:, k],
-                                  n_bins, min_bin_count)
-        steps.append(bins)
-    return ConditionalMeasureFlow(
-        grid=grid, steps=steps, key_idx=key_idx, mode=mode, partition_times=partition,
-        src_x=x_paths.x, src_key=src_key, src_w=w_steps,
-        n_bins_requested=n_bins, min_bin_count=min_bin_count,
-        flow_p=flow_p, retained=retained,
-    )
+    if mode == "current":
+        src_key, src_order = x_paths.xc[:, :, 0], x_paths.key_order
+    else:
+        src_key, src_order = x_paths.xc[:, key_idx, 0], x_paths.key_order[:, key_idx]
+    return _build_flow(grid, key_idx, mode, partition, x_paths.x, src_key, src_order, w_steps,
+                       n_bins, min_bin_count, flow_p, retained)
 
 
-def rebuild_from_source(grid: TimeGrid, key_idx, mode, partition, src_x, src_key, src_w,
-                        n_bins: int, min_bin_count: int, flow_p: float,
-                        retained: int) -> ConditionalMeasureFlow:
-    steps = []
-    for k in range(grid.n_steps + 1):
-        bins, _ = _make_step_bins(src_key[:, k], src_x[:, k], src_w[:, k],
-                                  n_bins, min_bin_count)
-        steps.append(bins)
+def _build_flow(grid: TimeGrid, key_idx, mode, partition, src_x, src_key, src_order, src_w,
+                n_bins: int, min_bin_count: int, flow_p: float,
+                retained: int) -> ConditionalMeasureFlow:
+    steps = [_make_step_bins(src_key[:, k], src_order[:, k], src_x[:, k], src_w[:, k],
+                             n_bins, min_bin_count)
+             for k in range(grid.n_steps + 1)]
     return ConditionalMeasureFlow(
         grid=grid, steps=steps, key_idx=np.asarray(key_idx), mode=mode,
         partition_times=partition, src_x=src_x, src_key=src_key, src_w=src_w,
         n_bins_requested=n_bins, min_bin_count=min_bin_count,
-        flow_p=flow_p, retained=retained,
+        flow_p=flow_p, retained=retained, src_order=src_order,
     )
 
 
@@ -421,13 +456,15 @@ def mix_flows(a: ConditionalMeasureFlow, b: ConditionalMeasureFlow,
     if same_particles:
         src_x, src_key = a.src_x, a.src_key
         src_w = (1.0 - lam) * a.src_w + lam * b.src_w
+        src_order = a.src_order if a.src_order is not None else stable_column_order(src_key)
     else:
         src_x = np.concatenate([a.src_x, b.src_x], axis=0)
         src_key = np.concatenate([a.src_key, b.src_key], axis=0)
         src_w = np.concatenate([(1.0 - lam) * a.src_w, lam * b.src_w], axis=0)
-    return rebuild_from_source(a.grid, a.key_idx, a.mode, a.partition_times,
-                               src_x, src_key, src_w, a.n_bins_requested,
-                               a.min_bin_count, a.flow_p, a.retained)
+        src_order = stable_column_order(src_key)
+    return _build_flow(a.grid, a.key_idx, a.mode, a.partition_times, src_x, src_key,
+                       src_order, src_w, a.n_bins_requested, a.min_bin_count, a.flow_p,
+                       a.retained)
 
 
 def lookup_measure(flow: ConditionalMeasureFlow, t: float, key: float) -> EmpiricalMeasure:
@@ -458,14 +495,11 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
     for k in range(n_nodes):
         bins_a = m.assign(k, keys[:, k])
         bins_b = m2.assign(k, keys[:, k])
-        cache: dict = {}
-        vals = np.empty(n_eval)
-        for pair in zip(bins_a.tolist(), bins_b.tolist()):
-            if pair not in cache:
-                cache[pair] = _wq(m.measure(k, pair[0]), m2.measure(k, pair[1]), q) ** 2
-        for i in range(n_eval):
-            vals[i] = cache[(int(bins_a[i]), int(bins_b[i]))]
-        w2[:, k] = vals
+        n_b = m2.steps[k].n_bins
+        pairs, inverse = np.unique(bins_a * n_b + bins_b, return_inverse=True)
+        vals = np.array([_wq(m.measure(k, int(p) // n_b), m2.measure(k, int(p) % n_b), q) ** 2
+                         for p in pairs])
+        w2[:, k] = vals[inverse]
     dt = m.grid.dt
     trap_w = np.full(n_nodes, dt)
     trap_w[0] = trap_w[-1] = 0.5 * dt

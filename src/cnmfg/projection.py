@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BasisSpec, MarkovPolicy, objective_influence, _ridge_factor, _ridge_solve
-from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport, _systematic_resample
+from .flows import (ConditionalMeasureFlow, EmpiricalMeasure, lp_transport, ungroup,
+                    _systematic_resample)
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec, box_minimize_batch
 from .sde import NoiseBundle, PathBundle, simulate_markov_sde
@@ -86,15 +87,16 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
 
     for k in range(n_steps):
         keys = paths.xc[:, flow.key_index(k), 0]
-        bins = flow.assign(k, keys)
         t_k = grid.times[k]
         w_k = m[:, k]
 
-        drift_vals = np.empty((n, spec.d_state))
-        for b in np.unique(bins):
-            sel = bins == b
-            mu = flow.summary(k, int(b))
-            drift_vals[sel] = np.asarray(spec.drift(t_k, paths.x[sel, k], mu, a[sel, k]), float)
+        perm, groups = flow.groups(k, keys)
+        x_g, a_g = paths.x[perm, k], a[perm, k]
+        drift_g = np.empty((n, spec.d_state))
+        for b, lo, hi in groups:
+            drift_g[lo:hi] = np.asarray(spec.drift(t_k, x_g[lo:hi], flow.summary(k, b),
+                                                   a_g[lo:hi]), float)
+        drift_vals = ungroup(perm, drift_g)
 
         feats = fitted.features(k, paths.x[:, k], keys[:, None])
         factor = _ridge_factor(feats, fitted.ridge, sample_w=w_k)
@@ -109,23 +111,22 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         cell_feats = fitted.features(k, cell_x[:, None], cell_key[:, None])
         b_hat = cell_feats @ coef
 
-        cell_bins = flow.assign(k, cell_key)
-        cell_actions = np.empty((cell_x.size, spec.d_action))
-        cell_resid = np.empty(cell_x.size)
-        for b in np.unique(cell_bins):
-            sel = cell_bins == b
-            mu = flow.summary(k, int(b))
-            xs = cell_x[sel][:, None]
-            target = b_hat[sel]
+        perm, groups = flow.groups(k, cell_key)
+        cx_g, target_g = cell_x[perm], b_hat[perm]
+        act_g = np.empty((cell_x.size, spec.d_action))
+        resid_g = np.empty(cell_x.size)
+        for b, lo, hi in groups:
+            mu = flow.summary(k, b)
+            xs = cx_g[lo:hi][:, None]
+            target = target_g[lo:hi]
 
             def gap(actions, xs=xs, mu=mu, target=target):
                 bval = np.asarray(spec.drift(t_k, xs, mu, actions), float)
                 return np.sum((bval - target) ** 2, axis=1)
 
-            act, val = box_minimize_batch(gap, spec.action_lo, spec.action_hi,
-                                          int(np.count_nonzero(sel)))
-            cell_actions[sel] = act
-            cell_resid[sel] = np.sqrt(np.maximum(val, 0.0))
+            act_g[lo:hi], val = box_minimize_batch(gap, spec.action_lo, spec.action_hi, hi - lo)
+            resid_g[lo:hi] = np.sqrt(np.maximum(val, 0.0))
+        cell_actions, cell_resid = ungroup(perm, act_g), ungroup(perm, resid_g)
 
         margin = 1e-9 * np.maximum(spec.action_hi - spec.action_lo, 1.0)
         interior = np.all((cell_actions > spec.action_lo + margin)

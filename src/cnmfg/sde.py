@@ -8,7 +8,8 @@ Output never depends on how work is scheduled across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,15 +73,32 @@ class NoiseBundle:
 
 @dataclass
 class PathBundle:
+    """Simulated paths.  The key order and the basis statistics are computed on
+    first use and cached, so ``x`` and ``xc`` must not be mutated after that."""
+
     grid: TimeGrid
     x: np.ndarray     # (n_paths, n_steps + 1, d_state)
     xc: np.ndarray    # (n_paths, n_steps + 1, d_common)
     label: str
     clamp_count: int = 0
+    basis_stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
         return self.x.shape[0]
+
+    @cached_property
+    def key_order(self) -> np.ndarray:
+        """Stable per-step argsort of the conditioning key ``xc[:, :, 0]``."""
+        return stable_column_order(self.xc[:, :, 0])
+
+
+def stable_column_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of each column of an (n, m) array, as int32."""
+    order = np.empty(keys.shape, dtype=np.int32)
+    for k in range(keys.shape[1]):
+        order[:, k] = np.argsort(keys[:, k], kind="stable")
+    return order
 
 
 def _philox_key(seed: int, stream: int, chunk: int) -> int:
@@ -193,7 +211,7 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
     """Controlled state under a Markovian feedback policy and a conditional measure flow.
 
     ``policy`` exposes ``actions(k, x, xc, key)``; ``flow`` exposes
-    ``key_index(k)``, ``assign(k, keys)`` and ``summary(k, bin)``.  Actions
+    ``key_index(k)``, ``groups(k, keys)`` and ``summary(k, bin)``.  Actions
     falling outside the box are clamped and counted.
     """
     grid = noise.grid
@@ -216,12 +234,14 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
         outside = (a < spec.action_lo - 1e-12) | (a > spec.action_hi + 1e-12)
         clamped += int(np.count_nonzero(outside.any(axis=1)))
         a = spec.clip_action(a)
-        bins = flow.assign(k, keys)
-        b = np.empty((n, spec.d_state))
-        for bin_idx in np.unique(bins):
-            sel = bins == bin_idx
-            mu = flow.summary(k, int(bin_idx))
-            b[sel] = np.asarray(spec.drift(times[k], x[sel, k], mu, a[sel]), float)
+        perm, groups = flow.groups(k, keys)
+        x_g, a_g = x[perm, k], a[perm]
+        b_g = np.empty((n, spec.d_state))
+        for bin_idx, lo, hi in groups:
+            b_g[lo:hi] = np.asarray(spec.drift(times[k], x_g[lo:hi], flow.summary(k, bin_idx),
+                                               a_g[lo:hi]), float)
+        b = np.empty_like(b_g)
+        b[perm] = b_g
         if not np.all(np.isfinite(b)):
             bad = int(np.argwhere(~np.isfinite(b))[0][0])
             raise RuntimeError(f"non-finite controlled drift at step {k}, path {bad}")

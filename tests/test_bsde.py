@@ -204,6 +204,20 @@ class TestRegression:
         coef = _ridge_solve(_ridge_factor(feats, 1e-12), feats, target)
         np.testing.assert_allclose(feats @ coef, target, atol=1e-8)
 
+    def test_basis_fit_cached_per_degree(self, lq_spec):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=5, seed=9)
+        first = BasisSpec(degree=2, ridge=1e-8).fit_stats(paths)
+        again = BasisSpec(degree=2, ridge=1e-3).fit_stats(paths)
+        assert again.stats is first.stats and again.col_stats is first.col_stats
+        assert again.ridge == 1e-3
+        cubic = BasisSpec(degree=3).fit_stats(paths)
+        assert cubic.col_stats.shape[2] == cubic.n_features(2) != first.col_stats.shape[2]
+        cold = replace(paths)   # same arrays, empty caches
+        fresh = BasisSpec(degree=2).fit_stats(cold)
+        assert fresh.stats is not first.stats
+        np.testing.assert_array_equal(fresh.stats, first.stats)
+        np.testing.assert_array_equal(fresh.col_stats, first.col_stats)
+
     def test_explosion_threshold_aborts(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=5, seed=8)
         spec = replace(lq_spec, terminal_cost=lambda x, mu: 1e9 * x[:, 0] ** 2)

@@ -134,10 +134,8 @@ class TestRunCommand:
         cfg = _write(tmp_path, NO_INTERACTION)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         names = ("residuals.csv", "flow.csv", "policy.csv", "mimicking.csv")
-        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out1),
-                            "--threads", "1"]) == 0
-        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out2),
-                            "--threads", "4"]) == 0
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out1)]) == 0
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out2)]) == 0
         assert _hash_dir(out1, names) == _hash_dir(out2, names)
 
     def test_phi_writes_flow(self, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from cnmfg.flows import (
     estimate_conditional_flow,
     flow_distance,
     flow_to_csv,
+    group_rows,
     kr_norm_diff,
     lookup_measure,
     lp_transport,
@@ -20,7 +21,7 @@ from cnmfg.flows import (
     wasserstein_1d,
 )
 from cnmfg.girsanov import stochastic_exponential
-from cnmfg.sde import TimeGrid, generate_noise, simulate_driftless_state
+from cnmfg.sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
 
 # frozen after the first binning-stability sweep (8 vs 16 bins, 2e4 paths, seed 21)
 BINNING_STABILITY_REFERENCE = 0.05912026969340029
@@ -237,6 +238,26 @@ class TestFlowDistance:
         d = flow_distance(f8, f16, 2.0)
         assert d == pytest.approx(BINNING_STABILITY_REFERENCE, rel=0.2)
 
+    def test_equals_pair_by_pair_value(self, lq_spec, small_config):
+        grid = small_config.grid(lq_spec)
+        noise = generate_noise(4000, grid, 19, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        w = stochastic_exponential(lq_spec, np.clip(0.5 * paths.x[:, :-1, :], -1, 1), noise)
+        m = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        m2 = estimate_conditional_flow(paths, w, 5, min_bin_count=32)
+        q = 2.0
+        keys = np.concatenate([m.retained_keys, m2.retained_keys], axis=0)
+        w2 = np.empty(keys.shape)
+        for i in range(keys.shape[0]):
+            for k in range(keys.shape[1]):
+                a = int(m.assign(k, keys[i:i + 1, k])[0])
+                b = int(m2.assign(k, keys[i:i + 1, k])[0])
+                w2[i, k] = flows_mod._wq(m.measure(k, a), m2.measure(k, b), q) ** 2
+        trap_w = np.full(keys.shape[1], grid.dt)
+        trap_w[0] = trap_w[-1] = 0.5 * grid.dt
+        expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
+        assert flow_distance(m, m2, q) == expected
+
     def test_grid_mismatch_rejected(self):
         d0 = EmpiricalMeasure(np.array([0.0]))
         m = _constant_flow(TimeGrid(1.0, 10), [d0] * 11)
@@ -292,6 +313,106 @@ class TestEstimateFlow:
         paths = simulate_driftless_state(spec2, noise)
         with pytest.raises(NotImplementedError):
             estimate_conditional_flow(paths, None, 4)
+
+
+def _assert_flows_bitwise_equal(fa, fb):
+    assert len(fa.steps) == len(fb.steps)
+    for sa, sb in zip(fa.steps, fb.steps):
+        np.testing.assert_array_equal(sa.edges, sb.edges)
+        np.testing.assert_array_equal(sa.counts, sb.counts)
+        assert sa.n_bins == sb.n_bins
+        for ma, mb in zip(sa.measures, sb.measures):
+            np.testing.assert_array_equal(ma.support, mb.support)
+            np.testing.assert_array_equal(ma.weights, mb.weights)
+
+
+class TestGroups:
+    @staticmethod
+    def _check(perm, groups, labels, n_groups):
+        np.testing.assert_array_equal(np.sort(perm), np.arange(labels.size))
+        nonempty = [b for b in range(n_groups) if np.any(labels == b)]
+        assert [b for b, _, _ in groups] == nonempty
+        for b, lo, hi in groups:
+            np.testing.assert_array_equal(perm[lo:hi], np.flatnonzero(labels == b))
+        assert sum(hi - lo for _, lo, hi in groups) == labels.size
+
+    def test_matches_masks_with_out_of_range_keys(self, lq_spec, small_config):
+        noise = generate_noise(4000, small_config.grid(lq_spec), 20, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        k = 10
+        keys = np.concatenate([[1e6], paths.xc[:, k, 0], [-1e6, np.inf, -np.inf]])
+        perm, groups = flow.groups(k, keys)
+        labels = flow.assign(k, keys)
+        assert groups[0][0] == 0 and groups[-1][0] == flow.bins_at(k).n_bins - 1
+        self._check(perm, groups, labels, flow.bins_at(k).n_bins)
+
+    def test_empty_bins_are_skipped(self, lq_spec, small_config):
+        noise = generate_noise(4000, small_config.grid(lq_spec), 21, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        k = 10
+        edges = flow.bins_at(k).edges
+        keys = np.array([edges[-1], edges[0], edges[-1], 0.5 * (edges[2] + edges[3])])
+        perm, groups = flow.groups(k, keys)
+        last = flow.bins_at(k).n_bins - 1
+        assert [b for b, _, _ in groups] == [0, 2, last]
+        self._check(perm, groups, flow.assign(k, keys), last + 1)
+
+    def test_single_bin_step(self, lq_spec, small_config):
+        noise = generate_noise(4000, small_config.grid(lq_spec), 22, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        assert flow.bins_at(0).n_bins == 1      # point-mass initial common state
+        perm, groups = flow.groups(0, paths.xc[:, 0, 0])
+        np.testing.assert_array_equal(perm, np.arange(4000))
+        assert groups == [(0, 0, 4000)]
+
+    def test_wide_labels(self):
+        labels = np.random.default_rng(0).integers(0, 40_000, size=5000)
+        perm, groups = group_rows(labels, 40_000)   # beyond int16: the generic sort
+        assert [b for b, _, _ in groups] == np.unique(labels).tolist()
+        for b, lo, hi in groups:
+            np.testing.assert_array_equal(perm[lo:hi], np.flatnonzero(labels == b))
+        assert sum(hi - lo for _, lo, hi in groups) == labels.size
+
+
+class TestKeyOrderCache:
+    @pytest.mark.parametrize("mode", ["current", "partition"])
+    def test_cache_warm_equals_cache_cold(self, lq_spec, small_config, mode):
+        grid = small_config.grid(lq_spec)
+        noise = generate_noise(4000, grid, 23, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
+        kw = dict(mode=mode, min_bin_count=32,
+                  partition_times=[0.0, 0.3, 0.6, 1.0] if mode == "partition" else None)
+        estimate_conditional_flow(paths, None, 8, **kw)      # warms the key order
+        warm = estimate_conditional_flow(paths, w, 8, **kw)
+        cold_paths = PathBundle(grid=grid, x=paths.x.copy(), xc=paths.xc.copy(),
+                                label=paths.label)
+        cold = estimate_conditional_flow(cold_paths, w, 8, **kw)
+        _assert_flows_bitwise_equal(warm, cold)
+
+    def test_bin_measures_are_the_masked_rows_in_path_order(self, lq_spec, small_config):
+        grid = small_config.grid(lq_spec)
+        noise = generate_noise(4000, grid, 25, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
+        flow = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
+        for k in range(grid.n_steps + 1):
+            labels = flow.assign(k, paths.xc[:, k, 0])
+            for b, mu in enumerate(flow.bins_at(k).measures):
+                sel = labels == b
+                np.testing.assert_array_equal(mu.support, paths.x[sel, k])
+                np.testing.assert_array_equal(
+                    mu.weights, EmpiricalMeasure(paths.x[sel, k], flow.src_w[sel, k]).weights)
+
+    def test_current_mode_shares_the_cached_order(self, lq_spec, small_config):
+        noise = generate_noise(2000, small_config.grid(lq_spec), 24, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        assert flow.src_order is paths.key_order
+        assert paths.key_order.dtype == np.int32
 
 
 class TestPartitionMode:
@@ -395,6 +516,10 @@ class TestMixFlows:
         f2 = estimate_conditional_flow(pb, None, 8, min_bin_count=32)
         mixed = mix_flows(f1, f2, 0.5)
         assert mixed.n_source == 4000
+        pooled = PathBundle(grid=grid, x=np.concatenate([pa.x, pb.x]),
+                            xc=np.concatenate([pa.xc, pb.xc]), label="driftless")
+        _assert_flows_bitwise_equal(
+            mixed, estimate_conditional_flow(pooled, None, 8, min_bin_count=32))
 
 
 class TestSerialization:
