@@ -27,6 +27,7 @@ __all__ = [
     "MarkovPolicy",
     "solve_bsde",
     "extract_control",
+    "policy_actions_along",
     "evaluate_objective",
     "stacked_objective_influence",
     "policy_to_csv",
@@ -160,7 +161,6 @@ class BsdeSolution:
     basis: BasisSpec
     y_coef: np.ndarray           # (n_steps, n_features)
     z_coef: np.ndarray           # (n_steps, d_state, n_features)
-    z0_coef: np.ndarray          # (n_steps, d_common, n_features)
     y0: float
     y0_stderr: float
     residual_var: np.ndarray     # (n_steps,)
@@ -182,9 +182,6 @@ class BsdeSolution:
         for j in range(lo + 1, hi):
             out = out + self.z_at(j, x, xc)
         return out / (hi - lo)
-
-    def y_at(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
-        return self.basis.features(k, x, xc) @ self.y_coef[k]
 
 
 def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
@@ -221,7 +218,6 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
 
     y_coef = np.zeros((n_steps, n_feat))
     z_coef = np.zeros((n_steps, spec.d_state, n_feat))
-    z0_coef = np.zeros((n_steps, spec.d_common, n_feat))
     resid = np.zeros(n_steps)
     actions = np.zeros((n, n_steps, spec.d_action)) if store_actions else None
 
@@ -239,9 +235,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
         centred = y_next - y_fit_pre
 
         zt = centred[:, None] * noise.dw[:, k] / dt
-        z0t = centred[:, None] * noise.dw0[:, k] / dt
         z_coef[k] = _ridge_solve(factor, feats, zt).T
-        z0_coef[k] = _ridge_solve(factor, feats, z0t).T
 
         if driver == "zero":
             h = np.zeros(n)
@@ -273,8 +267,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     y0_se = float(raw_sum.std(ddof=1) / np.sqrt(n))
 
     return BsdeSolution(grid=grid, basis=fitted, y_coef=y_coef, z_coef=z_coef,
-                        z0_coef=z0_coef, y0=y0, y0_stderr=y0_se, residual_var=resid,
-                        control_samples=actions)
+                        y0=y0, y0_stderr=y0_se, residual_var=resid, control_samples=actions)
 
 
 @dataclass
@@ -310,6 +303,17 @@ class MarkovPolicy:
             return _bilinear(self.x_axes[k], self.key_axes[k], self.tables[k],
                              x[:, 0], np.asarray(key, float))
         raise ValueError(f"unknown policy kind {self.kind!r}")
+
+
+def policy_actions_along(policy: MarkovPolicy, flow: ConditionalMeasureFlow,
+                         paths: PathBundle, d_action: int) -> np.ndarray:
+    """(n, n_steps, d_action) actions of ``policy`` along ``paths``, keyed by ``flow``."""
+    n_steps = paths.grid.n_steps
+    out = np.empty((paths.n_paths, n_steps, d_action))
+    for k in range(n_steps):
+        keys = paths.xc[:, flow.key_index(k), 0]
+        out[:, k] = policy.actions(k, paths.x[:, k], paths.xc[:, k], keys)
+    return out
 
 
 def _bilinear(x_axis: np.ndarray, k_axis: np.ndarray, table: np.ndarray,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import sys
 import time
@@ -31,7 +32,7 @@ from .equilibrium import (
 from .flows import EmpiricalMeasure, flow_to_csv, lp_transport, wasserstein_1d
 from .problem import ProblemSpec, make_instance, validate_spec, _FAMILIES
 from .projection import lagged_noise_control, mimicking_check, project_cost_gap, project_control
-from .sde import generate_noise, simulate_driftless_state
+from .sde import generate_noise
 
 __all__ = ["ConfigError", "parse_config", "run_command", "main"]
 
@@ -150,16 +151,9 @@ def _apply_overrides(config: SolverConfig, args) -> SolverConfig:
         val = getattr(args, attr, None)
         if val is not None:
             fields[name] = val
-    if not fields:
-        return config
-    kv = {f: getattr(config, f) for f in (
-        "n_paths", "n_steps", "n_bins", "min_bin_count", "basis_degree", "ridge",
-        "damping", "max_iters", "tol", "flow_order", "seed", "eval_seed",
-        "partition_times", "retained_eval_paths")}
-    kv.update(fields)
-    if "seed" in fields and "eval_seed" not in fields:
-        kv["eval_seed"] = None   # re-derive from the new seed
-    return SolverConfig(**kv)
+    if "seed" in fields:
+        fields["eval_seed"] = None   # re-derive from the new seed
+    return dataclasses.replace(config, **fields) if fields else config
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -181,10 +175,8 @@ def _write_manifest(path: Path, spec: ProblemSpec, config: SolverConfig,
     }
     for key, val in sorted(spec.params.items()):
         kv[f"problem.{key}"] = repr(val)
-    for f in ("n_paths", "n_steps", "n_bins", "min_bin_count", "basis_degree", "ridge",
-              "damping", "max_iters", "tol", "flow_order", "seed", "eval_seed",
-              "partition_times", "retained_eval_paths"):
-        kv[f"solver.{f}"] = repr(getattr(config, f))
+    for f in dataclasses.fields(config):
+        kv[f"solver.{f.name}"] = repr(getattr(config, f.name))
     kv.update({k: repr(v) for k, v in extra.items()})
     with open(path, "w") as fh:
         for key in sorted(kv):
@@ -258,9 +250,7 @@ def _cmd_bsde_check(spec, config, args, outputs) -> int:
     out = _out_dir(args, outputs)
     t0 = time.perf_counter()
     grid = config.grid(spec)
-    noise = generate_noise(config.n_paths, grid, config.seed,
-                           d_state=spec.d_state, d_common=spec.d_common)
-    paths = simulate_driftless_state(spec, noise)
+    noise, paths = _reference(spec, config)
     m0 = initial_flow(spec, config, paths)
     basis = config.basis()
     zero = solve_bsde(spec, m0, paths, noise, basis, driver="zero", store_actions=False)
@@ -312,9 +302,7 @@ def _cmd_mimic_check(spec, config, args, outputs) -> int:
     out = _out_dir(args, outputs)
     t0 = time.perf_counter()
     grid = config.grid(spec)
-    noise = generate_noise(config.n_paths, grid, config.seed,
-                           d_state=spec.d_state, d_common=spec.d_common)
-    paths = simulate_driftless_state(spec, noise)
+    noise, paths = _reference(spec, config)
     flow = initial_flow(spec, config, paths)
     actions = lagged_noise_control(spec, noise)
     from .bsde import objective_influence

@@ -2,10 +2,10 @@
 
 One application of the map: simulate reference paths, solve the optimality
 BSDE against the input flow, reweight by the stochastic exponential of the
-controlled drift, re-estimate the conditional law.  Iterates are mixed by
-particle pooling (the same common random numbers are reused each application,
-so mixing is exact weight blending).  Non-convergence is a reportable outcome,
-not an error.
+controlled drift, re-estimate the conditional law.  Every application reuses
+the same common random numbers, so every iterate is a weight array on one
+fixed reference particle system and mixing blends the weights.
+Non-convergence is a reportable outcome, not an error.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ from .bsde import (
     BsdeSolution,
     MarkovPolicy,
     extract_control,
+    objective_influence,
+    policy_actions_along,
     solve_bsde,
     stacked_objective_influence,
 )
-from .flows import ConditionalMeasureFlow, estimate_conditional_flow, flow_distance, mix_flows
-from .girsanov import GirsanovWeights, stochastic_exponential
+from .flows import ConditionalMeasureFlow, estimate_conditional_flow, flow_distance
+from .girsanov import GirsanovWeights
 from .problem import ProblemSpec
 from .projection import MimickingReport, mimicking_check, project_control
-from .sde import NoiseBundle, PathBundle, TimeGrid, generate_noise, simulate_driftless_state
+from .sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
 
 __all__ = [
     "SolverConfig",
@@ -115,8 +117,6 @@ class PhiResult:
     flow: ConditionalMeasureFlow
     solution: BsdeSolution
     weights: GirsanovWeights
-    paths: PathBundle
-    noise: NoiseBundle
 
 
 @dataclass
@@ -125,7 +125,6 @@ class EquilibriumResult:
     policy: Optional[MarkovPolicy]                 # feedback closure (representation a)
     solution: BsdeSolution
     weights: GirsanovWeights
-    paths: PathBundle
     report: IterationReport
     projected_policy: Optional[MarkovPolicy] = None  # lookup table (representation b)
     mimicking: Optional[MimickingReport] = None
@@ -139,15 +138,20 @@ def _reference(spec: ProblemSpec, config: SolverConfig):
     return noise, paths
 
 
+def _estimate_flow(spec: ProblemSpec, config: SolverConfig, paths: PathBundle,
+                   weights: Optional[GirsanovWeights]) -> ConditionalMeasureFlow:
+    return estimate_conditional_flow(
+        paths, weights, config.n_bins, mode=config.mode,
+        partition_times=config.partition_times, min_bin_count=config.min_bin_count,
+        flow_p=spec.p, retained=config.retained_eval_paths)
+
+
 def initial_flow(spec: ProblemSpec, config: SolverConfig,
                  paths: Optional[PathBundle] = None) -> ConditionalMeasureFlow:
     """Unit-weight conditional law of the driftless state; the iteration seed."""
     if paths is None:
         _, paths = _reference(spec, config)
-    return estimate_conditional_flow(
-        paths, None, config.n_bins, mode=config.mode,
-        partition_times=config.partition_times, min_bin_count=config.min_bin_count,
-        flow_p=spec.p, retained=config.retained_eval_paths)
+    return _estimate_flow(spec, config, paths, None)
 
 
 def apply_phi(spec: ProblemSpec, m: ConditionalMeasureFlow, config: SolverConfig,
@@ -158,26 +162,9 @@ def apply_phi(spec: ProblemSpec, m: ConditionalMeasureFlow, config: SolverConfig
     else:
         noise, paths = reference
     solution = solve_bsde(spec, m, paths, noise, config.basis(), store_actions=True)
-    actions = solution.control_samples
-    n = paths.n_paths
-    lam = np.empty((n, config.n_steps, spec.d_state))
-    sig_inv_t = spec.sigma_inv.T
-    for k in range(config.n_steps):
-        perm, groups = m.groups(k, paths.xc[:, m.key_index(k), 0])
-        x_g, a_g = paths.x[perm, k], actions[perm, k]
-        lam_g = np.empty((n, spec.d_state))
-        t_k = paths.grid.times[k]
-        for b, lo, hi in groups:
-            lam_g[lo:hi] = np.asarray(
-                spec.drift(t_k, x_g[lo:hi], m.summary(k, b), a_g[lo:hi]), float) @ sig_inv_t
-        lam[perm, k] = lam_g
-    weights = stochastic_exponential(spec, lam, noise)
-    m_next = estimate_conditional_flow(
-        paths, weights, config.n_bins, mode=config.mode,
-        partition_times=config.partition_times, min_bin_count=config.min_bin_count,
-        flow_p=spec.p, retained=config.retained_eval_paths)
-    return PhiResult(flow=m_next, solution=solution, weights=weights,
-                     paths=paths, noise=noise)
+    _, _, _, weights = objective_influence(spec, m, solution.control_samples, paths, noise)
+    return PhiResult(flow=_estimate_flow(spec, config, paths, weights), solution=solution,
+                     weights=weights)
 
 
 def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
@@ -221,32 +208,22 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
                 report.status = "aborted"
                 break
         prev_residual = residual
-        m = mix_flows(m, phi.flow, damping)
+        m = m.reweighted((1.0 - damping) * m.src_w + damping * phi.flow.src_w)
     else:
         report.status = "max_iters"
 
     result = EquilibriumResult(flow=m_star, policy=None, solution=final.solution,
-                               weights=final.weights, paths=final.paths, report=report)
+                               weights=final.weights, report=report)
     result.policy = extract_control(final.solution, spec, m_star)
     if project:
-        table = project_control(spec, final.paths, final.solution.control_samples,
+        table = project_control(spec, reference[1], final.solution.control_samples,
                                 m_star, final.weights, config.basis())
         fresh = generate_noise(config.n_paths, config.grid(spec), config.eval_seed,
                                d_state=spec.d_state, d_common=spec.d_common)
         result.projected_policy = table
-        result.mimicking = mimicking_check(spec, (final.paths, final.weights),
+        result.mimicking = mimicking_check(spec, (reference[1], final.weights),
                                            table, m_star, fresh)
     return result
-
-
-def _policy_actions_along(policy: MarkovPolicy, flow: ConditionalMeasureFlow,
-                          paths: PathBundle, d_action: int) -> np.ndarray:
-    n_steps = paths.grid.n_steps
-    out = np.empty((paths.n_paths, n_steps, d_action))
-    for k in range(n_steps):
-        keys = paths.xc[:, flow.key_index(k), 0]
-        out[:, k] = policy.actions(k, paths.x[:, k], paths.xc[:, k], keys)
-    return out
 
 
 def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: MarkovPolicy,
@@ -262,7 +239,7 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
                            d_state=spec.d_state, d_common=spec.d_common)
     paths = simulate_driftless_state(spec, noise)
 
-    a_pol = spec.clip_action(_policy_actions_along(policy, flow, paths, spec.d_action))
+    a_pol = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
     br = solve_bsde(spec, flow, paths, noise, config.basis(), store_actions=True)
     axes = [np.linspace(spec.action_lo[j], spec.action_hi[j], n_const)
             for j in range(spec.d_action)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .girsanov import GirsanovWeights
 from .problem import MeasureSummary
-from .sde import PathBundle, TimeGrid, stable_column_order
+from .sde import PathBundle, TimeGrid
 
 __all__ = [
     "EmpiricalMeasure",
@@ -312,24 +312,44 @@ def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
 
 @dataclass
 class ConditionalMeasureFlow:
-    grid: TimeGrid
+    """Per-step weights on one fixed particle system, binned by the conditioning key.
+
+    The flow copies no particles: ``paths`` is the bundle it was estimated on
+    and ``src_w`` its weights.  ``estimate_conditional_flow`` and ``reweighted``
+    build ``steps`` from the two with ``_bin_steps`` under the flow's binning
+    settings.
+    """
+
+    paths: PathBundle
+    src_w: np.ndarray                         # (n, n_steps + 1), normalized per step
     steps: list                               # StepBins per time step
     key_idx: np.ndarray                       # (n_steps + 1,) grid index of the key
     mode: str                                 # "current" | "partition"
     partition_times: Optional[tuple]
-    src_x: np.ndarray                         # (n, n_steps + 1, d_state)
-    src_key: np.ndarray                       # (n, n_steps + 1)
-    src_w: np.ndarray                         # (n, n_steps + 1), normalized per step
     n_bins_requested: int
     min_bin_count: int
     flow_p: float = 2.0
     retained: int = 2048
-    src_order: Optional[np.ndarray] = None    # (n, n_steps + 1) stable argsort of src_key
-    _summaries: dict = field(default_factory=dict, repr=False)
+    _summaries: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.paths.grid
 
     @property
     def n_source(self) -> int:
-        return self.src_x.shape[0]
+        return self.paths.n_paths
+
+    @property
+    def src_key(self) -> np.ndarray:
+        """(n, n_steps + 1) conditioning keys; a view of ``paths.xc`` in current mode."""
+        keys = self.paths.xc[:, :, 0]
+        return keys if self.mode == "current" else keys[:, self.key_idx]
+
+    def reweighted(self, src_w: np.ndarray) -> "ConditionalMeasureFlow":
+        """The flow of the same particles and binning settings under weights ``src_w``."""
+        return replace(self, src_w=src_w, steps=_bin_steps(
+            self.paths, src_w, self.key_idx, self.n_bins_requested, self.min_bin_count))
 
     def key_index(self, k: int) -> int:
         return int(self.key_idx[k])
@@ -366,6 +386,15 @@ class ConditionalMeasureFlow:
         take = min(self.retained, n)
         idx = np.unique(np.linspace(0, n - 1, take).astype(int))
         return self.src_key[idx]
+
+
+def _bin_steps(paths: PathBundle, src_w: np.ndarray, key_idx: np.ndarray, n_bins: int,
+               min_bin_count: int) -> list:
+    """StepBins per step: the atoms ``paths.x[:, k]`` binned by the key at ``key_idx[k]``."""
+    keys, order = paths.xc[:, :, 0], paths.key_order
+    return [_make_step_bins(keys[:, j], order[:, j], paths.x[:, k], src_w[:, k],
+                            n_bins, min_bin_count)
+            for k, j in enumerate(key_idx)]
 
 
 def _partition_key_index(grid: TimeGrid, partition_times: Sequence[float]) -> np.ndarray:
@@ -416,55 +445,11 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     else:
         w_steps = weights.m.copy()
         w_steps /= w_steps.sum(axis=0, keepdims=True)
-
-    if mode == "current":
-        src_key, src_order = x_paths.xc[:, :, 0], x_paths.key_order
-    else:
-        src_key, src_order = x_paths.xc[:, key_idx, 0], x_paths.key_order[:, key_idx]
-    return _build_flow(grid, key_idx, mode, partition, x_paths.x, src_key, src_order, w_steps,
-                       n_bins, min_bin_count, flow_p, retained)
-
-
-def _build_flow(grid: TimeGrid, key_idx, mode, partition, src_x, src_key, src_order, src_w,
-                n_bins: int, min_bin_count: int, flow_p: float,
-                retained: int) -> ConditionalMeasureFlow:
-    steps = [_make_step_bins(src_key[:, k], src_order[:, k], src_x[:, k], src_w[:, k],
-                             n_bins, min_bin_count)
-             for k in range(grid.n_steps + 1)]
     return ConditionalMeasureFlow(
-        grid=grid, steps=steps, key_idx=np.asarray(key_idx), mode=mode,
-        partition_times=partition, src_x=src_x, src_key=src_key, src_w=src_w,
-        n_bins_requested=n_bins, min_bin_count=min_bin_count,
-        flow_p=flow_p, retained=retained, src_order=src_order,
-    )
-
-
-def mix_flows(a: ConditionalMeasureFlow, b: ConditionalMeasureFlow,
-              lam: float) -> ConditionalMeasureFlow:
-    """Convex mixture (1-lam) a + lam b realized on pooled particles.
-
-    When both flows share the same particle system (same paths, same keys) the
-    mixture is exact weight blending; otherwise particles are concatenated.
-    """
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("mixing weight must lie in (0, 1]")
-    if a.grid != b.grid or a.mode != b.mode or not np.array_equal(a.key_idx, b.key_idx):
-        raise ValueError("flows must share grid and conditioning mode")
-    same_particles = (a.src_x.shape == b.src_x.shape
-                      and np.array_equal(a.src_key, b.src_key)
-                      and np.array_equal(a.src_x, b.src_x))
-    if same_particles:
-        src_x, src_key = a.src_x, a.src_key
-        src_w = (1.0 - lam) * a.src_w + lam * b.src_w
-        src_order = a.src_order if a.src_order is not None else stable_column_order(src_key)
-    else:
-        src_x = np.concatenate([a.src_x, b.src_x], axis=0)
-        src_key = np.concatenate([a.src_key, b.src_key], axis=0)
-        src_w = np.concatenate([(1.0 - lam) * a.src_w, lam * b.src_w], axis=0)
-        src_order = stable_column_order(src_key)
-    return _build_flow(a.grid, a.key_idx, a.mode, a.partition_times, src_x, src_key,
-                       src_order, src_w, a.n_bins_requested, a.min_bin_count, a.flow_p,
-                       a.retained)
+        paths=x_paths, src_w=w_steps,
+        steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count),
+        key_idx=key_idx, mode=mode, partition_times=partition, n_bins_requested=n_bins,
+        min_bin_count=min_bin_count, flow_p=flow_p, retained=retained)
 
 
 def lookup_measure(flow: ConditionalMeasureFlow, t: float, key: float) -> EmpiricalMeasure:
@@ -510,7 +495,7 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
 def flow_to_csv(flow: ConditionalMeasureFlow, path, n_quantiles: int = 33) -> None:
     """Lossy CSV summary: per (step, bin), edges plus a fixed quantile grid."""
     qs = np.linspace(0.0, 1.0, n_quantiles)
-    d = flow.src_x.shape[2]
+    d = flow.paths.x.shape[2]
     header = ["step", "t", "bin_index", "bin_lo", "bin_hi"]
     for c in range(d):
         header.extend(f"x{c}_q{j:02d}" for j in range(n_quantiles))

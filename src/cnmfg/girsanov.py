@@ -46,9 +46,6 @@ class GirsanovWeights:
     def m_terminal(self) -> np.ndarray:
         return self.m[:, -1]
 
-    def at_step(self, k: int) -> np.ndarray:
-        return self.m[:, k]
-
     @property
     def normalization(self) -> float:
         """Mean terminal weight; 1 in expectation by the martingale property."""

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BasisSpec, MarkovPolicy, objective_influence, _ridge_factor, _ridge_solve
+from .bsde import (BasisSpec, MarkovPolicy, objective_influence, policy_actions_along,
+                   _ridge_factor, _ridge_solve)
 from .flows import (ConditionalMeasureFlow, EmpiricalMeasure, lp_transport, ungroup,
                     _systematic_resample)
 from .girsanov import GirsanovWeights
@@ -198,13 +199,8 @@ def project_cost_gap(spec: ProblemSpec, paths: PathBundle, action_samples: np.nd
     """J(original) - J(markovian) with a paired standard error; >= 0 up to noise."""
     j_orig, _, infl_orig, _ = objective_influence(spec, flow, action_samples, paths, noise,
                                                   weights=weights)
-    n = paths.n_paths
-    markov_actions = np.empty_like(np.asarray(action_samples, float))
-    for k in range(paths.grid.n_steps):
-        keys = paths.xc[:, flow.key_index(k), 0]
-        markov_actions[:, k] = policy.actions(k, paths.x[:, k], paths.xc[:, k], keys)
-    markov_actions = spec.clip_action(markov_actions)
+    markov_actions = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
     j_mark, _, infl_mark, _ = objective_influence(spec, flow, markov_actions, paths, noise)
     diff = infl_orig - infl_mark
-    se = float(diff.std(ddof=1) / np.sqrt(n))
+    se = float(diff.std(ddof=1) / np.sqrt(paths.n_paths))
     return float(j_orig - j_mark), se

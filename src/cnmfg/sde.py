@@ -89,16 +89,12 @@ class PathBundle:
 
     @cached_property
     def key_order(self) -> np.ndarray:
-        """Stable per-step argsort of the conditioning key ``xc[:, :, 0]``."""
-        return stable_column_order(self.xc[:, :, 0])
-
-
-def stable_column_order(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of each column of an (n, m) array, as int32."""
-    order = np.empty(keys.shape, dtype=np.int32)
-    for k in range(keys.shape[1]):
-        order[:, k] = np.argsort(keys[:, k], kind="stable")
-    return order
+        """Stable per-step argsort of the conditioning key ``xc[:, :, 0]``, as int32."""
+        keys = self.xc[:, :, 0]
+        order = np.empty(keys.shape, dtype=np.int32)
+        for k in range(keys.shape[1]):
+            order[:, k] = np.argsort(keys[:, k], kind="stable")
+        return order
 
 
 def _philox_key(seed: int, stream: int, chunk: int) -> int:

@@ -90,8 +90,7 @@ class TestExtractControl:
         z_coef[:, 0, 0] = const_z
         return BsdeSolution(grid=grid, basis=fitted,
                             y_coef=np.zeros((grid.n_steps, n_feat)),
-                            z_coef=z_coef, z0_coef=np.zeros((grid.n_steps, 1, n_feat)),
-                            y0=0.0, y0_stderr=0.0,
+                            z_coef=z_coef, y0=0.0, y0_stderr=0.0,
                             residual_var=np.zeros(grid.n_steps))
 
     def test_zero_integrand_gives_zero_policy(self, lq_spec, small_config):

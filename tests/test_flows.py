@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +18,11 @@ from cnmfg.flows import (
     kr_norm_diff,
     lookup_measure,
     lp_transport,
-    mix_flows,
     truncation_bound_check,
     wasserstein_1d,
 )
 from cnmfg.girsanov import stochastic_exponential
+from cnmfg.problem import MeasureSummary
 from cnmfg.sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
 
 # frozen after the first binning-stability sweep (8 vs 16 bins, 2e4 paths, seed 21)
@@ -178,12 +180,12 @@ def _constant_flow(grid, measures_per_step, key_idx=None):
         for m in measures_per_step
     ]
     n_nodes = grid.n_steps + 1
+    paths = PathBundle(grid=grid, x=np.zeros((4, n_nodes, 1)), xc=np.zeros((4, n_nodes, 1)),
+                       label="driftless")
     return ConditionalMeasureFlow(
-        grid=grid, steps=steps,
+        paths=paths, src_w=np.full((4, n_nodes), 0.25), steps=steps,
         key_idx=np.arange(n_nodes) if key_idx is None else key_idx,
         mode="current", partition_times=None,
-        src_x=np.zeros((4, n_nodes, 1)), src_key=np.zeros((4, n_nodes)),
-        src_w=np.full((4, n_nodes), 0.25),
         n_bins_requested=1, min_bin_count=1,
     )
 
@@ -408,10 +410,12 @@ class TestKeyOrderCache:
                     mu.weights, EmpiricalMeasure(paths.x[sel, k], flow.src_w[sel, k]).weights)
 
     def test_current_mode_shares_the_cached_order(self, lq_spec, small_config):
+        # the flow copies no particles: its keys are a view of the paths' common state
         noise = generate_noise(2000, small_config.grid(lq_spec), 24, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
         flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
-        assert flow.src_order is paths.key_order
+        assert flow.paths is paths
+        assert np.shares_memory(flow.src_key, paths.xc)
         assert paths.key_order.dtype == np.int32
 
 
@@ -485,41 +489,52 @@ class TestLookup:
 
 
 class TestMixFlows:
-    def test_shared_particles_blend_weights(self, lq_spec, small_config):
+    """Damped Picard mixing: an axpy on the weights of one particle system, then a rebuild."""
+
+    @staticmethod
+    def _flows(lq_spec, small_config, seed, **kw):
         grid = small_config.grid(lq_spec)
-        noise = generate_noise(4000, grid, 14, 1, 1)
+        noise = generate_noise(4000, grid, seed, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
-        lam = np.clip(0.7 * paths.x[:, :-1, :], -1, 1)
-        w = stochastic_exponential(lq_spec, lam, noise)
-        f1 = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
-        f2 = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
-        mixed = mix_flows(f1, f2, 0.25)
-        np.testing.assert_allclose(mixed.src_w, 0.75 * f1.src_w + 0.25 * f2.src_w)
-        assert mixed.n_source == 4000
+        w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
+        return (estimate_conditional_flow(paths, None, 8, min_bin_count=32, **kw),
+                estimate_conditional_flow(paths, w, 8, min_bin_count=32, **kw))
+
+    def test_shared_particles_blend_weights(self, lq_spec, small_config):
+        for mode, times in (("current", None), ("partition", [0.0, 0.3, 0.6, 1.0])):
+            f1, f2 = self._flows(lq_spec, small_config, 14, mode=mode, partition_times=times)
+            blended = 0.75 * f1.src_w + 0.25 * f2.src_w
+            mixed = f1.reweighted(blended)
+            assert mixed.src_w is blended
+            assert mixed.paths is f1.paths
+            assert mixed.n_source == 4000
+            np.testing.assert_array_equal(mixed.key_idx, f1.key_idx)
+            # the bins rebuilt independently on the blended weights, with a fresh key sort
+            keys, x = f1.src_key, f1.paths.x
+            steps = [flows_mod._make_step_bins(keys[:, k], np.argsort(keys[:, k], kind="stable"),
+                                               x[:, k], blended[:, k], 8, 32)
+                     for k in range(keys.shape[1])]
+            _assert_flows_bitwise_equal(mixed, SimpleNamespace(steps=steps))
 
     def test_full_weight_recovers_target(self, lq_spec, small_config):
-        grid = small_config.grid(lq_spec)
-        noise = generate_noise(4000, grid, 15, 1, 1)
-        paths = simulate_driftless_state(lq_spec, noise)
-        lam = np.clip(0.7 * paths.x[:, :-1, :], -1, 1)
-        w = stochastic_exponential(lq_spec, lam, noise)
-        f1 = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
-        f2 = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
-        mixed = mix_flows(f1, f2, 1.0)
+        f1, f2 = self._flows(lq_spec, small_config, 15)
+        mixed = f1.reweighted(0.0 * f1.src_w + 1.0 * f2.src_w)
+        _assert_flows_bitwise_equal(mixed, f2)
         assert flow_distance(mixed, f2, 2.0) == 0.0
 
-    def test_foreign_particles_concatenate(self, lq_spec, small_config):
-        grid = small_config.grid(lq_spec)
-        pa = simulate_driftless_state(lq_spec, generate_noise(2000, grid, 16, 1, 1))
-        pb = simulate_driftless_state(lq_spec, generate_noise(2000, grid, 17, 1, 1))
-        f1 = estimate_conditional_flow(pa, None, 8, min_bin_count=32)
-        f2 = estimate_conditional_flow(pb, None, 8, min_bin_count=32)
-        mixed = mix_flows(f1, f2, 0.5)
-        assert mixed.n_source == 4000
-        pooled = PathBundle(grid=grid, x=np.concatenate([pa.x, pb.x]),
-                            xc=np.concatenate([pa.xc, pb.xc]), label="driftless")
-        _assert_flows_bitwise_equal(
-            mixed, estimate_conditional_flow(pooled, None, 8, min_bin_count=32))
+    def test_reweighted_summaries_describe_the_new_bins(self, lq_spec, small_config):
+        f1, f2 = self._flows(lq_spec, small_config, 16)
+        for k, bins in enumerate(f1.steps):        # warm f1's summary cache
+            for b in range(bins.n_bins):
+                f1.summary(k, b)
+        mixed = f1.reweighted(0.5 * f1.src_w + 0.5 * f2.src_w)
+        for k, bins in enumerate(mixed.steps):
+            for b, mu in enumerate(bins.measures):
+                got = mixed.summary(k, b)
+                want = MeasureSummary(mu.support, mu.weights, p=mixed.flow_p)
+                np.testing.assert_array_equal(got.weights, want.weights)
+                np.testing.assert_array_equal(got.mean, want.mean)
+                assert got.pth_moment == want.pth_moment
 
 
 class TestSerialization:
