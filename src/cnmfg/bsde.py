@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .flows import ConditionalMeasureFlow, ungroup
-from .girsanov import log_increments, self_normalized_mean, stochastic_exponential
+from .flows import ConditionalMeasureFlow
+from .girsanov import (GirsanovWeights, log_increments, self_normalized_mean,
+                       stochastic_exponential)
 from .problem import ProblemSpec, minimize_hamiltonian_batch
 from .sde import NoiseBundle, PathBundle, TimeGrid
 
@@ -28,6 +29,8 @@ __all__ = [
     "solve_bsde",
     "extract_control",
     "policy_actions_along",
+    "control_weights",
+    "objective_influence",
     "evaluate_objective",
     "stacked_objective_influence",
     "policy_to_csv",
@@ -187,12 +190,9 @@ class BsdeSolution:
 def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                      paths: PathBundle) -> np.ndarray:
     k = paths.grid.n_steps
-    perm, groups = flow.groups(k, paths.xc[:, flow.key_index(k), 0])
-    x_g = paths.x[perm, k]
-    out_g = np.empty(paths.n_paths)
-    for b, lo, hi in groups:
-        out_g[lo:hi] = np.asarray(spec.terminal_cost(x_g[lo:hi], flow.summary(k, b)), float)
-    return ungroup(perm, out_g)
+    return flow.per_bin(k, paths.xc[:, flow.key_index(k), 0],
+                        lambda mu, x: np.asarray(spec.terminal_cost(x, mu), float),
+                        paths.x[:, k])
 
 
 def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundle,
@@ -240,18 +240,13 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
         if driver == "zero":
             h = np.zeros(n)
         else:
-            z_hat = feats @ z_coef[k].T
-            perm, groups = flow.groups(k, paths.xc[:, flow.key_index(k), 0])
-            x_g, z_g = paths.x[perm, k], z_hat[perm]
-            a_g = np.empty((n, spec.d_action))
-            h_g = np.empty(n)
             t_k = grid.times[k]
-            for b, lo, hi in groups:
-                a_g[lo:hi], h_g[lo:hi] = minimize_hamiltonian_batch(
-                    spec, t_k, x_g[lo:hi], flow.summary(k, b), z_g[lo:hi])
-            h = ungroup(perm, h_g)
+            a_k, h = flow.per_bin(
+                k, paths.xc[:, flow.key_index(k), 0],
+                lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z),
+                paths.x[:, k], feats @ z_coef[k].T)
             if store_actions:
-                actions[perm, k] = a_g
+                actions[:, k] = a_k
 
         raw_sum += h * dt
         target = y_next + h * dt
@@ -291,14 +286,10 @@ class MarkovPolicy:
         x = np.atleast_2d(x)
         if self.kind == "feedback":
             z_hat = self.solution.z_smoothed(k, x, np.atleast_2d(xc), self.z_window)
-            perm, groups = self.flow.groups(k, key)
-            x_g, z_g = x[perm], z_hat[perm]
-            out_g = np.empty((x.shape[0], self.spec.d_action))
             t_k = self.grid.times[k]
-            for b, lo, hi in groups:
-                out_g[lo:hi], _ = minimize_hamiltonian_batch(
-                    self.spec, t_k, x_g[lo:hi], self.flow.summary(k, b), z_g[lo:hi])
-            return ungroup(perm, out_g)
+            return self.flow.per_bin(
+                k, key, lambda mu, xs, z: minimize_hamiltonian_batch(self.spec, t_k, xs, mu, z)[0],
+                x, z_hat)
         if self.kind == "table":
             return _bilinear(self.x_axes[k], self.key_axes[k], self.tables[k],
                              x[:, 0], np.asarray(key, float))
@@ -341,103 +332,82 @@ def extract_control(solution: BsdeSolution, spec: ProblemSpec,
                         solution=solution, z_window=z_window, label="bsde-feedback")
 
 
-def _stacked_payoffs(spec: ProblemSpec, flow: ConditionalMeasureFlow, step_actions,
-                     paths: PathBundle, on_drift=None) -> np.ndarray:
-    """Pathwise payoffs of C stacked controls in one pass over (step, bin).
-
-    ``step_actions(k)`` gives the (C, n, d_action) actions at step k.  The
-    running cost is accumulated step by step, then the terminal cost added;
-    returns (C, n).  When ``on_drift`` is given it receives, in step order,
-    ``(k, lam_k)`` with the (C, n, d_state) sigma^-1 drift samples of step k.
-    """
-    grid = paths.grid
-    n = paths.n_paths
-    sig_inv_t = spec.sigma_inv.T
-    run_cost = None
-    for k in range(grid.n_steps):
-        a_k = step_actions(k)
-        c = a_k.shape[0]
-        if run_cost is None:
-            run_cost = np.zeros((c, n))
-        perm, groups = flow.groups(k, paths.xc[:, flow.key_index(k), 0])
-        x_g, a_g = paths.x[perm, k], a_k[:, perm]
-        lam_g = np.empty((c, n, spec.d_state)) if on_drift is not None else None
-        cost_g = np.empty((c, n))
-        t_k = grid.times[k]
-        for b, lo, hi in groups:
-            mu = flow.summary(k, b)
-            x_b = np.tile(x_g[lo:hi], (c, 1))
-            a_b = a_g[:, lo:hi].reshape(x_b.shape[0], -1)
-            if lam_g is not None:
-                drift = np.asarray(spec.drift(t_k, x_b, mu, a_b), float)
-                lam_g[:, lo:hi] = (drift @ sig_inv_t).reshape(c, -1, spec.d_state)
-            cost_g[:, lo:hi] = np.asarray(
-                spec.running_cost(t_k, x_b, mu, a_b), float).reshape(c, -1) * grid.dt
-        run_cost[:, perm] += cost_g
-        if on_drift is not None:
-            lam_k = np.empty_like(lam_g)
-            lam_k[:, perm] = lam_g
-            on_drift(k, lam_k)
-    return run_cost + _terminal_values(spec, flow, paths)
-
-
-def objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
-                        control_samples: np.ndarray, paths: PathBundle,
-                        noise: NoiseBundle, weights=None):
-    """Weak-formulation objective estimate with per-path influence values.
-
-    Builds the sigma^-1 drift samples for the supplied adapted actions, weights
-    paths by the stochastic exponential, and self-normalizes.  Precomputed
-    weights for the same control may be passed to skip the exponential.
-    """
-    n = paths.n_paths
-    n_steps = paths.grid.n_steps
+def _control_array(control_samples: np.ndarray, paths: PathBundle) -> np.ndarray:
     a = np.asarray(control_samples, float)
-    if a.shape[:2] != (n, n_steps):
+    if a.shape[:2] != (paths.n_paths, paths.grid.n_steps):
         raise ValueError(f"control_samples shape {a.shape} does not match paths")
-    lam = np.empty((n, n_steps, spec.d_state)) if weights is None else None
+    return a
 
-    def store(k, lam_k):
-        lam[:, k] = lam_k[0]
 
-    payoff = _stacked_payoffs(spec, flow, lambda k: a[None, :, k], paths,
-                              on_drift=store if weights is None else None)
-    if weights is None:
-        weights = stochastic_exponential(spec, lam, noise)
-    est, se, infl = self_normalized_mean(payoff[0], weights.m_terminal)
-    return est, se, infl, weights
+def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
+                    control_samples: np.ndarray, paths: PathBundle,
+                    noise: NoiseBundle) -> GirsanovWeights:
+    """Girsanov weights of an adapted control: the stochastic exponential of sigma^-1 b."""
+    a = _control_array(control_samples, paths)
+    grid = paths.grid
+    sig_inv_t = spec.sigma_inv.T
+    lam = np.empty((paths.n_paths, grid.n_steps, spec.d_state))
+    for k in range(grid.n_steps):
+        t_k = grid.times[k]
+        lam[:, k] = flow.per_bin(
+            k, paths.xc[:, flow.key_index(k), 0],
+            lambda mu, x, a_k: np.asarray(spec.drift(t_k, x, mu, a_k), float) @ sig_inv_t,
+            paths.x[:, k], a[:, k])
+    return stochastic_exponential(spec, lam, noise)
 
 
 def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                                 step_actions, paths: PathBundle, noise: NoiseBundle):
-    """``objective_influence`` for C controls scored together in one pass.
+    """Weak-formulation objectives of C controls scored together in one pass over (step, bin).
 
-    ``step_actions(k)`` gives the (C, n, d_action) actions at step k.  Each
-    control's terminal log-weight is accumulated in step order, the order of
-    ``stochastic_exponential``'s cumulative sum, so every (estimate, stderr,
-    influence) triple in the returned list equals ``objective_influence`` on
-    that control bitwise.  Only (C, n) arrays persist across steps.
+    ``step_actions(k)`` gives the (C, n, d_action) actions at step k.  The
+    running cost and each control's terminal log-weight are accumulated in
+    step order, the order of ``stochastic_exponential``'s cumulative sum, and
+    the terminal cost is added last; each payoff is then self-normalized by
+    its own weights.  Returns one (estimate, stderr, influence) triple per
+    control; control c's triple equals bitwise the self-normalized mean of its
+    payoff under ``control_weights(...).m_terminal``.  Only (n, C) arrays
+    persist across steps.
     """
-    dt = paths.grid.dt
-    log_m = None
+    grid = paths.grid
+    sig_inv_t = spec.sigma_inv.T
+    run_cost = log_m = 0.0
+    for k in range(grid.n_steps):
+        t_k = grid.times[k]
+        a_k = step_actions(k)
+        c = a_k.shape[0]
 
-    def accumulate(k, lam_k):
-        nonlocal log_m
-        if not np.all(np.isfinite(lam_k)):
+        def costs_and_drifts(mu, x, a):
+            # (m, C, d) rows become control-major batches of C * m rows
+            x_b = np.tile(x, (c, 1))
+            a_b = a.transpose(1, 0, 2).reshape(x_b.shape[0], -1)
+            drift = np.asarray(spec.drift(t_k, x_b, mu, a_b), float) @ sig_inv_t
+            cost = np.asarray(spec.running_cost(t_k, x_b, mu, a_b), float).reshape(c, -1)
+            return cost.T * grid.dt, drift.reshape(c, -1, spec.d_state).transpose(1, 0, 2)
+
+        cost, lam = flow.per_bin(k, paths.xc[:, flow.key_index(k), 0], costs_and_drifts,
+                                 paths.x[:, k], a_k.transpose(1, 0, 2))
+        if not np.all(np.isfinite(lam)):
             raise RuntimeError(f"non-finite drift sample at step {k}")
-        inc = log_increments(lam_k, noise.dw[:, k], dt)
-        log_m = inc if log_m is None else log_m + inc
-
-    payoff = _stacked_payoffs(spec, flow, step_actions, paths, on_drift=accumulate)
+        run_cost = run_cost + cost
+        log_m = log_m + log_increments(lam, noise.dw[:, k, None], grid.dt)
+    payoff = run_cost + _terminal_values(spec, flow, paths)[:, None]
     m_terminal = np.exp(log_m)
-    return [self_normalized_mean(payoff[c], m_terminal[c]) for c in range(payoff.shape[0])]
+    return [self_normalized_mean(payoff[:, j], m_terminal[:, j]) for j in range(payoff.shape[1])]
+
+
+def objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
+                        control_samples: np.ndarray, paths: PathBundle, noise: NoiseBundle):
+    """``stacked_objective_influence`` of one control: (estimate, stderr, influence)."""
+    a = _control_array(control_samples, paths)
+    return stacked_objective_influence(spec, flow, lambda k: a[None, :, k], paths, noise)[0]
 
 
 def evaluate_objective(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                        control_samples: np.ndarray, paths: PathBundle,
                        noise: NoiseBundle):
     """Objective under the weak formulation; returns (estimate, stderr)."""
-    est, se, _, _ = objective_influence(spec, flow, control_samples, paths, noise)
+    est, se, _ = objective_influence(spec, flow, control_samples, paths, noise)
     return est, se
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bsde import policy_to_csv, solve_bsde
+from .bsde import _terminal_values, control_weights, policy_to_csv, solve_bsde
 from .equilibrium import (
     SolverConfig,
     _reference,
@@ -255,7 +255,6 @@ def _cmd_bsde_check(spec, config, args, outputs) -> int:
     basis = config.basis()
     zero = solve_bsde(spec, m0, paths, noise, basis, driver="zero", store_actions=False)
     full = solve_bsde(spec, m0, paths, noise, basis)
-    from .bsde import _terminal_values
     g_term = _terminal_values(spec, m0, paths)
     total_ms = (time.perf_counter() - t0) * 1e3
     _write_csv(out / "bsde_check.csv", ["step", "residual_var_zero", "residual_var"],
@@ -305,13 +304,12 @@ def _cmd_mimic_check(spec, config, args, outputs) -> int:
     noise, paths = _reference(spec, config)
     flow = initial_flow(spec, config, paths)
     actions = lagged_noise_control(spec, noise)
-    from .bsde import objective_influence
-    _, _, _, weights = objective_influence(spec, flow, actions, paths, noise)
+    weights = control_weights(spec, flow, actions, paths, noise)
     policy = project_control(spec, paths, actions, flow, weights, config.basis())
     fresh = generate_noise(config.n_paths, grid, config.eval_seed,
                            d_state=spec.d_state, d_common=spec.d_common)
     report = mimicking_check(spec, (paths, weights), policy, flow, fresh)
-    gap, gap_se = project_cost_gap(spec, paths, actions, policy, flow, weights, noise)
+    gap, gap_se = project_cost_gap(spec, paths, actions, policy, flow, noise)
     total_ms = (time.perf_counter() - t0) * 1e3
     _write_csv(out / "mimicking.csv", ["step", "t", "w1"],
                [(str(int(k)), grid.times[int(k)], w) for k, w in zip(report.steps, report.w1)])

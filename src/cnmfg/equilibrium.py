@@ -20,8 +20,8 @@ from .bsde import (
     BasisSpec,
     BsdeSolution,
     MarkovPolicy,
+    control_weights,
     extract_control,
-    objective_influence,
     policy_actions_along,
     solve_bsde,
     stacked_objective_influence,
@@ -162,7 +162,7 @@ def apply_phi(spec: ProblemSpec, m: ConditionalMeasureFlow, config: SolverConfig
     else:
         noise, paths = reference
     solution = solve_bsde(spec, m, paths, noise, config.basis(), store_actions=True)
-    _, _, _, weights = objective_influence(spec, m, solution.control_samples, paths, noise)
+    weights = control_weights(spec, m, solution.control_samples, paths, noise)
     return PhiResult(flow=_estimate_flow(spec, config, paths, weights), solution=solution,
                      weights=weights)
 
@@ -232,7 +232,9 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
 
     Family: the policy itself, a fresh BSDE best response to the flow, constant
     policies on an action grid, and the policy shifted by +-delta (clamped).
-    Evaluation uses the evaluation seed, independent of estimation noise.
+    The grid spans the whole box with the largest per-axis count n <= n_const
+    whose n^d_action points number at most 81.  Evaluation uses the evaluation
+    seed, independent of estimation noise.
     """
     grid = config.grid(spec)
     noise = generate_noise(config.n_paths, grid, config.eval_seed,
@@ -241,10 +243,13 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
 
     a_pol = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
     br = solve_bsde(spec, flow, paths, noise, config.basis(), store_actions=True)
-    axes = [np.linspace(spec.action_lo[j], spec.action_hi[j], n_const)
+    n_axis = n_const
+    while n_axis > 1 and n_axis ** spec.d_action > 81:
+        n_axis -= 1
+    axes = [np.linspace(spec.action_lo[j], spec.action_hi[j], n_axis)
             for j in range(spec.d_action)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    consts = np.column_stack([g.ravel() for g in mesh])[:81]
+    consts = np.column_stack([g.ravel() for g in mesh])
     shifts = (-delta, delta)
     names = (["self", "bsde-best-response"]
              + [f"const{tuple(np.round(c, 6))}" for c in consts]

@@ -29,7 +29,6 @@ __all__ = [
     "ConditionalMeasureFlow",
     "estimate_conditional_flow",
     "group_rows",
-    "ungroup",
     "wasserstein_1d",
     "lp_transport",
     "kr_norm_diff",
@@ -258,13 +257,6 @@ def group_rows(labels: np.ndarray, n_groups: int):
                   for b in np.flatnonzero(counts)]
 
 
-def ungroup(perm: np.ndarray, grouped: np.ndarray) -> np.ndarray:
-    """Rows of ``grouped`` (gathered by ``perm``) put back in their original order."""
-    out = np.empty_like(grouped)
-    out[perm] = grouped
-    return out
-
-
 def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
                     weights: np.ndarray, n_bins: int, min_bin_count: int) -> StepBins:
     """Quantile bins of ``keys``; ``order`` is a stable argsort of ``keys``."""
@@ -362,12 +354,28 @@ class ConditionalMeasureFlow:
         return np.searchsorted(edges[1:-1], np.asarray(keys, float), side="right")
 
     def groups(self, k: int, keys: np.ndarray):
-        """``keys`` grouped by their bin at step k; see ``group_rows``.
-
-        Gather rowwise arrays by the permutation, evaluate each bin's
-        coefficients on its contiguous slice, then scatter back.
-        """
+        """``keys`` grouped by their bin at step k; see ``group_rows``."""
         return group_rows(self.assign(k, keys), self.steps[k].n_bins)
+
+    def per_bin(self, k: int, keys: np.ndarray, fn, *rows):
+        """``fn(summary(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
+
+        Each call gets exactly the rows of the mask ``assign(k, keys) == b``,
+        in path order.  ``fn`` returns one array or a tuple of arrays with one
+        leading entry per row; each comes back scattered to row order.
+        """
+        perm, groups = self.groups(k, keys)
+        gathered = [np.asarray(r)[perm] for r in rows]
+        outs = None
+        for b, lo, hi in groups:
+            res = fn(self.summary(k, b), *(g[lo:hi] for g in gathered))
+            parts = res if isinstance(res, tuple) else (res,)
+            if outs is None:
+                outs = [np.empty((perm.size,) + np.shape(p)[1:], np.result_type(p))
+                        for p in parts]
+            for out, part in zip(outs, parts):
+                out[perm[lo:hi]] = part
+        return tuple(outs) if isinstance(res, tuple) else outs[0]
 
     def measure(self, k: int, bin_idx: int) -> EmpiricalMeasure:
         return self.steps[k].measures[bin_idx]

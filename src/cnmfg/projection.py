@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (BasisSpec, MarkovPolicy, objective_influence, policy_actions_along,
+from .bsde import (BasisSpec, MarkovPolicy, policy_actions_along, stacked_objective_influence,
                    _ridge_factor, _ridge_solve)
-from .flows import (ConditionalMeasureFlow, EmpiricalMeasure, lp_transport, ungroup,
-                    _systematic_resample)
+from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport, _systematic_resample
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec, box_minimize_batch
 from .sde import NoiseBundle, PathBundle, simulate_markov_sde
@@ -91,13 +90,8 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         t_k = grid.times[k]
         w_k = m[:, k]
 
-        perm, groups = flow.groups(k, keys)
-        x_g, a_g = paths.x[perm, k], a[perm, k]
-        drift_g = np.empty((n, spec.d_state))
-        for b, lo, hi in groups:
-            drift_g[lo:hi] = np.asarray(spec.drift(t_k, x_g[lo:hi], flow.summary(k, b),
-                                                   a_g[lo:hi]), float)
-        drift_vals = ungroup(perm, drift_g)
+        drift_vals = flow.per_bin(k, keys, lambda mu, xs, acts: np.asarray(
+            spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a[:, k])
 
         feats = fitted.features(k, paths.x[:, k], keys[:, None])
         factor = _ridge_factor(feats, fitted.ridge, sample_w=w_k)
@@ -112,22 +106,15 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         cell_feats = fitted.features(k, cell_x[:, None], cell_key[:, None])
         b_hat = cell_feats @ coef
 
-        perm, groups = flow.groups(k, cell_key)
-        cx_g, target_g = cell_x[perm], b_hat[perm]
-        act_g = np.empty((cell_x.size, spec.d_action))
-        resid_g = np.empty(cell_x.size)
-        for b, lo, hi in groups:
-            mu = flow.summary(k, b)
-            xs = cx_g[lo:hi][:, None]
-            target = target_g[lo:hi]
-
-            def gap(actions, xs=xs, mu=mu, target=target):
+        def invert(mu, xs, target):
+            def gap(actions):
                 bval = np.asarray(spec.drift(t_k, xs, mu, actions), float)
                 return np.sum((bval - target) ** 2, axis=1)
 
-            act_g[lo:hi], val = box_minimize_batch(gap, spec.action_lo, spec.action_hi, hi - lo)
-            resid_g[lo:hi] = np.sqrt(np.maximum(val, 0.0))
-        cell_actions, cell_resid = ungroup(perm, act_g), ungroup(perm, resid_g)
+            return box_minimize_batch(gap, spec.action_lo, spec.action_hi, xs.shape[0])
+
+        cell_actions, val = flow.per_bin(k, cell_key, invert, cell_x[:, None], b_hat)
+        cell_resid = np.sqrt(np.maximum(val, 0.0))
 
         margin = 1e-9 * np.maximum(spec.action_hi - spec.action_lo, 1.0)
         interior = np.all((cell_actions > spec.action_lo + margin)
@@ -194,13 +181,15 @@ def mimicking_check(spec: ProblemSpec, original: tuple, policy: MarkovPolicy,
 
 
 def project_cost_gap(spec: ProblemSpec, paths: PathBundle, action_samples: np.ndarray,
-                     policy: MarkovPolicy, flow: ConditionalMeasureFlow,
-                     weights: GirsanovWeights, noise: NoiseBundle):
-    """J(original) - J(markovian) with a paired standard error; >= 0 up to noise."""
-    j_orig, _, infl_orig, _ = objective_influence(spec, flow, action_samples, paths, noise,
-                                                  weights=weights)
+                     policy: MarkovPolicy, flow: ConditionalMeasureFlow, noise: NoiseBundle):
+    """J(original) - J(markovian) with a paired standard error; >= 0 up to noise.
+
+    Both controls are scored in one stacked pass, each under its own weights.
+    """
     markov_actions = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
-    j_mark, _, infl_mark, _ = objective_influence(spec, flow, markov_actions, paths, noise)
+    both = np.stack([np.asarray(action_samples, float), markov_actions])
+    (j_orig, _, infl_orig), (j_mark, _, infl_mark) = stacked_objective_influence(
+        spec, flow, lambda k: both[:, :, k], paths, noise)
     diff = infl_orig - infl_mark
     se = float(diff.std(ddof=1) / np.sqrt(paths.n_paths))
     return float(j_orig - j_mark), se

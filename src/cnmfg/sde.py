@@ -207,8 +207,8 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
     """Controlled state under a Markovian feedback policy and a conditional measure flow.
 
     ``policy`` exposes ``actions(k, x, xc, key)``; ``flow`` exposes
-    ``key_index(k)``, ``groups(k, keys)`` and ``summary(k, bin)``.  Actions
-    falling outside the box are clamped and counted.
+    ``key_index(k)`` and ``per_bin(k, keys, fn, *rows)``.  Actions falling
+    outside the box are clamped and counted.
     """
     grid = noise.grid
     if grid.n_steps != flow.grid.n_steps or abs(grid.horizon - flow.grid.horizon) > 1e-12:
@@ -216,8 +216,7 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
     if xc is None:
         xc = simulate_common_state(spec, noise)
     x0, _ = draw_initial_states(spec, noise)
-    n = noise.n_paths
-    x = np.empty((n, grid.n_steps + 1, spec.d_state))
+    x = np.empty((noise.n_paths, grid.n_steps + 1, spec.d_state))
     x[:, 0] = x0
     dt = grid.dt
     times = grid.times
@@ -230,14 +229,8 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
         outside = (a < spec.action_lo - 1e-12) | (a > spec.action_hi + 1e-12)
         clamped += int(np.count_nonzero(outside.any(axis=1)))
         a = spec.clip_action(a)
-        perm, groups = flow.groups(k, keys)
-        x_g, a_g = x[perm, k], a[perm]
-        b_g = np.empty((n, spec.d_state))
-        for bin_idx, lo, hi in groups:
-            b_g[lo:hi] = np.asarray(spec.drift(times[k], x_g[lo:hi], flow.summary(k, bin_idx),
-                                               a_g[lo:hi]), float)
-        b = np.empty_like(b_g)
-        b[perm] = b_g
+        b = flow.per_bin(k, keys, lambda mu, xs, acts: np.asarray(
+            spec.drift(times[k], xs, mu, acts), float), x[:, k], a)
         if not np.all(np.isfinite(b)):
             bad = int(np.argwhere(~np.isfinite(b))[0][0])
             raise RuntimeError(f"non-finite controlled drift at step {k}, path {bad}")

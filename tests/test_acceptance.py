@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import cnmfg
-from cnmfg.bsde import BasisSpec, MarkovPolicy, objective_influence, solve_bsde
+from cnmfg.bsde import BasisSpec, MarkovPolicy, control_weights, solve_bsde
 from cnmfg.cli import run_command
 from cnmfg.equilibrium import (
     SolverConfig,
@@ -198,15 +198,15 @@ class TestCriterion6Mimicking:
         basis = cfg.basis()
 
         a_mk = 0.15 * paths.x[:, :-1, :] + 0.05 * paths.xc[:, :-1, :] - 0.02
-        _, _, _, w_mk = objective_influence(lq_spec, flow, a_mk, paths, noise)
+        w_mk = control_weights(lq_spec, flow, a_mk, paths, noise)
         pol_mk = project_control(lq_spec, paths, a_mk, flow, w_mk, basis)
         rep_mk = mimicking_check(lq_spec, (paths, w_mk), pol_mk, flow, fresh)
 
         a_pd = lagged_noise_control(lq_spec, noise)
-        _, _, _, w_pd = objective_influence(lq_spec, flow, a_pd, paths, noise)
+        w_pd = control_weights(lq_spec, flow, a_pd, paths, noise)
         pol_pd = project_control(lq_spec, paths, a_pd, flow, w_pd, basis)
         rep_pd = mimicking_check(lq_spec, (paths, w_pd), pol_pd, flow, fresh)
-        gap, gap_se = project_cost_gap(lq_spec, paths, a_pd, pol_pd, flow, w_pd, noise)
+        gap, gap_se = project_cost_gap(lq_spec, paths, a_pd, pol_pd, flow, noise)
 
         ok_w1 = rep_pd.max_w1 <= 2.0 * rep_mk.max_w1
         ok_gap = gap >= -3 * gap_se

@@ -6,6 +6,8 @@ import cnmfg
 from cnmfg.bsde import (
     BasisSpec,
     BsdeSolution,
+    _terminal_values,
+    control_weights,
     evaluate_objective,
     extract_control,
     objective_influence,
@@ -14,6 +16,7 @@ from cnmfg.bsde import (
 )
 from cnmfg.equilibrium import initial_flow
 from cnmfg.flows import estimate_conditional_flow
+from cnmfg.girsanov import self_normalized_mean
 from cnmfg.sde import TimeGrid, generate_noise, simulate_driftless_state
 
 from hjb_oracle import clipped_gaussian_expectation, solve_hjb
@@ -178,9 +181,31 @@ class TestStackedScoring:
                                               paths, noise)
         assert len(stacked) == 4
         for a, (est, se, infl) in zip(controls, stacked):
-            est1, se1, infl1, _ = objective_influence(spec, flow, a, paths, noise)
+            est1, se1, infl1 = objective_influence(spec, flow, a, paths, noise)
             assert (est, se) == (est1, se1)
             np.testing.assert_array_equal(infl, infl1)
+
+    @pytest.mark.parametrize("family", ["lq", "tanh"])
+    def test_terminal_only_payoff_under_control_weights(self, family):
+        # with no running cost the payoff is the terminal cost, so the scoring
+        # pass and control_weights (the weights apply_phi uses) must agree
+        spec = replace(cnmfg.make_instance(family),
+                       running_cost=lambda t, x, mu, a: np.zeros(x.shape[0]))
+        grid, noise, paths, flow = _setup(spec, n_paths=3000, n_steps=12, seed=9)
+        a = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3000, 12, 1))
+        est, se, infl = objective_influence(spec, flow, a, paths, noise)
+        weights = control_weights(spec, flow, a, paths, noise)
+        est1, se1, infl1 = self_normalized_mean(_terminal_values(spec, flow, paths),
+                                                weights.m_terminal)
+        assert (est, se) == (est1, se1)
+        np.testing.assert_array_equal(infl, infl1)
+
+    @pytest.mark.parametrize("shape", [(1000, 3, 1), (999, 4, 1)])
+    def test_misaligned_controls_rejected(self, lq_spec, shape):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)
+        for score in (control_weights, objective_influence):
+            with pytest.raises(ValueError, match="does not match paths"):
+                score(lq_spec, flow, np.zeros(shape), paths, noise)
 
     def test_rejects_nonfinite_drift(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cnmfg
+import cnmfg.equilibrium as equilibrium_mod
 from cnmfg.equilibrium import (
     SolverConfig,
     apply_phi,
@@ -11,6 +12,7 @@ from cnmfg.equilibrium import (
 )
 from cnmfg.flows import estimate_conditional_flow, flow_distance
 from cnmfg.girsanov import stochastic_exponential
+from cnmfg.problem import ProblemSpec, point_mass_sampler
 from cnmfg.sde import generate_noise, simulate_driftless_state, simulate_markov_sde
 
 
@@ -150,6 +152,44 @@ class TestExploitability:
 
         eps, se = exploitability(lq_spec, res.flow, Plus1(), cfg)
         assert eps >= 0.1
+
+    def test_constant_grid_spans_a_three_action_box(self, monkeypatch):
+        # driftless state, cost 0.5 |a - (1, 0, 0)|^2: minimized on the a0 = hi face
+        target = np.array([1.0, 0.0, 0.0])
+        spec = ProblemSpec(
+            d_state=1, d_common=1, d_action=3, horizon=1.0, p=2.0,
+            sigma=[[1.0]], sigma0=[[0.5]], sigmac=[[1.0]],
+            action_lo=[-1.0] * 3, action_hi=[1.0] * 3, drift_bound=0.0,
+            common_drift_bound=0.0,
+            drift=lambda t, x, mu, a: np.zeros((x.shape[0], 1)),
+            common_drift=lambda t, xc: np.zeros_like(xc),
+            running_cost=lambda t, x, mu, a: 0.5 * np.sum((a - target) ** 2, axis=1),
+            terminal_cost=lambda x, mu: np.zeros(x.shape[0]),
+            init_state_sampler=point_mass_sampler(0.0),
+            init_common_sampler=point_mass_sampler(0.0),
+            argmin_action=lambda t, x, mu, z: np.tile(target, (x.shape[0], 1)))
+        cfg = SolverConfig(n_paths=500, n_steps=4, n_bins=2, min_bin_count=32, seed=3)
+
+        class Zero:
+            def actions(self, k, x, xc, key):
+                return np.zeros((np.atleast_2d(x).shape[0], 3))
+
+        scored = []
+        stacked = equilibrium_mod.stacked_objective_influence
+
+        def spy(spec, flow, step_actions, paths, noise):
+            scored.append(step_actions(0))
+            return stacked(spec, flow, step_actions, paths, noise)
+
+        monkeypatch.setattr(equilibrium_mod, "stacked_objective_influence", spy)
+        eps, se = exploitability(spec, initial_flow(spec, cfg), Zero(), cfg)
+        consts = scored[0][2:-2, 0]          # after self and best response, before shifts
+        axis = np.linspace(-1.0, 1.0, 4)     # 4^3 = 64 <= 81 < 5^3
+        assert consts.shape == (64, 3)
+        for j in range(3):
+            np.testing.assert_array_equal(np.unique(consts[:, j]), axis)
+        # the zero policy pays 0.5 per unit time; the best response pays nothing
+        assert eps == pytest.approx(0.5, abs=1e-12)
 
 
 class TestMixing:

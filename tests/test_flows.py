@@ -379,6 +379,84 @@ class TestGroups:
         assert sum(hi - lo for _, lo, hi in groups) == labels.size
 
 
+class TestPerBin:
+    """``flow.per_bin`` against a boolean-mask loop over the bins."""
+
+    @staticmethod
+    def _check(flow, k, keys, fn, *rows):
+        calls = []
+
+        def recording(mu, *slices):
+            calls.append((mu, [np.copy(s) for s in slices]))
+            return fn(mu, *slices)
+
+        got = flow.per_bin(k, keys, recording, *rows)
+        labels = flow.assign(k, keys)
+        bins = np.unique(labels)
+        # one call per non-empty bin, in bin order, with the summary object
+        # itself and exactly the mask's rows in path order
+        assert len(calls) == bins.size
+        for (mu, slices), b in zip(calls, bins):
+            assert mu is flow.summary(k, int(b))
+            for seen, r in zip(slices, rows):
+                np.testing.assert_array_equal(seen, r[labels == b])
+        single = not isinstance(got, tuple)
+        got = (got,) if single else got
+        want = [np.full_like(g, np.nan) for g in got]
+        for b in bins:
+            mask = labels == b
+            res = fn(flow.summary(k, int(b)), *(r[mask] for r in rows))
+            for w, part in zip(want, (res,) if single else res):
+                w[mask] = part
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        return got
+
+    @staticmethod
+    def _flow(lq_spec, small_config, seed):
+        noise = generate_noise(4000, small_config.grid(lq_spec), seed, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        return paths, estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+
+    def test_single_output_out_of_range_keys(self, lq_spec, small_config):
+        paths, flow = self._flow(lq_spec, small_config, 20)
+        k = 10
+        keys = np.concatenate([[1e6], paths.xc[:, k, 0], [-1e6, np.inf, -np.inf]])
+        x = np.arange(keys.size, dtype=float)
+        # a running sum depends on the row order inside each bin
+        (out,) = self._check(flow, k, keys, lambda mu, x: np.cumsum(x) + mu.mean[0], x)
+        assert out.shape == (keys.size,)
+
+    def test_tuple_output_stacked_rows(self, lq_spec, small_config):
+        paths, flow = self._flow(lq_spec, small_config, 21)
+        k = 12
+        keys = paths.xc[:, k, 0]
+        x = paths.x[:, k, 0]
+        a = np.random.default_rng(3).normal(size=(keys.size, 3, 2))   # (n, C, d) rows
+
+        def fn(mu, x, a):
+            run = np.cumsum(x)
+            return a * mu.pth_moment + run[:, None, None], run * mu.mean[0]
+
+        stacked, flat = self._check(flow, k, keys, fn, x, a)
+        assert stacked.shape == (keys.size, 3, 2) and flat.shape == (keys.size,)
+
+    def test_empty_bins_are_skipped(self, lq_spec, small_config):
+        paths, flow = self._flow(lq_spec, small_config, 22)
+        k = 10
+        edges = flow.bins_at(k).edges
+        keys = np.array([edges[-1], edges[0], edges[-1], 0.5 * (edges[2] + edges[3])])
+        self._check(flow, k, keys, lambda mu, x: (np.cumsum(x), x * mu.mean[0]),
+                    np.array([1.0, 2.0, 3.0, 4.0]))
+
+    def test_single_bin_step(self, lq_spec, small_config):
+        paths, flow = self._flow(lq_spec, small_config, 23)
+        assert flow.bins_at(0).n_bins == 1      # point-mass initial common state
+        (out,) = self._check(flow, 0, paths.xc[:, 0, 0], lambda mu, x: np.cumsum(x, axis=0),
+                             paths.x[:, 0])
+        np.testing.assert_array_equal(out, np.cumsum(paths.x[:, 0], axis=0))
+
+
 class TestKeyOrderCache:
     @pytest.mark.parametrize("mode", ["current", "partition"])
     def test_cache_warm_equals_cache_cold(self, lq_spec, small_config, mode):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cnmfg
-from cnmfg.bsde import BasisSpec, objective_influence
+from cnmfg.bsde import BasisSpec, control_weights
 from cnmfg.equilibrium import SolverConfig, initial_flow
 from cnmfg.projection import (
     lagged_noise_control,
@@ -33,7 +33,7 @@ class TestProjectControl:
     def test_affine_control_recovered_on_cells(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = _affine_markov_actions(paths)
-        _, _, _, w = objective_influence(lq_spec, flow, actions, paths, noise)
+        w = control_weights(lq_spec, flow, actions, paths, noise)
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
         worst = 0.0
         for k in (0, 20, 40):
@@ -49,14 +49,14 @@ class TestProjectControl:
     def test_constant_control_recovered(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = np.full((paths.n_paths, grid.n_steps, 1), 0.4)
-        _, _, _, w = objective_influence(lq_spec, flow, actions, paths, noise)
+        w = control_weights(lq_spec, flow, actions, paths, noise)
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
         assert np.abs(policy.tables - 0.4).max() <= 1e-3
 
     def test_inversion_abort_machinery(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = _affine_markov_actions(paths)
-        _, _, _, w = objective_influence(lq_spec, flow, actions, paths, noise)
+        w = control_weights(lq_spec, flow, actions, paths, noise)
         # impossible tolerance: every interior-argmin cell flags
         with pytest.raises(RuntimeError, match="drift inversion failed"):
             project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2),
@@ -69,14 +69,14 @@ class TestMimicking:
         basis = BasisSpec(degree=2)
 
         a_mk = _affine_markov_actions(paths)
-        _, _, _, w_mk = objective_influence(lq_spec, flow, a_mk, paths, noise)
+        w_mk = control_weights(lq_spec, flow, a_mk, paths, noise)
         pol_mk = project_control(lq_spec, paths, a_mk, flow, w_mk, basis)
         rep_mk = mimicking_check(lq_spec, (paths, w_mk), pol_mk, flow, fresh,
                                  checked_steps=(10, 30, 50))
         assert rep_mk.clamp_count == 0
 
         a_pd = lagged_noise_control(lq_spec, noise)
-        _, _, _, w_pd = objective_influence(lq_spec, flow, a_pd, paths, noise)
+        w_pd = control_weights(lq_spec, flow, a_pd, paths, noise)
         pol_pd = project_control(lq_spec, paths, a_pd, flow, w_pd, basis)
         rep_pd = mimicking_check(lq_spec, (paths, w_pd), pol_pd, flow, fresh,
                                  checked_steps=(10, 30, 50))
@@ -88,7 +88,7 @@ class TestMimicking:
         spec = cnmfg.make_instance("lq")
         cfg, grid, noise, paths, flow, fresh = setup
         actions = np.zeros((paths.n_paths, grid.n_steps, 1))
-        _, _, _, w = objective_influence(spec, flow, actions, paths, noise)
+        w = control_weights(spec, flow, actions, paths, noise)
         policy = project_control(spec, paths, actions, flow, w, BasisSpec(degree=2))
         rep = mimicking_check(spec, (paths, w), policy, flow, fresh,
                               checked_steps=(25, 50))
@@ -100,23 +100,23 @@ class TestCostGap:
     def test_affine_markov_gap_zero(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = _affine_markov_actions(paths)
-        _, _, _, w = objective_influence(lq_spec, flow, actions, paths, noise)
+        w = control_weights(lq_spec, flow, actions, paths, noise)
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
-        gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, w, noise)
+        gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, noise)
         assert abs(gap) <= 3 * se + 1e-3
 
     def test_constant_control_gap_zero(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = np.full((paths.n_paths, grid.n_steps, 1), 0.4)
-        _, _, _, w = objective_influence(lq_spec, flow, actions, paths, noise)
+        w = control_weights(lq_spec, flow, actions, paths, noise)
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
-        gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, w, noise)
+        gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, noise)
         assert abs(gap) <= 3 * se + 1e-3
 
     def test_path_dependent_gap_nonnegative(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = lagged_noise_control(lq_spec, noise)
-        _, _, _, w = objective_influence(lq_spec, flow, actions, paths, noise)
+        w = control_weights(lq_spec, flow, actions, paths, noise)
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
-        gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, w, noise)
+        gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, noise)
         assert gap >= -3 * se
