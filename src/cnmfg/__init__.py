@@ -30,8 +30,6 @@ from .flows import (
     EmpiricalMeasure,
     estimate_conditional_flow,
     flow_distance,
-    kr_norm_diff,
-    lookup_measure,
     lp_transport,
     truncation_bound_check,
     wasserstein_1d,

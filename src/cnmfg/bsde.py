@@ -190,8 +190,7 @@ class BsdeSolution:
 def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                      paths: PathBundle) -> np.ndarray:
     k = paths.grid.n_steps
-    return flow.per_bin(k, paths.xc[:, flow.key_index(k), 0],
-                        lambda mu, x: np.asarray(spec.terminal_cost(x, mu), float),
+    return flow.per_bin(k, paths, lambda mu, x: np.asarray(spec.terminal_cost(x, mu), float),
                         paths.x[:, k])
 
 
@@ -242,8 +241,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
         else:
             t_k = grid.times[k]
             a_k, h = flow.per_bin(
-                k, paths.xc[:, flow.key_index(k), 0],
-                lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z),
+                k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z),
                 paths.x[:, k], feats @ z_coef[k].T)
             if store_actions:
                 actions[:, k] = a_k
@@ -350,8 +348,7 @@ def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     for k in range(grid.n_steps):
         t_k = grid.times[k]
         lam[:, k] = flow.per_bin(
-            k, paths.xc[:, flow.key_index(k), 0],
-            lambda mu, x, a_k: np.asarray(spec.drift(t_k, x, mu, a_k), float) @ sig_inv_t,
+            k, paths, lambda mu, x, a_k: np.asarray(spec.drift(t_k, x, mu, a_k), float) @ sig_inv_t,
             paths.x[:, k], a[:, k])
     return stochastic_exponential(spec, lam, noise)
 
@@ -385,8 +382,8 @@ def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
             cost = np.asarray(spec.running_cost(t_k, x_b, mu, a_b), float).reshape(c, -1)
             return cost.T * grid.dt, drift.reshape(c, -1, spec.d_state).transpose(1, 0, 2)
 
-        cost, lam = flow.per_bin(k, paths.xc[:, flow.key_index(k), 0], costs_and_drifts,
-                                 paths.x[:, k], a_k.transpose(1, 0, 2))
+        cost, lam = flow.per_bin(k, paths, costs_and_drifts, paths.x[:, k],
+                                 a_k.transpose(1, 0, 2))
         if not np.all(np.isfinite(lam)):
             raise RuntimeError(f"non-finite drift sample at step {k}")
         run_cost = run_cost + cost

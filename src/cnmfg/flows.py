@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,9 +31,7 @@ __all__ = [
     "group_rows",
     "wasserstein_1d",
     "lp_transport",
-    "kr_norm_diff",
     "flow_distance",
-    "lookup_measure",
     "truncation_bound_check",
     "flow_to_csv",
 ]
@@ -42,9 +40,14 @@ _MAX_LP_ATOMS = 256   # per side; combined support capped at 512
 
 
 class EmpiricalMeasure:
-    """Weighted atoms in R^d, normalized to a probability measure."""
+    """Weighted atoms in R^d, normalized to a probability measure.
 
-    def __init__(self, support, weights=None):
+    ``order_1d``, if given, is a zero-argument callable returning the stable
+    argsort of ``support[:, 0]``; ``sorted_1d`` then takes it instead of
+    sorting the atoms itself.
+    """
+
+    def __init__(self, support, weights=None, order_1d=None):
         support = np.asarray(support, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
@@ -58,6 +61,7 @@ class EmpiricalMeasure:
             weights = weights / total
         self.support = support
         self.weights = weights
+        self._order_1d = order_1d
 
     @property
     def dim(self) -> int:
@@ -75,19 +79,12 @@ class EmpiricalMeasure:
         """(sorted atoms, matching weights); only valid for 1-d supports."""
         if self.dim != 1:
             raise ValueError("sorted_1d requires 1-d support")
-        order = np.argsort(self.support[:, 0], kind="stable")
+        if self._order_1d is None:
+            order = np.argsort(self.support[:, 0], kind="stable")
+        else:
+            order = self._order_1d()
+            self._order_1d = None       # lets the step's shared order go once all bins sorted
         return self.support[order, 0], self.weights[order]
-
-    def canonical(self):
-        """Deduplicated, sorted (atoms, weights) pairs for identity comparisons."""
-        order = np.lexsort(self.support.T[::-1])
-        atoms = self.support[order]
-        w = self.weights[order]
-        uniq, inverse = np.unique(atoms, axis=0, return_inverse=True)
-        wsum = np.zeros(uniq.shape[0])
-        np.add.at(wsum, inverse, w)
-        keep = wsum > 0
-        return uniq[keep], wsum[keep]
 
 
 def _systematic_resample(support: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
@@ -188,11 +185,6 @@ def _wq(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float) -> float:
     return lp_transport(mu, nu, q)
 
 
-def kr_norm_diff(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Kantorovich-Rubinstein norm of mu - nu; equals W1 for probability measures."""
-    return _wq(mu, nu, 1.0)
-
-
 def truncation_bound_check(x, y, radius, q):
     """Check (|x-y|^q - R^q)^+ <= 2^q |x|^q 1{|x|>=R/2} + 2^q |y|^q 1{|y|>=R/2}.
 
@@ -225,6 +217,7 @@ class StepBins:
     edges: np.ndarray                       # (n_bins + 1,) including outer edges
     measures: list                          # EmpiricalMeasure per bin
     counts: np.ndarray
+    labels: np.ndarray                      # (n_source,) bin of each source row
 
     @property
     def n_bins(self) -> int:
@@ -249,17 +242,55 @@ def group_rows(labels: np.ndarray, n_groups: int):
     original order, so each slice holds exactly the rows of the boolean mask
     ``labels == label`` in the same order.  Labels must lie in [0, n_groups).
     """
-    small = np.int16 if n_groups <= np.iinfo(np.int16).max else np.intp
-    perm = np.argsort(labels.astype(small), kind="stable")   # radix sort for int16
+    perm = np.argsort(labels.astype(_label_dtype(n_groups), copy=False),
+                      kind="stable")                          # radix sort for int16
     counts = np.bincount(labels, minlength=n_groups)
     ends = np.cumsum(counts)
     return perm, [(int(b), int(ends[b] - counts[b]), int(ends[b]))
                   for b in np.flatnonzero(counts)]
 
 
+def _label_dtype(n_groups: int):
+    return np.int16 if n_groups <= np.iinfo(np.int16).max else np.intp
+
+
+class _BinOrders:
+    """Each bin's stable argsort of its atoms at one step, cut from the state order.
+
+    Filtering the stable argsort of all atoms by bin label keeps tied atoms in
+    path order, which is how the stable argsort of one bin's atoms (held in
+    path order) breaks ties, so both give the same permutation.
+    """
+
+    def __init__(self, state_order, labels: np.ndarray, counts: np.ndarray):
+        self.state_order = state_order      # zero-argument callable, cached by the bundle
+        self.labels = labels
+        self.counts = counts
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Atom positions within their bin, grouped by bin and sorted by atom."""
+        order = self.state_order()
+        rows = order[np.argsort(self.labels[order], kind="stable")]
+        starts = np.cumsum(self.counts) - self.counts
+        rank = np.empty(self.labels.size, dtype=np.int32)
+        rank[np.argsort(self.labels, kind="stable")] = (
+            np.arange(self.labels.size) - np.repeat(starts, self.counts))
+        return rank[rows]
+
+    def __call__(self, b: int) -> np.ndarray:
+        hi = int(self.counts[:b + 1].sum())
+        return self.positions[hi - int(self.counts[b]):hi]
+
+
 def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
-                    weights: np.ndarray, n_bins: int, min_bin_count: int) -> StepBins:
-    """Quantile bins of ``keys``; ``order`` is a stable argsort of ``keys``."""
+                    weights: np.ndarray, n_bins: int, min_bin_count: int,
+                    state_order) -> StepBins:
+    """Quantile bins of ``keys``; ``order`` is a stable argsort of ``keys``.
+
+    ``state_order`` is a zero-argument callable giving the stable argsort of
+    ``atoms[:, 0]``; one-dimensional bin measures sort themselves from it.
+    """
     n = keys.shape[0]
     sorted_keys = keys[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)
@@ -290,16 +321,23 @@ def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
         counts = bin_counts(interior)
 
     full_edges = np.concatenate([[lo_key], interior, [hi_key]])
+    # sorted rows [lo, hi) of bin b are the rows that assign(k, keys) puts in b
+    labels = np.empty(n, dtype=_label_dtype(counts.size))
+    labels[order] = np.repeat(np.arange(counts.size, dtype=labels.dtype), counts)
+    # each bin's rows in path order, as the mask assign == b lists them
+    by_bin = np.argsort(labels, kind="stable")
+    bin_orders = _BinOrders(state_order, labels, counts) if atoms.shape[1] == 1 else None
     measures = []
     ends = np.cumsum(counts)
-    for lo, hi in zip(ends - counts, ends):
+    for b, (lo, hi) in enumerate(zip(ends - counts, ends)):
         if lo == hi:
             measures.append(EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1)))
         else:
-            # the bin's rows in path order, as the mask assign == b lists them
-            rows = np.sort(order[lo:hi])
-            measures.append(EmpiricalMeasure(atoms[rows], weights[rows]))
-    return StepBins(edges=full_edges, measures=measures, counts=counts)
+            rows = by_bin[lo:hi]
+            measures.append(EmpiricalMeasure(
+                atoms[rows], weights[rows],
+                order_1d=None if bin_orders is None else partial(bin_orders, b)))
+    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels)
 
 
 @dataclass
@@ -353,18 +391,31 @@ class ConditionalMeasureFlow:
         edges = self.steps[k].edges
         return np.searchsorted(edges[1:-1], np.asarray(keys, float), side="right")
 
-    def groups(self, k: int, keys: np.ndarray):
-        """``keys`` grouped by their bin at step k; see ``group_rows``."""
-        return group_rows(self.assign(k, keys), self.steps[k].n_bins)
+    def groups(self, k: int, keys):
+        """Rows grouped by their bin at step k; see ``group_rows``.
 
-    def per_bin(self, k: int, keys: np.ndarray, fn, *rows):
+        ``keys`` holds conditioning keys, or is a ``PathBundle`` keyed by its
+        common state at ``key_index(k)``.  The flow's own bundle reuses the bin
+        labels recorded when the flow was binned instead of assigning again.
+        """
+        bins = self.steps[k]
+        if keys is self.paths:
+            return group_rows(bins.labels, bins.n_bins)
+        if isinstance(keys, PathBundle):
+            keys = keys.xc[:, self.key_index(k), 0]
+        return group_rows(self.assign(k, keys), bins.n_bins)
+
+    def per_bin(self, k: int, keys, fn, *rows):
         """``fn(summary(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
 
-        Each call gets exactly the rows of the mask ``assign(k, keys) == b``,
-        in path order.  ``fn`` returns one array or a tuple of arrays with one
-        leading entry per row; each comes back scattered to row order.
+        ``keys`` is as for ``groups``.  Each call gets exactly the rows of the
+        mask ``assign(k, keys) == b``, in path order.  ``fn`` returns one array
+        or a tuple of arrays with one leading entry per row; each comes back
+        scattered to row order.
         """
         perm, groups = self.groups(k, keys)
+        if not groups:
+            raise ValueError(f"per_bin at step {k} got no rows")
         gathered = [np.asarray(r)[perm] for r in rows]
         outs = None
         for b, lo, hi in groups:
@@ -401,8 +452,12 @@ def _bin_steps(paths: PathBundle, src_w: np.ndarray, key_idx: np.ndarray, n_bins
     """StepBins per step: the atoms ``paths.x[:, k]`` binned by the key at ``key_idx[k]``."""
     keys, order = paths.xc[:, :, 0], paths.key_order
     return [_make_step_bins(keys[:, j], order[:, j], paths.x[:, k], src_w[:, k],
-                            n_bins, min_bin_count)
+                            n_bins, min_bin_count, partial(_state_order_at, paths, k))
             for k, j in enumerate(key_idx)]
+
+
+def _state_order_at(paths: PathBundle, k: int) -> np.ndarray:
+    return paths.state_order[:, k]
 
 
 def _partition_key_index(grid: TimeGrid, partition_times: Sequence[float]) -> np.ndarray:
@@ -458,17 +513,6 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
         steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count),
         key_idx=key_idx, mode=mode, partition_times=partition, n_bins_requested=n_bins,
         min_bin_count=min_bin_count, flow_p=flow_p, retained=retained)
-
-
-def lookup_measure(flow: ConditionalMeasureFlow, t: float, key: float) -> EmpiricalMeasure:
-    """Bin measure containing the key at the grid step nearest to t.
-
-    Keys outside the edge range clamp to the extreme bins; keys in the same bin
-    return the identical measure object.
-    """
-    k = flow.grid.nearest_step(t)
-    idx = int(flow.assign(k, np.asarray([key]))[0])
-    return flow.measure(k, idx)
 
 
 def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,

@@ -7,6 +7,7 @@ Coefficient callables are vectorized over a batch of paths:
     running_cost(t, x, mu, a)                                            -> (n,)
     terminal_cost(x, mu)                                                 -> (n,)
     argmin_action(t, x, mu, z)  optional, z (n, d_state)                 -> (n, d_action)
+    invert_drift(t, x, mu, target)  optional, target (n, d_state)        -> (n, d_action)
 
 ``mu`` is always a :class:`MeasureSummary` (finite support plus cached
 moments); the solver never holds any other representation of a measure.
@@ -118,6 +119,7 @@ class ProblemSpec:
     family: str = "custom"
     params: dict = field(default_factory=dict)
     argmin_action: Optional[Callable] = None
+    invert_drift: Optional[Callable] = None
 
     def __post_init__(self):
         for name in ("d_state", "d_common", "d_action"):
@@ -149,7 +151,9 @@ class ProblemSpec:
         object.__setattr__(self, "_cond_sigma", float(np.linalg.cond(self.sigma)))
         object.__setattr__(self, "_cond_sigmac", float(np.linalg.cond(self.sigmac)))
         object.__setattr__(self, "_sigma_inv", None)
-        object.__setattr__(self, "argmin_action", _bind_argmin(self, self.argmin_action))
+        object.__setattr__(self, "argmin_action", _bind_hook(
+            self.argmin_action, (self.drift, self.running_cost, self.sigma.tobytes())))
+        object.__setattr__(self, "invert_drift", _bind_hook(self.invert_drift, (self.drift,)))
 
     @property
     def cond_sigma(self) -> float:
@@ -179,8 +183,8 @@ class ProblemSpec:
         return bool(np.all(a >= self.action_lo - tol) and np.all(a <= self.action_hi + tol))
 
 
-class _ClosedFormArgmin:
-    """An ``argmin_action`` hook tied to the coefficients it was derived from."""
+class _BoundHook:
+    """A closed-form hook tied to the coefficients it was derived from."""
 
     __slots__ = ("fn", "derived_from")
 
@@ -188,23 +192,23 @@ class _ClosedFormArgmin:
         self.fn = fn
         self.derived_from = derived_from
 
-    def __call__(self, t, x, mu, z):
-        return self.fn(t, x, mu, z)
+    def __call__(self, t, x, mu, arg):
+        return self.fn(t, x, mu, arg)
 
 
-def _bind_argmin(spec: ProblemSpec, hook: Optional[Callable]) -> Optional[_ClosedFormArgmin]:
-    """Binds a hook to the spec's Hamiltonian coefficients.
+def _bind_hook(hook: Optional[Callable], derived_from: tuple) -> Optional[_BoundHook]:
+    """Binds a hook to the spec coefficients it is derived from.
 
     ``dataclasses.replace`` hands the old spec's bound hook to the new spec; a
-    hook bound to other coefficients (a swapped drift, running cost or sigma)
-    no longer minimizes this spec's Hamiltonian and is dropped.
+    hook bound to other coefficients no longer solves this spec's problem and
+    is dropped.  ``argmin_action`` is bound to the drift, running cost and
+    sigma; ``invert_drift`` to the drift alone.
     """
     if hook is None:
         return None
-    derived_from = (spec.drift, spec.running_cost, spec.sigma.tobytes())
-    if isinstance(hook, _ClosedFormArgmin):
+    if isinstance(hook, _BoundHook):
         return hook if hook.derived_from == derived_from else None
-    return _ClosedFormArgmin(hook, derived_from)
+    return _BoundHook(hook, derived_from)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +497,11 @@ def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
     def argmin_action(t, x, mu, z):
         return -(z / float(sigma)) / ca
 
+    # drift = a: the gap |b - target|^2 is separable in a, so clipping the
+    # inverse to the box minimizes it there
+    def invert_drift(t, x, mu, target):
+        return target
+
     if common_init_std > 0:
         common_sampler = truncated_gaussian_sampler(common_init, common_init_std, dim=1)
     else:
@@ -510,6 +519,7 @@ def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
         init_common_sampler=common_sampler,
         family="lq",
         argmin_action=argmin_action if ca > 0 else None,
+        invert_drift=invert_drift,
         params=dict(action_weight=ca, state_weight=cx, terminal_weight=cg,
                     interaction=w, sigma=float(sigma), sigma0=float(sigma0),
                     sigmac=float(sigmac), horizon=float(horizon),
@@ -547,6 +557,10 @@ def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float =
     def argmin_action(t, x, mu, z):
         return -(z / float(sigma))
 
+    # drift = g0 tanh(x) + a: as for lq, the clipped inverse is the box minimizer
+    def invert_drift(t, x, mu, target):
+        return target - g0 * np.tanh(x)
+
     if common_init_std > 0:
         common_sampler = truncated_gaussian_sampler(common_init, common_init_std, dim=1)
     else:
@@ -564,6 +578,7 @@ def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float =
         init_common_sampler=common_sampler,
         family="tanh",
         argmin_action=argmin_action,
+        invert_drift=invert_drift,
         params=dict(gain=g0, cost_weight=cw, interaction=w, sigma=float(sigma),
                     sigma0=float(sigma0), sigmac=float(sigmac), horizon=float(horizon),
                     action_lo=float(action_lo), action_hi=float(action_hi),

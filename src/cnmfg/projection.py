@@ -2,7 +2,9 @@
 
 The drift of an arbitrary adapted control is regressed onto the current
 (state, conditioning key) pair under the controlled measure, then inverted
-back to an action cell-by-cell on a rectangular lookup grid.  The resulting
+back to an action at every cell of a rectangular lookup grid: in closed form
+through the spec's ``invert_drift`` hook, clipped to the action box, or by the
+generic box search on the squared drift gap without one.  The resulting
 Markovian policy preserves time-t marginal laws up to Monte Carlo error, which
 ``mimicking_check`` quantifies, and never costs more than the original control
 (``project_cost_gap``).
@@ -90,7 +92,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         t_k = grid.times[k]
         w_k = m[:, k]
 
-        drift_vals = flow.per_bin(k, keys, lambda mu, xs, acts: np.asarray(
+        drift_vals = flow.per_bin(k, paths, lambda mu, xs, acts: np.asarray(
             spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a[:, k])
 
         feats = fitted.features(k, paths.x[:, k], keys[:, None])
@@ -111,7 +113,11 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
                 bval = np.asarray(spec.drift(t_k, xs, mu, actions), float)
                 return np.sum((bval - target) ** 2, axis=1)
 
-            return box_minimize_batch(gap, spec.action_lo, spec.action_hi, xs.shape[0])
+            if spec.invert_drift is None:
+                return box_minimize_batch(gap, spec.action_lo, spec.action_hi, xs.shape[0])
+            acts = np.asarray(spec.invert_drift(t_k, xs, mu, target), float)
+            acts = spec.clip_action(acts.reshape(xs.shape[0], spec.d_action))
+            return acts, gap(acts)
 
         cell_actions, val = flow.per_bin(k, cell_key, invert, cell_x[:, None], b_hat)
         cell_resid = np.sqrt(np.maximum(val, 0.0))

@@ -73,8 +73,9 @@ class NoiseBundle:
 
 @dataclass
 class PathBundle:
-    """Simulated paths.  The key order and the basis statistics are computed on
-    first use and cached, so ``x`` and ``xc`` must not be mutated after that."""
+    """Simulated paths.  The key and state orders and the basis statistics are
+    computed on first use and cached, so ``x`` and ``xc`` must not be mutated
+    after that."""
 
     grid: TimeGrid
     x: np.ndarray     # (n_paths, n_steps + 1, d_state)
@@ -90,11 +91,19 @@ class PathBundle:
     @cached_property
     def key_order(self) -> np.ndarray:
         """Stable per-step argsort of the conditioning key ``xc[:, :, 0]``, as int32."""
-        keys = self.xc[:, :, 0]
-        order = np.empty(keys.shape, dtype=np.int32)
-        for k in range(keys.shape[1]):
-            order[:, k] = np.argsort(keys[:, k], kind="stable")
-        return order
+        return _stable_column_order(self.xc[:, :, 0])
+
+    @cached_property
+    def state_order(self) -> np.ndarray:
+        """Stable per-step argsort of the first state coordinate ``x[:, :, 0]``, as int32."""
+        return _stable_column_order(self.x[:, :, 0])
+
+
+def _stable_column_order(values: np.ndarray) -> np.ndarray:
+    order = np.empty(values.shape, dtype=np.int32)
+    for k in range(values.shape[1]):
+        order[:, k] = np.argsort(values[:, k], kind="stable")
+    return order
 
 
 def _philox_key(seed: int, stream: int, chunk: int) -> int:

@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "csv_diff.py"
+_spec = importlib.util.spec_from_file_location("csv_diff", _SCRIPT)
+csv_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(csv_diff)
+
+
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def test_reports_identical_files_and_column_maxima(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a / "same.csv", "t,x\n0,1\n")
+    _write(b / "same.csv", "t,x\n0,1\n")
+    _write(a / "moved.csv", "t,x,tag\n0,1.5,p\n1,nan,q\n2,inf,r\n")
+    _write(b / "moved.csv", "t,x,tag\n0,1.25,p\n1,nan,s\n2,inf,r\n")
+    _write(a / "only_a.csv", "t\n0\n")
+    assert csv_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "moved.csv: differs",
+        "  t: max |a - b| = 0",
+        "  x: max |a - b| = 0.25",
+        "  tag: differs",
+        "same.csv: identical",
+    ]
+
+
+def test_shape_mismatch_and_exit_codes(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a / "f.csv", "t,x\n0,1\n")
+    _write(b / "f.csv", "t,y\n0,1\n")
+    _write(a / "g.csv", "t\n0\n1\n")
+    _write(b / "g.csv", "t\n0\n")
+    assert csv_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "headers differ" in out and "row counts differ: 2 vs 1" in out
+    assert csv_diff.main([str(a), str(a)]) == 0
+    assert csv_diff.main([str(a), str(tmp_path / "missing")]) == 2

@@ -15,8 +15,6 @@ from cnmfg.flows import (
     flow_distance,
     flow_to_csv,
     group_rows,
-    kr_norm_diff,
-    lookup_measure,
     lp_transport,
     truncation_bound_check,
     wasserstein_1d,
@@ -143,15 +141,24 @@ class TestMetricAxioms:
         mu = _measure([1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
         nu = _measure([0.0, 1.0], [0.5, 0.5])
         assert wasserstein_1d(mu, nu, 1.0) == pytest.approx(0.0, abs=1e-12)
-        ca, cwa = mu.canonical()
-        cb, cwb = nu.canonical()
+        ca, cwa = _canonical(mu)
+        cb, cwb = _canonical(nu)
         np.testing.assert_allclose(ca, cb)
         np.testing.assert_allclose(cwa, cwb)
 
     @given(a=atoms_1d(), b=atoms_1d())
     def test_kr_norm_is_w1(self, a, b):
+        # the Kantorovich-Rubinstein norm of mu - nu is W1 for probability measures
         mu, nu = _measure(a), _measure(b)
-        assert kr_norm_diff(mu, nu) == pytest.approx(lp_transport(mu, nu, 1.0), abs=1e-9)
+        assert wasserstein_1d(mu, nu, 1.0) == pytest.approx(lp_transport(mu, nu, 1.0), abs=1e-9)
+
+
+def _canonical(mu):
+    """Deduplicated, sorted (atoms, weights) of a measure, for identity comparisons."""
+    uniq, inverse = np.unique(mu.support, axis=0, return_inverse=True)
+    wsum = np.bincount(inverse.ravel(), weights=mu.weights, minlength=uniq.shape[0])
+    keep = wsum > 0
+    return uniq[keep], wsum[keep]
 
 
 class TestTruncationBound:
@@ -176,7 +183,8 @@ class TestTruncationBound:
 
 def _constant_flow(grid, measures_per_step, key_idx=None):
     steps = [
-        StepBins(edges=np.array([-1e9, 1e9]), measures=[m], counts=np.array([1]))
+        StepBins(edges=np.array([-1e9, 1e9]), measures=[m], counts=np.array([1]),
+                 labels=np.zeros(4, np.int16))
         for m in measures_per_step
     ]
     n_nodes = grid.n_steps + 1
@@ -457,6 +465,113 @@ class TestPerBin:
         np.testing.assert_array_equal(out, np.cumsum(paths.x[:, 0], axis=0))
 
 
+    def test_zero_rows_name_the_step(self, lq_spec, small_config):
+        paths, flow = self._flow(lq_spec, small_config, 24)
+        with pytest.raises(ValueError, match="step 3"):
+            flow.per_bin(3, np.empty(0), lambda mu, x: x, np.empty((0, 1)))
+
+
+class TestFlowOwnedCaches:
+    """Bin labels and per-bin atom orders recorded at binning, against recomputing them."""
+
+    @staticmethod
+    def _flows(lq_spec, small_config, seed, x_decimals=None):
+        grid = small_config.grid(lq_spec)
+        noise = generate_noise(4000, grid, seed, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        if x_decimals is not None:      # tied atoms inside bins
+            paths = PathBundle(grid=grid, x=np.round(paths.x, x_decimals), xc=paths.xc,
+                               label=paths.label)
+        w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
+        cur = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
+        part = estimate_conditional_flow(paths, w, 8, mode="partition", min_bin_count=32,
+                                         partition_times=[0.0, 0.3, 0.6, 1.0])
+        # one heavy path per step crowds the weighted quantile edges between two
+        # adjacent keys; without merging (min_bin_count 0) the bins between stay empty
+        heavy_w = np.full((paths.n_paths, grid.n_steps + 1), 1e-12)
+        heavy_w[paths.key_order[paths.n_paths // 2], np.arange(grid.n_steps + 1)] = 1.0
+        heavy = estimate_conditional_flow(paths, None, 8, min_bin_count=0).reweighted(heavy_w)
+        flows = {"current": cur, "partition": part,
+                 "reweighted": cur.reweighted(0.5 * cur.src_w + 0.5 * part.src_w),
+                 "empty-bins": heavy}
+        return paths, flows
+
+    def test_cached_grouping_equals_assign(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 40)
+        assert any(np.any(st.counts == 0) for st in flows["empty-bins"].steps)
+        assert flows["current"].bins_at(0).n_bins == 1     # point-mass initial common state
+        for name, flow in flows.items():
+            assert flow.paths is paths
+            for k in range(paths.grid.n_steps + 1):
+                labels = flow.assign(k, paths.xc[:, flow.key_index(k), 0])
+                assert flow.bins_at(k).labels.dtype == np.int16
+                np.testing.assert_array_equal(flow.bins_at(k).labels, labels)
+                perm, groups = flow.groups(k, paths)
+                want_perm, want_groups = group_rows(labels, flow.bins_at(k).n_bins)
+                np.testing.assert_array_equal(perm, want_perm)
+                assert groups == want_groups, (name, k)
+        assert flows["current"].groups(0, paths)[1] == [(0, 0, paths.n_paths)]
+
+    def test_own_bundle_skips_assign(self, lq_spec, small_config, monkeypatch):
+        paths, flows = self._flows(lq_spec, small_config, 41)
+        flow = flows["partition"]
+        want = flow.groups(17, paths)
+
+        def no_assign(k, keys):
+            raise AssertionError("assign called for the flow's own bundle")
+
+        monkeypatch.setattr(flow, "assign", no_assign)
+        perm, groups = flow.groups(17, paths)
+        np.testing.assert_array_equal(perm, want[0])
+        assert groups == want[1]
+
+    def test_foreign_bundle_keyed_by_its_common_state(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 42)
+        twin = PathBundle(grid=paths.grid, x=paths.x.copy(), xc=paths.xc.copy(),
+                          label=paths.label)
+        other = simulate_driftless_state(lq_spec, generate_noise(3000, paths.grid, 43, 1, 1))
+        for flow in flows.values():
+            for k in (0, 7, 13, paths.grid.n_steps):
+                for bundle in (twin, other):
+                    keys = bundle.xc[:, flow.key_index(k), 0]
+                    perm, groups = flow.groups(k, bundle)
+                    want_perm, want_groups = group_rows(flow.assign(k, keys),
+                                                        flow.bins_at(k).n_bins)
+                    np.testing.assert_array_equal(perm, want_perm)
+                    assert groups == want_groups
+                np.testing.assert_array_equal(flow.groups(k, twin)[0], flow.groups(k, paths)[0])
+
+    def test_per_bin_on_paths_equals_per_bin_on_keys(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 44)
+        a = np.random.default_rng(5).normal(size=(paths.n_paths, 2, 1))
+
+        def fn(mu, x, a):
+            run = np.cumsum(x[:, 0])          # depends on the row order inside a bin
+            return a * mu.mean[0] + run[:, None, None], run * mu.pth_moment
+
+        for flow in flows.values():
+            for k in range(paths.grid.n_steps + 1):
+                keys = paths.xc[:, flow.key_index(k), 0]
+                got = flow.per_bin(k, paths, fn, paths.x[:, k], a)
+                want = flow.per_bin(k, keys, fn, paths.x[:, k], a)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("x_decimals", [None, 1])
+    def test_derived_sorted_1d_equals_argsort(self, lq_spec, small_config, x_decimals):
+        paths, flows = self._flows(lq_spec, small_config, 45, x_decimals=x_decimals)
+        for flow in flows.values():
+            for bins in flow.steps:
+                for mu in bins.measures:
+                    order = np.argsort(mu.support[:, 0], kind="stable")
+                    xs, ws = mu.sorted_1d
+                    np.testing.assert_array_equal(xs, mu.support[order, 0])
+                    np.testing.assert_array_equal(ws, mu.weights[order])
+        if x_decimals is not None:
+            support = flows["current"].measure(10, 2).support[:, 0]
+            assert np.unique(support).size < support.size
+
+
 class TestKeyOrderCache:
     @pytest.mark.parametrize("mode", ["current", "partition"])
     def test_cache_warm_equals_cache_cold(self, lq_spec, small_config, mode):
@@ -545,25 +660,29 @@ class TestLookup:
         k = 10
         edges = flow.bins_at(k).edges
         mid = 0.5 * (edges[1] + edges[2])
-        m1 = lookup_measure(flow, k * flow.grid.dt, mid)
-        m2 = lookup_measure(flow, k * flow.grid.dt, mid + 1e-9)
+        k = flow.grid.nearest_step(k * flow.grid.dt)
+        m1 = flow.measure(k, flow.assign(k, [mid])[0])
+        m2 = flow.measure(k, flow.assign(k, [mid + 1e-9])[0])
         assert m1 is m2
 
     def test_clamps_to_extreme_bins(self, lq_spec, small_config):
         noise = generate_noise(4000, small_config.grid(lq_spec), 12, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
         flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
-        t = 10 * flow.grid.dt
-        assert lookup_measure(flow, t, -1e6) is flow.measure(10, 0)
+        k = flow.grid.nearest_step(10 * flow.grid.dt)
+        assert flow.measure(k, flow.assign(k, [-1e6])[0]) is flow.measure(10, 0)
         last = flow.bins_at(10).n_bins - 1
-        assert lookup_measure(flow, t, 1e6) is flow.measure(10, last)
+        assert flow.measure(k, flow.assign(k, [1e6])[0]) is flow.measure(10, last)
 
     def test_snaps_time_within_half_step(self, lq_spec, small_config):
         noise = generate_noise(4000, small_config.grid(lq_spec), 13, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
         flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
         dt = flow.grid.dt
-        assert lookup_measure(flow, 10 * dt + 0.4 * dt, 0.0) is lookup_measure(flow, 10 * dt, 0.0)
+        k1 = flow.grid.nearest_step(10 * dt + 0.4 * dt)
+        k2 = flow.grid.nearest_step(10 * dt)
+        m1 = flow.measure(k1, flow.assign(k1, [0.0])[0])
+        assert m1 is flow.measure(k2, flow.assign(k2, [0.0])[0])
 
 
 class TestMixFlows:
@@ -590,7 +709,8 @@ class TestMixFlows:
             # the bins rebuilt independently on the blended weights, with a fresh key sort
             keys, x = f1.src_key, f1.paths.x
             steps = [flows_mod._make_step_bins(keys[:, k], np.argsort(keys[:, k], kind="stable"),
-                                               x[:, k], blended[:, k], 8, 32)
+                                               x[:, k], blended[:, k], 8, 32,
+                                               lambda k=k: np.argsort(x[:, k, 0], kind="stable"))
                      for k in range(keys.shape[1])]
             _assert_flows_bitwise_equal(mixed, SimpleNamespace(steps=steps))
 

@@ -167,6 +167,41 @@ class TestClosedFormArgmin:
         assert a[0, 0] == pytest.approx(-0.4, abs=1e-7)
 
 
+class TestInvertDrift:
+    @pytest.mark.parametrize("family,params", [
+        ("lq", dict()),
+        ("lq", dict(action_lo=-0.5, action_hi=2.0, action_weight=0.0)),
+        ("tanh", dict()),
+        ("tanh", dict(gain=1.3, action_lo=-0.5, action_hi=2.0)),
+    ])
+    def test_clipped_inverse_matches_box_search(self, family, params):
+        spec = make_instance(family, **params)
+        assert spec.invert_drift is not None
+        rng = np.random.default_rng(12)
+        n = 400
+        for t in rng.uniform(0.0, spec.horizon, size=3):
+            x = rng.normal(0.0, 1.5, size=(n, 1))
+            target = rng.uniform(-4.0, 4.0, size=(n, 1))
+            mu = MeasureSummary.from_atoms(rng.normal(0.0, 1.0, size=(7, 1)))
+
+            def gap(act):
+                return np.sum((spec.drift(t, x, mu, act) - target) ** 2, axis=1)
+
+            a = spec.clip_action(spec.invert_drift(t, x, mu, target))
+            a_box, _ = box_minimize_batch(gap, spec.action_lo, spec.action_hi, n)
+            assert np.any(a == spec.action_lo) and np.any(a == spec.action_hi)
+            assert np.max(np.abs(a - a_box)) <= 1e-7
+
+    def test_bound_to_the_drift_only(self, lq_unit_spec):
+        spec = make_instance("tanh")
+        assert replace(spec, horizon=2.0).invert_drift is spec.invert_drift
+        assert replace(spec, drift=lambda t, x, mu, a: a).invert_drift is None
+        swapped = replace(spec, running_cost=lambda t, x, mu, a: a[:, 0] ** 4)
+        assert swapped.invert_drift is spec.invert_drift
+        assert swapped.argmin_action is None
+        assert replace(lq_unit_spec, sigma=[[2.0]]).invert_drift is lq_unit_spec.invert_drift
+
+
 class TestValidateSpec:
     def test_lq_passes(self, lq_spec):
         report = validate_spec(lq_spec, n_probes=128, seed=1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,11 +58,36 @@ class TestProjectControl:
     def test_inversion_abort_machinery(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = _affine_markov_actions(paths)
-        w = control_weights(lq_spec, flow, actions, paths, noise)
-        # impossible tolerance: every interior-argmin cell flags
+        # the closed-form inverse and the box-search fallback
+        for spec in (lq_spec, replace(lq_spec, invert_drift=None)):
+            w = control_weights(spec, flow, actions, paths, noise)
+            # impossible tolerance: every interior-argmin cell flags
+            with pytest.raises(RuntimeError, match="drift inversion failed"):
+                project_control(spec, paths, actions, flow, w, BasisSpec(degree=2),
+                                inversion_tol=-1.0)
+
+    def test_residual_comes_from_the_drift_not_the_hook(self, lq_spec, setup):
+        cfg, grid, noise, paths, flow, fresh = setup
+        # a hook that inverts a, not the drift 2a: interior cells keep a residual |target|
+        spec = replace(lq_spec, drift=lambda t, x, mu, a: 2.0 * a,
+                       invert_drift=lambda t, x, mu, target: target)
+        actions = _affine_markov_actions(paths)
+        w = control_weights(spec, flow, actions, paths, noise)
         with pytest.raises(RuntimeError, match="drift inversion failed"):
-            project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2),
-                            inversion_tol=-1.0)
+            project_control(spec, paths, actions, flow, w, BasisSpec(degree=2))
+
+    def test_closed_form_inverse_matches_box_search(self, lq_spec, setup):
+        cfg, grid, noise, paths, flow, fresh = setup
+        fallback = replace(lq_spec, invert_drift=None)
+        assert lq_spec.invert_drift is not None and fallback.invert_drift is None
+        actions = lagged_noise_control(lq_spec, noise)     # clips on part of the cells
+        w = control_weights(lq_spec, flow, actions, paths, noise)
+        hook = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
+        box = project_control(fallback, paths, actions, flow, w, BasisSpec(degree=2))
+        np.testing.assert_array_equal(hook.x_axes, box.x_axes)
+        np.testing.assert_array_equal(hook.key_axes, box.key_axes)
+        assert np.any(hook.tables == lq_spec.action_lo) and np.any(hook.tables == lq_spec.action_hi)
+        assert np.max(np.abs(hook.tables - box.tables)) <= 1e-7
 
 
 class TestMimicking:
