@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CSV files two output directories have in common.
+"""Compare the CSV files and run manifests two output directories have in common.
 
     python3 scripts/csv_diff.py DIR_A DIR_B
 
@@ -7,7 +7,10 @@ For each CSV present in both directories, prints ``identical`` when the files
 are byte-identical; otherwise the largest absolute difference of each numeric
 column (``max |a - b|``), or why the files cannot be compared column by
 column (different headers or row counts).  Columns whose cells are not all
-numbers are reported as ``differs`` or ``same``.  Exits 1 when some file
+numbers are reported as ``differs`` or ``same``.  When both directories hold a
+``manifest.txt``, its ``key = value`` lines are compared key by key, skipping
+the wall-clock keys (those starting with ``wall_ms``); each other key whose
+value differs or that only one side has is listed.  Exits 1 when some file
 differs, 0 otherwise.
 """
 
@@ -18,6 +21,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+MANIFEST = "manifest.txt"
+WALL_CLOCK_PREFIX = "wall_ms"
 
 
 def _read(path: Path):
@@ -58,6 +64,29 @@ def compare(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def _manifest(path: Path) -> dict:
+    kv = {}
+    for line in path.read_text().splitlines():
+        key, sep, val = line.partition(" = ")
+        if sep and not key.startswith(WALL_CLOCK_PREFIX):
+            kv[key] = val
+    return kv
+
+
+def compare_manifests(a: Path, b: Path) -> list[str]:
+    """Report lines for two manifests; empty when every non-wall-clock key agrees."""
+    kv_a, kv_b = _manifest(a), _manifest(b)
+    lines = []
+    for key in sorted(kv_a.keys() | kv_b.keys()):
+        if key not in kv_b:
+            lines.append(f"  {key}: only in {a.parent}")
+        elif key not in kv_a:
+            lines.append(f"  {key}: only in {b.parent}")
+        elif kv_a[key] != kv_b[key]:
+            lines.append(f"  {key}: {kv_a[key]} vs {kv_b[key]}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -68,17 +97,17 @@ def main(argv: list[str]) -> int:
             print(f"not a directory: {d}", file=sys.stderr)
             return 2
     common = sorted({p.name for p in dir_a.glob("*.csv")} & {p.name for p in dir_b.glob("*.csv")})
-    if not common:
+    reports = [(name, compare(dir_a / name, dir_b / name)) for name in common]
+    if (dir_a / MANIFEST).is_file() and (dir_b / MANIFEST).is_file():
+        reports.append((MANIFEST, compare_manifests(dir_a / MANIFEST, dir_b / MANIFEST)))
+    if not reports:
         print("no CSV files in common")
         return 0
-    differs = False
-    for name in common:
-        lines = compare(dir_a / name, dir_b / name)
+    for name, lines in reports:
         print(f"{name}: {'identical' if not lines else 'differs'}")
         for line in lines:
             print(line)
-        differs = differs or bool(lines)
-    return 1 if differs else 0
+    return 1 if any(lines for _, lines in reports) else 0
 
 
 if __name__ == "__main__":

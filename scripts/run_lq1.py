@@ -13,7 +13,7 @@ import numpy as np
 import cnmfg
 from cnmfg.equilibrium import SolverConfig, exploitability, solve_equilibrium
 from cnmfg.flows import estimate_conditional_flow, flow_distance
-from cnmfg.sde import generate_noise, simulate_markov_sde
+from cnmfg.sde import simulate_markov_sde
 
 
 def main():
@@ -36,12 +36,11 @@ def main():
         print(f"  iter {row.iteration}: residual {row.residual:.5f} "
               f"y0 {row.y0:.5f} damping {row.damping}")
 
-    eps, se = exploitability(spec, result.flow, result.policy, config)
+    eps, se = exploitability(spec, result.flow, result.policy, config,
+                             eval_noise=result.eval_noise)
     print(f"exploitability: {eps:.5f} (se {se:.2g})")
 
-    fresh = generate_noise(config.n_paths, config.grid(spec), config.eval_seed,
-                           spec.d_state, spec.d_common)
-    controlled = simulate_markov_sde(spec, result.policy, result.flow, fresh)
+    controlled = simulate_markov_sde(spec, result.policy, result.flow, result.eval_noise)
     re_flow = estimate_conditional_flow(controlled, None, config.n_bins,
                                         min_bin_count=config.min_bin_count)
     print(f"fixed-point consistency: {flow_distance(re_flow, result.flow, 2.0):.5f}")

@@ -38,7 +38,6 @@ from .bsde import (
     BasisSpec,
     BsdeSolution,
     MarkovPolicy,
-    evaluate_objective,
     extract_control,
     solve_bsde,
 )

@@ -9,8 +9,8 @@ minimizer at the regressed integrand.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,13 +31,13 @@ __all__ = [
     "policy_actions_along",
     "control_weights",
     "objective_influence",
-    "evaluate_objective",
     "stacked_objective_influence",
     "policy_to_csv",
 ]
 
 
-def _monomial_exponents(n_vars: int, degree: int):
+@lru_cache(maxsize=None)
+def _monomial_exponents(n_vars: int, degree: int) -> tuple:
     exps = []
 
     def rec(prefix, remaining, budget):
@@ -49,7 +49,7 @@ def _monomial_exponents(n_vars: int, degree: int):
 
     rec([], n_vars, degree)
     exps.sort(key=lambda e: (sum(e), e))
-    return exps
+    return tuple(exps)
 
 
 @dataclass
@@ -100,7 +100,7 @@ class BasisSpec:
         col_stats = np.zeros((n_steps1, 2, n_feat))
         col_stats[:, 1] = 1.0
         for k in range(n_steps1):
-            cols = fitted._monomials(k, raw[:, k, : paths.x.shape[2]], raw[:, k, paths.x.shape[2]:])
+            cols = fitted.features(k, raw[:, k, : paths.x.shape[2]], raw[:, k, paths.x.shape[2]:])
             col_stats[k, 0] = cols.mean(axis=0)
             col_std = cols.std(axis=0)
             col_stats[k, 1] = np.where(col_std < 1e-12, np.inf, col_std)
@@ -109,27 +109,30 @@ class BasisSpec:
         fitted.col_stats = col_stats
         return fitted
 
-    def _monomials(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
-        raw = np.concatenate([np.atleast_2d(x), np.atleast_2d(xc)], axis=1)
-        z = (raw - self.stats[k, 0]) / self.stats[k, 1]
-        exps = self.exponents(raw.shape[1])
-        out = np.empty((raw.shape[0], len(exps)))
-        for j, e in enumerate(exps):
-            col = np.ones(raw.shape[0])
-            for v, p in enumerate(e):
-                if p:
-                    col = col * z[:, v] ** p
-            out[:, j] = col
-        return out
-
     def features(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
+        """(n, n_features) C-contiguous columns of step k: monomials of the
+        standardized inputs, then standardized by ``col_stats`` when fitted."""
         if self.stats is None:
             raise ValueError("basis statistics not fitted")
-        cols = self._monomials(k, x, xc)
+        raw = np.concatenate([np.atleast_2d(x).T, np.atleast_2d(xc).T])
+        z = (raw - self.stats[k, 0][:, None]) / self.stats[k, 1][:, None]
+        powers = [[None] + [zv ** p for p in range(1, self.degree + 1)] for zv in z]
+        exps = self.exponents(z.shape[0])
+        cols = np.empty((len(exps), z.shape[1]))      # one row per feature
+        for j, e in enumerate(exps):
+            factors = [powers[v][p] for v, p in enumerate(e) if p]
+            if not factors:
+                cols[j] = 1.0
+                continue
+            # left to right, as the product 1 * z_0^e_0 * z_1^e_1 * ... rounds
+            cols[j] = factors[0]
+            for f in factors[1:]:
+                cols[j] *= f
         if self.col_stats is not None:
-            cols = (cols - self.col_stats[k, 0]) / self.col_stats[k, 1]
-            cols[:, 0] = 1.0
-        return cols
+            cols -= self.col_stats[k, 0][:, None]
+            cols /= self.col_stats[k, 1][:, None]
+            cols[0] = 1.0
+        return np.ascontiguousarray(cols.T)
 
 
 def _ridge_factor(feats: np.ndarray, ridge: float, sample_w: Optional[np.ndarray] = None):
@@ -400,26 +403,25 @@ def objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     return stacked_objective_influence(spec, flow, lambda k: a[None, :, k], paths, noise)[0]
 
 
-def evaluate_objective(spec: ProblemSpec, flow: ConditionalMeasureFlow,
-                       control_samples: np.ndarray, paths: PathBundle,
-                       noise: NoiseBundle):
-    """Objective under the weak formulation; returns (estimate, stderr)."""
-    est, se, _ = objective_influence(spec, flow, control_samples, paths, noise)
-    return est, se
-
-
 def policy_to_csv(policy: MarkovPolicy, path) -> None:
+    """Table policy as CSV, one row per (step, x, key) cell.
+
+    Rows carry the bytes ``csv.writer`` gives them (no cell needs quoting) and
+    are written one step at a time, each step as one preformatted block.
+    """
     if policy.kind != "table":
         raise ValueError("only table policies serialize to CSV")
     times = policy.grid.times
     d_a = policy.tables.shape[3]
+    act_fmt = ",".join(["%.17g"] * d_a)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "xc"] + [f"a{j}" for j in range(d_a)])
+        fh.write(",".join(["t", "x", "xc"] + [f"a{j}" for j in range(d_a)]) + "\r\n")
         for k in range(policy.tables.shape[0]):
             t_str = f"{times[k]:.17g}"
-            key_strs = [f"{kv:.17g}" for kv in policy.key_axes[k]]
-            for i, xv in enumerate(policy.x_axes[k]):
-                x_str = f"{xv:.17g}"
-                writer.writerows([t_str, x_str, kv] + [f"{v:.17g}" for v in acts]
-                                 for kv, acts in zip(key_strs, policy.tables[k, i]))
+            key_strs = [f"{kv:.17g}" for kv in policy.key_axes[k].tolist()]
+            rows = []
+            for xv, acts in zip(policy.x_axes[k].tolist(), policy.tables[k].tolist()):
+                head = f"{t_str},{xv:.17g},"
+                rows.extend(f"{head}{kv},{act_fmt % tuple(a)}\r\n"
+                            for kv, a in zip(key_strs, acts))
+            fh.write("".join(rows))

@@ -200,7 +200,8 @@ def _cmd_solve(spec, config, args, outputs) -> int:
     out = _out_dir(args, outputs)
     t0 = time.perf_counter()
     result = solve_equilibrium(spec, config)
-    eps, eps_se = exploitability(spec, result.flow, result.policy, config)
+    eps, eps_se = exploitability(spec, result.flow, result.policy, config,
+                                 eval_noise=result.eval_noise)
     total_ms = (time.perf_counter() - t0) * 1e3
     _write_csv(out / "residuals.csv", ["iter", "residual", "y0", "damping"],
                [(str(r.iteration), r.residual, r.y0, r.damping) for r in result.report.rows])

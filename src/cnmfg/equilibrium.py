@@ -30,7 +30,7 @@ from .flows import ConditionalMeasureFlow, estimate_conditional_flow, flow_dista
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec
 from .projection import MimickingReport, mimicking_check, project_control
-from .sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
+from .sde import NoiseBundle, PathBundle, TimeGrid, generate_noise, simulate_driftless_state
 
 __all__ = [
     "SolverConfig",
@@ -128,6 +128,12 @@ class EquilibriumResult:
     report: IterationReport
     projected_policy: Optional[MarkovPolicy] = None  # lookup table (representation b)
     mimicking: Optional[MimickingReport] = None
+    eval_noise: Optional[NoiseBundle] = None         # evaluation-seed noise of the mimicking check
+
+
+def _eval_noise(spec: ProblemSpec, config: SolverConfig) -> NoiseBundle:
+    return generate_noise(config.n_paths, config.grid(spec), config.eval_seed,
+                          d_state=spec.d_state, d_common=spec.d_common)
 
 
 def _reference(spec: ProblemSpec, config: SolverConfig):
@@ -218,27 +224,29 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     if project:
         table = project_control(spec, reference[1], final.solution.control_samples,
                                 m_star, final.weights, config.basis())
-        fresh = generate_noise(config.n_paths, config.grid(spec), config.eval_seed,
-                               d_state=spec.d_state, d_common=spec.d_common)
+        result.eval_noise = _eval_noise(spec, config)
         result.projected_policy = table
         result.mimicking = mimicking_check(spec, (reference[1], final.weights),
-                                           table, m_star, fresh)
+                                           table, m_star, result.eval_noise)
     return result
 
 
 def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: MarkovPolicy,
-                   config: SolverConfig, n_const: int = 9, delta: float = 0.1):
+                   config: SolverConfig, n_const: int = 9, delta: float = 0.1,
+                   eval_noise: Optional[NoiseBundle] = None):
     """Objective gain available to a deviating agent, over a finite deviation family.
 
     Family: the policy itself, a fresh BSDE best response to the flow, constant
     policies on an action grid, and the policy shifted by +-delta (clamped).
     The grid spans the whole box with the largest per-axis count n <= n_const
     whose n^d_action points number at most 81.  Evaluation uses the evaluation
-    seed, independent of estimation noise.
+    seed, independent of estimation noise; ``eval_noise`` passes that seed's
+    noise when the caller already holds it (``EquilibriumResult.eval_noise``).
     """
-    grid = config.grid(spec)
-    noise = generate_noise(config.n_paths, grid, config.eval_seed,
-                           d_state=spec.d_state, d_common=spec.d_common)
+    noise = _eval_noise(spec, config) if eval_noise is None else eval_noise
+    if (noise.seed, noise.grid, noise.n_paths) != (config.eval_seed, config.grid(spec),
+                                                   config.n_paths):
+        raise ValueError("eval_noise was not drawn from the config's evaluation seed and grid")
     paths = simulate_driftless_state(spec, noise)
 
     a_pol = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))

@@ -108,7 +108,11 @@ def wasserstein_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -
     """Order-q Wasserstein distance between 1-d empirical measures.
 
     Quantile coupling: integrate |F^-1 - G^-1|^q over the merged grid of
-    cumulative weights, then take the q-th root.
+    cumulative weights, then take the q-th root.  On each interval of the grid
+    the quantile indices are the running counts of each side's levels below it;
+    where the interval's midpoint does not lie strictly above its lower end
+    (zero or one-ulp mass, or a last level rounded past one) they are looked up
+    as the atoms whose cumulative weight lies below the midpoint.
     """
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("wasserstein_1d requires 1-d supports")
@@ -118,11 +122,18 @@ def wasserstein_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -
     xb, wb = nu.sorted_1d
     ca = np.cumsum(wa)
     cb = np.cumsum(wb)
-    levels = np.concatenate([[0.0], np.sort(np.concatenate([ca[:-1], cb[:-1]])), [1.0]])
+    inner = np.concatenate([ca[:-1], cb[:-1]])
+    order = np.argsort(inner, kind="stable")
+    levels = np.concatenate([[0.0], inner[order], [1.0]])
     mass = np.diff(levels)
     mids = 0.5 * (levels[:-1] + levels[1:])
-    ia = np.minimum(np.searchsorted(ca, mids, side="left"), xa.size - 1)
-    ib = np.minimum(np.searchsorted(cb, mids, side="left"), xb.size - 1)
+    ia = np.zeros(mass.size, dtype=np.intp)
+    np.cumsum(order < xa.size - 1, out=ia[1:])
+    ib = np.arange(mass.size) - ia
+    odd = np.flatnonzero(~(levels[:-1] < mids))
+    if odd.size:
+        ia[odd] = np.minimum(np.searchsorted(ca, mids[odd], side="left"), xa.size - 1)
+        ib[odd] = np.minimum(np.searchsorted(cb, mids[odd], side="left"), xb.size - 1)
     cost = float(np.sum(mass * np.abs(xa[ia] - xb[ib]) ** q))
     return cost ** (1.0 / q)
 
@@ -228,8 +239,11 @@ def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray,
                         order: Optional[np.ndarray] = None) -> np.ndarray:
     if order is None:
         order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
+    return _sorted_quantiles(values[order], weights[order], qs)
+
+
+def _sorted_quantiles(v: np.ndarray, w: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Weighted quantiles of atoms ``v`` already sorted, with matching weights ``w``."""
     cw = np.cumsum(w)
     cw /= cw[-1]
     return np.interp(qs, cw, v)
@@ -559,7 +573,12 @@ def flow_to_csv(flow: ConditionalMeasureFlow, path, n_quantiles: int = 33) -> No
             for b, mu in enumerate(bins.measures):
                 row = [str(k), f"{times[k]:.17g}", str(b),
                        f"{bins.edges[b]:.17g}", f"{bins.edges[b + 1]:.17g}"]
+                # a bin that flow_distance sorted keeps its sorted atoms; sorting
+                # the others through the bundle's state order costs more than
+                # sorting each bin here
+                done = mu.__dict__.get("sorted_1d")
                 for c in range(d):
-                    quants = _weighted_quantiles(mu.support[:, c], mu.weights, qs)
+                    quants = (_sorted_quantiles(*done, qs) if done is not None
+                              else _weighted_quantiles(mu.support[:, c], mu.weights, qs))
                     row.extend(f"{v:.17g}" for v in quants)
                 writer.writerow(row)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -6,18 +8,19 @@ import cnmfg
 from cnmfg.bsde import (
     BasisSpec,
     BsdeSolution,
+    MarkovPolicy,
     _terminal_values,
     control_weights,
-    evaluate_objective,
     extract_control,
     objective_influence,
+    policy_to_csv,
     solve_bsde,
     stacked_objective_influence,
 )
 from cnmfg.equilibrium import initial_flow
 from cnmfg.flows import estimate_conditional_flow
 from cnmfg.girsanov import self_normalized_mean
-from cnmfg.sde import TimeGrid, generate_noise, simulate_driftless_state
+from cnmfg.sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
 
 from hjb_oracle import clipped_gaussian_expectation, solve_hjb
 
@@ -130,14 +133,14 @@ class TestEvaluateObjective:
                        terminal_cost=lambda x, mu: np.full(x.shape[0], 2.5))
         grid, noise, paths, flow = _setup(spec, n_paths=2000, n_steps=10, seed=4)
         actions = np.zeros((2000, 10, 1))
-        j, se = evaluate_objective(spec, flow, actions, paths, noise)
+        j, se = objective_influence(spec, flow, actions, paths, noise)[:2]
         assert j == pytest.approx(2.5, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_action_is_plain_monte_carlo(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=3000, n_steps=20, seed=5)
         actions = np.zeros((3000, 20, 1))
-        j, _ = evaluate_objective(lq_spec, flow, actions, paths, noise)
+        j, _ = objective_influence(lq_spec, flow, actions, paths, noise)[:2]
 
         # drift = action = 0 makes every weight one; accumulate by hand
         total = np.zeros(3000)
@@ -161,12 +164,13 @@ class TestEvaluateObjective:
         grid, noise, paths, flow = _setup(spec, n_paths=10_000, seed=6)
         sol = solve_bsde(spec, flow, paths, noise, BasisSpec(degree=4))
         a_opt = sol.control_samples
-        j_opt, se_opt = evaluate_objective(spec, flow, a_opt, paths, noise)
+        j_opt, se_opt = objective_influence(spec, flow, a_opt, paths, noise)[:2]
         for shift in (-0.25, 0.25):
-            j_p, se_p = evaluate_objective(spec, flow, spec.clip_action(a_opt + shift),
-                                           paths, noise)
+            j_p, se_p = objective_influence(spec, flow, spec.clip_action(a_opt + shift),
+                                            paths, noise)[:2]
             assert j_opt <= j_p + 3 * np.hypot(se_opt, se_p)
-        j_zero, se_zero = evaluate_objective(spec, flow, np.zeros_like(a_opt), paths, noise)
+        j_zero, se_zero = objective_influence(spec, flow, np.zeros_like(a_opt), paths,
+                                              noise)[:2]
         assert j_opt <= j_zero + 3 * np.hypot(se_opt, se_zero)
 
 
@@ -254,3 +258,107 @@ class TestRegression:
         paths.label = "markov"
         with pytest.raises(ValueError, match="driftless"):
             solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2))
+
+
+def _loop_monomials(basis, k, x, xc):
+    """Monomial columns as first written: one column at a time, factor by factor."""
+    raw = np.concatenate([np.atleast_2d(x), np.atleast_2d(xc)], axis=1)
+    z = (raw - basis.stats[k, 0]) / basis.stats[k, 1]
+    exps = basis.exponents(raw.shape[1])
+    out = np.empty((raw.shape[0], len(exps)))
+    for j, e in enumerate(exps):
+        col = np.ones(raw.shape[0])
+        for v, p in enumerate(e):
+            if p:
+                col = col * z[:, v] ** p
+        out[:, j] = col
+    return out
+
+
+def _loop_features(basis, k, x, xc):
+    cols = _loop_monomials(basis, k, x, xc)
+    cols = (cols - basis.col_stats[k, 0]) / basis.col_stats[k, 1]
+    cols[:, 0] = 1.0
+    return cols
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFeatureColumns:
+    """``BasisSpec.features`` equals the column-by-column monomial loop bitwise."""
+
+    @staticmethod
+    def _paths(d_state, n=600, n_steps=4, seed=3):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, n_steps + 1, d_state)) * [1.5, 0.2][:d_state]
+        xc = rng.normal(0.3, 2.0, size=(n, n_steps + 1, 1))
+        x[:, :2, -1] = 0.25                     # constant inputs (std = inf) at steps 0, 1
+        xc[:, 0] = -1.0
+        return PathBundle(grid=TimeGrid(1.0, n_steps), x=x, xc=xc, label="driftless")
+
+    @pytest.mark.parametrize("d_state", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_equals_monomial_loop(self, d_state, degree):
+        paths = self._paths(d_state)
+        basis = BasisSpec(degree=degree).fit_stats(paths)
+        assert np.isinf(basis.stats[:2, 1, d_state - 1]).all()
+        assert np.isfinite(basis.stats[2:, 1]).all()
+        raw_x, raw_xc = paths.x.reshape(-1, d_state), paths.xc.reshape(-1, 1)
+        rng = np.random.default_rng(degree)
+        for k in range(paths.grid.n_steps + 1):
+            # the fitted column statistics come from the loop's columns
+            cols = _loop_monomials(basis, k, paths.x[:, k], paths.xc[:, k])
+            col_std = cols.std(axis=0)
+            _assert_bitwise(basis.col_stats[k, 0, 1:], cols.mean(axis=0)[1:])
+            _assert_bitwise(basis.col_stats[k, 1, 1:], np.where(col_std < 1e-12, np.inf,
+                                                                col_std)[1:])
+            off = (rng.normal(size=(50, d_state)) * 4.0 + 1.0,
+                   rng.normal(size=(50, 1)) * 5.0 - 2.0)      # off-sample rows
+            for x, xc in ((paths.x[:, k], paths.xc[:, k]), off, (raw_x[:1], raw_xc[:1]),
+                          (raw_x[7], raw_xc[7])):             # one row, and one 1-d row
+                got = basis.features(k, x, xc)
+                assert got.flags.c_contiguous
+                _assert_bitwise(got, _loop_features(basis, k, x, xc))
+        # column statistics not from a fit: the intercept is still reset to one
+        odd = replace(basis, col_stats=rng.normal(size=basis.col_stats.shape) + 2.0)
+        _assert_bitwise(odd.features(1, *off), _loop_features(odd, 1, *off))
+
+
+def _writer_policy_csv(policy, path):
+    """``policy_to_csv`` as first written: every row through ``csv.writer``."""
+    times = policy.grid.times
+    d_a = policy.tables.shape[3]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "xc"] + [f"a{j}" for j in range(d_a)])
+        for k in range(policy.tables.shape[0]):
+            for i, xv in enumerate(policy.x_axes[k]):
+                for kv, acts in zip(policy.key_axes[k], policy.tables[k, i]):
+                    writer.writerow([f"{v:.17g}" for v in (times[k], xv, kv, *acts)])
+
+
+class TestPolicyCsv:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n_steps, n_x, n_key, d_a = 3, 4, 5, 2
+        tables = rng.normal(size=(n_steps, n_x, n_key, d_a))
+        tables[0, 0, 0] = [1e-300, -2.5e21]               # exponent notation
+        tables[1, 2, 3] = [3e-7, 0.0]
+        tables[2, 1] *= 1e-5
+        policy = MarkovPolicy(grid=TimeGrid(0.3, n_steps), kind="table",
+                              x_axes=rng.normal(size=(n_steps, n_x)) * 1e-6,
+                              key_axes=rng.normal(size=(n_steps, n_key)) * 1e8,
+                              tables=tables)
+        policy_to_csv(policy, tmp_path / "fast.csv")
+        _writer_policy_csv(policy, tmp_path / "oracle.csv")
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert b"e-300" in fast and b"e+21" in fast
+        assert fast == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_feedback_policy_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="table"):
+            policy_to_csv(MarkovPolicy(grid=TimeGrid(1.0, 2), kind="feedback"),
+                          tmp_path / "p.csv")

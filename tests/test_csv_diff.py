@@ -40,3 +40,26 @@ def test_shape_mismatch_and_exit_codes(tmp_path, capsys):
     assert "headers differ" in out and "row counts differ: 2 vs 1" in out
     assert csv_diff.main([str(a), str(a)]) == 0
     assert csv_diff.main([str(a), str(tmp_path / "missing")]) == 2
+
+
+def test_manifests_compare_key_by_key_without_wall_clock(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a / "f.csv", "t\n0\n")
+    _write(b / "f.csv", "t\n0\n")
+    _write(a / "manifest.txt", "wall_ms_total = 10.5\ny0 = 1.25\nwall_ms_per_iter = [1.0]\n")
+    _write(b / "manifest.txt", "wall_ms_total = 99.0\ny0 = 1.25\nwall_ms_per_iter = [7.0]\n")
+    assert csv_diff.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["f.csv: identical",
+                                                    "manifest.txt: identical"]
+    _write(b / "manifest.txt", "wall_ms_total = 99.0\ny0 = 1.2500000000000002\nstatus = 'ok'\n")
+    assert csv_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "f.csv: identical",
+        "manifest.txt: differs",
+        f"  status: only in {b}",
+        "  y0: 1.25 vs 1.2500000000000002",
+    ]
+    (b / "f.csv").unlink()
+    (a / "f.csv").unlink()
+    assert csv_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "manifest.txt: differs"

@@ -153,6 +153,23 @@ class TestExploitability:
         eps, se = exploitability(lq_spec, res.flow, Plus1(), cfg)
         assert eps >= 0.1
 
+    def test_shared_eval_noise(self, lq_spec, monkeypatch):
+        cfg = SolverConfig(n_paths=2000, n_steps=10, n_bins=4, min_bin_count=32, seed=7)
+        res = solve_equilibrium(lq_spec, cfg)
+        fresh = generate_noise(cfg.n_paths, cfg.grid(lq_spec), cfg.eval_seed, 1, 1)
+        np.testing.assert_array_equal(res.eval_noise.dw, fresh.dw)
+        np.testing.assert_array_equal(res.eval_noise.dw0, fresh.dw0)
+        own = exploitability(lq_spec, res.flow, res.policy, cfg)
+        calls = []
+        real = equilibrium_mod.generate_noise
+        monkeypatch.setattr(equilibrium_mod, "generate_noise",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        shared = exploitability(lq_spec, res.flow, res.policy, cfg, eval_noise=res.eval_noise)
+        assert shared == own and not calls
+        estimation = generate_noise(cfg.n_paths, cfg.grid(lq_spec), cfg.seed, 1, 1)
+        with pytest.raises(ValueError, match="evaluation seed"):
+            exploitability(lq_spec, res.flow, res.policy, cfg, eval_noise=estimation)
+
     def test_constant_grid_spans_a_three_action_box(self, monkeypatch):
         # driftless state, cost 0.5 |a - (1, 0, 0)|^2: minimized on the a0 = hi face
         target = np.array([1.0, 0.0, 0.0])

@@ -1,3 +1,4 @@
+import csv
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,78 @@ class TestWasserstein1d:
     def test_rejects_multidimensional(self):
         with pytest.raises(ValueError):
             wasserstein_1d(EmpiricalMeasure(np.zeros((2, 2))), _measure([0.0]), 1.0)
+
+
+def _searchsorted_w1(mu, nu, q):
+    """The quantile coupling as first written: two searchsorted lookups per level."""
+    xa, wa = mu.sorted_1d
+    xb, wb = nu.sorted_1d
+    ca = np.cumsum(wa)
+    cb = np.cumsum(wb)
+    levels = np.concatenate([[0.0], np.sort(np.concatenate([ca[:-1], cb[:-1]])), [1.0]])
+    mass = np.diff(levels)
+    mids = 0.5 * (levels[:-1] + levels[1:])
+    ia = np.minimum(np.searchsorted(ca, mids, side="left"), xa.size - 1)
+    ib = np.minimum(np.searchsorted(cb, mids, side="left"), xb.size - 1)
+    cost = float(np.sum(mass * np.abs(xa[ia] - xb[ib]) ** q))
+    return cost ** (1.0 / q)
+
+
+def _random_1d_measure(rng):
+    n = int(rng.integers(1, 13))
+    x = rng.normal(size=n)
+    kind = rng.integers(5)
+    if kind == 0:
+        w = rng.random(n) + 0.01
+    elif kind == 1:
+        w = np.ones(n)                                   # many tied levels
+    elif kind == 2:
+        w = rng.integers(0, 4, n).astype(float)          # zero weights, tied levels
+        w[rng.integers(n)] += 1.0
+    elif kind == 3:
+        w = np.round(rng.random(n), 1)                   # levels one ulp apart
+        w[0] += 0.1
+    else:
+        w = rng.random(n)
+        w[rng.random(n) < 0.4] = 0.0                     # zero weights, possibly the last
+        w[0] += 0.5
+    if rng.random() < 0.3:
+        x = np.round(x, 1)                               # tied atoms
+    return EmpiricalMeasure(x, w)
+
+
+class TestWasserstein1dMerge:
+    """The running-count merge equals the searchsorted formulation bitwise."""
+
+    def test_random_measures_bitwise(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            mu, nu = _random_1d_measure(rng), _random_1d_measure(rng)
+            for q in (1.0, 2.0, 3.0):
+                assert wasserstein_1d(mu, nu, q) == _searchsorted_w1(mu, nu, q)
+
+    @pytest.mark.parametrize("xa,wa,xb,wb", [
+        # levels one ulp apart whose midpoint rounds down to the lower one: the
+        # same law on both sides, so any cost is the ulp interval's
+        ([0.0, 1.0, 1.0], [0.1, 0.1, 0.6], [0.0, 1.0], [0.1, 0.7]),
+        ([0.0, 1.0, 2.0], [1, 1, 1], [0.5, 3.0], [1, 2]),             # exactly tied levels
+        ([0.0, 1.0, 2.0, 9.0], [0.1, 0.4, 0.1, 0.0], [1.0, 2.0], [0.5, 0.5]),  # a level past one
+        ([0.4], [1.0], [0.0, 5.0, 1.0], [0.2, 0.0, 0.8]),  # single atom, zero weight
+        ([3.0, -1.0], [0.0, 1.0], [2.0], [1.0]),
+    ])
+    def test_hand_cases_bitwise(self, xa, wa, xb, wb):
+        mu, nu = EmpiricalMeasure(xa, wa), EmpiricalMeasure(xb, wb)
+        for q in (1.0, 2.0, 3.0):
+            assert wasserstein_1d(mu, nu, q) == _searchsorted_w1(mu, nu, q)
+            assert wasserstein_1d(nu, mu, q) == _searchsorted_w1(nu, mu, q)
+
+    def test_unequal_sizes_bitwise(self):
+        rng = np.random.default_rng(7)
+        for na, nb in ((1, 400), (400, 1), (37, 1250), (1250, 1300)):
+            mu = EmpiricalMeasure(rng.normal(size=na), rng.random(na) + 0.1)
+            nu = EmpiricalMeasure(rng.normal(0.4, 2.0, size=nb), rng.random(nb) + 0.1)
+            for q in (1.0, 2.0, 3.0):
+                assert wasserstein_1d(mu, nu, q) == _searchsorted_w1(mu, nu, q)
 
 
 class TestLpTransport:
@@ -748,3 +821,25 @@ class TestSerialization:
         assert len(header) == 5 + 33
         expected_rows = sum(flow.bins_at(k).n_bins for k in range(flow.grid.n_steps + 1))
         assert len(lines) == 1 + expected_rows
+
+    def test_flow_csv_quantiles_equal_per_bin_argsort(self, lq_spec, small_config, tmp_path):
+        noise = generate_noise(4000, small_config.grid(lq_spec), 18, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        paths.x[:, :, 0] = np.round(paths.x[:, :, 0], 1)          # tied atoms
+        w = np.random.default_rng(3).random((4000, small_config.n_steps + 1))
+        flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
+        flow = flow.reweighted(w / w.sum(axis=0))
+        flow_distance(flow, flow.reweighted(flow.src_w), 2.0)      # some bins sorted already
+        flow_to_csv(flow, tmp_path / "flow.csv")
+        qs = np.linspace(0.0, 1.0, 33)
+        rows = list(csv.reader((tmp_path / "flow.csv").read_text().splitlines()))[1:]
+        i = 0
+        for k, bins in enumerate(flow.steps):
+            for b, mu in enumerate(bins.measures):
+                order = np.argsort(mu.support[:, 0], kind="stable")
+                cw = np.cumsum(mu.weights[order])
+                cw /= cw[-1]
+                want = np.interp(qs, cw, mu.support[order, 0])
+                assert rows[i][5:] == [f"{v:.17g}" for v in want]
+                i += 1
+        assert i == len(rows)
