@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the CSV files and run manifests two output directories have in common.
 
-    python3 scripts/csv_diff.py DIR_A DIR_B
+    python3 scripts/csv_diff.py [--max-abs TOL] DIR_A DIR_B
 
 For each CSV present in both directories, prints ``identical`` when the files
 are byte-identical; otherwise the largest absolute difference of each numeric
@@ -12,6 +12,12 @@ numbers are reported as ``differs`` or ``same``.  When both directories hold a
 the wall-clock keys (those starting with ``wall_ms``); each other key whose
 value differs or that only one side has is listed.  Exits 1 when some file
 differs, 0 otherwise.
+
+With ``--max-abs TOL``, a file whose only differences are numbers (numeric CSV
+columns, or manifest values that both parse as numbers) that differ by at most
+TOL is reported as ``within TOL`` and does not count as differing.  Any other
+difference (non-numeric cells or values, headers, row counts, a key on one side
+only) still does.  Bad arguments exit 2.
 """
 
 from __future__ import annotations
@@ -39,29 +45,50 @@ def _as_float(cells):
         return None
 
 
-def compare(a: Path, b: Path) -> list[str]:
-    """Report lines for one pair of files; empty when they are byte-identical."""
+def compare(a: Path, b: Path):
+    """(report lines, largest numeric difference) for one pair of files.
+
+    ``([], 0.0)`` when they are byte-identical; the difference is inf when they
+    differ in anything but numbers.
+    """
     if a.read_bytes() == b.read_bytes():
-        return []
+        return [], 0.0
     head_a, rows_a = _read(a)
     head_b, rows_b = _read(b)
     if head_a != head_b:
-        return [f"  headers differ: {head_a} vs {head_b}"]
+        return [f"  headers differ: {head_a} vs {head_b}"], np.inf
     if len(rows_a) != len(rows_b):
-        return [f"  row counts differ: {len(rows_a)} vs {len(rows_b)}"]
+        return [f"  row counts differ: {len(rows_a)} vs {len(rows_b)}"], np.inf
     lines = []
+    worst = 0.0
     for j, name in enumerate(head_a):
         col_a = [r[j] for r in rows_a]
         col_b = [r[j] for r in rows_b]
         va, vb = _as_float(col_a), _as_float(col_b)
         if va is None or vb is None:
             lines.append(f"  {name}: {'same' if col_a == col_b else 'differs'}")
+            if col_a != col_b:
+                worst = np.inf
             continue
         with np.errstate(invalid="ignore"):
             equal = (va == vb) | (np.isnan(va) & np.isnan(vb))
             diff = np.where(equal, 0.0, np.abs(va - vb))
-        lines.append(f"  {name}: max |a - b| = {float(np.max(diff, initial=0.0)):.3g}")
-    return lines
+        gap = float(np.max(diff, initial=0.0))
+        lines.append(f"  {name}: max |a - b| = {gap:.3g}")
+        worst = _max_gap(worst, gap)
+    return lines, worst
+
+
+def _max_gap(worst: float, gap: float) -> float:
+    return np.inf if np.isnan(gap) else max(worst, gap)
+
+
+def _value_gap(val_a: str, val_b: str) -> float:
+    """|a - b| of two differing manifest values, or inf unless both are numbers."""
+    try:
+        return _max_gap(0.0, abs(float(val_a) - float(val_b)))
+    except ValueError:
+        return np.inf
 
 
 def _manifest(path: Path) -> dict:
@@ -73,41 +100,72 @@ def _manifest(path: Path) -> dict:
     return kv
 
 
-def compare_manifests(a: Path, b: Path) -> list[str]:
-    """Report lines for two manifests; empty when every non-wall-clock key agrees."""
+def compare_manifests(a: Path, b: Path):
+    """(report lines, largest numeric difference) for two manifests, as ``compare``."""
     kv_a, kv_b = _manifest(a), _manifest(b)
     lines = []
+    worst = 0.0
     for key in sorted(kv_a.keys() | kv_b.keys()):
         if key not in kv_b:
             lines.append(f"  {key}: only in {a.parent}")
+            worst = np.inf
         elif key not in kv_a:
             lines.append(f"  {key}: only in {b.parent}")
+            worst = np.inf
         elif kv_a[key] != kv_b[key]:
             lines.append(f"  {key}: {kv_a[key]} vs {kv_b[key]}")
-    return lines
+            worst = max(worst, _value_gap(kv_a[key], kv_b[key]))
+    return lines, worst
+
+
+def _parse_args(argv: list[str]):
+    """(DIR_A, DIR_B, TOL or None), or None when the arguments are malformed."""
+    args = list(argv)
+    tol = None
+    if "--max-abs" in args:
+        i = args.index("--max-abs")
+        try:
+            tol = float(args[i + 1])
+        except (IndexError, ValueError):
+            return None
+        if not tol >= 0:
+            return None
+        del args[i:i + 2]
+    if len(args) != 2 or any(arg.startswith("--") for arg in args):
+        return None
+    return Path(args[0]), Path(args[1]), tol
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    parsed = _parse_args(argv)
+    if parsed is None:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    dir_a, dir_b = Path(argv[0]), Path(argv[1])
+    dir_a, dir_b, tol = parsed
     for d in (dir_a, dir_b):
         if not d.is_dir():
             print(f"not a directory: {d}", file=sys.stderr)
             return 2
     common = sorted({p.name for p in dir_a.glob("*.csv")} & {p.name for p in dir_b.glob("*.csv")})
-    reports = [(name, compare(dir_a / name, dir_b / name)) for name in common]
+    reports = [(name, *compare(dir_a / name, dir_b / name)) for name in common]
     if (dir_a / MANIFEST).is_file() and (dir_b / MANIFEST).is_file():
-        reports.append((MANIFEST, compare_manifests(dir_a / MANIFEST, dir_b / MANIFEST)))
+        reports.append((MANIFEST, *compare_manifests(dir_a / MANIFEST, dir_b / MANIFEST)))
     if not reports:
         print("no CSV files in common")
         return 0
-    for name, lines in reports:
-        print(f"{name}: {'identical' if not lines else 'differs'}")
+    differs = False
+    for name, lines, worst in reports:
+        if not lines:
+            status = "identical"
+        elif tol is not None and worst <= tol:
+            status = f"within {tol:g}"
+        else:
+            status = "differs"
+            differs = True
+        print(f"{name}: {status}")
         for line in lines:
             print(line)
-    return 1 if any(lines for _, lines in reports) else 0
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .girsanov import (
     GirsanovWeights,
     stochastic_exponential,
     weighted_conditional_values,
-    weighted_expectation,
 )
 from .flows import (
     ConditionalMeasureFlow,

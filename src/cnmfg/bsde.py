@@ -20,7 +20,7 @@ from .flows import ConditionalMeasureFlow
 from .girsanov import (GirsanovWeights, log_increments, self_normalized_mean,
                        stochastic_exponential)
 from .problem import ProblemSpec, minimize_hamiltonian_batch
-from .sde import NoiseBundle, PathBundle, TimeGrid
+from .sde import NoiseBundle, PathBundle, TimeGrid, step_major
 
 __all__ = [
     "BasisSpec",
@@ -87,7 +87,12 @@ class BasisSpec:
                          stats=cached.stats, col_stats=cached.col_stats)
 
     def _fit(self, paths: PathBundle) -> "BasisSpec":
-        raw = np.concatenate([paths.x, paths.xc], axis=2)
+        # path-major, so the means and deviations sum path after path, as they
+        # always have, whatever the layout of the bundle
+        d_x = paths.x.shape[2]
+        raw = np.empty(paths.x.shape[:2] + (d_x + paths.xc.shape[2],))
+        raw[:, :, :d_x] = paths.x
+        raw[:, :, d_x:] = paths.xc
         mean = raw.mean(axis=0)
         std = raw.std(axis=0)
         # a degenerate (constant) variable contributes nothing: mapping it to
@@ -100,7 +105,7 @@ class BasisSpec:
         col_stats = np.zeros((n_steps1, 2, n_feat))
         col_stats[:, 1] = 1.0
         for k in range(n_steps1):
-            cols = fitted.features(k, raw[:, k, : paths.x.shape[2]], raw[:, k, paths.x.shape[2]:])
+            cols = fitted.features(k, paths.x[:, k], paths.xc[:, k])
             col_stats[k, 0] = cols.mean(axis=0)
             col_std = cols.std(axis=0)
             col_stats[k, 1] = np.where(col_std < 1e-12, np.inf, col_std)
@@ -170,7 +175,7 @@ class BsdeSolution:
     y0: float
     y0_stderr: float
     residual_var: np.ndarray     # (n_steps,)
-    control_samples: Optional[np.ndarray] = None   # (n, n_steps, d_action)
+    control_samples: Optional[np.ndarray] = None   # (n, n_steps, d_action), step-major
 
     def z_at(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
         return self.basis.features(k, x, xc) @ self.z_coef[k].T
@@ -221,7 +226,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     y_coef = np.zeros((n_steps, n_feat))
     z_coef = np.zeros((n_steps, spec.d_state, n_feat))
     resid = np.zeros(n_steps)
-    actions = np.zeros((n, n_steps, spec.d_action)) if store_actions else None
+    actions = step_major(n, n_steps, spec.d_action) if store_actions else None
 
     y_next = _terminal_values(spec, flow, paths)
     # raw pathwise accumulation: the intercept makes every regression mean-
@@ -299,9 +304,9 @@ class MarkovPolicy:
 
 def policy_actions_along(policy: MarkovPolicy, flow: ConditionalMeasureFlow,
                          paths: PathBundle, d_action: int) -> np.ndarray:
-    """(n, n_steps, d_action) actions of ``policy`` along ``paths``, keyed by ``flow``."""
+    """(n, n_steps, d_action) step-major actions of ``policy`` along ``paths``, keyed by ``flow``."""
     n_steps = paths.grid.n_steps
-    out = np.empty((paths.n_paths, n_steps, d_action))
+    out = step_major(paths.n_paths, n_steps, d_action)
     for k in range(n_steps):
         keys = paths.xc[:, flow.key_index(k), 0]
         out[:, k] = policy.actions(k, paths.x[:, k], paths.xc[:, k], keys)
@@ -347,7 +352,7 @@ def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     a = _control_array(control_samples, paths)
     grid = paths.grid
     sig_inv_t = spec.sigma_inv.T
-    lam = np.empty((paths.n_paths, grid.n_steps, spec.d_state))
+    lam = step_major(paths.n_paths, grid.n_steps, spec.d_state)
     for k in range(grid.n_steps):
         t_k = grid.times[k]
         lam[:, k] = flow.per_bin(

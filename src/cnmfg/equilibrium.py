@@ -71,6 +71,8 @@ class SolverConfig:
             raise ValueError("residual tolerance must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.retained_eval_paths < 1:
+            raise ValueError("retained_eval_paths must be >= 1")
         if self.eval_seed is None:
             object.__setattr__(self, "eval_seed", self.seed + 99_991)
         if self.partition_times is not None:

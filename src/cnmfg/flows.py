@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .girsanov import GirsanovWeights
 from .problem import MeasureSummary
-from .sde import PathBundle, TimeGrid
+from .sde import PathBundle, TimeGrid, stable_argsort, step_major
 
 __all__ = [
     "EmpiricalMeasure",
@@ -40,14 +40,9 @@ _MAX_LP_ATOMS = 256   # per side; combined support capped at 512
 
 
 class EmpiricalMeasure:
-    """Weighted atoms in R^d, normalized to a probability measure.
+    """Weighted atoms in R^d, normalized to a probability measure."""
 
-    ``order_1d``, if given, is a zero-argument callable returning the stable
-    argsort of ``support[:, 0]``; ``sorted_1d`` then takes it instead of
-    sorting the atoms itself.
-    """
-
-    def __init__(self, support, weights=None, order_1d=None):
+    def __init__(self, support, weights=None):
         support = np.asarray(support, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
@@ -61,7 +56,16 @@ class EmpiricalMeasure:
             weights = weights / total
         self.support = support
         self.weights = weights
-        self._order_1d = order_1d
+        self._sorted = None
+
+    @classmethod
+    def _normalized(cls, support: np.ndarray, weights: np.ndarray) -> "EmpiricalMeasure":
+        """The measure on (n, d) ``support`` with ``weights`` already summing to one, unchanged."""
+        mu = cls.__new__(cls)
+        mu.support = support
+        mu.weights = weights
+        mu._sorted = None
+        return mu
 
     @property
     def dim(self) -> int:
@@ -74,17 +78,17 @@ class EmpiricalMeasure:
     def summary(self, p: float = 2.0) -> MeasureSummary:
         return MeasureSummary(self.support, self.weights, p=p)
 
-    @cached_property
+    @property
     def sorted_1d(self):
-        """(sorted atoms, matching weights); only valid for 1-d supports."""
+        """(sorted atoms, matching weights), tied atoms in support order; only
+        valid for 1-d supports.  Computed on first use unless ``StepBins.sort_1d``
+        has set it."""
         if self.dim != 1:
             raise ValueError("sorted_1d requires 1-d support")
-        if self._order_1d is None:
-            order = np.argsort(self.support[:, 0], kind="stable")
-        else:
-            order = self._order_1d()
-            self._order_1d = None       # lets the step's shared order go once all bins sorted
-        return self.support[order, 0], self.weights[order]
+        if self._sorted is None:
+            order = stable_argsort(self.support[:, 0])
+            self._sorted = (self.support[order, 0], self.weights[order])
+        return self._sorted
 
 
 def _systematic_resample(support: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
@@ -123,6 +127,8 @@ def wasserstein_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -
     ca = np.cumsum(wa)
     cb = np.cumsum(wb)
     inner = np.concatenate([ca[:-1], cb[:-1]])
+    # two sorted runs: the stable sort (a timsort) finds and merges them, which
+    # beats a full sort followed by stable_argsort's tie fix-up
     order = np.argsort(inner, kind="stable")
     levels = np.concatenate([[0.0], inner[order], [1.0]])
     mass = np.diff(levels)
@@ -229,16 +235,40 @@ class StepBins:
     measures: list                          # EmpiricalMeasure per bin
     counts: np.ndarray
     labels: np.ndarray                      # (n_source,) bin of each source row
+    # (state order callable, atoms, weights, bin totals) until sort_1d has run
+    _unsorted: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n_bins(self) -> int:
         return len(self.measures)
 
+    def sort_1d(self) -> None:
+        """Sets every bin measure's ``sorted_1d`` from one sorted block of the step.
+
+        The step's stable state order, filtered by bin label, lists each bin's
+        atoms sorted with ties in path order, which is how the stable argsort of
+        the bin's own atoms (held in path order) breaks them, so both give the
+        same pairs.  Multi-dimensional steps, and steps already sorted, are left
+        as they are.
+        """
+        if self._unsorted is None:
+            return
+        state_order, atoms, weights, totals = self._unsorted
+        order = state_order()
+        rows = order[np.argsort(self.labels[order], kind="stable")]     # radix sort for int16
+        xs = atoms[rows, 0]
+        ws = weights[rows] / np.repeat(totals, self.counts)
+        ends = np.cumsum(self.counts)
+        for mu, lo, hi in zip(self.measures, ends - self.counts, ends):
+            if hi > lo:
+                mu._sorted = (xs[lo:hi], ws[lo:hi])
+        self._unsorted = None
+
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray,
                         order: Optional[np.ndarray] = None) -> np.ndarray:
     if order is None:
-        order = np.argsort(values, kind="stable")
+        order = stable_argsort(values)
     return _sorted_quantiles(values[order], weights[order], qs)
 
 
@@ -268,42 +298,13 @@ def _label_dtype(n_groups: int):
     return np.int16 if n_groups <= np.iinfo(np.int16).max else np.intp
 
 
-class _BinOrders:
-    """Each bin's stable argsort of its atoms at one step, cut from the state order.
-
-    Filtering the stable argsort of all atoms by bin label keeps tied atoms in
-    path order, which is how the stable argsort of one bin's atoms (held in
-    path order) breaks ties, so both give the same permutation.
-    """
-
-    def __init__(self, state_order, labels: np.ndarray, counts: np.ndarray):
-        self.state_order = state_order      # zero-argument callable, cached by the bundle
-        self.labels = labels
-        self.counts = counts
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Atom positions within their bin, grouped by bin and sorted by atom."""
-        order = self.state_order()
-        rows = order[np.argsort(self.labels[order], kind="stable")]
-        starts = np.cumsum(self.counts) - self.counts
-        rank = np.empty(self.labels.size, dtype=np.int32)
-        rank[np.argsort(self.labels, kind="stable")] = (
-            np.arange(self.labels.size) - np.repeat(starts, self.counts))
-        return rank[rows]
-
-    def __call__(self, b: int) -> np.ndarray:
-        hi = int(self.counts[:b + 1].sum())
-        return self.positions[hi - int(self.counts[b]):hi]
-
-
 def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
                     weights: np.ndarray, n_bins: int, min_bin_count: int,
                     state_order) -> StepBins:
     """Quantile bins of ``keys``; ``order`` is a stable argsort of ``keys``.
 
     ``state_order`` is a zero-argument callable giving the stable argsort of
-    ``atoms[:, 0]``; one-dimensional bin measures sort themselves from it.
+    ``atoms[:, 0]``; ``StepBins.sort_1d`` sorts one-dimensional bins from it.
     """
     n = keys.shape[0]
     sorted_keys = keys[order]
@@ -338,20 +339,23 @@ def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
     # sorted rows [lo, hi) of bin b are the rows that assign(k, keys) puts in b
     labels = np.empty(n, dtype=_label_dtype(counts.size))
     labels[order] = np.repeat(np.arange(counts.size, dtype=labels.dtype), counts)
-    # each bin's rows in path order, as the mask assign == b lists them
+    # the step's atoms and weights as one bin-major block, each bin's rows in
+    # path order (as the mask assign == b lists them); the measures are views
     by_bin = np.argsort(labels, kind="stable")
-    bin_orders = _BinOrders(state_order, labels, counts) if atoms.shape[1] == 1 else None
-    measures = []
+    block = atoms[by_bin]
+    w_block = weights[by_bin]
     ends = np.cumsum(counts)
-    for b, (lo, hi) in enumerate(zip(ends - counts, ends)):
-        if lo == hi:
-            measures.append(EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1)))
-        else:
-            rows = by_bin[lo:hi]
-            measures.append(EmpiricalMeasure(
-                atoms[rows], weights[rows],
-                order_1d=None if bin_orders is None else partial(bin_orders, b)))
-    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels)
+    starts = ends - counts
+    totals = np.array([w_block[lo:hi].sum() for lo, hi in zip(starts, ends)])
+    if np.any(totals[counts > 0] <= 0):
+        raise ValueError("empirical measure needs positive total mass")
+    w_block /= np.repeat(totals, counts)
+    measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi]) if hi > lo
+                else EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1))
+                for lo, hi in zip(starts, ends)]
+    unsorted = (state_order, atoms, weights, totals) if atoms.shape[1] == 1 else None
+    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels,
+                    _unsorted=unsorted)
 
 
 @dataclass
@@ -518,10 +522,16 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
         raise ValueError(f"unknown conditioning mode {mode!r}")
 
     if weights is None:
-        w_steps = np.full((n, grid.n_steps + 1), 1.0 / n)
+        w_steps = step_major(n, grid.n_steps + 1)
+        w_steps.fill(1.0 / n)
     else:
-        w_steps = weights.m.copy()
-        w_steps /= w_steps.sum(axis=0, keepdims=True)
+        w_steps = weights.m.copy(order="K")
+        # each step's total summed path after path, the order in which a sum
+        # over the path axis of a path-major array adds, so the weights keep
+        # their bits in either layout
+        running = np.empty(n)
+        for k in range(w_steps.shape[1]):
+            w_steps[:, k] /= np.cumsum(w_steps[:, k], out=running)[-1]
     return ConditionalMeasureFlow(
         paths=x_paths, src_w=w_steps,
         steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count),
@@ -544,6 +554,8 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
     n_eval, n_nodes = keys.shape
     w2 = np.empty((n_eval, n_nodes))
     for k in range(n_nodes):
+        m.steps[k].sort_1d()
+        m2.steps[k].sort_1d()
         bins_a = m.assign(k, keys[:, k])
         bins_b = m2.assign(k, keys[:, k])
         n_b = m2.steps[k].n_bins
@@ -573,12 +585,11 @@ def flow_to_csv(flow: ConditionalMeasureFlow, path, n_quantiles: int = 33) -> No
             for b, mu in enumerate(bins.measures):
                 row = [str(k), f"{times[k]:.17g}", str(b),
                        f"{bins.edges[b]:.17g}", f"{bins.edges[b + 1]:.17g}"]
-                # a bin that flow_distance sorted keeps its sorted atoms; sorting
-                # the others through the bundle's state order costs more than
-                # sorting each bin here
-                done = mu.__dict__.get("sorted_1d")
+                # a bin that flow_distance sorted keeps its sorted atoms; the
+                # others are sorted here and not kept, so writing a flow
+                # never holds a second copy of it
                 for c in range(d):
-                    quants = (_sorted_quantiles(*done, qs) if done is not None
+                    quants = (_sorted_quantiles(*mu._sorted, qs) if mu._sorted is not None
                               else _weighted_quantiles(mu.support[:, c], mu.weights, qs))
                     row.extend(f"{v:.17g}" for v in quants)
                 writer.writerow(row)

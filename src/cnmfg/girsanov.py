@@ -13,13 +13,12 @@ from typing import Optional
 import numpy as np
 
 from .problem import ProblemSpec
-from .sde import NoiseBundle, TimeGrid
+from .sde import NoiseBundle, TimeGrid, step_major
 
 __all__ = [
     "GirsanovWeights",
     "stochastic_exponential",
     "log_increments",
-    "weighted_expectation",
     "self_normalized_mean",
     "weighted_conditional_values",
     "ConditionalBinReport",
@@ -29,7 +28,7 @@ __all__ = [
 @dataclass
 class GirsanovWeights:
     grid: TimeGrid
-    log_m: np.ndarray                       # (n_paths, n_steps + 1), log M_t
+    log_m: np.ndarray                       # (n_paths, n_steps + 1), log M_t, step-major
     _m: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -38,6 +37,7 @@ class GirsanovWeights:
 
     @property
     def m(self) -> np.ndarray:
+        """exp(log M), in the layout of ``log_m``."""
         if self._m is None:
             self._m = np.exp(self.log_m)
         return self._m
@@ -45,15 +45,6 @@ class GirsanovWeights:
     @property
     def m_terminal(self) -> np.ndarray:
         return self.m[:, -1]
-
-    @property
-    def normalization(self) -> float:
-        """Mean terminal weight; 1 in expectation by the martingale property."""
-        return float(self.m_terminal.mean())
-
-
-def unit_weights(grid: TimeGrid, n_paths: int) -> GirsanovWeights:
-    return GirsanovWeights(grid=grid, log_m=np.zeros((n_paths, grid.n_steps + 1)))
 
 
 def stochastic_exponential(spec: ProblemSpec, drift_samples: np.ndarray,
@@ -69,7 +60,7 @@ def stochastic_exponential(spec: ProblemSpec, drift_samples: np.ndarray,
     if not np.all(np.isfinite(lam)):
         path, step = np.argwhere(~np.isfinite(lam).all(axis=2))[0]
         raise RuntimeError(f"non-finite drift sample at path {path}, step {step}")
-    log_m = np.zeros((lam.shape[0], noise.grid.n_steps + 1))
+    log_m = step_major(lam.shape[0], noise.grid.n_steps + 1)
     np.cumsum(log_increments(lam, noise.dw, noise.grid.dt), axis=1, out=log_m[:, 1:])
     return GirsanovWeights(grid=noise.grid, log_m=log_m)
 
@@ -93,12 +84,6 @@ def self_normalized_mean(values: np.ndarray, weights: np.ndarray):
     influence = w * (v - est) / wbar
     stderr = float(influence.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else float("inf")
     return est, stderr, influence
-
-
-def weighted_expectation(values: np.ndarray, weights: GirsanovWeights) -> float:
-    """Self-normalized importance-sampling mean under the terminal weights."""
-    est, _, _ = self_normalized_mean(values, weights.m_terminal)
-    return est
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .bsde import (BasisSpec, MarkovPolicy, policy_actions_along, stacked_object
 from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport, _systematic_resample
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec, box_minimize_batch
-from .sde import NoiseBundle, PathBundle, simulate_markov_sde
+from .sde import NoiseBundle, PathBundle, simulate_markov_sde, step_major
 
 __all__ = [
     "project_control",
@@ -39,9 +39,9 @@ def lagged_noise_control(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
     exercising the projection.
     """
     n = noise.n_paths
-    w_path = np.zeros((n, noise.grid.n_steps + 1, noise.dw.shape[2]))
+    w_path = step_major(n, noise.grid.n_steps + 1, noise.dw.shape[2])
     np.cumsum(noise.dw, axis=1, out=w_path[:, 1:])
-    out = np.empty((n, noise.grid.n_steps, spec.d_action))
+    out = step_major(n, noise.grid.n_steps, spec.d_action)
     for k in range(noise.grid.n_steps):
         vals = w_path[:, k // 2, : spec.d_action]
         out[:, k] = np.clip(vals, spec.action_lo, spec.action_hi)
@@ -193,9 +193,9 @@ def project_cost_gap(spec: ProblemSpec, paths: PathBundle, action_samples: np.nd
     Both controls are scored in one stacked pass, each under its own weights.
     """
     markov_actions = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
-    both = np.stack([np.asarray(action_samples, float), markov_actions])
+    original = np.asarray(action_samples, float)
     (j_orig, _, infl_orig), (j_mark, _, infl_mark) = stacked_objective_influence(
-        spec, flow, lambda k: both[:, :, k], paths, noise)
+        spec, flow, lambda k: np.stack([original[:, k], markov_actions[:, k]]), paths, noise)
     diff = infl_orig - infl_mark
     se = float(diff.std(ddof=1) / np.sqrt(paths.n_paths))
     return float(j_orig - j_mark), se

@@ -4,6 +4,10 @@ Brownian increments come from Philox counter streams keyed by
 (seed, fixed-size path chunk), with fixed-consumption Box-Muller sampling, so
 every (path, step, coordinate) triple occupies a non-overlapping substream.
 Output never depends on how work is scheduled across workers.
+
+Every per-step array has the logical shape (n_paths, n_steps[+1], ...) but is
+stored step-major (see ``step_major``), because every layer reads it one time
+step at a time: ``x[:, k]`` is then one contiguous block, not a strided column.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import numpy as np
 from .problem import ProblemSpec
 
 __all__ = [
+    "step_major",
+    "stable_argsort",
     "TimeGrid",
     "NoiseBundle",
     "PathBundle",
@@ -31,6 +37,47 @@ _STREAM_NOISE = 0
 _STREAM_STATE_INIT = 1
 _STREAM_COMMON_INIT = 2
 _TWO53 = float(1 << 53)
+
+
+def step_major(n_paths: int, n_steps: int, *tail: int, dtype=float) -> np.ndarray:
+    """Zero (n_paths, n_steps, *tail) array stored step by step.
+
+    The memory is laid out as (n_steps, n_paths, *tail), so ``a[:, k]`` is
+    C-contiguous.  Elementwise ufuncs and ``copy(order="K")`` keep the layout;
+    ``.copy()``, ``np.ascontiguousarray`` and ``np.stack`` make it path-major.
+    """
+    return np.zeros((n_steps, n_paths) + tail, dtype=dtype).swapaxes(0, 1)
+
+
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of a 1-d array, from the faster default sort.
+
+    The default sort orders equal values arbitrarily; each run of equal values
+    (NaNs, sorted last, count as equal, and so do -0.0 and 0.0) is then put
+    back in index order, which is the order the stable sort keeps.
+    """
+    v = np.asarray(values)
+    order = np.argsort(v)
+    if v.size < 2:
+        return order
+    s = v[order]
+    tie = s[1:] == s[:-1]                 # tie[i]: positions i and i + 1 hold equal values
+    if s.dtype.kind == "f" and np.isnan(s[-1]):
+        tie |= np.isnan(s[:-1])
+    if not tie.any():
+        return order
+    in_run = np.zeros(v.size, dtype=bool)
+    in_run[1:] = tie
+    in_run[:-1] |= tie
+    idx = np.flatnonzero(in_run)
+    run = np.empty(v.size, dtype=np.intp)
+    run[0] = 0
+    np.cumsum(~tie, out=run[1:])
+    # runs are contiguous and numbered in order, so sorting run * n + index
+    # sorts each run's indices in place
+    base = run[idx] * v.size
+    order[idx] = np.sort(base + order[idx]) - base
+    return order
 
 
 @dataclass(frozen=True)
@@ -63,8 +110,8 @@ class TimeGrid:
 class NoiseBundle:
     grid: TimeGrid
     seed: int
-    dw: np.ndarray    # (n_paths, n_steps, d_state)
-    dw0: np.ndarray   # (n_paths, n_steps, d_common)
+    dw: np.ndarray    # (n_paths, n_steps, d_state), step-major
+    dw0: np.ndarray   # (n_paths, n_steps, d_common), step-major
 
     @property
     def n_paths(self) -> int:
@@ -78,8 +125,8 @@ class PathBundle:
     after that."""
 
     grid: TimeGrid
-    x: np.ndarray     # (n_paths, n_steps + 1, d_state)
-    xc: np.ndarray    # (n_paths, n_steps + 1, d_common)
+    x: np.ndarray     # (n_paths, n_steps + 1, d_state), step-major
+    xc: np.ndarray    # (n_paths, n_steps + 1, d_common), step-major
     label: str
     clamp_count: int = 0
     basis_stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -100,9 +147,9 @@ class PathBundle:
 
 
 def _stable_column_order(values: np.ndarray) -> np.ndarray:
-    order = np.empty(values.shape, dtype=np.int32)
+    order = step_major(*values.shape, dtype=np.int32)
     for k in range(values.shape[1]):
-        order[:, k] = np.argsort(values[:, k], kind="stable")
+        order[:, k] = stable_argsort(values[:, k])
     return order
 
 
@@ -141,8 +188,10 @@ def generate_noise(n_paths: int, grid: TimeGrid, seed: int,
         normals[start:stop] = _chunk_normals(seed, _STREAM_NOISE, chunk, stop - start, n_per_row)
     normals = normals.reshape(n_paths, grid.n_steps, d_state + d_common)
     sqdt = np.sqrt(grid.dt)
-    dw = np.ascontiguousarray(normals[:, :, :d_state]) * sqdt
-    dw0 = np.ascontiguousarray(normals[:, :, d_state:]) * sqdt
+    dw = np.multiply(normals[:, :, :d_state], sqdt,
+                     out=step_major(n_paths, grid.n_steps, d_state))
+    dw0 = np.multiply(normals[:, :, d_state:], sqdt,
+                      out=step_major(n_paths, grid.n_steps, d_common))
     if n_paths >= 10_000:
         _increment_sanity_check(dw, grid.dt, "dW")
         _increment_sanity_check(dw0, grid.dt, "dW0")
@@ -180,7 +229,7 @@ def simulate_common_state(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
     grid = noise.grid
     n = noise.n_paths
     _, xc0 = draw_initial_states(spec, noise)
-    xc = np.empty((n, grid.n_steps + 1, spec.d_common))
+    xc = step_major(n, grid.n_steps + 1, spec.d_common)
     xc[:, 0] = xc0
     dt = grid.dt
     times = grid.times
@@ -201,13 +250,14 @@ def simulate_driftless_state(spec: ProblemSpec, noise: NoiseBundle,
     if xc is None:
         xc = simulate_common_state(spec, noise)
     x0, _ = draw_initial_states(spec, noise)
-    incr = noise.dw @ spec.sigma.T + noise.dw0 @ spec.sigma0.T
-    x = np.empty((noise.n_paths, grid.n_steps + 1, spec.d_state))
+    x = step_major(noise.n_paths, grid.n_steps + 1, spec.d_state)
     x[:, 0] = x0
+    sigma_t = spec.sigma.T
+    sigma0_t = spec.sigma0.T
     # sequential accumulation, matching the controlled simulator exactly when
     # the drift vanishes
     for k in range(grid.n_steps):
-        x[:, k + 1] = x[:, k] + incr[:, k]
+        x[:, k + 1] = x[:, k] + (noise.dw[:, k] @ sigma_t + noise.dw0[:, k] @ sigma0_t)
     return PathBundle(grid=grid, x=x, xc=xc, label="driftless")
 
 
@@ -225,7 +275,7 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
     if xc is None:
         xc = simulate_common_state(spec, noise)
     x0, _ = draw_initial_states(spec, noise)
-    x = np.empty((noise.n_paths, grid.n_steps + 1, spec.d_state))
+    x = step_major(noise.n_paths, grid.n_steps + 1, spec.d_state)
     x[:, 0] = x0
     dt = grid.dt
     times = grid.times

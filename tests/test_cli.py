@@ -105,6 +105,14 @@ class TestRunCommand:
         assert run_command(["validate", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("retained", ["0", "-3"])
+    def test_nonpositive_retained_eval_paths_is_error(self, tmp_path, capsys, retained):
+        cfg = _write(tmp_path, MINIMAL + f"retained_eval_paths = {retained}\n")
+        out = tmp_path / "out"
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "retained_eval_paths" in capsys.readouterr().err
+        assert not (out / "residuals.csv").exists()
+
     def test_unknown_flag_is_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL)
         assert run_command(["validate", "--config", str(cfg), "--bogus"]) == 1

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "csv_diff.py"
 _spec = importlib.util.spec_from_file_location("csv_diff", _SCRIPT)
 csv_diff = importlib.util.module_from_spec(_spec)
@@ -63,3 +65,46 @@ def test_manifests_compare_key_by_key_without_wall_clock(tmp_path, capsys):
     (a / "f.csv").unlink()
     assert csv_diff.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "manifest.txt: differs"
+
+
+def test_max_abs_forgives_small_numeric_differences_only(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a / "f.csv", "t,x,tag\n0,1.5,p\n1,nan,q\n")
+    _write(b / "f.csv", "t,x,tag\n0,1.5000000000000004,p\n1,nan,q\n")
+    _write(a / "manifest.txt", "wall_ms_total = 1.0\ncost_gap = 0.0955\nstatus = 'ok'\n")
+    _write(b / "manifest.txt", "wall_ms_total = 2.0\ncost_gap = 0.09550000000000045\n"
+                               "status = 'ok'\n")
+    assert csv_diff.main([str(a), str(b)]) == 1
+    capsys.readouterr()
+    assert csv_diff.main(["--max-abs", "1e-12", str(a), str(b)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "f.csv: within 1e-12"
+    assert out[4] == "manifest.txt: within 1e-12"
+    assert csv_diff.main([str(a), str(b), "--max-abs", "1e-16"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "f.csv: differs"
+
+
+@pytest.mark.parametrize("csv_b, manifest_b", [
+    ("t,x,tag\n0,1.5,P\n", "y0 = 1.0\n"),                     # non-numeric cell
+    ("t,y,tag\n0,1.5,p\n", "y0 = 1.0\n"),                     # header
+    ("t,x,tag\n0,1.5,p\n1,2.0,p\n", "y0 = 1.0\n"),            # row count
+    ("t,x,tag\n0,nan,p\n", "y0 = 1.0\n"),                     # nan against a number
+    ("t,x,tag\n0,1.5,p\n", "y0 = 'one'\n"),                   # non-numeric value
+    ("t,x,tag\n0,1.5,p\n", "y0 = 1.0\nstatus = 'ok'\n"),      # key on one side
+    ("t,x,tag\n0,1.5,p\n", "y0 = [1.0]\n"),                   # list value
+])
+def test_max_abs_keeps_other_differences(tmp_path, capsys, csv_b, manifest_b):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a / "f.csv", "t,x,tag\n0,1.5,p\n")
+    _write(a / "manifest.txt", "y0 = 1.0\n")
+    _write(b / "f.csv", csv_b)
+    _write(b / "manifest.txt", manifest_b)
+    assert csv_diff.main(["--max-abs", "1e9", str(a), str(b)]) == 1
+    assert "differs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--max-abs"], ["--max-abs", "x"], ["--max-abs", "-1"],
+                                  ["--max-abs", "nan"], ["--tol", "1"]])
+def test_max_abs_argument_errors(tmp_path, argv):
+    (tmp_path / "a").mkdir()
+    assert csv_diff.main(argv + [str(tmp_path / "a"), str(tmp_path / "a")]) == 2

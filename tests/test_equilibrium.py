@@ -27,6 +27,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
 
+    @pytest.mark.parametrize("retained", [0, -5])
+    def test_retained_eval_paths_positive(self, retained):
+        with pytest.raises(ValueError, match="retained_eval_paths"):
+            SolverConfig(retained_eval_paths=retained)
+        assert SolverConfig(retained_eval_paths=1).retained_eval_paths == 1
+
     def test_eval_seed_derived(self):
         cfg = SolverConfig(seed=5)
         assert cfg.eval_seed == 5 + 99_991

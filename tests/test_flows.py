@@ -20,7 +20,7 @@ from cnmfg.flows import (
     truncation_bound_check,
     wasserstein_1d,
 )
-from cnmfg.girsanov import stochastic_exponential
+from cnmfg.girsanov import GirsanovWeights, stochastic_exponential
 from cnmfg.problem import MeasureSummary
 from cnmfg.sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
 
@@ -386,6 +386,18 @@ class TestEstimateFlow:
         with pytest.warns(UserWarning, match="clamped"):
             estimate_conditional_flow(paths, None, 64, min_bin_count=50)
 
+    def test_weights_normalized_as_a_path_major_sum(self, lq_spec, small_config):
+        grid = small_config.grid(lq_spec)
+        noise = generate_noise(4000, grid, 9, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
+        want = np.ascontiguousarray(w.m)
+        want /= want.sum(axis=0, keepdims=True)
+        path_major = GirsanovWeights(grid=grid, log_m=np.ascontiguousarray(w.log_m))
+        for weights in (w, path_major):
+            flow = estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
+            np.testing.assert_array_equal(flow.src_w, want)
+
     def test_common_state_must_be_scalar(self, lq_spec):
         noise = generate_noise(100, TimeGrid(1.0, 3), 7, 1, 2)
         from dataclasses import replace
@@ -643,6 +655,26 @@ class TestFlowOwnedCaches:
         if x_decimals is not None:
             support = flows["current"].measure(10, 2).support[:, 0]
             assert np.unique(support).size < support.size
+
+
+    @pytest.mark.parametrize("x_decimals", [None, 1])
+    def test_step_sorted_block_equals_argsort(self, lq_spec, small_config, x_decimals):
+        paths, flows = self._flows(lq_spec, small_config, 46, x_decimals=x_decimals)
+        for flow in flows.values():
+            flow_distance(flow, flows["current"], 2.0)      # sorts every step of both
+            for bins in flow.steps:
+                blocks = []
+                for mu, count in zip(bins.measures, bins.counts):
+                    order = np.argsort(mu.support[:, 0], kind="stable")
+                    xs, ws = mu.sorted_1d
+                    np.testing.assert_array_equal(xs, mu.support[order, 0])
+                    np.testing.assert_array_equal(ws, mu.weights[order])
+                    if count:
+                        blocks.append((mu.support, mu.weights, xs, ws))
+                # each of the four is a slice of one block per step
+                for views in blocks:
+                    assert all(a.base is not None and a.base is b.base
+                               for a, b in zip(views, blocks[0]))
 
 
 class TestKeyOrderCache:

@@ -3,10 +3,10 @@ import pytest
 
 import cnmfg
 from cnmfg.girsanov import (
+    GirsanovWeights,
+    self_normalized_mean,
     stochastic_exponential,
-    unit_weights,
     weighted_conditional_values,
-    weighted_expectation,
 )
 from cnmfg.sde import NoiseBundle, TimeGrid, generate_noise, simulate_driftless_state
 from cnmfg.flows import estimate_conditional_flow
@@ -84,12 +84,12 @@ class TestWeightedExpectation:
     def test_constant_passes_through(self, lq_spec):
         noise = generate_noise(5000, TimeGrid(1.0, 20), 8)
         w = stochastic_exponential(lq_spec, _drift_array(noise, 0.5), noise)
-        assert weighted_expectation(np.full(5000, 3.25), w) == pytest.approx(3.25)
+        assert self_normalized_mean(np.full(5000, 3.25), w.m_terminal)[0] == pytest.approx(3.25)
 
     def test_unit_weights_are_plain_mean(self, lq_spec):
-        w = unit_weights(TimeGrid(1.0, 10), 1000)
+        w = GirsanovWeights(grid=TimeGrid(1.0, 10), log_m=np.zeros((1000, 11)))
         values = np.arange(1000.0)
-        assert weighted_expectation(values, w) == pytest.approx(values.mean())
+        assert self_normalized_mean(values, w.m_terminal)[0] == pytest.approx(values.mean())
 
     def test_matches_direct_drifted_simulation(self):
         # weighting the driftless state by the exponential of lambda = 0.5
@@ -100,7 +100,7 @@ class TestWeightedExpectation:
         paths = simulate_driftless_state(spec, noise)
         lam = _drift_array(noise, 0.5)
         w = stochastic_exponential(spec, lam, noise)
-        weighted_mean = weighted_expectation(paths.x[:, -1, 0], w)
+        weighted_mean = self_normalized_mean(paths.x[:, -1, 0], w.m_terminal)[0]
 
         drifted_terminal = paths.x[:, -1, 0] + 0.5  # sigma=1, exact for constant drift
         se = 3 * drifted_terminal.std() / np.sqrt(drifted_terminal.size)

@@ -10,8 +10,48 @@ from cnmfg.sde import (
     simulate_common_state,
     simulate_driftless_state,
     simulate_markov_sde,
+    stable_argsort,
 )
 from cnmfg.equilibrium import initial_flow
+
+
+class TestStableArgsort:
+    @staticmethod
+    def _check(v):
+        got = stable_argsort(v)
+        want = np.argsort(v, kind="stable")
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
+    def test_random_arrays_with_ties_nan_and_signed_zeros(self):
+        gen = np.random.default_rng(11)
+        for trial in range(4000):
+            n = int(gen.integers(0, 400)) if trial % 50 else int(gen.integers(1000, 20_000))
+            kind = trial % 4
+            if kind == 0:                       # continuous: ties unlikely
+                v = gen.normal(size=n)
+            elif kind == 1:                     # heavy ties
+                v = gen.integers(-3, 4, size=n) * 0.25
+            else:                               # ties among distinct values
+                v = np.round(gen.normal(size=n), int(gen.integers(0, 3)))
+            if kind >= 2 and n:
+                v[gen.random(n) < 0.1] = np.nan
+                zeros = np.flatnonzero(v == 0.0)
+                v[zeros] = np.where(gen.random(zeros.size) < 0.5, -0.0, 0.0)
+            self._check(v)
+
+    @pytest.mark.parametrize("v", [
+        np.array([]),
+        np.array([2.5]),
+        np.full(5000, 0.75),                    # a point mass, as a step-0 common state
+        np.full(17, np.nan),
+        np.array([0.0, -0.0, 0.0, -0.0, -1.0, -0.0]),
+        np.array([np.nan, 1.0, np.nan, -np.inf, np.inf, 1.0, -np.inf]),
+        np.arange(3000.0)[::-1],
+        np.repeat(np.arange(40.0), 60),
+    ])
+    def test_edge_cases(self, v):
+        self._check(v)
 
 
 class TestTimeGrid:
