@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CSV files and run manifests two output directories have in common.
+"""Compare the CSV files and run manifests of two output directories.
 
     python3 scripts/csv_diff.py [--max-abs TOL] DIR_A DIR_B
 
@@ -10,8 +10,9 @@ column (different headers or row counts).  Columns whose cells are not all
 numbers are reported as ``differs`` or ``same``.  When both directories hold a
 ``manifest.txt``, its ``key = value`` lines are compared key by key, skipping
 the wall-clock keys (those starting with ``wall_ms``); each other key whose
-value differs or that only one side has is listed.  Exits 1 when some file
-differs, 0 otherwise.
+value differs or that only one side has is listed.  A CSV or manifest that
+only one directory holds is reported as ``only in DIR`` and counts as a
+difference.  Exits 1 when some file differs, 0 otherwise.
 
 With ``--max-abs TOL``, a file whose only differences are numbers (numeric CSV
 columns, or manifest values that both parse as numbers) that differ by at most
@@ -146,15 +147,20 @@ def main(argv: list[str]) -> int:
         if not d.is_dir():
             print(f"not a directory: {d}", file=sys.stderr)
             return 2
-    common = sorted({p.name for p in dir_a.glob("*.csv")} & {p.name for p in dir_b.glob("*.csv")})
-    reports = [(name, *compare(dir_a / name, dir_b / name)) for name in common]
-    if (dir_a / MANIFEST).is_file() and (dir_b / MANIFEST).is_file():
-        reports.append((MANIFEST, *compare_manifests(dir_a / MANIFEST, dir_b / MANIFEST)))
-    if not reports:
-        print("no CSV files in common")
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob("*.csv")})
+    names += [MANIFEST] if (dir_a / MANIFEST).is_file() or (dir_b / MANIFEST).is_file() else []
+    if not names:
+        print("no CSV files")
         return 0
     differs = False
-    for name, lines, worst in reports:
+    for name in names:
+        present = [d for d in (dir_a, dir_b) if (d / name).is_file()]
+        if len(present) == 1:
+            print(f"{name}: only in {present[0]}")
+            differs = True
+            continue
+        cmp = compare_manifests if name == MANIFEST else compare
+        lines, worst = cmp(dir_a / name, dir_b / name)
         if not lines:
             status = "identical"
         elif tol is not None and worst <= tol:

@@ -5,6 +5,14 @@ integrands are regressed from increment products, the driver is the minimized
 Hamiltonian evaluated pathwise at the regressed integrand, and the value is
 regressed from value-plus-driver.  The feedback control is the Hamiltonian
 minimizer at the regressed integrand.
+
+The basis statistics are fitted once per reference bundle and degree
+(``BasisSpec.fit_stats``), one step at a time, on the feature-major
+(n_vars, n) and (n_features, n) blocks ``features`` builds before its
+transpose.  Their sums run left to right along the path axis, the order a
+path-major ``mean``/``std(axis=0)`` adds in, so the statistics, and every
+regression standardized by them, keep those bits; a pairwise sum along the
+contiguous rows would change their last digits.
 """
 
 from __future__ import annotations
@@ -87,57 +95,75 @@ class BasisSpec:
                          stats=cached.stats, col_stats=cached.col_stats)
 
     def _fit(self, paths: PathBundle) -> "BasisSpec":
-        # path-major, so the means and deviations sum path after path, as they
-        # always have, whatever the layout of the bundle
-        d_x = paths.x.shape[2]
-        raw = np.empty(paths.x.shape[:2] + (d_x + paths.xc.shape[2],))
-        raw[:, :, :d_x] = paths.x
-        raw[:, :, d_x:] = paths.xc
-        mean = raw.mean(axis=0)
-        std = raw.std(axis=0)
-        # a degenerate (constant) variable contributes nothing: mapping it to
-        # zero keeps off-sample evaluation benign instead of exploding
-        std = np.where(std < 1e-10, np.inf, std)
-        stats = np.stack([mean, std], axis=1)
-        fitted = BasisSpec(degree=self.degree, ridge=self.ridge, stats=stats)
-        n_steps1, _, n_vars = stats.shape
-        n_feat = fitted.n_features(n_vars)
+        n, n_steps1, d_x = paths.x.shape
+        n_vars = d_x + paths.xc.shape[2]
+        n_feat = self.n_features(n_vars)
+        stats = np.empty((n_steps1, 2, n_vars))
         col_stats = np.zeros((n_steps1, 2, n_feat))
-        col_stats[:, 1] = 1.0
+        col_stats[:, 1] = 1.0   # the intercept stays the constant one
+        fitted = BasisSpec(degree=self.degree, ridge=self.ridge, stats=stats)
+        # one set of buffers for all steps: per-step temporaries of this size
+        # go back to the system when freed and fault in again at the next step
+        raw, cols = np.empty((n_vars, n)), np.empty((n_feat, n))
+        work = np.empty((max(n_vars, n_feat), n))
         for k in range(n_steps1):
-            cols = fitted.features(k, paths.x[:, k], paths.xc[:, k])
-            col_stats[k, 0] = cols.mean(axis=0)
-            col_std = cols.std(axis=0)
-            col_stats[k, 1] = np.where(col_std < 1e-12, np.inf, col_std)
-        col_stats[:, 0, 0] = 0.0   # intercept stays the constant one
-        col_stats[:, 1, 0] = 1.0
+            raw[:d_x] = paths.x[:, k].T
+            raw[d_x:] = paths.xc[:, k].T
+            mean, std = _row_mean_std(raw, work)
+            # a degenerate (constant) variable contributes nothing: mapping it
+            # to zero keeps off-sample evaluation benign instead of exploding
+            stats[k] = mean, np.where(std < 1e-10, np.inf, std)
+            mean, std = _row_mean_std(fitted._monomials(k, raw, cols)[1:], work)
+            col_stats[k, :, 1:] = mean, np.where(std < 1e-12, np.inf, std)
         fitted.col_stats = col_stats
         return fitted
+
+    def _monomials(self, k: int, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` (n_features, n) filled with the monomials of step k's inputs
+        ``raw`` (n_vars, n), which are standardized by ``stats`` in place."""
+        raw -= self.stats[k, 0][:, None]
+        raw /= self.stats[k, 1][:, None]
+        powers = [[None, zv] + [zv ** p for p in range(2, self.degree + 1)] for zv in raw]
+        for j, e in enumerate(self.exponents(raw.shape[0])):
+            factors = [powers[v][p] for v, p in enumerate(e) if p]
+            if not factors:
+                out[j] = 1.0
+                continue
+            # left to right, as the product 1 * z_0^e_0 * z_1^e_1 * ... rounds
+            out[j] = factors[0]
+            for f in factors[1:]:
+                out[j] *= f
+        return out
 
     def features(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
         """(n, n_features) C-contiguous columns of step k: monomials of the
         standardized inputs, then standardized by ``col_stats`` when fitted."""
         if self.stats is None:
             raise ValueError("basis statistics not fitted")
-        raw = np.concatenate([np.atleast_2d(x).T, np.atleast_2d(xc).T])
-        z = (raw - self.stats[k, 0][:, None]) / self.stats[k, 1][:, None]
-        powers = [[None] + [zv ** p for p in range(1, self.degree + 1)] for zv in z]
-        exps = self.exponents(z.shape[0])
-        cols = np.empty((len(exps), z.shape[1]))      # one row per feature
-        for j, e in enumerate(exps):
-            factors = [powers[v][p] for v, p in enumerate(e) if p]
-            if not factors:
-                cols[j] = 1.0
-                continue
-            # left to right, as the product 1 * z_0^e_0 * z_1^e_1 * ... rounds
-            cols[j] = factors[0]
-            for f in factors[1:]:
-                cols[j] *= f
+        raw = np.concatenate([np.atleast_2d(x).T, np.atleast_2d(xc).T], dtype=float)
+        cols = self._monomials(k, raw, np.empty((self.n_features(raw.shape[0]), raw.shape[1])))
         if self.col_stats is not None:
             cols -= self.col_stats[k, 0][:, None]
             cols /= self.col_stats[k, 1][:, None]
             cols[0] = 1.0
         return np.ascontiguousarray(cols.T)
+
+
+def _row_mean_std(a: np.ndarray, work: np.ndarray):
+    """Mean and (population) standard deviation of each row of ``a`` (m, n),
+    with ``work[:m]`` as scratch.
+
+    Each sum runs left to right along the row (the last element of a running
+    sum), the order in which ``mean``/``std(axis=0)`` add up a path-major
+    (n, m) array, so the statistics have those bits; ``a.mean(axis=1)`` would
+    sum pairwise and round differently.
+    """
+    m, n = a.shape
+    acc = np.cumsum(a, axis=1, out=work[:m])
+    mean = acc[:, -1] / n
+    dev = np.subtract(a, mean[:, None], out=acc)
+    dev *= dev
+    return mean, np.sqrt(np.cumsum(dev, axis=1, out=dev)[:, -1] / n)
 
 
 def _ridge_factor(feats: np.ndarray, ridge: float, sample_w: Optional[np.ndarray] = None):

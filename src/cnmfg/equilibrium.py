@@ -73,6 +73,13 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.retained_eval_paths < 1:
             raise ValueError("retained_eval_paths must be >= 1")
+        # named as in a config file's [solver] section too
+        if self.n_bins < 1:
+            raise ValueError("n_bins (config key 'bins') must be >= 1")
+        if self.min_bin_count < 1:
+            raise ValueError("min_bin_count must be >= 1")
+        if not self.flow_order >= 1:
+            raise ValueError("flow_order (config key 'order') must be >= 1")
         if self.eval_seed is None:
             object.__setattr__(self, "eval_seed", self.seed + 99_991)
         if self.partition_times is not None:

@@ -265,10 +265,8 @@ class StepBins:
         self._unsorted = None
 
 
-def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray,
-                        order: Optional[np.ndarray] = None) -> np.ndarray:
-    if order is None:
-        order = stable_argsort(values)
+def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    order = stable_argsort(values)
     return _sorted_quantiles(values[order], weights[order], qs)
 
 
@@ -309,7 +307,7 @@ def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
     n = keys.shape[0]
     sorted_keys = keys[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)
-    edges = _weighted_quantiles(keys, weights, qs, order)
+    edges = _sorted_quantiles(sorted_keys, weights[order], qs)
     lo_key, hi_key = sorted_keys[0], sorted_keys[-1]
     interior = np.unique(edges[1:-1])
     interior = interior[(interior > lo_key) & (interior < hi_key)]

@@ -3,7 +3,10 @@
 Brownian increments come from Philox counter streams keyed by
 (seed, fixed-size path chunk), with fixed-consumption Box-Muller sampling, so
 every (path, step, coordinate) triple occupies a non-overlapping substream.
-Output never depends on how work is scheduled across workers.
+Output never depends on how work is scheduled across workers.  Each chunk's
+normals are computed in one chunk-sized block, laid out coordinate by path,
+and written, times sqrt(dt), straight into that chunk's rows of the
+step-major ``dw`` and ``dw0``; no array of all the normals is ever built.
 
 Every per-step array has the logical shape (n_paths, n_steps[+1], ...) but is
 stored step-major (see ``step_major``), because every layer reads it one time
@@ -162,36 +165,52 @@ def _stream_generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def _chunk_normals(seed: int, stream: int, chunk: int, n_rows: int, n_per_row: int) -> np.ndarray:
-    """Fixed-consumption standard normals: one Philox raw pair per Box-Muller pair."""
+    """Fixed-consumption standard normals, one Philox raw pair per Box-Muller pair.
+
+    Path i of the chunk takes the raw pairs [i * pairs, (i + 1) * pairs), and
+    its normal c is the cosine (c even) or sine (c odd) of its pair c // 2.
+    The block is returned coordinate-major, (n_per_row, n_rows): the values of
+    one normal over the chunk's paths are one contiguous run.
+    """
     pairs = (n_per_row + 1) // 2
-    bg = np.random.Philox(key=_philox_key(seed, stream, chunk))
-    raw = bg.random_raw(n_rows * pairs * 2).reshape(n_rows, pairs, 2)
-    u1 = ((raw[:, :, 0] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53   # (0, 1]
-    u2 = (raw[:, :, 1] >> np.uint64(11)).astype(np.float64) / _TWO53           # [0, 1)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    out = np.empty((n_rows, 2 * pairs))
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
-    return out[:, :n_per_row]
+    raw = np.random.Philox(key=_philox_key(seed, stream, chunk)).random_raw(n_rows * pairs * 2)
+    u = np.empty((2, pairs, n_rows))
+    np.right_shift(raw.reshape(n_rows, pairs, 2).transpose(2, 1, 0), np.uint64(11),
+                   out=u, casting="unsafe")
+    u1, u2 = u
+    u1 += 1.0
+    u /= _TWO53                              # u1 in (0, 1], u2 in [0, 1)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    r = np.sqrt(u1, out=u1)
+    theta = np.multiply(u2, 2.0 * np.pi, out=u2)
+    out = np.empty((pairs, 2, n_rows))
+    np.multiply(r, np.cos(theta), out=out[:, 0])
+    np.multiply(r, np.sin(theta), out=out[:, 1])
+    return out.reshape(2 * pairs, n_rows)[:n_per_row]
 
 
 def generate_noise(n_paths: int, grid: TimeGrid, seed: int,
                    d_state: int = 1, d_common: int = 1) -> NoiseBundle:
-    """Brownian increments N(0, dt) for (W, W0), bitwise reproducible from the seed."""
+    """Brownian increments N(0, dt) for (W, W0), bitwise reproducible from the seed.
+
+    A path's normals, step by step, are its d_state state then d_common common
+    coordinates.  Each chunk's block is scaled by sqrt(dt) straight into the
+    step-major ``dw`` and ``dw0`` rows of its paths.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n_per_row = grid.n_steps * (d_state + d_common)
-    normals = np.empty((n_paths, n_per_row))
+    n_steps, d = grid.n_steps, d_state + d_common
+    sqdt = np.sqrt(grid.dt)
+    dw = step_major(n_paths, n_steps, d_state)
+    dw0 = step_major(n_paths, n_steps, d_common)
     for chunk, start in enumerate(range(0, n_paths, _CHUNK)):
         stop = min(start + _CHUNK, n_paths)
-        normals[start:stop] = _chunk_normals(seed, _STREAM_NOISE, chunk, stop - start, n_per_row)
-    normals = normals.reshape(n_paths, grid.n_steps, d_state + d_common)
-    sqdt = np.sqrt(grid.dt)
-    dw = np.multiply(normals[:, :, :d_state], sqdt,
-                     out=step_major(n_paths, grid.n_steps, d_state))
-    dw0 = np.multiply(normals[:, :, d_state:], sqdt,
-                      out=step_major(n_paths, grid.n_steps, d_common))
+        normals = _chunk_normals(seed, _STREAM_NOISE, chunk, stop - start, n_steps * d)
+        normals = normals.reshape(n_steps, d, stop - start)
+        # (n_steps, d, paths) views of the chunk's rows in the step-major arrays
+        np.multiply(normals[:, :d_state], sqdt, out=dw[start:stop].transpose(1, 2, 0))
+        np.multiply(normals[:, d_state:], sqdt, out=dw0[start:stop].transpose(1, 2, 0))
     if n_paths >= 10_000:
         _increment_sanity_check(dw, grid.dt, "dW")
         _increment_sanity_check(dw0, grid.dt, "dW0")
@@ -199,11 +218,13 @@ def generate_noise(n_paths: int, grid: TimeGrid, seed: int,
 
 
 def _increment_sanity_check(arr: np.ndarray, dt: float, name: str) -> None:
-    n = arr.size
+    """Warns when the sample mean or variance of ``arr`` is more than 4 s.e. from (0, dt)."""
+    flat = arr.ravel(order="K")              # a view of a step-major or C-contiguous array
+    n = flat.size
     se_mean = np.sqrt(dt / n)
     se_var = dt * np.sqrt(2.0 / n)
-    mean = arr.mean()
-    var = arr.var()
+    mean = flat.sum() / n
+    var = flat @ flat / n - mean * mean
     if abs(mean) > 4 * se_mean or abs(var - dt) > 4 * se_var:
         import warnings
 

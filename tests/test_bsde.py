@@ -20,7 +20,8 @@ from cnmfg.bsde import (
 from cnmfg.equilibrium import initial_flow
 from cnmfg.flows import estimate_conditional_flow
 from cnmfg.girsanov import self_normalized_mean
-from cnmfg.sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
+from cnmfg.sde import (PathBundle, TimeGrid, generate_noise, simulate_driftless_state,
+                       step_major)
 
 from hjb_oracle import clipped_gaussian_expectation, solve_hjb
 
@@ -291,13 +292,40 @@ class TestFeatureColumns:
     """``BasisSpec.features`` equals the column-by-column monomial loop bitwise."""
 
     @staticmethod
-    def _paths(d_state, n=600, n_steps=4, seed=3):
+    def _paths(d_state, n=600, n_steps=4, seed=3, layout="path-major"):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, n_steps + 1, d_state)) * [1.5, 0.2][:d_state]
         xc = rng.normal(0.3, 2.0, size=(n, n_steps + 1, 1))
         x[:, :2, -1] = 0.25                     # constant inputs (std = inf) at steps 0, 1
         xc[:, 0] = -1.0
+        if layout == "step-major":
+            sm_x, sm_xc = step_major(n, n_steps + 1, d_state), step_major(n, n_steps + 1, 1)
+            sm_x[...], sm_xc[...] = x, xc
+            x, xc = sm_x, sm_xc
         return PathBundle(grid=TimeGrid(1.0, n_steps), x=x, xc=xc, label="driftless")
+
+    @pytest.mark.parametrize("layout", ["path-major", "step-major"])
+    @pytest.mark.parametrize("d_state", [1, 2])
+    def test_input_stats_equal_path_major_moments(self, layout, d_state):
+        # the input statistics are a path-major mean/std(axis=0), bit for bit
+        paths = self._paths(d_state, n=5000, layout=layout)
+        raw = np.concatenate([np.asarray(paths.x), np.asarray(paths.xc)], axis=2)
+        raw = np.ascontiguousarray(raw)         # (n, n_steps + 1, n_vars) path-major
+        basis = BasisSpec(degree=2).fit_stats(paths)
+        std = raw.std(axis=0)
+        _assert_bitwise(basis.stats[:, 0], raw.mean(axis=0))
+        _assert_bitwise(basis.stats[:, 1], np.where(std < 1e-10, np.inf, std))
+        assert np.isinf(basis.stats[:2, 1, d_state - 1]).all()
+        assert np.isinf(basis.stats[0, 1, d_state])             # the point-mass common state
+        assert np.isfinite(basis.stats[1:, 1, d_state]).all()
+
+    @pytest.mark.parametrize("d_state", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_step_major_bundle_fits_the_same_statistics(self, d_state, degree):
+        fits = [BasisSpec(degree=degree).fit_stats(self._paths(d_state, layout=layout))
+                for layout in ("path-major", "step-major")]
+        _assert_bitwise(fits[1].stats, fits[0].stats)
+        _assert_bitwise(fits[1].col_stats, fits[0].col_stats)
 
     @pytest.mark.parametrize("d_state", [1, 2])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])

@@ -113,6 +113,20 @@ class TestRunCommand:
         assert "retained_eval_paths" in capsys.readouterr().err
         assert not (out / "residuals.csv").exists()
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("bins = 4", "bins = 0", "'bins'"),
+        ("min_bin_count = 32", "min_bin_count = 0", "min_bin_count"),
+        ("min_bin_count = 32", "min_bin_count = -5", "min_bin_count"),
+        ("seed = 7", "seed = 7\norder = 0.5", "'order'"),
+    ])
+    def test_bad_binning_or_order_is_error(self, tmp_path, capsys, old, new, key):
+        assert old in MINIMAL
+        cfg = _write(tmp_path, MINIMAL.replace(old, new))
+        out = tmp_path / "out"
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "residuals.csv").exists()
+
     def test_unknown_flag_is_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL)
         assert run_command(["validate", "--config", str(cfg), "--bogus"]) == 1

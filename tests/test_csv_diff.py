@@ -27,8 +27,27 @@ def test_reports_identical_files_and_column_maxima(tmp_path, capsys):
         "  t: max |a - b| = 0",
         "  x: max |a - b| = 0.25",
         "  tag: differs",
+        f"only_a.csv: only in {a}",
         "same.csv: identical",
     ]
+
+
+def test_file_on_one_side_differs(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a / "x.csv", "t\n0\n")
+    _write(b / "x.csv", "t\n0\n")
+    _write(b / "policy.csv", "t\n0\n")
+    assert csv_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"policy.csv: only in {b}",
+                                                    "x.csv: identical"]
+    # --max-abs forgives numbers, not a missing file
+    assert csv_diff.main(["--max-abs", "1e9", str(b), str(a)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"policy.csv: only in {b}"
+    (b / "policy.csv").unlink()
+    _write(a / "manifest.txt", "y0 = 1.0\n")
+    assert csv_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["x.csv: identical",
+                                                    f"manifest.txt: only in {a}"]
 
 
 def test_shape_mismatch_and_exit_codes(tmp_path, capsys):

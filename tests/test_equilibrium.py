@@ -33,6 +33,18 @@ class TestSolverConfig:
             SolverConfig(retained_eval_paths=retained)
         assert SolverConfig(retained_eval_paths=1).retained_eval_paths == 1
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("n_bins", 0, "bins"), ("n_bins", -2, "bins"),
+        ("min_bin_count", 0, "min_bin_count"), ("min_bin_count", -5, "min_bin_count"),
+        ("flow_order", 0.5, "order"), ("flow_order", 0.0, "order"),
+        ("flow_order", float("nan"), "order"),
+    ])
+    def test_binning_and_order_bounds(self, field, value, key):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**{field: value})
+        cfg = SolverConfig(n_bins=1, min_bin_count=1, flow_order=1.0)
+        assert (cfg.n_bins, cfg.min_bin_count, cfg.flow_order) == (1, 1, 1.0)
+
     def test_eval_seed_derived(self):
         cfg = SolverConfig(seed=5)
         assert cfg.eval_seed == 5 + 99_991

@@ -1,11 +1,18 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import cnmfg
 from cnmfg.sde import (
+    _CHUNK,
+    _STREAM_NOISE,
+    _TWO53,
     NoiseBundle,
     TimeGrid,
+    _increment_sanity_check,
+    _philox_key,
     generate_noise,
     simulate_common_state,
     simulate_driftless_state,
@@ -97,6 +104,58 @@ class TestGenerateNoise:
         assert abs(noise.dw.mean()) <= 4 * np.sqrt(dt / n)
         assert abs(noise.dw.var() - dt) <= 4 * se_var
         assert abs(noise.dw0.var() - dt) <= 4 * se_var
+
+    @pytest.mark.parametrize("d_state, d_common", [(1, 1), (2, 1), (1, 3)])
+    @pytest.mark.parametrize("n_paths", [1, 4097, 10_001])
+    def test_equals_path_major_draw(self, d_state, d_common, n_paths):
+        grid = TimeGrid(1.0, 7)
+        got = generate_noise(n_paths, grid, 21, d_state, d_common)
+        dw, dw0 = _path_major_noise(n_paths, grid, 21, d_state, d_common)
+        for a, b in ((got.dw, dw), (got.dw0, dw0)):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_clean_draw_passes_the_sanity_check(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate_noise(100_000, TimeGrid(1.0, 10), 12)
+
+    @pytest.mark.parametrize("name", ["dW", "dW0"])
+    @pytest.mark.parametrize("shift, scale", [(6.0, 1.0), (-6.0, 1.0), (0.0, 1.03), (0.0, 0.97)])
+    def test_sanity_check_flags_shifted_or_scaled_draws(self, name, shift, scale):
+        grid = TimeGrid(1.0, 10)
+        noise = generate_noise(100_000, grid, 12)
+        arr = noise.dw if name == "dW" else noise.dw0
+        se_mean = np.sqrt(grid.dt / arr.size)
+        bad = arr * scale + shift * se_mean      # keeps the step-major layout
+        with pytest.warns(UserWarning, match=f"^{name} increment statistics"):
+            _increment_sanity_check(bad, grid.dt, name)
+        # the same check reads a path-major copy alike
+        with pytest.warns(UserWarning, match=f"^{name} increment statistics"):
+            _increment_sanity_check(np.ascontiguousarray(bad), grid.dt, name)
+
+
+def _path_major_noise(n_paths, grid, seed, d_state, d_common):
+    """``generate_noise``'s increments as first written: one path-major array of
+    every normal, split and scaled afterwards."""
+    n_per_row = grid.n_steps * (d_state + d_common)
+    pairs = (n_per_row + 1) // 2
+    normals = np.empty((n_paths, n_per_row))
+    for chunk, start in enumerate(range(0, n_paths, _CHUNK)):
+        stop = min(start + _CHUNK, n_paths)
+        bg = np.random.Philox(key=_philox_key(seed, _STREAM_NOISE, chunk))
+        raw = bg.random_raw((stop - start) * pairs * 2).reshape(stop - start, pairs, 2)
+        u1 = ((raw[:, :, 0] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
+        u2 = (raw[:, :, 1] >> np.uint64(11)).astype(np.float64) / _TWO53
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = (2.0 * np.pi) * u2
+        out = np.empty((stop - start, 2 * pairs))
+        out[:, 0::2] = r * np.cos(theta)
+        out[:, 1::2] = r * np.sin(theta)
+        normals[start:stop] = out[:, :n_per_row]
+    normals = normals.reshape(n_paths, grid.n_steps, d_state + d_common)
+    sqdt = np.sqrt(grid.dt)
+    return normals[:, :, :d_state] * sqdt, normals[:, :, d_state:] * sqdt
 
 
 class TestCommonState:
