@@ -28,7 +28,7 @@ from .flows import ConditionalMeasureFlow
 from .girsanov import (GirsanovWeights, log_increments, self_normalized_mean,
                        stochastic_exponential)
 from .problem import ProblemSpec, minimize_hamiltonian_batch
-from .sde import NoiseBundle, PathBundle, TimeGrid, step_major
+from .sde import NoiseBundle, PathBundle, TimeGrid, searchsorted_right, step_major
 
 __all__ = [
     "BasisSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "extract_control",
     "policy_actions_along",
     "control_weights",
-    "objective_influence",
     "stacked_objective_influence",
     "policy_to_csv",
 ]
@@ -343,8 +342,8 @@ def _bilinear(x_axis: np.ndarray, k_axis: np.ndarray, table: np.ndarray,
               x: np.ndarray, key: np.ndarray) -> np.ndarray:
     xq = np.clip(x, x_axis[0], x_axis[-1])
     kq = np.clip(key, k_axis[0], k_axis[-1])
-    ix = np.clip(np.searchsorted(x_axis, xq, side="right") - 1, 0, x_axis.size - 2)
-    ik = np.clip(np.searchsorted(k_axis, kq, side="right") - 1, 0, k_axis.size - 2)
+    ix = np.clip(searchsorted_right(x_axis, xq) - 1, 0, x_axis.size - 2)
+    ik = np.clip(searchsorted_right(k_axis, kq) - 1, 0, k_axis.size - 2)
     tx = (xq - x_axis[ix]) / (x_axis[ix + 1] - x_axis[ix])
     tk = (kq - k_axis[ik]) / (k_axis[ik + 1] - k_axis[ik])
     tx = tx[:, None]
@@ -425,13 +424,6 @@ def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     payoff = run_cost + _terminal_values(spec, flow, paths)[:, None]
     m_terminal = np.exp(log_m)
     return [self_normalized_mean(payoff[:, j], m_terminal[:, j]) for j in range(payoff.shape[1])]
-
-
-def objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
-                        control_samples: np.ndarray, paths: PathBundle, noise: NoiseBundle):
-    """``stacked_objective_influence`` of one control: (estimate, stderr, influence)."""
-    a = _control_array(control_samples, paths)
-    return stacked_objective_influence(spec, flow, lambda k: a[None, :, k], paths, noise)[0]
 
 
 def policy_to_csv(policy: MarkovPolicy, path) -> None:

@@ -73,7 +73,10 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.retained_eval_paths < 1:
             raise ValueError("retained_eval_paths must be >= 1")
-        # named as in a config file's [solver] section too
+        # named as in a config file's [solver] section too; every reported
+        # stderr is a sample standard deviation (ddof=1), so it needs two paths
+        if self.n_paths < 2:
+            raise ValueError("n_paths (config key 'paths') must be >= 2")
         if self.n_bins < 1:
             raise ValueError("n_bins (config key 'bins') must be >= 1")
         if self.min_bin_count < 1:

@@ -22,7 +22,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .girsanov import GirsanovWeights
 from .problem import MeasureSummary
-from .sde import PathBundle, TimeGrid, stable_argsort, step_major
+from .sde import (PathBundle, TimeGrid, searchsorted_right, sorted_ties, stable_argsort,
+                  step_major)
 
 __all__ = [
     "EmpiricalMeasure",
@@ -92,15 +93,21 @@ class EmpiricalMeasure:
 
 
 def _systematic_resample(support: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
-    """Deterministic stratified subsample after a lexicographic sort."""
-    order = np.lexsort(support.T[::-1])
-    atoms = support[order]
-    w = weights[order]
-    cdf = np.cumsum(w)
+    """Deterministic stratified subsample after a lexicographic sort.
+
+    The lexicographic order is the stable order of the first coordinate unless
+    that coordinate has a tie (equal values, NaNs among them), which only the
+    later coordinates break; only then does ``np.lexsort`` run.
+    """
+    first = support[:, 0]
+    order = stable_argsort(first)
+    if support.shape[1] > 1 and sorted_ties(first[order]).any():
+        order = np.lexsort(support.T[::-1])
+    cdf = np.cumsum(weights[order])
     cdf /= cdf[-1]
     u = (np.arange(n_out) + 0.5) / n_out
     idx = np.searchsorted(cdf, u, side="left")
-    return atoms[np.minimum(idx, atoms.shape[0] - 1)]
+    return support[order[np.minimum(idx, order.size - 1)]]
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +411,8 @@ class ConditionalMeasureFlow:
         return self.steps[k]
 
     def assign(self, k: int, keys: np.ndarray) -> np.ndarray:
-        edges = self.steps[k].edges
-        return np.searchsorted(edges[1:-1], np.asarray(keys, float), side="right")
+        """Bin of each key at step k: ``np.searchsorted(interior edges, keys, "right")``."""
+        return searchsorted_right(self.steps[k].edges[1:-1], keys)
 
     def groups(self, k: int, keys):
         """Rows grouped by their bin at step k; see ``group_rows``.

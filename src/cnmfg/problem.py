@@ -86,10 +86,6 @@ class MeasureSummary:
         point = np.atleast_1d(np.asarray(point, dtype=float))
         return cls(point[None, :], np.array([1.0]), p=p)
 
-    def moment_check(self) -> bool:
-        recomputed = float(self.weights @ np.linalg.norm(self.support, axis=1) ** self.p)
-        return abs(recomputed - self.pth_moment) <= 1e-12 * max(1.0, abs(recomputed))
-
 
 # ---------------------------------------------------------------------------
 # game instances

@@ -26,6 +26,8 @@ from .problem import ProblemSpec
 __all__ = [
     "step_major",
     "stable_argsort",
+    "sorted_ties",
+    "searchsorted_right",
     "TimeGrid",
     "NoiseBundle",
     "PathBundle",
@@ -40,6 +42,7 @@ _STREAM_NOISE = 0
 _STREAM_STATE_INIT = 1
 _STREAM_COMMON_INIT = 2
 _TWO53 = float(1 << 53)
+_MAX_COUNTED_EDGES = 64   # searchsorted_right counts up to this many edges; < 256 (uint8)
 
 
 def step_major(n_paths: int, n_steps: int, *tail: int, dtype=float) -> np.ndarray:
@@ -63,10 +66,7 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     order = np.argsort(v)
     if v.size < 2:
         return order
-    s = v[order]
-    tie = s[1:] == s[:-1]                 # tie[i]: positions i and i + 1 hold equal values
-    if s.dtype.kind == "f" and np.isnan(s[-1]):
-        tie |= np.isnan(s[:-1])
+    tie = sorted_ties(v[order])
     if not tie.any():
         return order
     in_run = np.zeros(v.size, dtype=bool)
@@ -81,6 +81,39 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     base = run[idx] * v.size
     order[idx] = np.sort(base + order[idx]) - base
     return order
+
+
+def sorted_ties(s: np.ndarray) -> np.ndarray:
+    """``tie[i]``: positions i and i + 1 of the sorted 1-d array ``s`` hold equal
+    values, as the sorts compare them (NaNs, sorted last, are equal, and so are
+    -0.0 and 0.0)."""
+    tie = s[1:] == s[:-1]
+    if s.dtype.kind == "f" and s.size and np.isnan(s[-1]):
+        tie |= np.isnan(s[:-1])
+    return tie
+
+
+def searchsorted_right(edges: np.ndarray, values) -> np.ndarray:
+    """``np.searchsorted(edges, values, side="right")`` for a short sorted float array ``edges``.
+
+    The index of a value is the number of edges it does not lie below, counted
+    with one vectorized comparison per edge: at a few dozen edges that beats a
+    binary search, whose branches on unsorted values are unpredictable.
+    ``value < edge`` is False for a NaN value, which therefore lands after
+    every edge, where ``np.searchsorted`` puts NaN.  More than
+    ``_MAX_COUNTED_EDGES`` edges, or a NaN edge (NaNs sort last), go to
+    ``np.searchsorted``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if edges.size > _MAX_COUNTED_EDGES or (edges.size and np.isnan(edges[-1])):
+        return np.searchsorted(edges, values, side="right")
+    above = np.zeros(values.shape, dtype=np.uint8)      # edges above each value
+    lt = np.empty(values.shape, dtype=bool)
+    for e in edges.tolist():
+        np.less(values, e, out=lt)
+        above += lt.view(np.uint8)
+    return np.subtract(edges.size, above, dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ from cnmfg.bsde import (
     BasisSpec,
     BsdeSolution,
     MarkovPolicy,
+    _bilinear,
     _terminal_values,
     control_weights,
     extract_control,
-    objective_influence,
     policy_to_csv,
     solve_bsde,
     stacked_objective_influence,
@@ -134,14 +134,16 @@ class TestEvaluateObjective:
                        terminal_cost=lambda x, mu: np.full(x.shape[0], 2.5))
         grid, noise, paths, flow = _setup(spec, n_paths=2000, n_steps=10, seed=4)
         actions = np.zeros((2000, 10, 1))
-        j, se = objective_influence(spec, flow, actions, paths, noise)[:2]
+        j, se = stacked_objective_influence(spec, flow, lambda k: actions[None, :, k], paths,
+                                            noise)[0][:2]
         assert j == pytest.approx(2.5, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_action_is_plain_monte_carlo(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=3000, n_steps=20, seed=5)
         actions = np.zeros((3000, 20, 1))
-        j, _ = objective_influence(lq_spec, flow, actions, paths, noise)[:2]
+        j, _ = stacked_objective_influence(lq_spec, flow, lambda k: actions[None, :, k], paths,
+                                           noise)[0][:2]
 
         # drift = action = 0 makes every weight one; accumulate by hand
         total = np.zeros(3000)
@@ -165,13 +167,16 @@ class TestEvaluateObjective:
         grid, noise, paths, flow = _setup(spec, n_paths=10_000, seed=6)
         sol = solve_bsde(spec, flow, paths, noise, BasisSpec(degree=4))
         a_opt = sol.control_samples
-        j_opt, se_opt = objective_influence(spec, flow, a_opt, paths, noise)[:2]
+        j_opt, se_opt = stacked_objective_influence(spec, flow, lambda k: a_opt[None, :, k],
+                                                    paths, noise)[0][:2]
         for shift in (-0.25, 0.25):
-            j_p, se_p = objective_influence(spec, flow, spec.clip_action(a_opt + shift),
-                                            paths, noise)[:2]
+            a = spec.clip_action(a_opt + shift)
+            j_p, se_p = stacked_objective_influence(spec, flow, lambda k: a[None, :, k],
+                                                    paths, noise)[0][:2]
             assert j_opt <= j_p + 3 * np.hypot(se_opt, se_p)
-        j_zero, se_zero = objective_influence(spec, flow, np.zeros_like(a_opt), paths,
-                                              noise)[:2]
+        a = np.zeros_like(a_opt)
+        j_zero, se_zero = stacked_objective_influence(spec, flow, lambda k: a[None, :, k],
+                                                      paths, noise)[0][:2]
         assert j_opt <= j_zero + 3 * np.hypot(se_opt, se_zero)
 
 
@@ -186,7 +191,8 @@ class TestStackedScoring:
                                               paths, noise)
         assert len(stacked) == 4
         for a, (est, se, infl) in zip(controls, stacked):
-            est1, se1, infl1 = objective_influence(spec, flow, a, paths, noise)
+            est1, se1, infl1 = stacked_objective_influence(spec, flow, lambda k: a[None, :, k],
+                                                           paths, noise)[0]
             assert (est, se) == (est1, se1)
             np.testing.assert_array_equal(infl, infl1)
 
@@ -198,7 +204,8 @@ class TestStackedScoring:
                        running_cost=lambda t, x, mu, a: np.zeros(x.shape[0]))
         grid, noise, paths, flow = _setup(spec, n_paths=3000, n_steps=12, seed=9)
         a = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3000, 12, 1))
-        est, se, infl = objective_influence(spec, flow, a, paths, noise)
+        est, se, infl = stacked_objective_influence(spec, flow, lambda k: a[None, :, k], paths,
+                                                    noise)[0]
         weights = control_weights(spec, flow, a, paths, noise)
         est1, se1, infl1 = self_normalized_mean(_terminal_values(spec, flow, paths),
                                                 weights.m_terminal)
@@ -208,9 +215,8 @@ class TestStackedScoring:
     @pytest.mark.parametrize("shape", [(1000, 3, 1), (999, 4, 1)])
     def test_misaligned_controls_rejected(self, lq_spec, shape):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)
-        for score in (control_weights, objective_influence):
-            with pytest.raises(ValueError, match="does not match paths"):
-                score(lq_spec, flow, np.zeros(shape), paths, noise)
+        with pytest.raises(ValueError, match="does not match paths"):
+            control_weights(lq_spec, flow, np.zeros(shape), paths, noise)
 
     def test_rejects_nonfinite_drift(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)
@@ -286,6 +292,65 @@ def _loop_features(basis, k, x, xc):
 def _assert_bitwise(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _searchsorted_bilinear(x_axis, k_axis, table, x, key):
+    """The table lookup with both axis indices from np.searchsorted."""
+    xq = np.clip(x, x_axis[0], x_axis[-1])
+    kq = np.clip(key, k_axis[0], k_axis[-1])
+    ix = np.clip(np.searchsorted(x_axis, xq, side="right") - 1, 0, x_axis.size - 2)
+    ik = np.clip(np.searchsorted(k_axis, kq, side="right") - 1, 0, k_axis.size - 2)
+    tx = ((xq - x_axis[ix]) / (x_axis[ix + 1] - x_axis[ix]))[:, None]
+    tk = ((kq - k_axis[ik]) / (k_axis[ik + 1] - k_axis[ik]))[:, None]
+    return ((1 - tx) * (1 - tk) * table[ix, ik] + tx * (1 - tk) * table[ix + 1, ik]
+            + (1 - tx) * tk * table[ix, ik + 1] + tx * tk * table[ix + 1, ik + 1])
+
+
+class TestBilinear:
+    """The table policy's lookup equals the searchsorted lookup bitwise."""
+
+    @staticmethod
+    def _queries(gen, axis, n):
+        special = np.concatenate([axis, [0.0, -0.0, np.inf, -np.inf, np.nan,
+                                         axis[0] - 1.0, axis[-1] + 1.0]])
+        v = gen.uniform(axis[0] - 0.5, axis[-1] + 0.5, size=n)
+        pick = gen.random(n) < 0.2
+        v[pick] = gen.choice(special, size=int(pick.sum()))
+        return v
+
+    @pytest.mark.parametrize("nx, nk, d_action, uniform", [
+        (41, 41, 1, True), (41, 41, 2, True), (2, 2, 1, True), (7, 13, 1, False),
+        (41, 5, 3, False),
+    ])
+    def test_equals_searchsorted_lookup(self, nx, nk, d_action, uniform):
+        gen = np.random.default_rng(nx * 100 + nk)
+        if uniform:
+            x_axis = np.linspace(-1.3, 2.1, nx)
+            k_axis = np.linspace(0.2, 0.9, nk)
+        else:
+            x_axis = np.sort(gen.normal(size=nx))
+            k_axis = np.sort(gen.normal(size=nk))
+        table = gen.normal(size=(nx, nk, d_action))
+        for n in (1, 50, 20_000):
+            x = self._queries(gen, x_axis, n)
+            key = self._queries(gen, k_axis, n)
+            got = _bilinear(x_axis, k_axis, table, x, key)
+            _assert_bitwise(got, _searchsorted_bilinear(x_axis, k_axis, table, x, key))
+
+    def test_table_policy_actions(self):
+        grid = TimeGrid(horizon=1.0, n_steps=3)
+        gen = np.random.default_rng(8)
+        x_axes = np.stack([np.linspace(-2.0 + k, 2.0 + k, 41) for k in range(3)])
+        key_axes = np.stack([np.linspace(-1.0, 1.0 + k, 41) for k in range(3)])
+        tables = gen.normal(size=(3, 41, 41, 1))
+        policy = MarkovPolicy(grid=grid, kind="table", x_axes=x_axes, key_axes=key_axes,
+                              tables=tables)
+        x = gen.normal(scale=2.0, size=(5000, 1))
+        key = gen.normal(scale=2.0, size=5000)
+        key[::97] = np.nan
+        for k in range(3):
+            want = _searchsorted_bilinear(x_axes[k], key_axes[k], tables[k], x[:, 0], key)
+            _assert_bitwise(policy.actions(k, x, np.zeros((5000, 1)), key), want)
 
 
 class TestFeatureColumns:

@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cnmfg
 from cnmfg import equilibrium
 from cnmfg.cli import ConfigError, parse_config, run_command
 
@@ -127,6 +131,17 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not (out / "residuals.csv").exists()
 
+    @pytest.mark.parametrize("text, flags", [
+        (MINIMAL, ["--paths", "1"]),
+        (MINIMAL.replace("paths = 2000", "paths = 1"), []),
+    ])
+    def test_single_path_is_error(self, tmp_path, capsys, text, flags):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_command(["phi", "--config", str(cfg), "--out-dir", str(out)] + flags) == 1
+        assert "'paths'" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     def test_unknown_flag_is_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL)
         assert run_command(["validate", "--config", str(cfg), "--bogus"]) == 1
@@ -201,3 +216,29 @@ class TestRunCommand:
         h1 = _hash_dir(out1, ("flow.csv",))
         h2 = _hash_dir(out2, ("flow.csv",))
         assert h1 != h2
+
+
+class TestModuleEntryPoint:
+    """``python -m cnmfg`` and ``python -m cnmfg.cli`` run the command line."""
+
+    @staticmethod
+    def _run(tmp_path, *argv):
+        env = dict(os.environ)
+        src = str(Path(cnmfg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("module", ["cnmfg", "cnmfg.cli"])
+    def test_validate_prints_pass(self, tmp_path, module):
+        cfg = _write(tmp_path, MINIMAL)
+        proc = self._run(tmp_path, module, "validate", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert "validation: PASS" in proc.stdout
+
+    @pytest.mark.parametrize("module", ["cnmfg", "cnmfg.cli"])
+    def test_unknown_command_fails(self, tmp_path, module):
+        cfg = _write(tmp_path, MINIMAL)
+        proc = self._run(tmp_path, module, "no-such-command", "--config", str(cfg))
+        assert proc.returncode != 0
+        assert "invalid choice" in proc.stderr

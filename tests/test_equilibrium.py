@@ -45,6 +45,13 @@ class TestSolverConfig:
         cfg = SolverConfig(n_bins=1, min_bin_count=1, flow_order=1.0)
         assert (cfg.n_bins, cfg.min_bin_count, cfg.flow_order) == (1, 1, 1.0)
 
+    @pytest.mark.parametrize("n_paths", [1, 0, -4])
+    def test_paths_at_least_two(self, n_paths):
+        # every reported stderr divides by n_paths - 1
+        with pytest.raises(ValueError, match="'paths'"):
+            SolverConfig(n_paths=n_paths)
+        assert SolverConfig(n_paths=2).n_paths == 2
+
     def test_eval_seed_derived(self):
         cfg = SolverConfig(seed=5)
         assert cfg.eval_seed == 5 + 99_991

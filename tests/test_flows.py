@@ -191,6 +191,45 @@ class TestLpTransport:
                                                           abs=1e-9)
 
 
+def _lexsort_resample(support, weights, n_out):
+    """The stratified subsample with the lexicographic order from np.lexsort."""
+    order = np.lexsort(support.T[::-1])
+    atoms = support[order]
+    cdf = np.cumsum(weights[order])
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, (np.arange(n_out) + 0.5) / n_out, side="left")
+    return atoms[np.minimum(idx, atoms.shape[0] - 1)]
+
+
+def _resample_cases(gen):
+    for d in (1, 2, 3):
+        for n in (1, 2, 3, 257, 5000, 20_000):
+            x = gen.normal(size=(n, d))
+            clamped = x.copy()
+            clamped[:, 0] = np.clip(clamped[:, 0], -0.5, 0.5)     # clamped states tie
+            rounded = np.round(x, 1)
+            one_nan = x.copy()
+            one_nan[gen.integers(n), 0] = np.nan
+            nans = rounded.copy()
+            nans[gen.random((n, d)) < 0.05] = np.nan
+            zeros = rounded.copy()
+            zeros[:, 0] = np.where(gen.random(n) < 0.5, 0.0, -0.0)
+            for support in (x, clamped, rounded, one_nan, nans, zeros):
+                for w in (np.full(n, 1.0 / n), gen.random(n) * (gen.random(n) < 0.9) + 1e-3):
+                    yield support, w
+
+
+class TestSystematicResample:
+    def test_equals_lexsort_order(self):
+        gen = np.random.default_rng(31)
+        for support, w in _resample_cases(gen):
+            for n_out in (1, 256):
+                got = flows_mod._systematic_resample(support, w, n_out)
+                want = _lexsort_resample(support, w, n_out)
+                assert got.shape == want.shape == (n_out, support.shape[1])
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestMetricAxioms:
     @given(a=atoms_1d(), b=atoms_1d(), q=st.sampled_from([1.0, 2.0]))
     def test_symmetry(self, a, b, q):
@@ -778,6 +817,21 @@ class TestLookup:
         assert flow.measure(k, flow.assign(k, [-1e6])[0]) is flow.measure(10, 0)
         last = flow.bins_at(10).n_bins - 1
         assert flow.measure(k, flow.assign(k, [1e6])[0]) is flow.measure(10, last)
+
+    def test_assign_equals_searchsorted_on_interior_edges(self, lq_spec, small_config):
+        noise = generate_noise(4000, small_config.grid(lq_spec), 14, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        gen = np.random.default_rng(2)
+        for n_bins in (1, 4, 16):
+            flow = estimate_conditional_flow(paths, None, n_bins, min_bin_count=32)
+            for k in (0, 5, flow.grid.n_steps):
+                edges = flow.bins_at(k).edges
+                keys = np.concatenate([paths.xc[:, k, 0], edges, gen.normal(size=500),
+                                       [0.0, -0.0, np.inf, -np.inf, np.nan]])
+                got = flow.assign(k, keys)
+                np.testing.assert_array_equal(
+                    got, np.searchsorted(edges[1:-1], keys, side="right"))
+                assert got.dtype == np.intp
 
     def test_snaps_time_within_half_step(self, lq_spec, small_config):
         noise = generate_noise(4000, small_config.grid(lq_spec), 13, 1, 1)

@@ -14,9 +14,11 @@ from cnmfg.sde import (
     _increment_sanity_check,
     _philox_key,
     generate_noise,
+    searchsorted_right,
     simulate_common_state,
     simulate_driftless_state,
     simulate_markov_sde,
+    sorted_ties,
     stable_argsort,
 )
 from cnmfg.equilibrium import initial_flow
@@ -59,6 +61,74 @@ class TestStableArgsort:
     ])
     def test_edge_cases(self, v):
         self._check(v)
+
+
+class TestSortedTies:
+    @pytest.mark.parametrize("s, want", [
+        (np.array([]), []),
+        (np.array([1.0]), []),
+        (np.array([-0.0, 0.0, 1.0]), [True, False]),
+        (np.array([1.0, np.nan, np.nan]), [False, True]),
+        (np.array([-np.inf, -np.inf, np.inf, np.nan]), [True, False, False]),
+        (np.array([1, 2, 2, 3]), [False, True, False]),
+    ])
+    def test_adjacent_equal_values(self, s, want):
+        np.testing.assert_array_equal(sorted_ties(s), np.array(want, dtype=bool))
+
+
+def _edge_arrays(gen):
+    """Sorted edge arrays of every length and shape the lookups see, and the
+    lengths that go to np.searchsorted (more than 64 edges, a NaN edge)."""
+    arrays = [np.array([]), np.array([0.0]), np.array([-0.0]), np.array([np.inf])]
+    for n in (1, 2, 15, 41, 64, 65, 100, 300):
+        lo = gen.normal()
+        arrays.append(np.linspace(lo, lo + gen.uniform(0.01, 8.0), n))     # a table axis
+        arrays.append(np.sort(gen.normal(size=n)))                         # quantile edges
+        arrays.append(np.sort(np.round(gen.normal(size=n), 1)))           # repeated edges
+    arrays.append(np.array([-np.inf, -1.0, 0.0, 0.0, 2.0, np.inf]))
+    arrays.append(np.array([-1.0, 0.5, np.nan]))
+    arrays.append(np.array([np.nan, np.nan]))
+    return arrays
+
+
+def _values_for(gen, edges, n):
+    v = gen.normal(scale=2.0, size=n)
+    if n:
+        special = np.concatenate([edges, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        pick = gen.random(n) < 0.3
+        v[pick] = gen.choice(special, size=int(pick.sum()))
+    return v
+
+
+class TestSearchsortedRight:
+    @staticmethod
+    def _check(edges, values):
+        got = searchsorted_right(edges, values)
+        want = np.searchsorted(edges, values, side="right")
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype == np.intp
+        assert got.shape == np.shape(want)
+
+    def test_equals_numpy_on_random_inputs(self):
+        gen = np.random.default_rng(23)
+        for edges in _edge_arrays(gen):
+            for n in (0, 1, 7, 300, int(gen.integers(1000, 20_001)), 20_000):
+                self._check(edges, _values_for(gen, edges, n))
+
+    def test_values_on_edges_signed_zeros_infinities_and_nan(self):
+        edges = np.array([-np.inf, -2.0, -0.0, 0.0, 0.0, 1.5, 1.5, 3.0])
+        values = np.array([-np.inf, -2.0, -0.0, 0.0, 1.5, 3.0, np.inf, np.nan,
+                           np.nextafter(1.5, 0), np.nextafter(1.5, 2), -5.0, 9.0])
+        self._check(edges, values)
+        self._check(edges[1:-1], values)
+        self._check(np.linspace(-1.0, 1.0, 41), np.concatenate([np.linspace(-1.0, 1.0, 41),
+                                                                values]))
+
+    def test_scalar_integer_and_two_dimensional_values(self):
+        edges = np.linspace(-1.0, 1.0, 15)
+        self._check(edges, 0.25)
+        self._check(edges, np.arange(-3, 4))
+        self._check(edges, np.random.default_rng(3).normal(size=(50, 3)))
 
 
 class TestTimeGrid:
