@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """High-resolution reference run (1e5 paths, 32 bins) for the LQ-1 instance.
 
-Regenerates REFERENCE_Y0, the frozen value that the acceptance suite
-regression-tests against.  Run once after any change that intentionally moves
-the numbers and paste the printed constant into tests/test_acceptance.py.  The
-final residual, exploitability and flow consistency are printed for
+Reruns the solve that REFERENCE_Y0, the value the acceptance suite
+regression-tests against, was frozen from.  Run it after any change that
+intentionally moves the numbers and report the printed y0 next to the frozen
+one in CHANGES.md; REFERENCE_Y0 in tests/test_acceptance.py stays as it is.
+The final residual, exploitability and flow consistency are printed for
 information only; no test reads them.
 """
 
@@ -33,7 +34,7 @@ def main():
                                         min_bin_count=config.min_bin_count)
     consistency = flow_distance(re_flow, result.flow, 2.0)
 
-    print("frozen reference constant:")
+    print("rerun of the frozen reference constant:")
     print(f"  REFERENCE_Y0 = {result.report.rows[-1].y0!r}")
     print("for information:")
     print(f"  reference residual = {result.report.rows[-1].residual!r}")

@@ -6,23 +6,25 @@ Hamiltonian evaluated pathwise at the regressed integrand, and the value is
 regressed from value-plus-driver.  The feedback control is the Hamiltonian
 minimizer at the regressed integrand.
 
+Feature matrices are built feature-major: ``features`` fills an
+(n_features, n) block one contiguous feature at a time and returns its
+(n, n_features) F-ordered transpose view, on which the ridge regressions run.
 The basis statistics are fitted once per reference bundle and degree
-(``BasisSpec.fit_stats``), one step at a time, on the feature-major
-(n_vars, n) and (n_features, n) blocks ``features`` builds before its
-transpose.  Their sums run left to right along the path axis, the order a
-path-major ``mean``/``std(axis=0)`` adds in, so the statistics, and every
-regression standardized by them, keep those bits; a pairwise sum along the
-contiguous rows would change their last digits.
+(``BasisSpec.fit_stats``), one step at a time, as numpy's pairwise row means
+and standard deviations of the same blocks.  The smoothed integrand folds its
+window's per-step fits into one polynomial in the inputs
+(``BasisSpec.coef_on``), so a policy evaluation builds one basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import comb
 
 from .flows import ConditionalMeasureFlow
 from .girsanov import (GirsanovWeights, log_increments, self_normalized_mean,
@@ -100,7 +102,6 @@ class BasisSpec:
         stats = np.empty((n_steps1, 2, n_vars))
         col_stats = np.zeros((n_steps1, 2, n_feat))
         col_stats[:, 1] = 1.0   # the intercept stays the constant one
-        fitted = BasisSpec(degree=self.degree, ridge=self.ridge, stats=stats)
         # one set of buffers for all steps: per-step temporaries of this size
         # go back to the system when freed and fault in again at the next step
         raw, cols = np.empty((n_vars, n)), np.empty((n_feat, n))
@@ -112,18 +113,16 @@ class BasisSpec:
             # a degenerate (constant) variable contributes nothing: mapping it
             # to zero keeps off-sample evaluation benign instead of exploding
             stats[k] = mean, np.where(std < 1e-10, np.inf, std)
-            mean, std = _row_mean_std(fitted._monomials(k, raw, cols)[1:], work)
+            raw -= stats[k, 0][:, None]
+            raw /= stats[k, 1][:, None]
+            mean, std = _row_mean_std(self._monomials(raw, cols)[1:], work)
             col_stats[k, :, 1:] = mean, np.where(std < 1e-12, np.inf, std)
-        fitted.col_stats = col_stats
-        return fitted
+        return BasisSpec(degree=self.degree, ridge=self.ridge, stats=stats, col_stats=col_stats)
 
-    def _monomials(self, k: int, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` (n_features, n) filled with the monomials of step k's inputs
-        ``raw`` (n_vars, n), which are standardized by ``stats`` in place."""
-        raw -= self.stats[k, 0][:, None]
-        raw /= self.stats[k, 1][:, None]
-        powers = [[None, zv] + [zv ** p for p in range(2, self.degree + 1)] for zv in raw]
-        for j, e in enumerate(self.exponents(raw.shape[0])):
+    def _monomials(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` (n_features, n) filled with the monomials of the rows of ``z`` (n_vars, n)."""
+        powers = [[None, zv] + [zv ** p for p in range(2, self.degree + 1)] for zv in z]
+        for j, e in enumerate(self.exponents(z.shape[0])):
             factors = [powers[v][p] for v, p in enumerate(e) if p]
             if not factors:
                 out[j] = 1.0
@@ -134,35 +133,58 @@ class BasisSpec:
                 out[j] *= f
         return out
 
+    def monomials(self, x: np.ndarray, xc: np.ndarray, centre: np.ndarray,
+                  scale: np.ndarray) -> np.ndarray:
+        """(n, n_features) F-ordered monomials of the inputs standardized as
+        (input - centre) / scale, one entry per input variable."""
+        z = np.concatenate([np.atleast_2d(x).T, np.atleast_2d(xc).T], dtype=float)
+        z -= centre[:, None]
+        z /= scale[:, None]
+        return self._monomials(z, np.empty((self.n_features(z.shape[0]), z.shape[1]))).T
+
     def features(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
-        """(n, n_features) C-contiguous columns of step k: monomials of the
+        """(n, n_features) F-ordered columns of step k: monomials of the
         standardized inputs, then standardized by ``col_stats`` when fitted."""
         if self.stats is None:
             raise ValueError("basis statistics not fitted")
-        raw = np.concatenate([np.atleast_2d(x).T, np.atleast_2d(xc).T], dtype=float)
-        cols = self._monomials(k, raw, np.empty((self.n_features(raw.shape[0]), raw.shape[1])))
+        cols = self.monomials(x, xc, *self.stats[k]).T    # the (n_features, n) block
         if self.col_stats is not None:
             cols -= self.col_stats[k, 0][:, None]
             cols /= self.col_stats[k, 1][:, None]
             cols[0] = 1.0
-        return np.ascontiguousarray(cols.T)
+        return cols.T
+
+    def coef_on(self, k: int, coef: np.ndarray, centre: np.ndarray,
+                scale: np.ndarray) -> np.ndarray:
+        """``coef`` (m, n_features) on step k's features re-expressed on
+        ``monomials(., ., centre, scale)``, equal up to rounding.
+
+        Each of step k's standardized inputs is a_v * u_v + b_v in
+        u_v = (input - centre) / scale (a_v = 0 for a degenerate variable), so
+        by the binomial theorem the monomial z^e is the sum over f <= e of
+        prod_v C(e_v, f_v) a_v^f_v b_v^(e_v - f_v) u^f.
+        """
+        mean, std = self.stats[k]
+        a, b = scale / std, (centre - mean) / std
+        g = np.array(coef, dtype=float)
+        if self.col_stats is not None:
+            # the column standardization folded in; the intercept stays one
+            col_mean, col_std = self.col_stats[k, :, 1:]
+            g[:, 1:] /= col_std
+            g[:, 0] -= g[:, 1:] @ col_mean
+        exps = np.array(self.exponents(mean.size))
+        e, f = exps[:, None, :], exps[None, :, :]          # C(e, f) is zero unless f <= e
+        return g @ (comb(e, f) * a ** f * b ** np.maximum(e - f, 0)).prod(axis=2)
 
 
 def _row_mean_std(a: np.ndarray, work: np.ndarray):
-    """Mean and (population) standard deviation of each row of ``a`` (m, n),
-    with ``work[:m]`` as scratch.
-
-    Each sum runs left to right along the row (the last element of a running
-    sum), the order in which ``mean``/``std(axis=0)`` add up a path-major
-    (n, m) array, so the statistics have those bits; ``a.mean(axis=1)`` would
-    sum pairwise and round differently.
-    """
+    """``a.mean(axis=1)`` and ``a.std(axis=1)`` of ``a`` (m, n), pairwise sums
+    along the contiguous rows, with ``work[:m]`` as scratch."""
     m, n = a.shape
-    acc = np.cumsum(a, axis=1, out=work[:m])
-    mean = acc[:, -1] / n
-    dev = np.subtract(a, mean[:, None], out=acc)
+    mean = a.sum(axis=1) / n
+    dev = np.subtract(a, mean[:, None], out=work[:m])
     dev *= dev
-    return mean, np.sqrt(np.cumsum(dev, axis=1, out=dev)[:, -1] / n)
+    return mean, np.sqrt(dev.sum(axis=1) / n)
 
 
 def _ridge_factor(feats: np.ndarray, ridge: float, sample_w: Optional[np.ndarray] = None):
@@ -201,23 +223,29 @@ class BsdeSolution:
     y0_stderr: float
     residual_var: np.ndarray     # (n_steps,)
     control_samples: Optional[np.ndarray] = None   # (n, n_steps, d_action), step-major
-
-    def z_at(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
-        return self.basis.features(k, x, xc) @ self.z_coef[k].T
+    _window_coef: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def z_smoothed(self, k: int, x: np.ndarray, xc: np.ndarray, window: int = 9) -> np.ndarray:
         """Integrand averaged over a centred step window.
 
         The integrand is continuous in time, so averaging the per-step fits
-        trades an O(window * dt) bias for a substantial variance cut; each
-        neighbour is evaluated under its own standardization.
+        trades an O(window * dt) bias for a substantial variance cut.  Each
+        neighbour's fit, under its own standardization, is a polynomial in
+        the inputs; their mean is folded into one coefficient matrix on the
+        monomials of the inputs standardized by step k's statistics (scale one
+        for a variable constant at step k), cached per (step, window).
         """
-        n_steps = self.z_coef.shape[0]
-        lo, hi = max(0, k - window // 2), min(n_steps, k + window // 2 + 1)
-        out = self.z_at(lo, x, xc)
-        for j in range(lo + 1, hi):
-            out = out + self.z_at(j, x, xc)
-        return out / (hi - lo)
+        fold = self._window_coef.get((k, window))
+        if fold is None:
+            n_steps = self.z_coef.shape[0]
+            lo, hi = max(0, k - window // 2), min(n_steps, k + window // 2 + 1)
+            centre, std = self.basis.stats[k]
+            scale = np.where(np.isinf(std), 1.0, std)
+            coef = sum(self.basis.coef_on(j, self.z_coef[j], centre, scale)
+                       for j in range(lo, hi)) / (hi - lo)
+            fold = self._window_coef[(k, window)] = (centre, scale, coef)
+        centre, scale, coef = fold
+        return self.basis.monomials(x, xc, centre, scale) @ coef.T
 
 
 def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
@@ -348,10 +376,13 @@ def _bilinear(x_axis: np.ndarray, k_axis: np.ndarray, table: np.ndarray,
     tk = (kq - k_axis[ik]) / (k_axis[ik + 1] - k_axis[ik])
     tx = tx[:, None]
     tk = tk[:, None]
-    v00 = table[ix, ik]
-    v10 = table[ix + 1, ik]
-    v01 = table[ix, ik + 1]
-    v11 = table[ix + 1, ik + 1]
+    nk = k_axis.size
+    flat = table.reshape(-1, table.shape[-1])
+    at = ix * nk + ik                    # flat row of table[ix, ik]
+    v00 = flat[at]
+    v10 = flat[at + nk]
+    v01 = flat[at + 1]
+    v11 = flat[at + nk + 1]
     return ((1 - tx) * (1 - tk) * v00 + tx * (1 - tk) * v10
             + (1 - tx) * tk * v01 + tx * tk * v11)
 
@@ -373,17 +404,20 @@ def _control_array(control_samples: np.ndarray, paths: PathBundle) -> np.ndarray
 def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                     control_samples: np.ndarray, paths: PathBundle,
                     noise: NoiseBundle) -> GirsanovWeights:
-    """Girsanov weights of an adapted control: the stochastic exponential of sigma^-1 b."""
+    """Girsanov weights of an adapted control: the stochastic exponential of sigma^-1 b.
+
+    The drifts are evaluated one step at a time as ``stochastic_exponential``
+    accumulates them, so no (n, n_steps, d_state) drift array exists.
+    """
     a = _control_array(control_samples, paths)
-    grid = paths.grid
     sig_inv_t = spec.sigma_inv.T
-    lam = step_major(paths.n_paths, grid.n_steps, spec.d_state)
-    for k in range(grid.n_steps):
-        t_k = grid.times[k]
-        lam[:, k] = flow.per_bin(
+
+    def step_drift(k):
+        t_k = paths.grid.times[k]
+        return flow.per_bin(
             k, paths, lambda mu, x, a_k: np.asarray(spec.drift(t_k, x, mu, a_k), float) @ sig_inv_t,
             paths.x[:, k], a[:, k])
-    return stochastic_exponential(spec, lam, noise)
+    return stochastic_exponential(spec, step_drift, noise)
 
 
 def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
@@ -392,12 +426,13 @@ def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
 
     ``step_actions(k)`` gives the (C, n, d_action) actions at step k.  The
     running cost and each control's terminal log-weight are accumulated in
-    step order, the order of ``stochastic_exponential``'s cumulative sum, and
+    step order, the order in which ``stochastic_exponential`` accumulates, and
     the terminal cost is added last; each payoff is then self-normalized by
-    its own weights.  Returns one (estimate, stderr, influence) triple per
-    control; control c's triple equals bitwise the self-normalized mean of its
-    payoff under ``control_weights(...).m_terminal``.  Only (n, C) arrays
-    persist across steps.
+    its own weights, shifted by their own maximum.  Returns one (estimate,
+    stderr, influence) triple per control; control c's triple equals bitwise
+    the self-normalized mean of its payoff under
+    ``control_weights(...).m_scaled[:, -1]``.  Only (n, C) arrays persist
+    across steps.
     """
     grid = paths.grid
     sig_inv_t = spec.sigma_inv.T
@@ -422,7 +457,7 @@ def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
         run_cost = run_cost + cost
         log_m = log_m + log_increments(lam, noise.dw[:, k, None], grid.dt)
     payoff = run_cost + _terminal_values(spec, flow, paths)[:, None]
-    m_terminal = np.exp(log_m)
+    m_terminal = np.exp(log_m - log_m.max(axis=0))    # each control shifted by its own max
     return [self_normalized_mean(payoff[:, j], m_terminal[:, j]) for j in range(payoff.shape[1])]
 
 

@@ -52,7 +52,7 @@ class EmpiricalMeasure:
         else:
             weights = np.asarray(weights, dtype=float).ravel()
             total = weights.sum()
-            if total <= 0:
+            if not 0 < total < np.inf:
                 raise ValueError("empirical measure needs positive total mass")
             weights = weights / total
         self.support = support
@@ -71,10 +71,6 @@ class EmpiricalMeasure:
     @property
     def dim(self) -> int:
         return self.support.shape[1]
-
-    @property
-    def n_atoms(self) -> int:
-        return self.support.shape[0]
 
     def summary(self, p: float = 2.0) -> MeasureSummary:
         return MeasureSummary(self.support, self.weights, p=p)
@@ -352,7 +348,8 @@ def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
     ends = np.cumsum(counts)
     starts = ends - counts
     totals = np.array([w_block[lo:hi].sum() for lo, hi in zip(starts, ends)])
-    if np.any(totals[counts > 0] <= 0):
+    kept = totals[counts > 0]
+    if not np.all((kept > 0) & (kept < np.inf)):
         raise ValueError("empirical measure needs positive total mass")
     w_block /= np.repeat(totals, counts)
     measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi]) if hi > lo
@@ -526,17 +523,13 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     else:
         raise ValueError(f"unknown conditioning mode {mode!r}")
 
+    w_steps = step_major(n, grid.n_steps + 1)
     if weights is None:
-        w_steps = step_major(n, grid.n_steps + 1)
         w_steps.fill(1.0 / n)
     else:
-        w_steps = weights.m.copy(order="K")
-        # each step's total summed path after path, the order in which a sum
-        # over the path axis of a path-major array adds, so the weights keep
-        # their bits in either layout
-        running = np.empty(n)
+        w_steps[...] = weights.m_scaled
         for k in range(w_steps.shape[1]):
-            w_steps[:, k] /= np.cumsum(w_steps[:, k], out=running)[-1]
+            w_steps[:, k] /= w_steps[:, k].sum()     # pairwise along the contiguous step
     return ConditionalMeasureFlow(
         paths=x_paths, src_w=w_steps,
         steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count),

@@ -2,7 +2,9 @@
 
 Weights are accumulated in the log domain; linear-domain values are produced
 lazily.  All expectation estimators are self-normalized ratios, so the
-discretization bias of the normalizing constant cancels.
+discretization bias of the normalizing constant cancels, and so does any
+per-step constant factor: normalized weights come from ``m_scaled``, which
+divides out each step's largest weight in the log domain and cannot overflow.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ __all__ = [
 class GirsanovWeights:
     grid: TimeGrid
     log_m: np.ndarray                       # (n_paths, n_steps + 1), log M_t, step-major
-    _m: Optional[np.ndarray] = field(default=None, repr=False)
+    # caches of functions of log_m; not init fields, so ``replace`` never carries them over
+    _m: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _m_scaled: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
@@ -46,22 +50,44 @@ class GirsanovWeights:
     def m_terminal(self) -> np.ndarray:
         return self.m[:, -1]
 
+    @property
+    def m_scaled(self) -> np.ndarray:
+        """exp(log M - its per-step maximum over paths), in the layout of ``log_m``.
 
-def stochastic_exponential(spec: ProblemSpec, drift_samples: np.ndarray,
-                           noise: NoiseBundle) -> GirsanovWeights:
+        Proportional to ``m`` at every step, so self-normalized estimators
+        are unchanged, but finite wherever ``log_m`` is: the largest weight of
+        each step is one.
+        """
+        if self._m_scaled is None:
+            shifted = self.log_m - self.log_m.max(axis=0)
+            self._m_scaled = np.exp(shifted, out=shifted)
+        return self._m_scaled
+
+
+def stochastic_exponential(spec: ProblemSpec, drift_samples, noise: NoiseBundle
+                           ) -> GirsanovWeights:
     """Exponential martingale of the supplied sigma^-1 drift against W.
 
-    ``drift_samples`` has shape (n_paths, n_steps, d_state) and already contains
-    sigma^-1 b evaluations;  log M accumulates lambda . dW - |lambda|^2 dt / 2.
+    ``drift_samples`` is an (n_paths, n_steps, d_state) array of sigma^-1 b
+    evaluations, or a callable giving step k's (n_paths, d_state) drifts, which
+    is called once per step in step order.  log M accumulates
+    lambda . dW - |lambda|^2 dt / 2 one step at a time, straight into the
+    step-major ``log_m``.
     """
-    lam = np.asarray(drift_samples, float)
-    if lam.shape != noise.dw.shape:
-        raise ValueError(f"drift_samples shape {lam.shape} != increments shape {noise.dw.shape}")
-    if not np.all(np.isfinite(lam)):
-        path, step = np.argwhere(~np.isfinite(lam).all(axis=2))[0]
-        raise RuntimeError(f"non-finite drift sample at path {path}, step {step}")
-    log_m = step_major(lam.shape[0], noise.grid.n_steps + 1)
-    np.cumsum(log_increments(lam, noise.dw, noise.grid.dt), axis=1, out=log_m[:, 1:])
+    dw, dt = noise.dw, noise.grid.dt
+    lam = drift_samples if callable(drift_samples) else np.asarray(drift_samples, float)
+    if not callable(lam) and lam.shape != dw.shape:
+        raise ValueError(f"drift_samples shape {lam.shape} != increments shape {dw.shape}")
+    log_m = step_major(dw.shape[0], noise.grid.n_steps + 1)
+    for k in range(noise.grid.n_steps):
+        lam_k = np.asarray(lam(k) if callable(lam) else lam[:, k], float)
+        if lam_k.shape != dw[:, k].shape:
+            raise ValueError(f"step {k} drift shape {lam_k.shape} != increments shape "
+                             f"{dw[:, k].shape}")
+        bad = ~np.isfinite(lam_k).all(axis=1)
+        if bad.any():
+            raise RuntimeError(f"non-finite drift sample at path {np.argmax(bad)}, step {k}")
+        np.add(log_m[:, k], log_increments(lam_k, dw[:, k], dt), out=log_m[:, k + 1])
     return GirsanovWeights(grid=noise.grid, log_m=log_m)
 
 

@@ -51,9 +51,10 @@ class SingularDiffusionError(ValueError):
 
 
 class MeasureSummary:
-    """Finite-support probability measure with cached mean and p-th moment."""
+    """Finite-support probability measure with its mean; the p-th moment is
+    computed on first access and cached."""
 
-    __slots__ = ("support", "weights", "mean", "pth_moment", "p")
+    __slots__ = ("support", "weights", "mean", "p", "_pth_moment")
 
     def __init__(self, support, weights, p: float = 2.0):
         support = np.atleast_2d(np.asarray(support, dtype=float))
@@ -69,7 +70,13 @@ class MeasureSummary:
         self.weights = weights
         self.p = float(p)
         self.mean = weights @ support
-        self.pth_moment = float(weights @ np.linalg.norm(support, axis=1) ** p)
+        self._pth_moment = None
+
+    @property
+    def pth_moment(self) -> float:
+        if self._pth_moment is None:
+            self._pth_moment = float(self.weights @ np.linalg.norm(self.support, axis=1) ** self.p)
+        return self._pth_moment
 
     @classmethod
     def from_atoms(cls, support, weights=None, p: float = 2.0) -> "MeasureSummary":

@@ -79,7 +79,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         raise ValueError("action_samples misaligned with paths")
 
     fitted = basis.fit_stats(paths)
-    m = weights.m
+    m = weights.m_scaled
     x_axes = np.empty((n_steps, n_x))
     key_axes = np.empty((n_steps, n_key))
     tables = np.empty((n_steps, n_x, n_key, spec.d_action))
@@ -171,7 +171,7 @@ def mimicking_check(spec: ProblemSpec, original: tuple, policy: MarkovPolicy,
         if checked_steps[-1] != grid.n_steps:
             checked_steps.append(grid.n_steps)
     new_paths = simulate_markov_sde(spec, policy, flow, fresh_noise)
-    m = weights.m
+    m = weights.m_scaled
     vals = []
     for k in checked_steps:
         joint_a = np.column_stack([paths.x[:, k, 0], paths.xc[:, k, 0]])

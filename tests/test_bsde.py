@@ -199,7 +199,8 @@ class TestStackedScoring:
     @pytest.mark.parametrize("family", ["lq", "tanh"])
     def test_terminal_only_payoff_under_control_weights(self, family):
         # with no running cost the payoff is the terminal cost, so the scoring
-        # pass and control_weights (the weights apply_phi uses) must agree
+        # pass and control_weights (the weights apply_phi uses), both shifted
+        # by the terminal step's largest log-weight, must agree
         spec = replace(cnmfg.make_instance(family),
                        running_cost=lambda t, x, mu, a: np.zeros(x.shape[0]))
         grid, noise, paths, flow = _setup(spec, n_paths=3000, n_steps=12, seed=9)
@@ -208,9 +209,31 @@ class TestStackedScoring:
                                                     noise)[0]
         weights = control_weights(spec, flow, a, paths, noise)
         est1, se1, infl1 = self_normalized_mean(_terminal_values(spec, flow, paths),
-                                                weights.m_terminal)
+                                                weights.m_scaled[:, -1])
         assert (est, se) == (est1, se1)
         np.testing.assert_array_equal(infl, infl1)
+
+    @pytest.mark.parametrize("family", ["lq", "tanh"])
+    def test_control_weights_equal_the_materialised_drifts(self, family):
+        spec = cnmfg.make_instance(family)
+        grid, noise, paths, flow = _setup(spec, n_paths=3000, n_steps=12, seed=9)
+        a = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3000, 12, 1))
+        lam = step_major(3000, 12, spec.d_state)    # the drift array once materialised
+        for k in range(12):
+            lam[:, k] = flow.per_bin(k, paths, lambda mu, x, a_k: np.asarray(
+                spec.drift(grid.times[k], x, mu, a_k), float) @ spec.sigma_inv.T,
+                paths.x[:, k], a[:, k])
+        got = control_weights(spec, flow, a, paths, noise).log_m
+        want = cnmfg.stochastic_exponential(spec, lam, noise).log_m
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_control_weights_name_a_nonfinite_drift(self, lq_spec):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)
+        a = np.zeros((1000, 4, 1))
+        a[7, 2, 0] = np.nan
+        a[3, 3, 0] = np.inf
+        with pytest.raises(RuntimeError, match=r"path 7, step 2"):
+            control_weights(lq_spec, flow, a, paths, noise)
 
     @pytest.mark.parametrize("shape", [(1000, 3, 1), (999, 4, 1)])
     def test_misaligned_controls_rejected(self, lq_spec, shape):
@@ -354,7 +377,9 @@ class TestBilinear:
 
 
 class TestFeatureColumns:
-    """``BasisSpec.features`` equals the column-by-column monomial loop bitwise."""
+    """``BasisSpec.features`` equals the column-by-column monomial loop bitwise, and
+    the fitted statistics are numpy's pairwise means and stds of each step's
+    feature-major rows."""
 
     @staticmethod
     def _paths(d_state, n=600, n_steps=4, seed=3, layout="path-major"):
@@ -372,13 +397,14 @@ class TestFeatureColumns:
     @pytest.mark.parametrize("layout", ["path-major", "step-major"])
     @pytest.mark.parametrize("d_state", [1, 2])
     def test_input_stats_equal_path_major_moments(self, layout, d_state):
-        # the input statistics are a path-major mean/std(axis=0), bit for bit
+        # the input statistics are the mean/std(axis=-1) of each step's
+        # contiguous feature-major rows, bit for bit, in either bundle layout
         paths = self._paths(d_state, n=5000, layout=layout)
         raw = np.concatenate([np.asarray(paths.x), np.asarray(paths.xc)], axis=2)
-        raw = np.ascontiguousarray(raw)         # (n, n_steps + 1, n_vars) path-major
+        raw = np.ascontiguousarray(raw.transpose(1, 2, 0))     # (n_steps + 1, n_vars, n)
         basis = BasisSpec(degree=2).fit_stats(paths)
-        std = raw.std(axis=0)
-        _assert_bitwise(basis.stats[:, 0], raw.mean(axis=0))
+        std = raw.std(axis=-1)
+        _assert_bitwise(basis.stats[:, 0], raw.mean(axis=-1))
         _assert_bitwise(basis.stats[:, 1], np.where(std < 1e-10, np.inf, std))
         assert np.isinf(basis.stats[:2, 1, d_state - 1]).all()
         assert np.isinf(basis.stats[0, 1, d_state])             # the point-mass common state
@@ -402,10 +428,11 @@ class TestFeatureColumns:
         raw_x, raw_xc = paths.x.reshape(-1, d_state), paths.xc.reshape(-1, 1)
         rng = np.random.default_rng(degree)
         for k in range(paths.grid.n_steps + 1):
-            # the fitted column statistics come from the loop's columns
-            cols = _loop_monomials(basis, k, paths.x[:, k], paths.xc[:, k])
-            col_std = cols.std(axis=0)
-            _assert_bitwise(basis.col_stats[k, 0, 1:], cols.mean(axis=0)[1:])
+            # the fitted column statistics: the loop's columns, feature-major
+            cols = np.ascontiguousarray(_loop_monomials(basis, k, paths.x[:, k],
+                                                        paths.xc[:, k]).T)
+            col_std = cols.std(axis=1)
+            _assert_bitwise(basis.col_stats[k, 0, 1:], cols.mean(axis=1)[1:])
             _assert_bitwise(basis.col_stats[k, 1, 1:], np.where(col_std < 1e-12, np.inf,
                                                                 col_std)[1:])
             off = (rng.normal(size=(50, d_state)) * 4.0 + 1.0,
@@ -413,11 +440,69 @@ class TestFeatureColumns:
             for x, xc in ((paths.x[:, k], paths.xc[:, k]), off, (raw_x[:1], raw_xc[:1]),
                           (raw_x[7], raw_xc[7])):             # one row, and one 1-d row
                 got = basis.features(k, x, xc)
-                assert got.flags.c_contiguous
+                assert got.flags.f_contiguous
                 _assert_bitwise(got, _loop_features(basis, k, x, xc))
         # column statistics not from a fit: the intercept is still reset to one
         odd = replace(basis, col_stats=rng.normal(size=basis.col_stats.shape) + 2.0)
         _assert_bitwise(odd.features(1, *off), _loop_features(odd, 1, *off))
+
+
+def _window_loop(solution, k, x, xc, window):
+    """The smoothed integrand as first written: the mean of the window's per-step fits."""
+    def z_at(j):
+        return solution.basis.features(j, x, xc) @ solution.z_coef[j].T
+
+    n_steps = solution.z_coef.shape[0]
+    lo, hi = max(0, k - window // 2), min(n_steps, k + window // 2 + 1)
+    out = z_at(lo)
+    for j in range(lo + 1, hi):
+        out = out + z_at(j)
+    return out / (hi - lo)
+
+
+def _assert_fold_close(got, want):
+    # tolerance set before measuring: 1e-12 relative to the integrand's scale
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+
+class TestWindowFold:
+    """``z_smoothed``'s folded coefficients against the per-step window loop."""
+
+    @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (100.0, 0.1)])
+    @pytest.mark.parametrize("d_state", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_equals_window_loop(self, d_state, degree, offset, scale):
+        n_steps = 12
+        # constant inputs at steps 0 and 1, a point-mass common state at step 0
+        paths = TestFeatureColumns._paths(d_state, n_steps=n_steps)
+        paths = PathBundle(grid=paths.grid, x=paths.x * scale + offset,
+                           xc=paths.xc * scale + offset, label="driftless")
+        basis = BasisSpec(degree=degree).fit_stats(paths)
+        n_feat = basis.n_features(d_state + 1)
+        rng = np.random.default_rng(10 * degree + d_state)
+        solution = BsdeSolution(grid=paths.grid, basis=basis, y_coef=np.zeros((n_steps, n_feat)),
+                                z_coef=rng.normal(size=(n_steps, d_state, n_feat)), y0=0.0,
+                                y0_stderr=0.0, residual_var=np.zeros(n_steps))
+        off = (rng.normal(size=(50, d_state)) * 4.0 * scale + 1.0 + offset,
+               rng.normal(size=(50, 1)) * 5.0 * scale - 2.0 + offset)   # off-sample rows
+        for window in (1, 2, 9):
+            for k in range(n_steps):                           # first and last steps included
+                for x, xc in ((paths.x[:, k], paths.xc[:, k]), off):
+                    want = _window_loop(solution, k, x, xc, window)
+                    _assert_fold_close(solution.z_smoothed(k, x, xc, window), want)
+        coef = solution._window_coef[(0, 9)]
+        solution.z_smoothed(0, *off, window=9)
+        assert solution._window_coef[(0, 9)] is coef            # folded once per (step, window)
+
+    def test_solved_integrand(self, lq_spec):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=2000, n_steps=10, seed=4)
+        solution = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=3))
+        x = np.linspace(-3.0, 3.0, 41)[:, None]
+        xc = np.linspace(-2.0, 2.0, 41)[:, None]
+        for k in range(10):
+            _assert_fold_close(solution.z_smoothed(k, x, xc),
+                               _window_loop(solution, k, x, xc, 9))
 
 
 def _writer_policy_csv(policy, path):

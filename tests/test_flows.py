@@ -1,4 +1,5 @@
 import csv
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,6 +389,24 @@ class TestFlowDistance:
             flow_distance(m, m2, 2.0)
 
 
+class TestPositiveMass:
+    """A NaN or infinite total mass is rejected like a non-positive one."""
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 1.0], [0.0, 0.0]])
+    def test_empirical_measure(self, weights):
+        with pytest.raises(ValueError, match="positive total mass"):
+            EmpiricalMeasure([1.0, 2.0], weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_step_bins(self, bad):
+        keys = np.linspace(-1.0, 1.0, 400)
+        weights = np.full(400, 1.0 / 400)
+        weights[123] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="positive total mass"):
+            flows_mod._make_step_bins(keys, np.arange(400), keys[:, None], weights, 4, 16,
+                                      lambda: np.arange(400))
+
+
 class TestEstimateFlow:
     def test_single_bin_is_unconditional_law(self, lq_spec, small_config):
         noise = generate_noise(4000, small_config.grid(lq_spec), 3, 1, 1)
@@ -430,12 +449,34 @@ class TestEstimateFlow:
         noise = generate_noise(4000, grid, 9, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
         w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
-        want = np.ascontiguousarray(w.m)
-        want /= want.sum(axis=0, keepdims=True)
+        # per step: exp(log M - its max), over its pairwise sum along the step
+        log_m = np.ascontiguousarray(w.log_m.T)                 # (n_steps + 1, n)
+        want = np.exp(log_m - log_m.max(axis=1, keepdims=True))
+        want = (want / want.sum(axis=1, keepdims=True)).T
         path_major = GirsanovWeights(grid=grid, log_m=np.ascontiguousarray(w.log_m))
         for weights in (w, path_major):
             flow = estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
             np.testing.assert_array_equal(flow.src_w, want)
+
+    def test_overflowing_log_weight_keeps_weights_finite(self, lq_spec):
+        # exp(800) overflows; normalizing in the log domain divides out each
+        # step's largest weight, and the other paths, 200 lower, keep a mass
+        noise = generate_noise(4000, TimeGrid(1.0, 10), 9, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        log_m = np.random.default_rng(2).normal(scale=0.1, size=(4000, 11))
+        log_m[:, 0] = 0.0
+        log_m[:, 3:] += 600.0
+        log_m[17, 3:] = 800.0
+        weights = GirsanovWeights(grid=noise.grid, log_m=log_m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flow = estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
+        assert np.all(np.isfinite(flow.src_w))
+        np.testing.assert_allclose(flow.src_w.sum(axis=0), 1.0, rtol=1e-12)
+        assert np.all(flow.src_w[17, 3:] > 0.99)
+        for k in (2, 3, 10):
+            for mu in flow.steps[k].measures:
+                assert np.all(np.isfinite(mu.weights))
 
     def test_common_state_must_be_scalar(self, lq_spec):
         noise = generate_noise(100, TimeGrid(1.0, 3), 7, 1, 2)

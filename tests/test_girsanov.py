@@ -4,6 +4,7 @@ import pytest
 import cnmfg
 from cnmfg.girsanov import (
     GirsanovWeights,
+    log_increments,
     self_normalized_mean,
     stochastic_exponential,
     weighted_conditional_values,
@@ -71,6 +72,35 @@ class TestStochasticExponential:
         lam[3, 2, 0] = np.nan
         with pytest.raises(RuntimeError, match=r"path 3, step 2"):
             stochastic_exponential(lq_spec, lam, noise)
+
+    @pytest.mark.parametrize("d_state", [1, 2])
+    def test_streamed_drifts_equal_the_materialised_running_sum(self, lq_spec, d_state):
+        noise = generate_noise(3000, TimeGrid(1.0, 12), 4, d_state=d_state, d_common=1)
+        lam = np.random.default_rng(d_state).normal(scale=0.7, size=noise.dw.shape)
+        # the running sum of the materialised increments, as first written
+        want = np.cumsum(log_increments(lam, noise.dw, noise.grid.dt), axis=1)
+        for drifts in (lam, lambda k: lam[:, k].copy()):
+            log_m = stochastic_exponential(lq_spec, drifts, noise).log_m
+            assert np.all(log_m[:, 0] == 0.0)
+            np.testing.assert_array_equal(log_m[:, 1:].view(np.int64), want.view(np.int64))
+
+    def test_streamed_nonfinite_drift_diagnostic(self, lq_spec):
+        noise = generate_noise(10, TimeGrid(1.0, 5), 6)
+        lam = _drift_array(noise, 0.0)
+        lam[4, 3, 0] = np.inf
+        with pytest.raises(RuntimeError, match=r"path 4, step 3"):
+            stochastic_exponential(lq_spec, lambda k: lam[:, k], noise)
+        with pytest.raises(ValueError, match="step 0 drift shape"):
+            stochastic_exponential(lq_spec, lambda k: lam[1:, k], noise)
+
+    def test_scaled_weights_proportional_with_unit_maximum(self, lq_spec):
+        noise = generate_noise(2000, TimeGrid(1.0, 10), 8)
+        w = stochastic_exponential(lq_spec, _drift_array(noise, 0.9), noise)
+        np.testing.assert_array_equal(w.m_scaled.max(axis=0), 1.0)
+        np.testing.assert_allclose(w.m_scaled * w.m.max(axis=0), w.m, rtol=1e-12)
+        assert w.m_scaled is w.m_scaled
+        w_big = GirsanovWeights(grid=noise.grid, log_m=w.log_m + 1000.0)
+        np.testing.assert_allclose(w_big.m_scaled, w.m_scaled, rtol=1e-12)
 
     def test_fourth_moment_reported_not_asserted(self, lq_spec):
         # diagnostic only: bounded drift keeps E[M_T^4] finite

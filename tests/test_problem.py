@@ -29,6 +29,14 @@ class TestMeasureSummary:
         recomputed = float(mu.weights @ np.linalg.norm(mu.support, axis=1) ** mu.p)
         assert abs(recomputed - mu.pth_moment) <= 1e-12 * max(1.0, abs(recomputed))
 
+    def test_pth_moment_computed_on_first_access(self):
+        mu = MeasureSummary([[1.0, 0.0], [0.0, -2.0]], [0.5, 0.5], p=3.0)
+        assert mu._pth_moment is None
+        assert mu.pth_moment == pytest.approx(0.5 * 1 + 0.5 * 8)
+        assert mu._pth_moment == mu.pth_moment
+        with pytest.raises(ValueError, match="negative"):
+            MeasureSummary([[0.0], [1.0]], [-0.5, 1.5])   # validation stays eager
+
     def test_dirac(self):
         mu = MeasureSummary.dirac([2.0, 0.0], p=2.0)
         assert mu.pth_moment == pytest.approx(4.0)
