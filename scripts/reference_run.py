@@ -26,9 +26,9 @@ def main():
     for row in result.report.rows:
         print(f"  iter {row.iteration}: residual {row.residual:.6f} y0 {row.y0:.6f}")
 
-    eps, se = exploitability(spec, result.flow, result.policy, config)
     fresh = generate_noise(config.n_paths, config.grid(spec), config.eval_seed,
                            spec.d_state, spec.d_common)
+    eps, se = exploitability(spec, result.flow, result.policy, config, eval_noise=fresh)
     controlled = simulate_markov_sde(spec, result.policy, result.flow, fresh)
     re_flow = estimate_conditional_flow(controlled, None, config.n_bins,
                                         min_bin_count=config.min_bin_count)

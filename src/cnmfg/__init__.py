@@ -4,9 +4,7 @@ from .problem import (
     MeasureSummary,
     ProblemSpec,
     ValidationReport,
-    hamiltonian,
     make_instance,
-    minimize_hamiltonian,
     register_family,
     validate_spec,
 )

@@ -257,10 +257,11 @@ def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
 
 def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundle,
                noise: NoiseBundle, basis: BasisSpec, driver: str = "hamiltonian",
-               store_actions: bool = True, explosion_threshold: float = 1e8) -> BsdeSolution:
+               explosion_threshold: float = 1e8) -> BsdeSolution:
     """Backward LSMC pass for the value process and its martingale integrands.
 
-    ``driver="zero"`` switches the driver off (martingale test mode).  The
+    ``driver="zero"`` switches the driver off (martingale test mode); it
+    minimizes no Hamiltonian, so its ``control_samples`` is None.  The
     integrand targets are centred by the preliminary value fit before the
     increment regression, which removes the dominant 1/dt variance term
     without changing the conditional expectation.
@@ -279,7 +280,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     y_coef = np.zeros((n_steps, n_feat))
     z_coef = np.zeros((n_steps, spec.d_state, n_feat))
     resid = np.zeros(n_steps)
-    actions = step_major(n, n_steps, spec.d_action) if store_actions else None
+    actions = step_major(n, n_steps, spec.d_action) if driver == "hamiltonian" else None
 
     y_next = _terminal_values(spec, flow, paths)
     # raw pathwise accumulation: the intercept makes every regression mean-
@@ -301,11 +302,9 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
             h = np.zeros(n)
         else:
             t_k = grid.times[k]
-            a_k, h = flow.per_bin(
+            actions[:, k], h = flow.per_bin(
                 k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z),
                 paths.x[:, k], feats @ z_coef[k].T)
-            if store_actions:
-                actions[:, k] = a_k
 
         raw_sum += h * dt
         target = y_next + h * dt
@@ -338,13 +337,12 @@ class MarkovPolicy:
     x_axes: Optional[np.ndarray] = None            # (n_steps, nx)
     key_axes: Optional[np.ndarray] = None          # (n_steps, nk)
     tables: Optional[np.ndarray] = None            # (n_steps, nx, nk, d_action)
-    z_window: int = 9
     label: str = ""
 
     def actions(self, k: int, x: np.ndarray, xc: np.ndarray, key: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         if self.kind == "feedback":
-            z_hat = self.solution.z_smoothed(k, x, np.atleast_2d(xc), self.z_window)
+            z_hat = self.solution.z_smoothed(k, x, np.atleast_2d(xc))
             t_k = self.grid.times[k]
             return self.flow.per_bin(
                 k, key, lambda mu, xs, z: minimize_hamiltonian_batch(self.spec, t_k, xs, mu, z)[0],
@@ -388,10 +386,11 @@ def _bilinear(x_axis: np.ndarray, k_axis: np.ndarray, table: np.ndarray,
 
 
 def extract_control(solution: BsdeSolution, spec: ProblemSpec,
-                    flow: ConditionalMeasureFlow, z_window: int = 9) -> MarkovPolicy:
-    """Feedback policy: Hamiltonian minimizer at the time-averaged regressed integrand."""
+                    flow: ConditionalMeasureFlow) -> MarkovPolicy:
+    """Feedback policy: Hamiltonian minimizer at the integrand averaged over
+    ``z_smoothed``'s default window of 9 steps."""
     return MarkovPolicy(grid=solution.grid, kind="feedback", spec=spec, flow=flow,
-                        solution=solution, z_window=z_window, label="bsde-feedback")
+                        solution=solution, label="bsde-feedback")
 
 
 def _control_array(control_samples: np.ndarray, paths: PathBundle) -> np.ndarray:

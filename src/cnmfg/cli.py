@@ -23,6 +23,7 @@ from . import __version__
 from .bsde import _terminal_values, control_weights, policy_to_csv, solve_bsde
 from .equilibrium import (
     SolverConfig,
+    _eval_noise,
     _reference,
     apply_phi,
     exploitability,
@@ -32,7 +33,6 @@ from .equilibrium import (
 from .flows import EmpiricalMeasure, flow_to_csv, lp_transport, wasserstein_1d
 from .problem import ProblemSpec, make_instance, validate_spec, _FAMILIES
 from .projection import lagged_noise_control, mimicking_check, project_cost_gap, project_control
-from .sde import generate_noise
 
 __all__ = ["ConfigError", "parse_config", "run_command", "main"]
 
@@ -59,6 +59,9 @@ _SOLVER_KEYS = {
     "retained_eval_paths": ("retained_eval_paths", int),
     "partition": ("partition_times", "times"),
 }
+
+# solver keys every command also takes as a flag (max_iters as --max-iters)
+_FLAGS = ("seed", "paths", "steps", "bins", "damping", "max_iters", "tol")
 
 _OUTPUT_KEYS = {"out_dir"}
 
@@ -144,13 +147,8 @@ def parse_config(path):
 
 
 def _apply_overrides(config: SolverConfig, args) -> SolverConfig:
-    fields = {}
-    for attr, name in (("seed", "seed"), ("paths", "n_paths"), ("steps", "n_steps"),
-                       ("bins", "n_bins"), ("damping", "damping"),
-                       ("max_iters", "max_iters"), ("tol", "tol")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            fields[name] = val
+    fields = {_SOLVER_KEYS[key][0]: getattr(args, key) for key in _FLAGS
+              if getattr(args, key) is not None}
     if "seed" in fields:
         fields["eval_seed"] = None   # re-derive from the new seed
     return dataclasses.replace(config, **fields) if fields else config
@@ -254,7 +252,7 @@ def _cmd_bsde_check(spec, config, args, outputs) -> int:
     noise, paths = _reference(spec, config)
     m0 = initial_flow(spec, config, paths)
     basis = config.basis()
-    zero = solve_bsde(spec, m0, paths, noise, basis, driver="zero", store_actions=False)
+    zero = solve_bsde(spec, m0, paths, noise, basis, driver="zero")
     full = solve_bsde(spec, m0, paths, noise, basis)
     g_term = _terminal_values(spec, m0, paths)
     total_ms = (time.perf_counter() - t0) * 1e3
@@ -307,9 +305,7 @@ def _cmd_mimic_check(spec, config, args, outputs) -> int:
     actions = lagged_noise_control(spec, noise)
     weights = control_weights(spec, flow, actions, paths, noise)
     policy = project_control(spec, paths, actions, flow, weights, config.basis())
-    fresh = generate_noise(config.n_paths, grid, config.eval_seed,
-                           d_state=spec.d_state, d_common=spec.d_common)
-    report = mimicking_check(spec, (paths, weights), policy, flow, fresh)
+    report = mimicking_check(spec, (paths, weights), policy, flow, _eval_noise(spec, config))
     gap, gap_se = project_cost_gap(spec, paths, actions, policy, flow, noise)
     total_ms = (time.perf_counter() - t0) * 1e3
     _write_csv(out / "mimicking.csv", ["step", "t", "w1"],
@@ -340,13 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--paths", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--bins", type=int)
-        p.add_argument("--damping", type=float)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--tol", type=float)
+        for key in _FLAGS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SOLVER_KEYS[key][1])
         p.add_argument("--out-dir", dest="out_dir")
     return parser
 

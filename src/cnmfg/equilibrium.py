@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _MIN_DAMPING = 1.0 / 64.0
+_N_CONST = 9      # most constant deviation actions per axis of the exploitability family
+_SHIFT = 0.1      # size of its shifted-policy deviations
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,6 @@ class SolverConfig:
     def basis(self) -> BasisSpec:
         return BasisSpec(degree=self.basis_degree, ridge=self.ridge)
 
-    @property
-    def mode(self) -> str:
-        return "current" if self.partition_times is None else "partition"
-
 
 @dataclass
 class IterationRow:
@@ -107,7 +105,6 @@ class IterationRow:
     damping: float
     y0: float
     wall_ms: float
-    exploitability: Optional[float] = None
 
 
 @dataclass
@@ -159,9 +156,8 @@ def _reference(spec: ProblemSpec, config: SolverConfig):
 def _estimate_flow(spec: ProblemSpec, config: SolverConfig, paths: PathBundle,
                    weights: Optional[GirsanovWeights]) -> ConditionalMeasureFlow:
     return estimate_conditional_flow(
-        paths, weights, config.n_bins, mode=config.mode,
-        partition_times=config.partition_times, min_bin_count=config.min_bin_count,
-        flow_p=spec.p, retained=config.retained_eval_paths)
+        paths, weights, config.n_bins, partition_times=config.partition_times,
+        min_bin_count=config.min_bin_count, flow_p=spec.p, retained=config.retained_eval_paths)
 
 
 def initial_flow(spec: ProblemSpec, config: SolverConfig,
@@ -179,7 +175,7 @@ def apply_phi(spec: ProblemSpec, m: ConditionalMeasureFlow, config: SolverConfig
         noise, paths = _reference(spec, config)
     else:
         noise, paths = reference
-    solution = solve_bsde(spec, m, paths, noise, config.basis(), store_actions=True)
+    solution = solve_bsde(spec, m, paths, noise, config.basis())
     weights = control_weights(spec, m, solution.control_samples, paths, noise)
     return PhiResult(flow=_estimate_flow(spec, config, paths, weights), solution=solution,
                      weights=weights)
@@ -244,13 +240,12 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
 
 
 def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: MarkovPolicy,
-                   config: SolverConfig, n_const: int = 9, delta: float = 0.1,
-                   eval_noise: Optional[NoiseBundle] = None):
+                   config: SolverConfig, eval_noise: Optional[NoiseBundle] = None):
     """Objective gain available to a deviating agent, over a finite deviation family.
 
     Family: the policy itself, a fresh BSDE best response to the flow, constant
-    policies on an action grid, and the policy shifted by +-delta (clamped).
-    The grid spans the whole box with the largest per-axis count n <= n_const
+    policies on an action grid, and the policy shifted by +-0.1 (clamped).
+    The grid spans the whole box with the largest per-axis count n <= 9
     whose n^d_action points number at most 81.  Evaluation uses the evaluation
     seed, independent of estimation noise; ``eval_noise`` passes that seed's
     noise when the caller already holds it (``EquilibriumResult.eval_noise``).
@@ -262,15 +257,15 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
     paths = simulate_driftless_state(spec, noise)
 
     a_pol = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
-    br = solve_bsde(spec, flow, paths, noise, config.basis(), store_actions=True)
-    n_axis = n_const
+    br = solve_bsde(spec, flow, paths, noise, config.basis())
+    n_axis = _N_CONST
     while n_axis > 1 and n_axis ** spec.d_action > 81:
         n_axis -= 1
     axes = [np.linspace(spec.action_lo[j], spec.action_hi[j], n_axis)
             for j in range(spec.d_action)]
     mesh = np.meshgrid(*axes, indexing="ij")
     consts = np.column_stack([g.ravel() for g in mesh])
-    shifts = (-delta, delta)
+    shifts = (-_SHIFT, _SHIFT)
     names = (["self", "bsde-best-response"]
              + [f"const{tuple(np.round(c, 6))}" for c in consts]
              + [f"shift{s:+g}" for s in shifts])

@@ -1,11 +1,12 @@
 """Conditional measure flows, Wasserstein distances, and the flow metric.
 
 A flow represents t -> law(X_t | conditioning key) as weighted-quantile bins
-over the key, one empirical measure per bin.  In current-value mode the key at
-step k is the common state at step k.  In partition mode the key is the common
-state at the most recent partition time <= t (players react to the common
-state at finitely many time points); with a partition containing every grid
-point this reproduces current-value conditioning exactly.
+over the key, one empirical measure per bin.  Without partition times the key
+at step k is the common state at step k (current-value conditioning).  Given
+partition times, the key is the common state at the most recent partition time
+<= t (players react to the common state at finitely many time points); with a
+partition containing every grid point this reproduces current-value
+conditioning exactly.
 """
 
 from __future__ import annotations
@@ -299,10 +300,10 @@ def _label_dtype(n_groups: int):
     return np.int16 if n_groups <= np.iinfo(np.int16).max else np.intp
 
 
-def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
+def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
                     weights: np.ndarray, n_bins: int, min_bin_count: int,
                     state_order) -> StepBins:
-    """Quantile bins of ``keys``; ``order`` is a stable argsort of ``keys``.
+    """Quantile bins of ``keys`` at step k; ``order`` is a stable argsort of ``keys``.
 
     ``state_order`` is a zero-argument callable giving the stable argsort of
     ``atoms[:, 0]``; ``StepBins.sort_1d`` sorts one-dimensional bins from it.
@@ -348,9 +349,13 @@ def _make_step_bins(keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
     ends = np.cumsum(counts)
     starts = ends - counts
     totals = np.array([w_block[lo:hi].sum() for lo, hi in zip(starts, ends)])
-    kept = totals[counts > 0]
-    if not np.all((kept > 0) & (kept < np.inf)):
-        raise ValueError("empirical measure needs positive total mass")
+    bad = np.flatnonzero((counts > 0) & ~((totals > 0) & (totals < np.inf)))
+    if bad.size:
+        b = int(bad[0])
+        why = ("weights degenerate: other bins' paths carry all the mass" if totals[b] == 0
+               else "weights not finite or negative")
+        raise ValueError(f"empirical measure needs positive total mass at step {k}, "
+                         f"bin {b} (total weight {totals[b]:.6g}): {why}")
     w_block /= np.repeat(totals, counts)
     measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi]) if hi > lo
                 else EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1))
@@ -374,8 +379,7 @@ class ConditionalMeasureFlow:
     src_w: np.ndarray                         # (n, n_steps + 1), normalized per step
     steps: list                               # StepBins per time step
     key_idx: np.ndarray                       # (n_steps + 1,) grid index of the key
-    mode: str                                 # "current" | "partition"
-    partition_times: Optional[tuple]
+    partition_times: Optional[tuple]          # None: current-value conditioning
     n_bins_requested: int
     min_bin_count: int
     flow_p: float = 2.0
@@ -392,9 +396,9 @@ class ConditionalMeasureFlow:
 
     @property
     def src_key(self) -> np.ndarray:
-        """(n, n_steps + 1) conditioning keys; a view of ``paths.xc`` in current mode."""
+        """(n, n_steps + 1) conditioning keys; without partition times a view of ``paths.xc``."""
         keys = self.paths.xc[:, :, 0]
-        return keys if self.mode == "current" else keys[:, self.key_idx]
+        return keys if self.partition_times is None else keys[:, self.key_idx]
 
     def reweighted(self, src_w: np.ndarray) -> "ConditionalMeasureFlow":
         """The flow of the same particles and binning settings under weights ``src_w``."""
@@ -471,7 +475,7 @@ def _bin_steps(paths: PathBundle, src_w: np.ndarray, key_idx: np.ndarray, n_bins
                min_bin_count: int) -> list:
     """StepBins per step: the atoms ``paths.x[:, k]`` binned by the key at ``key_idx[k]``."""
     keys, order = paths.xc[:, :, 0], paths.key_order
-    return [_make_step_bins(keys[:, j], order[:, j], paths.x[:, k], src_w[:, k],
+    return [_make_step_bins(k, keys[:, j], order[:, j], paths.x[:, k], src_w[:, k],
                             n_bins, min_bin_count, partial(_state_order_at, paths, k))
             for k, j in enumerate(key_idx)]
 
@@ -491,16 +495,17 @@ def _partition_key_index(grid: TimeGrid, partition_times: Sequence[float]) -> np
 
 
 def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWeights],
-                              n_bins: int, mode: str = "current",
-                              partition_times: Optional[Sequence[float]] = None,
+                              n_bins: int, partition_times: Optional[Sequence[float]] = None,
                               min_bin_count: int = 64, flow_p: float = 2.0,
                               retained: int = 2048) -> ConditionalMeasureFlow:
     """Bin the conditioning key by weighted quantiles, one empirical law per bin.
 
     ``weights`` may be None for unit weights; otherwise the time-matched
     stochastic-exponential values reweight the atoms (the conditional law under
-    the controlled measure).  Bins with fewer than ``min_bin_count`` atoms are
-    merged into their nearest neighbour.
+    the controlled measure).  ``partition_times`` None conditions on the
+    current common state; otherwise on its value at the latest partition time
+    (0 and the horizon always included).  Bins with fewer than
+    ``min_bin_count`` atoms are merged into their nearest neighbour.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -512,16 +517,12 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     if n_bins > max_bins:
         warnings.warn(f"n_bins={n_bins} exceeds n_paths/min_bin_count; clamped to {max_bins}")
         n_bins = max_bins
-    if mode == "current":
+    if partition_times is None:
         key_idx = np.arange(grid.n_steps + 1)
         partition = None
-    elif mode == "partition":
-        if partition_times is None:
-            raise ValueError("partition mode requires partition_times")
+    else:
         key_idx = _partition_key_index(grid, partition_times)
         partition = tuple(sorted(set(float(t) for t in partition_times) | {0.0, grid.horizon}))
-    else:
-        raise ValueError(f"unknown conditioning mode {mode!r}")
 
     w_steps = step_major(n, grid.n_steps + 1)
     if weights is None:
@@ -533,7 +534,7 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     return ConditionalMeasureFlow(
         paths=x_paths, src_w=w_steps,
         steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count),
-        key_idx=key_idx, mode=mode, partition_times=partition, n_bins_requested=n_bins,
+        key_idx=key_idx, partition_times=partition, n_bins_requested=n_bins,
         min_bin_count=min_bin_count, flow_p=flow_p, retained=retained)
 
 

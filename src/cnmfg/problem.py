@@ -26,8 +26,7 @@ __all__ = [
     "MeasureSummary",
     "ProblemSpec",
     "ValidationReport",
-    "hamiltonian",
-    "minimize_hamiltonian",
+    "hamiltonian_batch",
     "minimize_hamiltonian_batch",
     "box_minimize_batch",
     "validate_spec",
@@ -87,11 +86,6 @@ class MeasureSummary:
             weights = np.asarray(weights, dtype=float).ravel()
             weights = weights / weights.sum()
         return cls(support, weights, p=p)
-
-    @classmethod
-    def dirac(cls, point, p: float = 2.0) -> "MeasureSummary":
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        return cls(point[None, :], np.array([1.0]), p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +175,6 @@ class ProblemSpec:
     def clip_action(self, a: np.ndarray) -> np.ndarray:
         return np.clip(a, self.action_lo, self.action_hi)
 
-    def action_in_box(self, a: np.ndarray, tol: float = 1e-9) -> bool:
-        a = np.atleast_1d(np.asarray(a, float))
-        return bool(np.all(a >= self.action_lo - tol) and np.all(a <= self.action_hi + tol))
-
 
 class _BoundHook:
     """A closed-form hook tied to the coefficients it was derived from."""
@@ -227,37 +217,25 @@ def hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray, mu: MeasureSum
     return f + np.einsum("nk,nk->n", z, b @ spec.sigma_inv.T)
 
 
-def hamiltonian(spec: ProblemSpec, t: float, x, mu: MeasureSummary, a, z) -> float:
-    x = np.atleast_1d(np.asarray(x, float))
-    a = np.atleast_1d(np.asarray(a, float))
-    z = np.atleast_1d(np.asarray(z, float))
-    if not (0.0 <= t <= spec.horizon + 1e-12):
-        raise ValueError(f"t={t} outside [0, {spec.horizon}]")
-    if not spec.action_in_box(a):
-        raise ValueError(f"action {a} outside the action box")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(a)) and np.all(np.isfinite(z))):
-        raise ValueError("non-finite input to hamiltonian")
-    return float(hamiltonian_batch(spec, t, x[None, :], mu, a[None, :], z[None, :])[0])
-
-
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+_GRID_POINTS = 33   # per axis of the box search's coarse scan
+_GS_ITERS = 40      # golden-section steps per coordinate refinement
+_SWEEPS = 3         # cyclic coordinate sweeps when the box has several axes
 
 
-def box_minimize_batch(objective: Callable, lo: np.ndarray, hi: np.ndarray, n: int,
-                       grid_points: int = 33, gs_iters: int = 40, sweeps: int = 3):
+def box_minimize_batch(objective: Callable, lo: np.ndarray, hi: np.ndarray, n: int):
     """Minimize ``objective(a)`` over a box, independently for each of n batch rows.
 
     ``objective`` maps an (n, d) action array to an (n,) value array.  Coarse
-    lexicographically ordered grid scan (first index wins ties within 1e-12),
-    then cyclic per-coordinate golden-section refinement around the grid cell.
-    Returns (argmin (n, d), value (n,)).
+    lexicographically ordered grid scan of ``_GRID_POINTS`` per axis (first
+    index wins ties within 1e-12), then cyclic per-coordinate golden-section
+    refinement around the grid cell.  Returns (argmin (n, d), value (n,)).
     """
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))
     d = lo.shape[0]
-    axes = [np.linspace(lo[j], hi[j], grid_points) for j in range(d)]
-    spacing = np.array([(hi[j] - lo[j]) / (grid_points - 1) if grid_points > 1 else 0.0
-                        for j in range(d)])
+    axes = [np.linspace(lo[j], hi[j], _GRID_POINTS) for j in range(d)]
+    spacing = (hi - lo) / (_GRID_POINTS - 1)
 
     candidates = list(itertools.product(*axes))
     vals = np.empty((len(candidates), n))
@@ -273,8 +251,7 @@ def box_minimize_batch(objective: Callable, lo: np.ndarray, hi: np.ndarray, n: i
 
     # cyclic coordinate descent over a single coordinate is idempotent after
     # the first sweep; later sweeps only matter when coordinates couple
-    effective_sweeps = 1 if d == 1 else sweeps
-    for sweep in range(effective_sweeps):
+    for sweep in range(1 if d == 1 else _SWEEPS):
         moved = 0.0
         for j in range(d):
             if spacing[j] <= 0:
@@ -285,14 +262,14 @@ def box_minimize_batch(objective: Callable, lo: np.ndarray, hi: np.ndarray, n: i
                 continue
             prev = best_a[:, j].copy()
             best_a, best_val = _golden_section_coord(
-                objective, best_a, best_val, j, a_lo, a_hi, gs_iters)
+                objective, best_a, best_val, j, a_lo, a_hi)
             moved = max(moved, float(np.max(np.abs(best_a[:, j] - prev))))
         if sweep > 0 and moved < 1e-10:
             break
     return best_a, best_val
 
 
-def _golden_section_coord(objective, base_a, base_val, j, a_lo, a_hi, iters):
+def _golden_section_coord(objective, base_a, base_val, j, a_lo, a_hi):
     def eval_at(coord_vals):
         a = base_a.copy()
         a[:, j] = coord_vals
@@ -302,7 +279,7 @@ def _golden_section_coord(objective, base_a, base_val, j, a_lo, a_hi, iters):
     m2 = a_lo + _INV_GOLDEN * (a_hi - a_lo)
     f1 = eval_at(m1)
     f2 = eval_at(m2)
-    for _ in range(iters):
+    for _ in range(_GS_ITERS):
         left = f1 < f2
         hi_new = np.where(left, m2, a_hi)
         lo_new = np.where(left, a_lo, m1)
@@ -338,18 +315,6 @@ def minimize_hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray,
         return hamiltonian_batch(spec, t, x, mu, a, z)
 
     return box_minimize_batch(objective, spec.action_lo, spec.action_hi, n)
-
-
-def minimize_hamiltonian(spec: ProblemSpec, t: float, x, mu: MeasureSummary, z):
-    """Minimizer of the reduced Hamiltonian at one point; returns (action, value)."""
-    x = np.atleast_1d(np.asarray(x, float))
-    z = np.atleast_1d(np.asarray(z, float))
-    if not (0.0 <= t <= spec.horizon + 1e-12):
-        raise ValueError(f"t={t} outside [0, {spec.horizon}]")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise ValueError("non-finite input to minimize_hamiltonian")
-    a, v = minimize_hamiltonian_batch(spec, t, x[None, :], mu, z[None, :])
-    return a[0], float(v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +431,37 @@ def truncated_gaussian_sampler(mean=0.0, std=1.0, clip: float = 3.0, dim: int = 
 # ---------------------------------------------------------------------------
 
 
+def _zero_common_drift(t, xc):
+    return np.zeros_like(xc)
+
+
+def _scalar_spec(family: str, params: dict, drift, running_cost, terminal_cost,
+                 argmin_action, invert_drift, drift_bound: float) -> ProblemSpec:
+    """A built-in 1-d instance with zero common drift.
+
+    ``params`` holds every keyword value of the family's builder; each is
+    recorded in ``spec.params`` as a float.  The initial common state is a
+    point mass unless ``common_init_std`` is positive.
+    """
+    v = {key: float(val) for key, val in params.items()}
+    if v["common_init_std"] > 0:
+        common_sampler = truncated_gaussian_sampler(v["common_init"], v["common_init_std"], dim=1)
+    else:
+        common_sampler = point_mass_sampler(v["common_init"], dim=1)
+    return ProblemSpec(
+        d_state=1, d_common=1, d_action=1, horizon=v["horizon"], p=v["p"],
+        sigma=[[v["sigma"]]], sigma0=[[v["sigma0"]]], sigmac=[[v["sigmac"]]],
+        action_lo=[v["action_lo"]], action_hi=[v["action_hi"]],
+        drift_bound=drift_bound, common_drift_bound=0.0,
+        drift=drift, common_drift=_zero_common_drift,
+        running_cost=running_cost, terminal_cost=terminal_cost,
+        init_state_sampler=truncated_gaussian_sampler(v["init_mean"], v["init_std"],
+                                                      clip=v["init_clip"], dim=1),
+        init_common_sampler=common_sampler,
+        family=family, params=v, argmin_action=argmin_action, invert_drift=invert_drift,
+    )
+
+
 def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
              terminal_weight: float = 1.0, interaction: float = 2.5,
              sigma: float = 1.0, sigma0: float = 0.5, sigmac: float = 1.0,
@@ -478,14 +474,12 @@ def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
     Default weights give a fixed point the damped iteration genuinely has to
     work for (several iterations at desk scale) while staying contractive.
     """
+    params = dict(locals())
     w = float(interaction)
     ca, cx, cg = float(action_weight), float(state_weight), float(terminal_weight)
 
     def drift(t, x, mu, a):
         return a
-
-    def common_drift(t, xc):
-        return np.zeros_like(xc)
 
     def running_cost(t, x, mu, a):
         dev = x[:, 0] - w * mu.mean[0]
@@ -505,32 +499,9 @@ def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
     def invert_drift(t, x, mu, target):
         return target
 
-    if common_init_std > 0:
-        common_sampler = truncated_gaussian_sampler(common_init, common_init_std, dim=1)
-    else:
-        common_sampler = point_mass_sampler(common_init, dim=1)
-    return ProblemSpec(
-        d_state=1, d_common=1, d_action=1,
-        horizon=float(horizon), p=float(p),
-        sigma=[[float(sigma)]], sigma0=[[float(sigma0)]], sigmac=[[float(sigmac)]],
-        action_lo=[float(action_lo)], action_hi=[float(action_hi)],
-        drift_bound=max(abs(float(action_lo)), abs(float(action_hi))),
-        common_drift_bound=0.0,
-        drift=drift, common_drift=common_drift,
-        running_cost=running_cost, terminal_cost=terminal_cost,
-        init_state_sampler=truncated_gaussian_sampler(init_mean, init_std, clip=init_clip, dim=1),
-        init_common_sampler=common_sampler,
-        family="lq",
-        argmin_action=argmin_action if ca > 0 else None,
-        invert_drift=invert_drift,
-        params=dict(action_weight=ca, state_weight=cx, terminal_weight=cg,
-                    interaction=w, sigma=float(sigma), sigma0=float(sigma0),
-                    sigmac=float(sigmac), horizon=float(horizon),
-                    action_lo=float(action_lo), action_hi=float(action_hi),
-                    init_mean=float(init_mean), init_std=float(init_std),
-                    init_clip=float(init_clip), common_init=float(common_init),
-                    common_init_std=float(common_init_std), p=float(p)),
-    )
+    return _scalar_spec("lq", params, drift, running_cost, terminal_cost,
+                        argmin_action if ca > 0 else None, invert_drift,
+                        drift_bound=max(abs(float(action_lo)), abs(float(action_hi))))
 
 
 def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float = 1.0,
@@ -540,15 +511,13 @@ def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float =
                common_init: float = 0.0, common_init_std: float = 0.0,
                p: float = 2.0) -> ProblemSpec:
     """Saturating-drift family with costs that are nonsmooth in the measure argument."""
+    params = dict(locals())
     g0 = float(gain)
     cw = float(cost_weight)
     w = float(interaction)
 
     def drift(t, x, mu, a):
         return g0 * np.tanh(x) + a
-
-    def common_drift(t, xc):
-        return np.zeros_like(xc)
 
     def running_cost(t, x, mu, a):
         return 0.5 * a[:, 0] ** 2 + cw * np.abs(x[:, 0] - w * mu.mean[0])
@@ -564,31 +533,9 @@ def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float =
     def invert_drift(t, x, mu, target):
         return target - g0 * np.tanh(x)
 
-    if common_init_std > 0:
-        common_sampler = truncated_gaussian_sampler(common_init, common_init_std, dim=1)
-    else:
-        common_sampler = point_mass_sampler(common_init, dim=1)
     box_rad = max(abs(float(action_lo)), abs(float(action_hi)))
-    return ProblemSpec(
-        d_state=1, d_common=1, d_action=1,
-        horizon=float(horizon), p=float(p),
-        sigma=[[float(sigma)]], sigma0=[[float(sigma0)]], sigmac=[[float(sigmac)]],
-        action_lo=[float(action_lo)], action_hi=[float(action_hi)],
-        drift_bound=abs(g0) + box_rad, common_drift_bound=0.0,
-        drift=drift, common_drift=common_drift,
-        running_cost=running_cost, terminal_cost=terminal_cost,
-        init_state_sampler=truncated_gaussian_sampler(init_mean, init_std, clip=init_clip, dim=1),
-        init_common_sampler=common_sampler,
-        family="tanh",
-        argmin_action=argmin_action,
-        invert_drift=invert_drift,
-        params=dict(gain=g0, cost_weight=cw, interaction=w, sigma=float(sigma),
-                    sigma0=float(sigma0), sigmac=float(sigmac), horizon=float(horizon),
-                    action_lo=float(action_lo), action_hi=float(action_hi),
-                    init_mean=float(init_mean), init_std=float(init_std),
-                    init_clip=float(init_clip), common_init=float(common_init),
-                    common_init_std=float(common_init_std), p=float(p)),
-    )
+    return _scalar_spec("tanh", params, drift, running_cost, terminal_cost,
+                        argmin_action, invert_drift, drift_bound=abs(g0) + box_rad)
 
 
 _FAMILIES: dict[str, Callable[..., ProblemSpec]] = {

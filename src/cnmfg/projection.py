@@ -31,6 +31,12 @@ __all__ = [
     "MimickingReport",
 ]
 
+_N_X = 41               # state points per step of the lookup table
+_N_KEY = 41             # conditioning-key points per step of the lookup table
+_SPAN_SIGMAS = 3.0      # table axes span the weighted mean +- this many deviations
+_MAX_FLAGGED = 0.01     # largest tolerated fraction of failed drift inversions
+_MIMIC_ATOMS = 256      # stratified subsample size per side of a mimicking comparison
+
 
 def lagged_noise_control(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
     """Path-dependent probe control: the driving noise at half the current time, clamped.
@@ -48,26 +54,24 @@ def lagged_noise_control(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
     return out
 
 
-def _weighted_span(values: np.ndarray, weights: np.ndarray, sigmas: float, n_points: int):
+def _weighted_span(values: np.ndarray, weights: np.ndarray, n_points: int):
     w = weights / weights.sum()
     mean = float(w @ values)
     var = float(w @ (values - mean) ** 2)
-    half = sigmas * np.sqrt(max(var, 1e-12))
+    half = _SPAN_SIGMAS * np.sqrt(max(var, 1e-12))
     return np.linspace(mean - half, mean + half, n_points)
 
 
 def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.ndarray,
                     flow: ConditionalMeasureFlow, weights: GirsanovWeights,
-                    basis: BasisSpec, n_x: int = 41, n_key: int = 41,
-                    span_sigmas: float = 3.0, inversion_tol: float = 1e-6,
-                    max_flagged_frac: float = 0.01) -> MarkovPolicy:
+                    basis: BasisSpec, inversion_tol: float = 1e-6) -> MarkovPolicy:
     """Project an adapted control onto (state, key) and rebuild it as a table.
 
     The drift is regressed (not the action): the conditional-drift identity is
     stated for the drift, and averaging actions directly would be wrong for
     drifts that are nonlinear in the action.  Inversion failures at cells whose
     best action is strictly interior signal a non-convex drift image or basis
-    underfit; more than ``max_flagged_frac`` such cells aborts.
+    underfit; more than 1% of such cells aborts.
     """
     if spec.d_state != 1 or spec.d_common != 1:
         raise NotImplementedError("lookup-table projection requires 1-d state and key")
@@ -80,9 +84,9 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
 
     fitted = basis.fit_stats(paths)
     m = weights.m_scaled
-    x_axes = np.empty((n_steps, n_x))
-    key_axes = np.empty((n_steps, n_key))
-    tables = np.empty((n_steps, n_x, n_key, spec.d_action))
+    x_axes = np.empty((n_steps, _N_X))
+    key_axes = np.empty((n_steps, _N_KEY))
+    tables = np.empty((n_steps, _N_X, _N_KEY, spec.d_action))
     flagged = 0
     total_cells = 0
     worst = (0.0, -1, -1)
@@ -99,8 +103,8 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         factor = _ridge_factor(feats, fitted.ridge, sample_w=w_k)
         coef = _ridge_solve(factor, feats, drift_vals, sample_w=w_k)
 
-        x_axes[k] = _weighted_span(paths.x[:, k, 0], w_k, span_sigmas, n_x)
-        key_axes[k] = _weighted_span(keys, np.ones(n), span_sigmas, n_key)
+        x_axes[k] = _weighted_span(paths.x[:, k, 0], w_k, _N_X)
+        key_axes[k] = _weighted_span(keys, np.ones(n), _N_KEY)
 
         cell_x, cell_key = np.meshgrid(x_axes[k], key_axes[k], indexing="ij")
         cell_x = cell_x.ravel()
@@ -132,10 +136,10 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
             i = int(np.argmax(np.where(bad, cell_resid, -np.inf)))
             if cell_resid[i] > worst[0]:
                 worst = (float(cell_resid[i]), k, i)
-        tables[k] = cell_actions.reshape(n_x, n_key, spec.d_action)
+        tables[k] = cell_actions.reshape(_N_X, _N_KEY, spec.d_action)
 
     frac = flagged / max(total_cells, 1)
-    if frac > max_flagged_frac:
+    if frac > _MAX_FLAGGED:
         raise RuntimeError(
             f"drift inversion failed on {frac:.2%} of cells "
             f"(worst residual {worst[0]:.3g} at step {worst[1]}); "
@@ -156,7 +160,7 @@ class MimickingReport:
 
 def mimicking_check(spec: ProblemSpec, original: tuple, policy: MarkovPolicy,
                     flow: ConditionalMeasureFlow, fresh_noise: NoiseBundle,
-                    checked_steps=None, atoms: int = 256) -> MimickingReport:
+                    checked_steps=None) -> MimickingReport:
     """Per-step transport distance between weighted original and re-solved marginals.
 
     The Markovian SDE is simulated with independent noise; at each retained
@@ -176,9 +180,9 @@ def mimicking_check(spec: ProblemSpec, original: tuple, policy: MarkovPolicy,
     for k in checked_steps:
         joint_a = np.column_stack([paths.x[:, k, 0], paths.xc[:, k, 0]])
         joint_b = np.column_stack([new_paths.x[:, k, 0], new_paths.xc[:, k, 0]])
-        sub_a = _systematic_resample(joint_a, m[:, k] / m[:, k].sum(), atoms)
+        sub_a = _systematic_resample(joint_a, m[:, k] / m[:, k].sum(), _MIMIC_ATOMS)
         sub_b = _systematic_resample(joint_b, np.full(joint_b.shape[0], 1.0 / joint_b.shape[0]),
-                                     atoms)
+                                     _MIMIC_ATOMS)
         vals.append(lp_transport(EmpiricalMeasure(sub_a), EmpiricalMeasure(sub_b), q=1.0))
     vals = np.asarray(vals)
     return MimickingReport(steps=np.asarray(checked_steps), w1=vals,

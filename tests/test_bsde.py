@@ -67,6 +67,13 @@ class TestZeroDriver:
         g = _terminal_values(lq_spec, flow, paths)
         assert sol.y0 == pytest.approx(g.mean(), abs=3 * sol.y0_stderr)
 
+    def test_zero_driver_stores_no_actions(self, lq_spec):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=500, n_steps=5, n_bins=2)
+        zero = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), driver="zero")
+        assert zero.control_samples is None
+        full = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2))
+        assert full.control_samples.shape == (500, 5, 1)
+
 
 class TestHjbOracle:
     def test_value_and_policy_track_oracle(self, lq_nointeraction_spec):

@@ -306,8 +306,7 @@ def _constant_flow(grid, measures_per_step, key_idx=None):
     return ConditionalMeasureFlow(
         paths=paths, src_w=np.full((4, n_nodes), 0.25), steps=steps,
         key_idx=np.arange(n_nodes) if key_idx is None else key_idx,
-        mode="current", partition_times=None,
-        n_bins_requested=1, min_bin_count=1,
+        partition_times=None, n_bins_requested=1, min_bin_count=1,
     )
 
 
@@ -403,8 +402,21 @@ class TestPositiveMass:
         weights = np.full(400, 1.0 / 400)
         weights[123] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="positive total mass"):
-            flows_mod._make_step_bins(keys, np.arange(400), keys[:, None], weights, 4, 16,
+            flows_mod._make_step_bins(0, keys, np.arange(400), keys[:, None], weights, 4, 16,
                                       lambda: np.arange(400))
+
+
+    def test_degenerate_weights_name_the_step_and_bin(self, lq_spec):
+        # one path 800 above the others from step 1 on: exp underflows every
+        # other path's scaled weight to zero, so the bins without it have no mass
+        noise = generate_noise(4000, TimeGrid(1.0, 10), 9, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        log_m = np.zeros((4000, 11))
+        log_m[17, 1:] = 800.0
+        weights = GirsanovWeights(grid=noise.grid, log_m=log_m)
+        with pytest.raises(ValueError, match=r"positive total mass at step 1, bin \d+ "
+                                             r"\(total weight 0\): weights degenerate"):
+            estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
 
 
 class TestEstimateFlow:
@@ -649,7 +661,7 @@ class TestFlowOwnedCaches:
                                label=paths.label)
         w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
         cur = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
-        part = estimate_conditional_flow(paths, w, 8, mode="partition", min_bin_count=32,
+        part = estimate_conditional_flow(paths, w, 8, min_bin_count=32,
                                          partition_times=[0.0, 0.3, 0.6, 1.0])
         # one heavy path per step crowds the weighted quantile edges between two
         # adjacent keys; without merging (min_bin_count 0) the bins between stay empty
@@ -764,7 +776,7 @@ class TestKeyOrderCache:
         noise = generate_noise(4000, grid, 23, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
         w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
-        kw = dict(mode=mode, min_bin_count=32,
+        kw = dict(min_bin_count=32,
                   partition_times=[0.0, 0.3, 0.6, 1.0] if mode == "partition" else None)
         estimate_conditional_flow(paths, None, 8, **kw)      # warms the key order
         warm = estimate_conditional_flow(paths, w, 8, **kw)
@@ -802,9 +814,8 @@ class TestPartitionMode:
         grid = small_config.grid(lq_spec)
         noise = generate_noise(4000, grid, 8, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
-        cur = estimate_conditional_flow(paths, None, 8, mode="current", min_bin_count=32)
-        part = estimate_conditional_flow(paths, None, 8, mode="partition",
-                                         partition_times=grid.times.tolist(),
+        cur = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        part = estimate_conditional_flow(paths, None, 8, partition_times=grid.times.tolist(),
                                          min_bin_count=32)
         np.testing.assert_array_equal(cur.key_idx, part.key_idx)
         for k in range(grid.n_steps + 1):
@@ -817,8 +828,7 @@ class TestPartitionMode:
         grid = small_config.grid(lq_spec)
         noise = generate_noise(4000, grid, 9, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
-        part = estimate_conditional_flow(paths, None, 8, mode="partition",
-                                         partition_times=[0.0, grid.horizon],
+        part = estimate_conditional_flow(paths, None, 8, partition_times=[0.0, grid.horizon],
                                          min_bin_count=32)
         # before T the key freezes at time zero, after which conditioning is
         # vacuous under the point-mass initial common state
@@ -830,8 +840,7 @@ class TestPartitionMode:
         grid = TimeGrid(1.0, 10)
         noise = generate_noise(1000, grid, 10, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
-        part = estimate_conditional_flow(paths, None, 4, mode="partition",
-                                         partition_times=[0.0, 0.5, 1.0],
+        part = estimate_conditional_flow(paths, None, 4, partition_times=[0.0, 0.5, 1.0],
                                          min_bin_count=16)
         expected = [0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 10]
         np.testing.assert_array_equal(part.key_idx, expected)
@@ -898,8 +907,8 @@ class TestMixFlows:
                 estimate_conditional_flow(paths, w, 8, min_bin_count=32, **kw))
 
     def test_shared_particles_blend_weights(self, lq_spec, small_config):
-        for mode, times in (("current", None), ("partition", [0.0, 0.3, 0.6, 1.0])):
-            f1, f2 = self._flows(lq_spec, small_config, 14, mode=mode, partition_times=times)
+        for times in (None, [0.0, 0.3, 0.6, 1.0]):
+            f1, f2 = self._flows(lq_spec, small_config, 14, partition_times=times)
             blended = 0.75 * f1.src_w + 0.25 * f2.src_w
             mixed = f1.reweighted(blended)
             assert mixed.src_w is blended
@@ -908,7 +917,8 @@ class TestMixFlows:
             np.testing.assert_array_equal(mixed.key_idx, f1.key_idx)
             # the bins rebuilt independently on the blended weights, with a fresh key sort
             keys, x = f1.src_key, f1.paths.x
-            steps = [flows_mod._make_step_bins(keys[:, k], np.argsort(keys[:, k], kind="stable"),
+            steps = [flows_mod._make_step_bins(k, keys[:, k],
+                                               np.argsort(keys[:, k], kind="stable"),
                                                x[:, k], blended[:, k], 8, 32,
                                                lambda k=k: np.argsort(x[:, k, 0], kind="stable"))
                      for k in range(keys.shape[1])]
