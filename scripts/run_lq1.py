@@ -47,7 +47,7 @@ def main():
     print(f"mimicking: max W1 {result.mimicking.max_w1:.4f} "
           f"(clamped actions: {result.mimicking.clamp_count})")
 
-    terminal = result.flow.measure(config.n_steps, 0).summary(spec.p)
+    terminal = result.flow.measure(config.n_steps, 0)     # moments of order spec.p
     print(f"one terminal bin mean/moment: {terminal.mean[0]:.4f} / {terminal.pth_moment:.4f}")
     np.set_printoptions(precision=4)
 

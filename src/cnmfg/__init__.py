@@ -1,7 +1,6 @@
 """Particle solver for mean field games with common noise."""
 
 from .problem import (
-    MeasureSummary,
     ProblemSpec,
     ValidationReport,
     make_instance,

@@ -162,6 +162,16 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([v if isinstance(v, str) else _FMT % v for v in row])
 
 
+def _write_bsde_residuals(out: Path, solution) -> None:
+    _write_csv(out / "bsde_residuals.csv", ["step", "residual_var"],
+               [(str(k), v) for k, v in enumerate(solution.residual_var)])
+
+
+def _write_mimicking(out: Path, grid, report) -> None:
+    _write_csv(out / "mimicking.csv", ["step", "t", "w1"],
+               [(str(int(k)), grid.times[int(k)], w) for k, w in zip(report.steps, report.w1)])
+
+
 def _write_manifest(path: Path, spec: ProblemSpec, config: SolverConfig,
                     extra: dict) -> None:
     kv = {
@@ -203,18 +213,16 @@ def _cmd_solve(spec, config, args, outputs) -> int:
     total_ms = (time.perf_counter() - t0) * 1e3
     _write_csv(out / "residuals.csv", ["iter", "residual", "y0", "damping"],
                [(str(r.iteration), r.residual, r.y0, r.damping) for r in result.report.rows])
-    _write_csv(out / "bsde_residuals.csv", ["step", "residual_var"],
-               [(str(k), v) for k, v in enumerate(result.solution.residual_var)])
+    _write_bsde_residuals(out, result.solution)
     flow_to_csv(result.flow, out / "flow.csv")
     policy_to_csv(result.projected_policy, out / "policy.csv")
-    _write_csv(out / "mimicking.csv", ["step", "t", "w1"],
-               [(str(int(k)), result.flow.grid.times[int(k)], w)
-                for k, w in zip(result.mimicking.steps, result.mimicking.w1)])
+    _write_mimicking(out, result.flow.grid, result.mimicking)
     _write_manifest(out / "manifest.txt", spec, config, {
         "status": result.report.status,
         "iterations": len(result.report.rows),
         "final_residual": result.report.rows[-1].residual if result.report.rows else None,
         "y0": result.solution.y0,
+        "y0_stderr": result.solution.y0_stderr,
         "exploitability": eps,
         "exploitability_stderr": eps_se,
         "mimicking_max_w1": result.mimicking.max_w1,
@@ -235,8 +243,7 @@ def _cmd_phi(spec, config, args, outputs) -> int:
     phi = apply_phi(spec, m0, config, reference)
     total_ms = (time.perf_counter() - t0) * 1e3
     flow_to_csv(phi.flow, out / "flow.csv")
-    _write_csv(out / "bsde_residuals.csv", ["step", "residual_var"],
-               [(str(k), v) for k, v in enumerate(phi.solution.residual_var)])
+    _write_bsde_residuals(out, phi.solution)
     _write_manifest(out / "manifest.txt", spec, config, {
         "y0": phi.solution.y0, "y0_stderr": phi.solution.y0_stderr,
         "wall_ms_total": total_ms,
@@ -308,8 +315,7 @@ def _cmd_mimic_check(spec, config, args, outputs) -> int:
     report = mimicking_check(spec, (paths, weights), policy, flow, _eval_noise(spec, config))
     gap, gap_se = project_cost_gap(spec, paths, actions, policy, flow, noise)
     total_ms = (time.perf_counter() - t0) * 1e3
-    _write_csv(out / "mimicking.csv", ["step", "t", "w1"],
-               [(str(int(k)), grid.times[int(k)], w) for k, w in zip(report.steps, report.w1)])
+    _write_mimicking(out, grid, report)
     _write_manifest(out / "manifest.txt", spec, config, {
         "max_w1": report.max_w1, "mean_w1": report.mean_w1,
         "cost_gap": gap, "cost_gap_stderr": gap_se,

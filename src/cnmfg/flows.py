@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .girsanov import GirsanovWeights
-from .problem import MeasureSummary
+from .problem import EmpiricalMeasure
 from .sde import (PathBundle, TimeGrid, searchsorted_right, sorted_ties, stable_argsort,
                   step_major)
 
@@ -39,54 +39,7 @@ __all__ = [
 ]
 
 _MAX_LP_ATOMS = 256   # per side; combined support capped at 512
-
-
-class EmpiricalMeasure:
-    """Weighted atoms in R^d, normalized to a probability measure."""
-
-    def __init__(self, support, weights=None):
-        support = np.asarray(support, dtype=float)
-        if support.ndim == 1:
-            support = support[:, None]
-        if weights is None:
-            weights = np.full(support.shape[0], 1.0 / support.shape[0])
-        else:
-            weights = np.asarray(weights, dtype=float).ravel()
-            total = weights.sum()
-            if not 0 < total < np.inf:
-                raise ValueError("empirical measure needs positive total mass")
-            weights = weights / total
-        self.support = support
-        self.weights = weights
-        self._sorted = None
-
-    @classmethod
-    def _normalized(cls, support: np.ndarray, weights: np.ndarray) -> "EmpiricalMeasure":
-        """The measure on (n, d) ``support`` with ``weights`` already summing to one, unchanged."""
-        mu = cls.__new__(cls)
-        mu.support = support
-        mu.weights = weights
-        mu._sorted = None
-        return mu
-
-    @property
-    def dim(self) -> int:
-        return self.support.shape[1]
-
-    def summary(self, p: float = 2.0) -> MeasureSummary:
-        return MeasureSummary(self.support, self.weights, p=p)
-
-    @property
-    def sorted_1d(self):
-        """(sorted atoms, matching weights), tied atoms in support order; only
-        valid for 1-d supports.  Computed on first use unless ``StepBins.sort_1d``
-        has set it."""
-        if self.dim != 1:
-            raise ValueError("sorted_1d requires 1-d support")
-        if self._sorted is None:
-            order = stable_argsort(self.support[:, 0])
-            self._sorted = (self.support[order, 0], self.weights[order])
-        return self._sorted
+_CSV_QUANTILES = 33   # quantile levels per (step, bin) row of a flow CSV
 
 
 def _systematic_resample(support: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
@@ -302,7 +255,7 @@ def _label_dtype(n_groups: int):
 
 def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
                     weights: np.ndarray, n_bins: int, min_bin_count: int,
-                    state_order) -> StepBins:
+                    state_order, p: float) -> StepBins:
     """Quantile bins of ``keys`` at step k; ``order`` is a stable argsort of ``keys``.
 
     ``state_order`` is a zero-argument callable giving the stable argsort of
@@ -357,8 +310,8 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
         raise ValueError(f"empirical measure needs positive total mass at step {k}, "
                          f"bin {b} (total weight {totals[b]:.6g}): {why}")
     w_block /= np.repeat(totals, counts)
-    measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi]) if hi > lo
-                else EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1))
+    measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi], p) if hi > lo
+                else EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1), p)
                 for lo, hi in zip(starts, ends)]
     unsorted = (state_order, atoms, weights, totals) if atoms.shape[1] == 1 else None
     return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels,
@@ -384,7 +337,6 @@ class ConditionalMeasureFlow:
     min_bin_count: int
     flow_p: float = 2.0
     retained: int = 2048
-    _summaries: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def grid(self) -> TimeGrid:
@@ -403,7 +355,8 @@ class ConditionalMeasureFlow:
     def reweighted(self, src_w: np.ndarray) -> "ConditionalMeasureFlow":
         """The flow of the same particles and binning settings under weights ``src_w``."""
         return replace(self, src_w=src_w, steps=_bin_steps(
-            self.paths, src_w, self.key_idx, self.n_bins_requested, self.min_bin_count))
+            self.paths, src_w, self.key_idx, self.n_bins_requested, self.min_bin_count,
+            self.flow_p))
 
     def key_index(self, k: int) -> int:
         return int(self.key_idx[k])
@@ -430,7 +383,7 @@ class ConditionalMeasureFlow:
         return group_rows(self.assign(k, keys), bins.n_bins)
 
     def per_bin(self, k: int, keys, fn, *rows):
-        """``fn(summary(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
+        """``fn(measure(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
 
         ``keys`` is as for ``groups``.  Each call gets exactly the rows of the
         mask ``assign(k, keys) == b``, in path order.  ``fn`` returns one array
@@ -438,12 +391,13 @@ class ConditionalMeasureFlow:
         scattered to row order.
         """
         perm, groups = self.groups(k, keys)
+        measures = self.steps[k].measures
         if not groups:
             raise ValueError(f"per_bin at step {k} got no rows")
         gathered = [np.asarray(r)[perm] for r in rows]
         outs = None
         for b, lo, hi in groups:
-            res = fn(self.summary(k, b), *(g[lo:hi] for g in gathered))
+            res = fn(measures[b], *(g[lo:hi] for g in gathered))
             parts = res if isinstance(res, tuple) else (res,)
             if outs is None:
                 outs = [np.empty((perm.size,) + np.shape(p)[1:], np.result_type(p))
@@ -455,14 +409,6 @@ class ConditionalMeasureFlow:
     def measure(self, k: int, bin_idx: int) -> EmpiricalMeasure:
         return self.steps[k].measures[bin_idx]
 
-    def summary(self, k: int, bin_idx: int) -> MeasureSummary:
-        key = (k, bin_idx)
-        out = self._summaries.get(key)
-        if out is None:
-            out = self.steps[k].measures[bin_idx].summary(self.flow_p)
-            self._summaries[key] = out
-        return out
-
     @property
     def retained_keys(self) -> np.ndarray:
         n = self.n_source
@@ -472,11 +418,12 @@ class ConditionalMeasureFlow:
 
 
 def _bin_steps(paths: PathBundle, src_w: np.ndarray, key_idx: np.ndarray, n_bins: int,
-               min_bin_count: int) -> list:
-    """StepBins per step: the atoms ``paths.x[:, k]`` binned by the key at ``key_idx[k]``."""
+               min_bin_count: int, p: float) -> list:
+    """StepBins per step: the atoms ``paths.x[:, k]`` binned by the key at ``key_idx[k]``,
+    each bin's measure carrying moment order ``p``."""
     keys, order = paths.xc[:, :, 0], paths.key_order
     return [_make_step_bins(k, keys[:, j], order[:, j], paths.x[:, k], src_w[:, k],
-                            n_bins, min_bin_count, partial(_state_order_at, paths, k))
+                            n_bins, min_bin_count, partial(_state_order_at, paths, k), p)
             for k, j in enumerate(key_idx)]
 
 
@@ -484,9 +431,9 @@ def _state_order_at(paths: PathBundle, k: int) -> np.ndarray:
     return paths.state_order[:, k]
 
 
-def _partition_key_index(grid: TimeGrid, partition_times: Sequence[float]) -> np.ndarray:
-    times = sorted(set(float(t) for t in partition_times) | {0.0, grid.horizon})
-    snapped = sorted(set(grid.nearest_step(t) for t in times))
+def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
+    """Grid index of the latest partition time at or before each step."""
+    snapped = sorted(set(grid.nearest_step(t) for t in partition))
     snapped_arr = np.asarray(snapped)
     key_idx = np.empty(grid.n_steps + 1, dtype=int)
     for k in range(grid.n_steps + 1):
@@ -521,8 +468,8 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
         key_idx = np.arange(grid.n_steps + 1)
         partition = None
     else:
-        key_idx = _partition_key_index(grid, partition_times)
         partition = tuple(sorted(set(float(t) for t in partition_times) | {0.0, grid.horizon}))
+        key_idx = _partition_key_index(grid, partition)
 
     w_steps = step_major(n, grid.n_steps + 1)
     if weights is None:
@@ -533,7 +480,7 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
             w_steps[:, k] /= w_steps[:, k].sum()     # pairwise along the contiguous step
     return ConditionalMeasureFlow(
         paths=x_paths, src_w=w_steps,
-        steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count),
+        steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count, flow_p),
         key_idx=key_idx, partition_times=partition, n_bins_requested=n_bins,
         min_bin_count=min_bin_count, flow_p=flow_p, retained=retained)
 
@@ -569,13 +516,13 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
     return float(np.mean(integral ** (q / 2.0)) ** (1.0 / q))
 
 
-def flow_to_csv(flow: ConditionalMeasureFlow, path, n_quantiles: int = 33) -> None:
-    """Lossy CSV summary: per (step, bin), edges plus a fixed quantile grid."""
-    qs = np.linspace(0.0, 1.0, n_quantiles)
+def flow_to_csv(flow: ConditionalMeasureFlow, path) -> None:
+    """Lossy CSV summary: per (step, bin), edges plus ``_CSV_QUANTILES`` quantiles."""
+    qs = np.linspace(0.0, 1.0, _CSV_QUANTILES)
     d = flow.paths.x.shape[2]
     header = ["step", "t", "bin_index", "bin_lo", "bin_hi"]
     for c in range(d):
-        header.extend(f"x{c}_q{j:02d}" for j in range(n_quantiles))
+        header.extend(f"x{c}_q{j:02d}" for j in range(_CSV_QUANTILES))
     times = flow.grid.times
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

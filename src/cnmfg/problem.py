@@ -9,8 +9,9 @@ Coefficient callables are vectorized over a batch of paths:
     argmin_action(t, x, mu, z)  optional, z (n, d_state)                 -> (n, d_action)
     invert_drift(t, x, mu, target)  optional, target (n, d_state)        -> (n, d_action)
 
-``mu`` is always a :class:`MeasureSummary` (finite support plus cached
-moments); the solver never holds any other representation of a measure.
+``mu`` is always an :class:`EmpiricalMeasure` (weighted atoms plus cached
+moments): the one measure type, which the flows in ``flows.py`` also bin,
+sort and transport.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "MeasureSummary",
+    "EmpiricalMeasure",
     "ProblemSpec",
     "ValidationReport",
     "hamiltonian_batch",
@@ -49,43 +51,68 @@ class SingularDiffusionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class MeasureSummary:
-    """Finite-support probability measure with its mean; the p-th moment is
-    computed on first access and cached."""
+class EmpiricalMeasure:
+    """Finite-support probability measure: weighted atoms in R^d, normalized to mass one.
 
-    __slots__ = ("support", "weights", "mean", "p", "_pth_moment")
+    ``mean`` and the ``p``-th moment ``pth_moment`` are computed on first
+    access and cached.
+    """
 
-    def __init__(self, support, weights, p: float = 2.0):
-        support = np.atleast_2d(np.asarray(support, dtype=float))
-        weights = np.asarray(weights, dtype=float).ravel()
-        if support.shape[0] != weights.shape[0]:
-            raise ValueError("support and weights length mismatch")
-        if np.any(weights < 0):
-            raise ValueError("negative weights")
-        total = weights.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-12")
-        self.support = support
-        self.weights = weights
-        self.p = float(p)
-        self.mean = weights @ support
-        self._pth_moment = None
-
-    @property
-    def pth_moment(self) -> float:
-        if self._pth_moment is None:
-            self._pth_moment = float(self.weights @ np.linalg.norm(self.support, axis=1) ** self.p)
-        return self._pth_moment
-
-    @classmethod
-    def from_atoms(cls, support, weights=None, p: float = 2.0) -> "MeasureSummary":
-        support = np.atleast_2d(np.asarray(support, dtype=float))
+    def __init__(self, support, weights=None, p: float = 2.0):
+        support = np.asarray(support, dtype=float)
+        if support.ndim == 1:
+            support = support[:, None]
         if weights is None:
             weights = np.full(support.shape[0], 1.0 / support.shape[0])
         else:
             weights = np.asarray(weights, dtype=float).ravel()
-            weights = weights / weights.sum()
-        return cls(support, weights, p=p)
+            if weights.shape[0] != support.shape[0]:
+                raise ValueError("support and weights length mismatch")
+            total = weights.sum()
+            if not 0 < total < np.inf:
+                raise ValueError("empirical measure needs positive total mass")
+            if np.any(weights < 0):
+                raise ValueError("negative weights")
+            weights = weights / total
+        self.support = support
+        self.weights = weights
+        self.p = float(p)
+        self._sorted = None
+
+    @classmethod
+    def _normalized(cls, support: np.ndarray, weights: np.ndarray,
+                    p: float) -> "EmpiricalMeasure":
+        """The measure on (n, d) ``support`` with ``weights`` already summing to one, unchanged."""
+        mu = cls.__new__(cls)
+        mu.support = support
+        mu.weights = weights
+        mu.p = p
+        mu._sorted = None
+        return mu
+
+    @property
+    def dim(self) -> int:
+        return self.support.shape[1]
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return self.weights @ self.support
+
+    @cached_property
+    def pth_moment(self) -> float:
+        return float(self.weights @ np.linalg.norm(self.support, axis=1) ** self.p)
+
+    @property
+    def sorted_1d(self):
+        """(sorted atoms, matching weights), tied atoms in support order; only
+        valid for 1-d supports.  Computed on first use unless ``StepBins.sort_1d``
+        has set it."""
+        if self.dim != 1:
+            raise ValueError("sorted_1d requires 1-d support")
+        if self._sorted is None:
+            order = np.argsort(self.support[:, 0], kind="stable")
+            self._sorted = (self.support[order, 0], self.weights[order])
+        return self._sorted
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +236,7 @@ def _bind_hook(hook: Optional[Callable], derived_from: tuple) -> Optional[_Bound
 # ---------------------------------------------------------------------------
 
 
-def hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray, mu: MeasureSummary,
+def hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray, mu: EmpiricalMeasure,
                       a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Reduced Hamiltonian over a path batch: running cost plus z . sigma^-1 drift."""
     b = np.asarray(spec.drift(t, x, mu, a), dtype=float).reshape(x.shape)
@@ -299,7 +326,7 @@ def _golden_section_coord(objective, base_a, base_val, j, a_lo, a_hi):
 
 
 def minimize_hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray,
-                               mu: MeasureSummary, z: np.ndarray):
+                               mu: EmpiricalMeasure, z: np.ndarray):
     """Vectorized Hamiltonian minimization; returns (actions (n, d_action), values (n,)).
 
     With an ``argmin_action`` hook the unconstrained minimizer is clipped to
@@ -368,7 +395,7 @@ def validate_spec(spec: ProblemSpec, n_probes: int = 256, seed: int = 0) -> Vali
     x_probes = rng.normal(0.0, 3.0, size=(m, spec.d_state))
     xc_probes = rng.normal(0.0, 3.0, size=(m, spec.d_common))
     mu_atoms = rng.normal(0.0, 2.0, size=(8, spec.d_state))
-    mu = MeasureSummary.from_atoms(mu_atoms, p=spec.p)
+    mu = EmpiricalMeasure(mu_atoms, p=spec.p)
 
     max_drift = 0.0
     max_common = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bsde import (BasisSpec, MarkovPolicy, policy_actions_along, stacked_objective_influence,
                    _ridge_factor, _ridge_solve)
-from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport, _systematic_resample
+from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec, box_minimize_batch
 from .sde import NoiseBundle, PathBundle, simulate_markov_sde, step_major
@@ -35,7 +35,6 @@ _N_X = 41               # state points per step of the lookup table
 _N_KEY = 41             # conditioning-key points per step of the lookup table
 _SPAN_SIGMAS = 3.0      # table axes span the weighted mean +- this many deviations
 _MAX_FLAGGED = 0.01     # largest tolerated fraction of failed drift inversions
-_MIMIC_ATOMS = 256      # stratified subsample size per side of a mimicking comparison
 
 
 def lagged_noise_control(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
@@ -165,7 +164,7 @@ def mimicking_check(spec: ProblemSpec, original: tuple, policy: MarkovPolicy,
 
     The Markovian SDE is simulated with independent noise; at each retained
     step the 2-d joint (state, common state) laws are compared by exact
-    transport on stratified subsamples.
+    transport, which ``lp_transport`` runs on stratified subsamples.
     """
     paths, weights = original
     grid = paths.grid
@@ -180,10 +179,8 @@ def mimicking_check(spec: ProblemSpec, original: tuple, policy: MarkovPolicy,
     for k in checked_steps:
         joint_a = np.column_stack([paths.x[:, k, 0], paths.xc[:, k, 0]])
         joint_b = np.column_stack([new_paths.x[:, k, 0], new_paths.xc[:, k, 0]])
-        sub_a = _systematic_resample(joint_a, m[:, k] / m[:, k].sum(), _MIMIC_ATOMS)
-        sub_b = _systematic_resample(joint_b, np.full(joint_b.shape[0], 1.0 / joint_b.shape[0]),
-                                     _MIMIC_ATOMS)
-        vals.append(lp_transport(EmpiricalMeasure(sub_a), EmpiricalMeasure(sub_b), q=1.0))
+        vals.append(lp_transport(EmpiricalMeasure(joint_a, m[:, k]), EmpiricalMeasure(joint_b),
+                                 q=1.0))
     vals = np.asarray(vals)
     return MimickingReport(steps=np.asarray(checked_steps), w1=vals,
                            max_w1=float(vals.max()), mean_w1=float(vals.mean()),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -297,12 +296,10 @@ def simulate_common_state(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
     return xc
 
 
-def simulate_driftless_state(spec: ProblemSpec, noise: NoiseBundle,
-                             xc: Optional[np.ndarray] = None) -> PathBundle:
+def simulate_driftless_state(spec: ProblemSpec, noise: NoiseBundle) -> PathBundle:
     """Reference-measure state: initial draw plus pure diffusion, no drift term."""
     grid = noise.grid
-    if xc is None:
-        xc = simulate_common_state(spec, noise)
+    xc = simulate_common_state(spec, noise)
     x0, _ = draw_initial_states(spec, noise)
     x = step_major(noise.n_paths, grid.n_steps + 1, spec.d_state)
     x[:, 0] = x0
@@ -315,8 +312,7 @@ def simulate_driftless_state(spec: ProblemSpec, noise: NoiseBundle,
     return PathBundle(grid=grid, x=x, xc=xc, label="driftless")
 
 
-def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
-                        xc: Optional[np.ndarray] = None) -> PathBundle:
+def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle) -> PathBundle:
     """Controlled state under a Markovian feedback policy and a conditional measure flow.
 
     ``policy`` exposes ``actions(k, x, xc, key)``; ``flow`` exposes
@@ -326,8 +322,7 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle,
     grid = noise.grid
     if grid.n_steps != flow.grid.n_steps or abs(grid.horizon - flow.grid.horizon) > 1e-12:
         raise ValueError("policy/flow grid does not match the noise grid")
-    if xc is None:
-        xc = simulate_common_state(spec, noise)
+    xc = simulate_common_state(spec, noise)
     x0, _ = draw_initial_states(spec, noise)
     x = step_major(noise.n_paths, grid.n_steps + 1, spec.d_state)
     x[:, 0] = x0

@@ -34,7 +34,7 @@ def small_config():
 
 @pytest.fixture(scope="session")
 def dirac0():
-    return cnmfg.MeasureSummary([[0.0]], [1.0])
+    return cnmfg.EmpiricalMeasure([[0.0]], [1.0])
 
 
 def rng(seed=0):

@@ -159,14 +159,14 @@ class TestEvaluateObjective:
             bins = flow.assign(k, keys)
             for b in np.unique(bins):
                 sel = bins == b
-                mu = flow.summary(k, int(b))
+                mu = flow.measure(k, int(b))
                 total[sel] += lq_spec.running_cost(grid.times[k], paths.x[sel, k], mu,
                                                    actions[sel, k]) * grid.dt
         kT = 20
         bins = flow.assign(kT, paths.xc[:, kT, 0])
         for b in np.unique(bins):
             sel = bins == b
-            total[sel] += lq_spec.terminal_cost(paths.x[sel, kT], flow.summary(kT, int(b)))
+            total[sel] += lq_spec.terminal_cost(paths.x[sel, kT], flow.measure(kT, int(b)))
         assert j == pytest.approx(total.mean(), rel=1e-12)
 
     def test_optimal_beats_perturbations(self, lq_nointeraction_spec):

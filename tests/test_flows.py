@@ -22,7 +22,6 @@ from cnmfg.flows import (
     wasserstein_1d,
 )
 from cnmfg.girsanov import GirsanovWeights, stochastic_exponential
-from cnmfg.problem import MeasureSummary
 from cnmfg.sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
 
 # frozen after the first binning-stability sweep (8 vs 16 bins, 2e4 paths, seed 21)
@@ -403,7 +402,7 @@ class TestPositiveMass:
         weights[123] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="positive total mass"):
             flows_mod._make_step_bins(0, keys, np.arange(400), keys[:, None], weights, 4, 16,
-                                      lambda: np.arange(400))
+                                      lambda: np.arange(400), 2.0)
 
 
     def test_degenerate_weights_name_the_step_and_bin(self, lq_spec):
@@ -417,6 +416,18 @@ class TestPositiveMass:
         with pytest.raises(ValueError, match=r"positive total mass at step 1, bin \d+ "
                                              r"\(total weight 0\): weights degenerate"):
             estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
+
+
+class TestMalformedWeights:
+    """Weights that describe no measure raise at construction, not inside a transport."""
+
+    def test_negative_weight(self):
+        with pytest.raises(ValueError, match="negative"):
+            EmpiricalMeasure([0.0, 1.0], [-0.5, 1.5])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            EmpiricalMeasure([0.0, 1.0, 2.0], [0.5, 0.5])
 
 
 class TestEstimateFlow:
@@ -436,7 +447,7 @@ class TestEstimateFlow:
         flow = estimate_conditional_flow(paths, None, 8)
         k = 10
         bins = flow.bins_at(k)
-        means = [m.summary(2.0).mean[0] for m in bins.measures]
+        means = [m.mean[0] for m in bins.measures]
         overall_std = paths.x[:, k, 0].std()
         for b, mean in enumerate(means):
             se = overall_std / np.sqrt(bins.counts[b])
@@ -578,11 +589,11 @@ class TestPerBin:
         got = flow.per_bin(k, keys, recording, *rows)
         labels = flow.assign(k, keys)
         bins = np.unique(labels)
-        # one call per non-empty bin, in bin order, with the summary object
+        # one call per non-empty bin, in bin order, with the bin's measure
         # itself and exactly the mask's rows in path order
         assert len(calls) == bins.size
         for (mu, slices), b in zip(calls, bins):
-            assert mu is flow.summary(k, int(b))
+            assert mu is flow.measure(k, int(b))
             for seen, r in zip(slices, rows):
                 np.testing.assert_array_equal(seen, r[labels == b])
         single = not isinstance(got, tuple)
@@ -590,7 +601,7 @@ class TestPerBin:
         want = [np.full_like(g, np.nan) for g in got]
         for b in bins:
             mask = labels == b
-            res = fn(flow.summary(k, int(b)), *(r[mask] for r in rows))
+            res = fn(flow.measure(k, int(b)), *(r[mask] for r in rows))
             for w, part in zip(want, (res,) if single else res):
                 w[mask] = part
         for g, w in zip(got, want):
@@ -920,7 +931,8 @@ class TestMixFlows:
             steps = [flows_mod._make_step_bins(k, keys[:, k],
                                                np.argsort(keys[:, k], kind="stable"),
                                                x[:, k], blended[:, k], 8, 32,
-                                               lambda k=k: np.argsort(x[:, k, 0], kind="stable"))
+                                               lambda k=k: np.argsort(x[:, k, 0], kind="stable"),
+                                               2.0)
                      for k in range(keys.shape[1])]
             _assert_flows_bitwise_equal(mixed, SimpleNamespace(steps=steps))
 
@@ -932,15 +944,14 @@ class TestMixFlows:
 
     def test_reweighted_summaries_describe_the_new_bins(self, lq_spec, small_config):
         f1, f2 = self._flows(lq_spec, small_config, 16)
-        for k, bins in enumerate(f1.steps):        # warm f1's summary cache
-            for b in range(bins.n_bins):
-                f1.summary(k, b)
+        for bins in f1.steps:                      # warm f1's moment caches
+            for mu in bins.measures:
+                mu.mean, mu.pth_moment
         mixed = f1.reweighted(0.5 * f1.src_w + 0.5 * f2.src_w)
-        for k, bins in enumerate(mixed.steps):
-            for b, mu in enumerate(bins.measures):
-                got = mixed.summary(k, b)
-                want = MeasureSummary(mu.support, mu.weights, p=mixed.flow_p)
-                np.testing.assert_array_equal(got.weights, want.weights)
+        for bins in mixed.steps:
+            for got in bins.measures:
+                want = EmpiricalMeasure._normalized(got.support, got.weights, mixed.flow_p)
+                assert got.p == mixed.flow_p
                 np.testing.assert_array_equal(got.mean, want.mean)
                 assert got.pth_moment == want.pth_moment
 

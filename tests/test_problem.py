@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import cnmfg
 from cnmfg.problem import (
     _FAMILIES,
-    MeasureSummary,
+    EmpiricalMeasure,
     box_minimize_batch,
     hamiltonian_batch,
     make_instance,
@@ -33,27 +33,27 @@ def minimize_hamiltonian(spec, t, x, mu, z):
 
 
 class TestMeasureSummary:
-    def test_weights_must_normalize(self):
-        with pytest.raises(ValueError):
-            MeasureSummary([[0.0], [1.0]], [0.5, 0.6])
+    """The mean and p-th moment a measure hands the coefficients."""
 
     def test_moments_cached(self):
-        mu = MeasureSummary.from_atoms([[1.0], [3.0]], [0.25, 0.75], p=2.0)
+        mu = EmpiricalMeasure([[1.0], [3.0]], [0.25, 0.75], p=2.0)
+        assert "mean" not in vars(mu)
         assert mu.mean[0] == pytest.approx(2.5)
+        assert mu.mean is mu.mean                   # computed once, then cached
         assert mu.pth_moment == pytest.approx(0.25 * 1 + 0.75 * 9)
         recomputed = float(mu.weights @ np.linalg.norm(mu.support, axis=1) ** mu.p)
         assert abs(recomputed - mu.pth_moment) <= 1e-12 * max(1.0, abs(recomputed))
 
     def test_pth_moment_computed_on_first_access(self):
-        mu = MeasureSummary([[1.0, 0.0], [0.0, -2.0]], [0.5, 0.5], p=3.0)
-        assert mu._pth_moment is None
+        mu = EmpiricalMeasure([[1.0, 0.0], [0.0, -2.0]], [0.5, 0.5], p=3.0)
+        assert "pth_moment" not in vars(mu)
         assert mu.pth_moment == pytest.approx(0.5 * 1 + 0.5 * 8)
-        assert mu._pth_moment == mu.pth_moment
+        assert vars(mu)["pth_moment"] == mu.pth_moment
         with pytest.raises(ValueError, match="negative"):
-            MeasureSummary([[0.0], [1.0]], [-0.5, 1.5])   # validation stays eager
+            EmpiricalMeasure([[0.0], [1.0]], [-0.5, 1.5])   # validation stays eager
 
     def test_dirac(self):
-        mu = MeasureSummary([[2.0, 0.0]], [1.0], p=2.0)
+        mu = EmpiricalMeasure([[2.0, 0.0]], [1.0], p=2.0)
         assert mu.pth_moment == pytest.approx(4.0)
 
 
@@ -70,7 +70,7 @@ class TestHamiltonian:
         assert got == pytest.approx(0.725)
 
     def test_zero_adjoint_is_running_cost(self, lq_unit_spec):
-        mu = MeasureSummary.from_atoms([[0.3], [-0.1]], p=2.0)
+        mu = EmpiricalMeasure([[0.3], [-0.1]], p=2.0)
         x = np.array([[0.7]])
         a = np.array([[0.4]])
         f = lq_unit_spec.running_cost(0.3, x, mu, a)[0]
@@ -107,9 +107,9 @@ class TestMinimizeHamiltonian:
     def test_support_reordering_invariance(self, lq_unit_spec):
         pts = np.array([[0.4], [-0.2], [1.1]])
         w = np.array([0.5, 0.2, 0.3])
-        mu1 = MeasureSummary(pts, w)
+        mu1 = EmpiricalMeasure(pts, w)
         perm = [2, 0, 1]
-        mu2 = MeasureSummary(pts[perm], w[perm])
+        mu2 = EmpiricalMeasure(pts[perm], w[perm])
         a1, h1 = minimize_hamiltonian(lq_unit_spec, 0.1, [0.3], mu1, [0.7])
         a2, h2 = minimize_hamiltonian(lq_unit_spec, 0.1, [0.3], mu2, [0.7])
         # float summation order perturbs the search path; grid tolerance applies
@@ -151,7 +151,7 @@ class TestClosedFormArgmin:
         for t in rng.uniform(0.0, spec.horizon, size=3):
             x = rng.normal(0.0, 1.0, size=(n, 1))
             z = rng.uniform(-4.0, 4.0, size=(n, 1))
-            mu = MeasureSummary.from_atoms(rng.normal(0.0, 1.0, size=(7, 1)))
+            mu = EmpiricalMeasure(rng.normal(0.0, 1.0, size=(7, 1)))
             a, h = minimize_hamiltonian_batch(spec, t, x, mu, z)
             a_box, h_box = box_minimize_batch(
                 lambda act: hamiltonian_batch(spec, t, x, mu, act, z),
@@ -198,7 +198,7 @@ class TestInvertDrift:
         for t in rng.uniform(0.0, spec.horizon, size=3):
             x = rng.normal(0.0, 1.5, size=(n, 1))
             target = rng.uniform(-4.0, 4.0, size=(n, 1))
-            mu = MeasureSummary.from_atoms(rng.normal(0.0, 1.0, size=(7, 1)))
+            mu = EmpiricalMeasure(rng.normal(0.0, 1.0, size=(7, 1)))
 
             def gap(act):
                 return np.sum((spec.drift(t, x, mu, act) - target) ** 2, axis=1)
