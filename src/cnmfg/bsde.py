@@ -144,14 +144,13 @@ class BasisSpec:
 
     def features(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
         """(n, n_features) F-ordered columns of step k: monomials of the
-        standardized inputs, then standardized by ``col_stats`` when fitted."""
-        if self.stats is None:
+        standardized inputs, then standardized by ``col_stats``."""
+        if self.stats is None or self.col_stats is None:
             raise ValueError("basis statistics not fitted")
         cols = self.monomials(x, xc, *self.stats[k]).T    # the (n_features, n) block
-        if self.col_stats is not None:
-            cols -= self.col_stats[k, 0][:, None]
-            cols /= self.col_stats[k, 1][:, None]
-            cols[0] = 1.0
+        cols -= self.col_stats[k, 0][:, None]
+        cols /= self.col_stats[k, 1][:, None]
+        cols[0] = 1.0
         return cols.T
 
     def coef_on(self, k: int, coef: np.ndarray, centre: np.ndarray,
@@ -167,11 +166,10 @@ class BasisSpec:
         mean, std = self.stats[k]
         a, b = scale / std, (centre - mean) / std
         g = np.array(coef, dtype=float)
-        if self.col_stats is not None:
-            # the column standardization folded in; the intercept stays one
-            col_mean, col_std = self.col_stats[k, :, 1:]
-            g[:, 1:] /= col_std
-            g[:, 0] -= g[:, 1:] @ col_mean
+        # the column standardization folded in; the intercept stays one
+        col_mean, col_std = self.col_stats[k, :, 1:]
+        g[:, 1:] /= col_std
+        g[:, 0] -= g[:, 1:] @ col_mean
         exps = np.array(self.exponents(mean.size))
         e, f = exps[:, None, :], exps[None, :, :]          # C(e, f) is zero unless f <= e
         return g @ (comb(e, f) * a ** f * b ** np.maximum(e - f, 0)).prod(axis=2)

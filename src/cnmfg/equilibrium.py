@@ -79,6 +79,12 @@ class SolverConfig:
         # stderr is a sample standard deviation (ddof=1), so it needs two paths
         if self.n_paths < 2:
             raise ValueError("n_paths (config key 'paths') must be >= 2")
+        if self.n_steps < 1:
+            raise ValueError("n_steps (config key 'steps') must be >= 1")
+        if self.basis_degree < 0:
+            raise ValueError("basis_degree (config key 'degree') must be >= 0")
+        if not self.ridge >= 0:
+            raise ValueError("ridge (config key 'ridge') must be >= 0")
         if self.n_bins < 1:
             raise ValueError("n_bins (config key 'bins') must be >= 1")
         if self.min_bin_count < 1:
@@ -157,7 +163,7 @@ def _estimate_flow(spec: ProblemSpec, config: SolverConfig, paths: PathBundle,
                    weights: Optional[GirsanovWeights]) -> ConditionalMeasureFlow:
     return estimate_conditional_flow(
         paths, weights, config.n_bins, partition_times=config.partition_times,
-        min_bin_count=config.min_bin_count, flow_p=spec.p, retained=config.retained_eval_paths)
+        min_bin_count=config.min_bin_count, flow_p=spec.p)
 
 
 def initial_flow(spec: ProblemSpec, config: SolverConfig,
@@ -201,7 +207,7 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     for it in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         phi = apply_phi(spec, m, config, reference)
-        residual = flow_distance(phi.flow, m, config.flow_order)
+        residual = flow_distance(phi.flow, m, config.flow_order, config.retained_eval_paths)
         wall_ms = (time.perf_counter() - t0) * 1e3
         report.rows.append(IterationRow(iteration=it, residual=residual,
                                         damping=damping, y0=phi.solution.y0,

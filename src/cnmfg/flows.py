@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,34 +191,10 @@ class StepBins:
     measures: list                          # EmpiricalMeasure per bin
     counts: np.ndarray
     labels: np.ndarray                      # (n_source,) bin of each source row
-    # (state order callable, atoms, weights, bin totals) until sort_1d has run
-    _unsorted: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n_bins(self) -> int:
         return len(self.measures)
-
-    def sort_1d(self) -> None:
-        """Sets every bin measure's ``sorted_1d`` from one sorted block of the step.
-
-        The step's stable state order, filtered by bin label, lists each bin's
-        atoms sorted with ties in path order, which is how the stable argsort of
-        the bin's own atoms (held in path order) breaks them, so both give the
-        same pairs.  Multi-dimensional steps, and steps already sorted, are left
-        as they are.
-        """
-        if self._unsorted is None:
-            return
-        state_order, atoms, weights, totals = self._unsorted
-        order = state_order()
-        rows = order[np.argsort(self.labels[order], kind="stable")]     # radix sort for int16
-        xs = atoms[rows, 0]
-        ws = weights[rows] / np.repeat(totals, self.counts)
-        ends = np.cumsum(self.counts)
-        for mu, lo, hi in zip(self.measures, ends - self.counts, ends):
-            if hi > lo:
-                mu._sorted = (xs[lo:hi], ws[lo:hi])
-        self._unsorted = None
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -255,12 +230,9 @@ def _label_dtype(n_groups: int):
 
 def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
                     weights: np.ndarray, n_bins: int, min_bin_count: int,
-                    state_order, p: float) -> StepBins:
-    """Quantile bins of ``keys`` at step k; ``order`` is a stable argsort of ``keys``.
-
-    ``state_order`` is a zero-argument callable giving the stable argsort of
-    ``atoms[:, 0]``; ``StepBins.sort_1d`` sorts one-dimensional bins from it.
-    """
+                    state_order: np.ndarray, p: float) -> StepBins:
+    """Quantile bins of ``keys`` at step k; ``order`` is a stable argsort of ``keys``
+    and ``state_order`` one of ``atoms[:, 0]``."""
     n = keys.shape[0]
     sorted_keys = keys[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)
@@ -294,9 +266,10 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
     # sorted rows [lo, hi) of bin b are the rows that assign(k, keys) puts in b
     labels = np.empty(n, dtype=_label_dtype(counts.size))
     labels[order] = np.repeat(np.arange(counts.size, dtype=labels.dtype), counts)
-    # the step's atoms and weights as one bin-major block, each bin's rows in
-    # path order (as the mask assign == b lists them); the measures are views
-    by_bin = np.argsort(labels, kind="stable")
+    # the step's atoms and weights as one bin-major block, each bin's rows
+    # sorted by the first state coordinate, ties in path order; the measures
+    # are views
+    by_bin = state_order[np.argsort(labels[state_order], kind="stable")]   # radix sort for int16
     block = atoms[by_bin]
     w_block = weights[by_bin]
     ends = np.cumsum(counts)
@@ -313,9 +286,7 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
     measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi], p) if hi > lo
                 else EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1), p)
                 for lo, hi in zip(starts, ends)]
-    unsorted = (state_order, atoms, weights, totals) if atoms.shape[1] == 1 else None
-    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels,
-                    _unsorted=unsorted)
+    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels)
 
 
 @dataclass
@@ -336,7 +307,6 @@ class ConditionalMeasureFlow:
     n_bins_requested: int
     min_bin_count: int
     flow_p: float = 2.0
-    retained: int = 2048
 
     @property
     def grid(self) -> TimeGrid:
@@ -409,26 +379,15 @@ class ConditionalMeasureFlow:
     def measure(self, k: int, bin_idx: int) -> EmpiricalMeasure:
         return self.steps[k].measures[bin_idx]
 
-    @property
-    def retained_keys(self) -> np.ndarray:
-        n = self.n_source
-        take = min(self.retained, n)
-        idx = np.unique(np.linspace(0, n - 1, take).astype(int))
-        return self.src_key[idx]
-
 
 def _bin_steps(paths: PathBundle, src_w: np.ndarray, key_idx: np.ndarray, n_bins: int,
                min_bin_count: int, p: float) -> list:
     """StepBins per step: the atoms ``paths.x[:, k]`` binned by the key at ``key_idx[k]``,
     each bin's measure carrying moment order ``p``."""
-    keys, order = paths.xc[:, :, 0], paths.key_order
+    keys, order, state_order = paths.xc[:, :, 0], paths.key_order, paths.state_order
     return [_make_step_bins(k, keys[:, j], order[:, j], paths.x[:, k], src_w[:, k],
-                            n_bins, min_bin_count, partial(_state_order_at, paths, k), p)
+                            n_bins, min_bin_count, state_order[:, k], p)
             for k, j in enumerate(key_idx)]
-
-
-def _state_order_at(paths: PathBundle, k: int) -> np.ndarray:
-    return paths.state_order[:, k]
 
 
 def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
@@ -443,8 +402,8 @@ def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
 
 def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWeights],
                               n_bins: int, partition_times: Optional[Sequence[float]] = None,
-                              min_bin_count: int = 64, flow_p: float = 2.0,
-                              retained: int = 2048) -> ConditionalMeasureFlow:
+                              min_bin_count: int = 64,
+                              flow_p: float = 2.0) -> ConditionalMeasureFlow:
     """Bin the conditioning key by weighted quantiles, one empirical law per bin.
 
     ``weights`` may be None for unit weights; otherwise the time-matched
@@ -482,28 +441,31 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
         paths=x_paths, src_w=w_steps,
         steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count, flow_p),
         key_idx=key_idx, partition_times=partition, n_bins_requested=n_bins,
-        min_bin_count=min_bin_count, flow_p=flow_p, retained=retained)
+        min_bin_count=min_bin_count, flow_p=flow_p)
 
 
 def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
-                  q: float = 2.0) -> float:
+                  q: float = 2.0, retained: int = 2048) -> float:
     """Monte Carlo estimate of the flow metric.
 
-    For each retained evaluation path, integrate W_q^2 between the two looked-up
+    For each evaluation path, integrate W_q^2 between the two looked-up
     conditional measures over time (trapezoid rule), raise to q/2, average over
-    paths, take the q-th root.  Evaluation paths are the union of both flows'
-    retained key trajectories, so the estimate is symmetric.
+    paths, take the q-th root.  Evaluation paths are up to ``retained`` evenly
+    spaced common-state paths of each flow, so the estimate is symmetric; each
+    flow looks a path up by its own key at every step.
     """
     if m.grid != m2.grid:
         raise ValueError("flow grids do not match")
-    keys = np.concatenate([m.retained_keys, m2.retained_keys], axis=0)
-    n_eval, n_nodes = keys.shape
+    evals = []
+    for f in (m, m2):
+        idx = np.unique(np.linspace(0, f.n_source - 1, min(retained, f.n_source)).astype(int))
+        evals.append(f.paths.xc[idx, :, 0])
+    xc = np.concatenate(evals)
+    n_eval, n_nodes = xc.shape
     w2 = np.empty((n_eval, n_nodes))
     for k in range(n_nodes):
-        m.steps[k].sort_1d()
-        m2.steps[k].sort_1d()
-        bins_a = m.assign(k, keys[:, k])
-        bins_b = m2.assign(k, keys[:, k])
+        bins_a = m.assign(k, xc[:, m.key_index(k)])
+        bins_b = m2.assign(k, xc[:, m2.key_index(k)])
         n_b = m2.steps[k].n_bins
         pairs, inverse = np.unique(bins_a * n_b + bins_b, return_inverse=True)
         vals = np.array([_wq(m.measure(k, int(p) // n_b), m2.measure(k, int(p) % n_b), q) ** 2
@@ -531,11 +493,8 @@ def flow_to_csv(flow: ConditionalMeasureFlow, path) -> None:
             for b, mu in enumerate(bins.measures):
                 row = [str(k), f"{times[k]:.17g}", str(b),
                        f"{bins.edges[b]:.17g}", f"{bins.edges[b + 1]:.17g}"]
-                # a bin that flow_distance sorted keeps its sorted atoms; the
-                # others are sorted here and not kept, so writing a flow
-                # never holds a second copy of it
                 for c in range(d):
-                    quants = (_sorted_quantiles(*mu._sorted, qs) if mu._sorted is not None
+                    quants = (_sorted_quantiles(*mu.sorted_1d, qs) if d == 1
                               else _weighted_quantiles(mu.support[:, c], mu.weights, qs))
                     row.extend(f"{v:.17g}" for v in quants)
                 writer.writerow(row)

@@ -82,12 +82,14 @@ class EmpiricalMeasure:
     @classmethod
     def _normalized(cls, support: np.ndarray, weights: np.ndarray,
                     p: float) -> "EmpiricalMeasure":
-        """The measure on (n, d) ``support`` with ``weights`` already summing to one, unchanged."""
+        """The measure on (n, d) ``support``, sorted by its first coordinate, with
+        ``weights`` already summing to one, both taken unchanged; for 1-d support
+        ``sorted_1d`` is the pair of them."""
         mu = cls.__new__(cls)
         mu.support = support
         mu.weights = weights
         mu.p = p
-        mu._sorted = None
+        mu._sorted = (support[:, 0], weights) if support.shape[1] == 1 else None
         return mu
 
     @property
@@ -105,8 +107,8 @@ class EmpiricalMeasure:
     @property
     def sorted_1d(self):
         """(sorted atoms, matching weights), tied atoms in support order; only
-        valid for 1-d supports.  Computed on first use unless ``StepBins.sort_1d``
-        has set it."""
+        valid for 1-d supports.  Views of ``support`` and ``weights`` for a
+        measure built sorted (a flow's bins); otherwise sorted on first use."""
         if self.dim != 1:
             raise ValueError("sorted_1d requires 1-d support")
         if self._sorted is None:

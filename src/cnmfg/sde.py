@@ -177,7 +177,8 @@ class PathBundle:
 
     @cached_property
     def state_order(self) -> np.ndarray:
-        """Stable per-step argsort of the first state coordinate ``x[:, :, 0]``, as int32."""
+        """Stable per-step argsort of the first state coordinate ``x[:, :, 0]``, as
+        int32; every flow binned on the bundle lists each bin's atoms in this order."""
         return _stable_column_order(self.x[:, :, 0])
 
 

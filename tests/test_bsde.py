@@ -99,7 +99,9 @@ class TestExtractControl:
         n_feat = basis.n_features(2)
         stats = np.zeros((grid.n_steps + 1, 2, 2))
         stats[:, 1] = 1.0
-        fitted = BasisSpec(degree=2, ridge=0.0, stats=stats)
+        col_stats = np.zeros((grid.n_steps + 1, 2, n_feat))    # identity: mean 0, std 1
+        col_stats[:, 1] = 1.0
+        fitted = BasisSpec(degree=2, ridge=0.0, stats=stats, col_stats=col_stats)
         z_coef = np.zeros((grid.n_steps, 1, n_feat))
         z_coef[:, 0, 0] = const_z
         return BsdeSolution(grid=grid, basis=fitted,

@@ -131,6 +131,18 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not (out / "residuals.csv").exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("steps = 10", "steps = 0", "n_steps (config key 'steps') must be >= 1"),
+        ("seed = 7", "seed = 7\ndegree = -1", "basis_degree (config key 'degree') must be >= 0"),
+        ("seed = 7", "seed = 7\nridge = -1", "ridge (config key 'ridge') must be >= 0"),
+    ])
+    def test_bad_grid_or_basis_fails_at_parse_time(self, tmp_path, capsys, old, new, message):
+        cfg = _write(tmp_path, MINIMAL.replace(old, new))
+        out = tmp_path / "out"
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, flags", [
         (MINIMAL, ["--paths", "1"]),
         (MINIMAL.replace("paths = 2000", "paths = 1"), []),

@@ -367,7 +367,8 @@ class TestFlowDistance:
         m = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
         m2 = estimate_conditional_flow(paths, w, 5, min_bin_count=32)
         q = 2.0
-        keys = np.concatenate([m.retained_keys, m2.retained_keys], axis=0)
+        idx = np.unique(np.linspace(0, 3999, 2048).astype(int))
+        keys = np.concatenate([paths.xc[idx, :, 0]] * 2, axis=0)
         w2 = np.empty(keys.shape)
         for i in range(keys.shape[0]):
             for k in range(keys.shape[1]):
@@ -378,6 +379,39 @@ class TestFlowDistance:
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
         expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
         assert flow_distance(m, m2, q) == expected
+
+    def test_each_flow_keys_paths_by_its_own_key_map(self, lq_spec):
+        grid = TimeGrid(1.0, 20)
+        noise = generate_noise(4000, grid, 5, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        cur = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        part = estimate_conditional_flow(paths, None, 8, partition_times=[0.0, 0.5, 1.0],
+                                         min_bin_count=32)
+        assert not np.array_equal(cur.key_idx, part.key_idx)
+        q = 2.0
+        idx = np.unique(np.linspace(0, 3999, 2048).astype(int))
+        xc = np.concatenate([paths.xc[idx, :, 0]] * 2, axis=0)
+        w2 = np.empty(xc.shape)
+        for i in range(xc.shape[0]):
+            for k in range(xc.shape[1]):
+                a = int(cur.assign(k, xc[i:i + 1, cur.key_index(k)])[0])
+                b = int(part.assign(k, xc[i:i + 1, part.key_index(k)])[0])
+                w2[i, k] = flows_mod._wq(cur.measure(k, a), part.measure(k, b), q) ** 2
+        trap_w = np.full(xc.shape[1], grid.dt)
+        trap_w[0] = trap_w[-1] = 0.5 * grid.dt
+        expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
+        assert flow_distance(cur, part, q) == expected
+
+    def test_retained_caps_the_evaluation_paths(self, lq_spec, small_config):
+        noise = generate_noise(2000, small_config.grid(lq_spec), 6, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        w = stochastic_exponential(lq_spec, np.clip(0.5 * paths.x[:, :-1, :], -1, 1), noise)
+        m = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        m2 = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
+        # past the path count every path is evaluated, twice
+        assert flow_distance(m, m2, 2.0, retained=2000) == flow_distance(m, m2, 2.0,
+                                                                         retained=5000)
+        assert flow_distance(m, m2, 2.0, retained=16) != flow_distance(m, m2, 2.0)
 
     def test_grid_mismatch_rejected(self):
         d0 = EmpiricalMeasure(np.array([0.0]))
@@ -402,7 +436,7 @@ class TestPositiveMass:
         weights[123] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="positive total mass"):
             flows_mod._make_step_bins(0, keys, np.arange(400), keys[:, None], weights, 4, 16,
-                                      lambda: np.arange(400), 2.0)
+                                      np.arange(400), 2.0)
 
 
     def test_degenerate_weights_name_the_step_and_bin(self, lq_spec):
@@ -764,7 +798,6 @@ class TestFlowOwnedCaches:
     def test_step_sorted_block_equals_argsort(self, lq_spec, small_config, x_decimals):
         paths, flows = self._flows(lq_spec, small_config, 46, x_decimals=x_decimals)
         for flow in flows.values():
-            flow_distance(flow, flows["current"], 2.0)      # sorts every step of both
             for bins in flow.steps:
                 blocks = []
                 for mu, count in zip(bins.measures, bins.counts):
@@ -796,7 +829,7 @@ class TestKeyOrderCache:
         cold = estimate_conditional_flow(cold_paths, w, 8, **kw)
         _assert_flows_bitwise_equal(warm, cold)
 
-    def test_bin_measures_are_the_masked_rows_in_path_order(self, lq_spec, small_config):
+    def test_bin_measures_are_the_masked_rows_in_state_order(self, lq_spec, small_config):
         grid = small_config.grid(lq_spec)
         noise = generate_noise(4000, grid, 25, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
@@ -805,10 +838,21 @@ class TestKeyOrderCache:
         for k in range(grid.n_steps + 1):
             labels = flow.assign(k, paths.xc[:, k, 0])
             for b, mu in enumerate(flow.bins_at(k).measures):
-                sel = labels == b
-                np.testing.assert_array_equal(mu.support, paths.x[sel, k])
+                rows = np.flatnonzero(labels == b)
+                rows = rows[np.argsort(paths.x[rows, k, 0], kind="stable")]
+                np.testing.assert_array_equal(mu.support, paths.x[rows, k])
                 np.testing.assert_array_equal(
-                    mu.weights, EmpiricalMeasure(paths.x[sel, k], flow.src_w[sel, k]).weights)
+                    mu.weights, EmpiricalMeasure(paths.x[rows, k], flow.src_w[rows, k]).weights)
+
+    def test_sorted_1d_shares_the_bin_block(self, lq_spec, small_config):
+        noise = generate_noise(2000, small_config.grid(lq_spec), 26, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        for bins in flow.steps:
+            for mu in bins.measures:
+                xs, ws = mu.sorted_1d
+                assert np.shares_memory(xs, mu.support)
+                assert np.shares_memory(ws, mu.weights)
 
     def test_current_mode_shares_the_cached_order(self, lq_spec, small_config):
         # the flow copies no particles: its keys are a view of the paths' common state
@@ -931,8 +975,7 @@ class TestMixFlows:
             steps = [flows_mod._make_step_bins(k, keys[:, k],
                                                np.argsort(keys[:, k], kind="stable"),
                                                x[:, k], blended[:, k], 8, 32,
-                                               lambda k=k: np.argsort(x[:, k, 0], kind="stable"),
-                                               2.0)
+                                               np.argsort(x[:, k, 0], kind="stable"), 2.0)
                      for k in range(keys.shape[1])]
             _assert_flows_bitwise_equal(mixed, SimpleNamespace(steps=steps))
 
@@ -977,7 +1020,6 @@ class TestSerialization:
         w = np.random.default_rng(3).random((4000, small_config.n_steps + 1))
         flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
         flow = flow.reweighted(w / w.sum(axis=0))
-        flow_distance(flow, flow.reweighted(flow.src_w), 2.0)      # some bins sorted already
         flow_to_csv(flow, tmp_path / "flow.csv")
         qs = np.linspace(0.0, 1.0, 33)
         rows = list(csv.reader((tmp_path / "flow.csv").read_text().splitlines()))[1:]
