@@ -215,7 +215,6 @@ def _ridge_solve(factor, feats: np.ndarray, targets: np.ndarray,
 class BsdeSolution:
     grid: TimeGrid
     basis: BasisSpec
-    y_coef: np.ndarray           # (n_steps, n_features)
     z_coef: np.ndarray           # (n_steps, d_state, n_features)
     y0: float
     y0_stderr: float
@@ -275,7 +274,6 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     n_feat = fitted.n_features(spec.d_state + spec.d_common)
     n_steps = grid.n_steps
 
-    y_coef = np.zeros((n_steps, n_feat))
     z_coef = np.zeros((n_steps, spec.d_state, n_feat))
     resid = np.zeros(n_steps)
     actions = step_major(n, n_steps, spec.d_action) if driver == "hamiltonian" else None
@@ -306,8 +304,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
 
         raw_sum += h * dt
         target = y_next + h * dt
-        y_coef[k] = c_pre + _ridge_solve(factor, feats, h * dt)
-        y_fit = feats @ y_coef[k]
+        y_fit = feats @ (c_pre + _ridge_solve(factor, feats, h * dt))
         resid[k] = float(np.mean((target - y_fit) ** 2))
         if resid[k] > explosion_threshold:
             raise RuntimeError(
@@ -317,8 +314,8 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
         y_next = y_fit
     y0_se = float(raw_sum.std(ddof=1) / np.sqrt(n))
 
-    return BsdeSolution(grid=grid, basis=fitted, y_coef=y_coef, z_coef=z_coef,
-                        y0=y0, y0_stderr=y0_se, residual_var=resid, control_samples=actions)
+    return BsdeSolution(grid=grid, basis=fitted, z_coef=z_coef, y0=y0, y0_stderr=y0_se,
+                        residual_var=resid, control_samples=actions)
 
 
 @dataclass
@@ -428,7 +425,7 @@ def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     its own weights, shifted by their own maximum.  Returns one (estimate,
     stderr, influence) triple per control; control c's triple equals bitwise
     the self-normalized mean of its payoff under
-    ``control_weights(...).m_scaled[:, -1]``.  Only (n, C) arrays persist
+    ``control_weights(...).scaled(-1)``.  Only (n, C) arrays persist
     across steps.
     """
     grid = paths.grid

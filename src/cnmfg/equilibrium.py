@@ -200,8 +200,6 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     damping = config.damping
     m = apply_phi(spec, initial_flow(spec, config, reference[1]), config, reference).flow
 
-    final: Optional[PhiResult] = None
-    m_star = m
     stall = 0
     prev_residual = np.inf
     for it in range(1, config.max_iters + 1):
@@ -212,8 +210,6 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
         report.rows.append(IterationRow(iteration=it, residual=residual,
                                         damping=damping, y0=phi.solution.y0,
                                         wall_ms=wall_ms))
-        final = phi
-        m_star = m
         if residual <= config.tol:
             report.status = "converged"
             break
@@ -227,21 +223,23 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
             if damping < _MIN_DAMPING:
                 report.status = "aborted"
                 break
+        if it == config.max_iters:
+            report.status = "max_iters"
+            break
         prev_residual = residual
         m = m.reweighted((1.0 - damping) * m.src_w + damping * phi.flow.src_w)
-    else:
-        report.status = "max_iters"
+        del phi     # the next application runs without this one's flow, weights and solution
 
-    result = EquilibriumResult(flow=m_star, policy=None, solution=final.solution,
-                               weights=final.weights, report=report)
-    result.policy = extract_control(final.solution, spec, m_star)
+    # m is the iterate the last application ran on, so (m, phi) is a matched pair
+    result = EquilibriumResult(flow=m, policy=extract_control(phi.solution, spec, m),
+                               solution=phi.solution, weights=phi.weights, report=report)
     if project:
-        table = project_control(spec, reference[1], final.solution.control_samples,
-                                m_star, final.weights, config.basis())
+        table = project_control(spec, reference[1], phi.solution.control_samples,
+                                m, phi.weights, config.basis())
         result.eval_noise = _eval_noise(spec, config)
         result.projected_policy = table
-        result.mimicking = mimicking_check(spec, (reference[1], final.weights),
-                                           table, m_star, result.eval_noise)
+        result.mimicking = mimicking_check(spec, (reference[1], phi.weights),
+                                           table, m, result.eval_noise)
     return result
 
 

@@ -434,8 +434,8 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     if weights is None:
         w_steps.fill(1.0 / n)
     else:
-        w_steps[...] = weights.m_scaled
         for k in range(w_steps.shape[1]):
+            w_steps[:, k] = weights.scaled(k)
             w_steps[:, k] /= w_steps[:, k].sum()     # pairwise along the contiguous step
     return ConditionalMeasureFlow(
         paths=x_paths, src_w=w_steps,
@@ -451,13 +451,14 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
     For each evaluation path, integrate W_q^2 between the two looked-up
     conditional measures over time (trapezoid rule), raise to q/2, average over
     paths, take the q-th root.  Evaluation paths are up to ``retained`` evenly
-    spaced common-state paths of each flow, so the estimate is symmetric; each
-    flow looks a path up by its own key at every step.
+    spaced common-state paths of each flow's bundle, taken once when the flows
+    share one, so the estimate is symmetric; each flow looks a path up by its
+    own key at every step.
     """
     if m.grid != m2.grid:
         raise ValueError("flow grids do not match")
     evals = []
-    for f in (m, m2):
+    for f in ((m,) if m2.paths is m.paths else (m, m2)):
         idx = np.unique(np.linspace(0, f.n_source - 1, min(retained, f.n_source)).astype(int))
         evals.append(f.paths.xc[idx, :, 0])
     xc = np.concatenate(evals)

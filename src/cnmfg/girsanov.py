@@ -1,15 +1,16 @@
 """Stochastic exponential weights for the change of measure, and weighted means.
 
-Weights are accumulated in the log domain; linear-domain values are produced
-lazily.  All expectation estimators are self-normalized ratios, so the
-discretization bias of the normalizing constant cancels, and so does any
-per-step constant factor: normalized weights come from ``m_scaled``, which
-divides out each step's largest weight in the log domain and cannot overflow.
+Weights are held only in the log domain; each consumer exponentiates the
+step it needs, when it needs it.  All expectation estimators are
+self-normalized ratios, so the discretization bias of the normalizing constant
+cancels, and so does any per-step constant factor: normalized weights come
+from ``scaled(k)``, which divides out step k's largest weight in the log domain
+and cannot overflow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,37 +32,23 @@ __all__ = [
 class GirsanovWeights:
     grid: TimeGrid
     log_m: np.ndarray                       # (n_paths, n_steps + 1), log M_t, step-major
-    # caches of functions of log_m; not init fields, so ``replace`` never carries them over
-    _m: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _m_scaled: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
         return self.log_m.shape[0]
 
     @property
-    def m(self) -> np.ndarray:
-        """exp(log M), in the layout of ``log_m``."""
-        if self._m is None:
-            self._m = np.exp(self.log_m)
-        return self._m
-
-    @property
     def m_terminal(self) -> np.ndarray:
-        return self.m[:, -1]
+        return np.exp(self.log_m[:, -1])
 
-    @property
-    def m_scaled(self) -> np.ndarray:
-        """exp(log M - its per-step maximum over paths), in the layout of ``log_m``.
+    def scaled(self, k: int) -> np.ndarray:
+        """exp(log M_k - its maximum over paths): proportional to M at step k.
 
-        Proportional to ``m`` at every step, so self-normalized estimators
-        are unchanged, but finite wherever ``log_m`` is: the largest weight of
-        each step is one.
+        Self-normalized estimators are unchanged, but the weights are finite
+        wherever ``log_m`` is: the largest weight of the step is one.
         """
-        if self._m_scaled is None:
-            shifted = self.log_m - self.log_m.max(axis=0)
-            self._m_scaled = np.exp(shifted, out=shifted)
-        return self._m_scaled
+        shifted = self.log_m[:, k] - self.log_m[:, k].max()
+        return np.exp(shifted, out=shifted)
 
 
 def stochastic_exponential(spec: ProblemSpec, drift_samples, noise: NoiseBundle

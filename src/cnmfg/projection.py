@@ -82,7 +82,6 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         raise ValueError("action_samples misaligned with paths")
 
     fitted = basis.fit_stats(paths)
-    m = weights.m_scaled
     x_axes = np.empty((n_steps, _N_X))
     key_axes = np.empty((n_steps, _N_KEY))
     tables = np.empty((n_steps, _N_X, _N_KEY, spec.d_action))
@@ -93,7 +92,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
     for k in range(n_steps):
         keys = paths.xc[:, flow.key_index(k), 0]
         t_k = grid.times[k]
-        w_k = m[:, k]
+        w_k = weights.scaled(k)
 
         drift_vals = flow.per_bin(k, paths, lambda mu, xs, acts: np.asarray(
             spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a[:, k])
@@ -174,13 +173,12 @@ def mimicking_check(spec: ProblemSpec, original: tuple, policy: MarkovPolicy,
         if checked_steps[-1] != grid.n_steps:
             checked_steps.append(grid.n_steps)
     new_paths = simulate_markov_sde(spec, policy, flow, fresh_noise)
-    m = weights.m_scaled
     vals = []
     for k in checked_steps:
         joint_a = np.column_stack([paths.x[:, k, 0], paths.xc[:, k, 0]])
         joint_b = np.column_stack([new_paths.x[:, k, 0], new_paths.xc[:, k, 0]])
-        vals.append(lp_transport(EmpiricalMeasure(joint_a, m[:, k]), EmpiricalMeasure(joint_b),
-                                 q=1.0))
+        vals.append(lp_transport(EmpiricalMeasure(joint_a, weights.scaled(k)),
+                                 EmpiricalMeasure(joint_b), q=1.0))
     vals = np.asarray(vals)
     return MimickingReport(steps=np.asarray(checked_steps), w1=vals,
                            max_w1=float(vals.max()), mean_w1=float(vals.mean()),

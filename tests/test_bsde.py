@@ -104,9 +104,7 @@ class TestExtractControl:
         fitted = BasisSpec(degree=2, ridge=0.0, stats=stats, col_stats=col_stats)
         z_coef = np.zeros((grid.n_steps, 1, n_feat))
         z_coef[:, 0, 0] = const_z
-        return BsdeSolution(grid=grid, basis=fitted,
-                            y_coef=np.zeros((grid.n_steps, n_feat)),
-                            z_coef=z_coef, y0=0.0, y0_stderr=0.0,
+        return BsdeSolution(grid=grid, basis=fitted, z_coef=z_coef, y0=0.0, y0_stderr=0.0,
                             residual_var=np.zeros(grid.n_steps))
 
     def test_zero_integrand_gives_zero_policy(self, lq_spec, small_config):
@@ -218,7 +216,7 @@ class TestStackedScoring:
                                                     noise)[0]
         weights = control_weights(spec, flow, a, paths, noise)
         est1, se1, infl1 = self_normalized_mean(_terminal_values(spec, flow, paths),
-                                                weights.m_scaled[:, -1])
+                                                weights.scaled(-1))
         assert (est, se) == (est1, se1)
         np.testing.assert_array_equal(infl, infl1)
 
@@ -490,7 +488,7 @@ class TestWindowFold:
         basis = BasisSpec(degree=degree).fit_stats(paths)
         n_feat = basis.n_features(d_state + 1)
         rng = np.random.default_rng(10 * degree + d_state)
-        solution = BsdeSolution(grid=paths.grid, basis=basis, y_coef=np.zeros((n_steps, n_feat)),
+        solution = BsdeSolution(grid=paths.grid, basis=basis,
                                 z_coef=rng.normal(size=(n_steps, d_state, n_feat)), y0=0.0,
                                 y0_stderr=0.0, residual_var=np.zeros(n_steps))
         off = (rng.normal(size=(50, d_state)) * 4.0 * scale + 1.0 + offset,

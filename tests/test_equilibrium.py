@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -245,3 +248,35 @@ class TestMixing:
         assert dampings[0] == 0.5
         if res.report.status == "aborted":
             assert dampings[-1] < 0.5
+
+
+class TestIterateLifetime:
+    _CFG = dict(n_paths=2000, n_steps=10, n_bins=4, min_bin_count=32, seed=3, tol=1e-12)
+
+    def test_each_application_runs_without_the_previous_one(self, lq_spec, monkeypatch):
+        # per application: its input flow, its result's flow and its weights
+        refs, alive = [], []
+        apply = equilibrium_mod.apply_phi
+
+        def recording(spec, m, config, reference=None):
+            gc.collect()
+            if len(refs) >= 2:
+                alive.append([r() is not None for r in refs[-1]])
+            phi = apply(spec, m, config, reference)
+            refs.append((weakref.ref(m), weakref.ref(phi.flow), weakref.ref(phi.weights)))
+            return phi
+
+        monkeypatch.setattr(equilibrium_mod, "apply_phi", recording)
+        res = solve_equilibrium(lq_spec, SolverConfig(max_iters=4, **self._CFG), project=False)
+        assert res.report.status == "max_iters"
+        assert alive == [[False] * 3] * 3
+
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    def test_max_iters_exit_pairs_the_flow_with_its_application(self, lq_spec, max_iters):
+        cfg = SolverConfig(max_iters=max_iters, **self._CFG)
+        res = solve_equilibrium(lq_spec, cfg, project=False)
+        assert res.report.status == "max_iters"
+        assert len(res.report.rows) == max_iters
+        phi = apply_phi(lq_spec, res.flow, cfg)
+        assert phi.solution.y0 == res.solution.y0 == res.report.rows[-1].y0
+        assert np.array_equal(phi.weights.log_m, res.weights.log_m)

@@ -368,7 +368,7 @@ class TestFlowDistance:
         m2 = estimate_conditional_flow(paths, w, 5, min_bin_count=32)
         q = 2.0
         idx = np.unique(np.linspace(0, 3999, 2048).astype(int))
-        keys = np.concatenate([paths.xc[idx, :, 0]] * 2, axis=0)
+        keys = paths.xc[idx, :, 0]
         w2 = np.empty(keys.shape)
         for i in range(keys.shape[0]):
             for k in range(keys.shape[1]):
@@ -390,7 +390,7 @@ class TestFlowDistance:
         assert not np.array_equal(cur.key_idx, part.key_idx)
         q = 2.0
         idx = np.unique(np.linspace(0, 3999, 2048).astype(int))
-        xc = np.concatenate([paths.xc[idx, :, 0]] * 2, axis=0)
+        xc = paths.xc[idx, :, 0]
         w2 = np.empty(xc.shape)
         for i in range(xc.shape[0]):
             for k in range(xc.shape[1]):
@@ -408,10 +408,30 @@ class TestFlowDistance:
         w = stochastic_exponential(lq_spec, np.clip(0.5 * paths.x[:, :-1, :], -1, 1), noise)
         m = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
         m2 = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
-        # past the path count every path is evaluated, twice
+        # past the path count every path is evaluated, once
         assert flow_distance(m, m2, 2.0, retained=2000) == flow_distance(m, m2, 2.0,
                                                                          retained=5000)
         assert flow_distance(m, m2, 2.0, retained=16) != flow_distance(m, m2, 2.0)
+
+    def test_shared_bundle_assigns_each_evaluation_path_once(self, lq_spec, small_config,
+                                                             monkeypatch):
+        noise = generate_noise(3000, small_config.grid(lq_spec), 7, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        w = stochastic_exponential(lq_spec, np.clip(0.5 * paths.x[:, :-1, :], -1, 1), noise)
+        m = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+        m2 = estimate_conditional_flow(paths, w, 8, min_bin_count=32)
+        sizes = []
+        assign = ConditionalMeasureFlow.assign
+
+        def counting(self, k, keys):
+            sizes.append(len(keys))
+            return assign(self, k, keys)
+
+        monkeypatch.setattr(ConditionalMeasureFlow, "assign", counting)
+        for retained, n_eval in ((500, 500), (5000, 3000)):
+            sizes.clear()
+            flow_distance(m, m2, 2.0, retained=retained)
+            assert sizes == [n_eval] * (2 * paths.grid.n_steps + 2)
 
     def test_grid_mismatch_rejected(self):
         d0 = EmpiricalMeasure(np.array([0.0]))

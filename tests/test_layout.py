@@ -69,7 +69,7 @@ def test_simulators_and_orders(lq_spec, layers):
 def test_weights_and_flows(layers):
     _, _, paths, flow, _, weights = layers
     _assert_step_major(weights.log_m, (N, STEPS + 1))
-    _assert_step_major(weights.m, (N, STEPS + 1))
+    _assert_step_major(np.exp(weights.log_m), (N, STEPS + 1))
     _assert_step_major(flow.src_w, (N, STEPS + 1))
     weighted = estimate_conditional_flow(paths, weights, 4, min_bin_count=32)
     _assert_step_major(weighted.src_w, (N, STEPS + 1))

@@ -6,6 +6,7 @@ import pytest
 import cnmfg
 from cnmfg.bsde import BasisSpec, control_weights
 from cnmfg.equilibrium import SolverConfig, initial_flow
+from cnmfg.flows import estimate_conditional_flow
 from cnmfg.projection import (
     lagged_noise_control,
     mimicking_check,
@@ -147,3 +148,13 @@ class TestCostGap:
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
         gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, noise)
         assert gap >= -3 * se
+
+
+def test_consumers_leave_only_log_weights_on_the_weights(lq_spec, setup):
+    cfg, grid, noise, paths, flow, fresh = setup
+    actions = _affine_markov_actions(paths)
+    w = control_weights(lq_spec, flow, actions, paths, noise)
+    estimate_conditional_flow(paths, w, cfg.n_bins)
+    policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
+    mimicking_check(lq_spec, (paths, w), policy, flow, fresh, checked_steps=[grid.n_steps])
+    assert set(vars(w)) == {"grid", "log_m"}
