@@ -18,6 +18,7 @@ window's per-step fits into one polynomial in the inputs
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -47,18 +48,8 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _monomial_exponents(n_vars: int, degree: int) -> tuple:
-    exps = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            exps.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], n_vars, degree)
-    exps.sort(key=lambda e: (sum(e), e))
-    return tuple(exps)
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n_vars) if sum(e) <= degree]
+    return tuple(sorted(exps, key=lambda e: (sum(e), e)))
 
 
 @dataclass

@@ -84,50 +84,44 @@ def parse_config(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    section = None
-    problem_kv: dict = {}
-    solver_kv: dict = {}
-    output_kv: dict = {}
-    lines_for: dict = {}
+    # {section: {key: (raw value, line number)}}
+    table: dict = {"problem": {}, "solver": {}, "output": {}}
+    entries = None
     for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("problem", "solver", "output"):
+            if section not in table:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
+            entries = table[section]
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        if section is None:
+        if entries is None:
             raise ConfigError(f"{path}:{lineno}: key outside any section")
         key, raw = (tok.strip() for tok in line.split("=", 1))
-        target = {"problem": problem_kv, "solver": solver_kv, "output": output_kv}[section]
-        if key in target:
+        if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        target[key] = raw
-        lines_for[(section, key)] = lineno
+        entries[key] = (raw, lineno)
 
-    family = problem_kv.pop("family", None)
-    if family is None:
+    if "family" not in table["problem"]:
         raise ConfigError(f"{path}: missing required key 'family' in [problem]")
+    family, lineno = table["problem"].pop("family")
     if family not in _FAMILIES:
-        lineno = lines_for.get(("problem", "family"), 0)
         known = ", ".join(sorted(_FAMILIES))
         raise ConfigError(f"{path}:{lineno}: unknown family {family!r} (known: {known})")
     allowed = set(inspect.signature(_FAMILIES[family]).parameters)
     problem_params = {}
-    for key, raw in problem_kv.items():
-        lineno = lines_for[("problem", key)]
+    for key, (raw, lineno) in table["problem"].items():
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for family {family!r}")
         problem_params[key] = _parse_number(raw, float, path, lineno)
     spec = make_instance(family, **problem_params)
 
     solver_params = {}
-    for key, raw in solver_kv.items():
-        lineno = lines_for[("solver", key)]
+    for key, (raw, lineno) in table["solver"].items():
         if key not in _SOLVER_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown solver key {key!r}")
         name, kind = _SOLVER_KEYS[key]
@@ -138,8 +132,7 @@ def parse_config(path):
         raise ConfigError(f"{path}: {exc}") from None
 
     outputs = {}
-    for key, raw in output_kv.items():
-        lineno = lines_for[("output", key)]
+    for key, (raw, lineno) in table["output"].items():
         if key not in _OUTPUT_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown output key {key!r}")
         outputs[key] = raw
@@ -191,101 +184,68 @@ def _write_manifest(path: Path, spec: ProblemSpec, config: SolverConfig,
             fh.write(f"{key} = {kv[key]}\n")
 
 
-def _out_dir(args, outputs) -> Path:
-    out = args.out_dir or outputs.get("out_dir") or "run_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _cmd_validate(spec, config, args, outputs) -> int:
-    report = validate_spec(spec, n_probes=512, seed=config.seed)
-    print(report.summary())
-    return 0 if report.passed else 1
-
-
-def _cmd_solve(spec, config, args, outputs) -> int:
-    out = _out_dir(args, outputs)
-    t0 = time.perf_counter()
+def _cmd_solve(spec, config, out) -> tuple:
     result = solve_equilibrium(spec, config)
     eps, eps_se = exploitability(spec, result.flow, result.policy, config,
                                  eval_noise=result.eval_noise)
-    total_ms = (time.perf_counter() - t0) * 1e3
+    rows = result.report.rows
     _write_csv(out / "residuals.csv", ["iter", "residual", "y0", "damping"],
-               [(str(r.iteration), r.residual, r.y0, r.damping) for r in result.report.rows])
+               [(str(r.iteration), r.residual, r.y0, r.damping) for r in rows])
     _write_bsde_residuals(out, result.solution)
     flow_to_csv(result.flow, out / "flow.csv")
     policy_to_csv(result.projected_policy, out / "policy.csv")
     _write_mimicking(out, result.flow.grid, result.mimicking)
-    _write_manifest(out / "manifest.txt", spec, config, {
+    print(f"status={result.report.status} iterations={len(rows)} "
+          f"residual={rows[-1].residual:.6g} y0={result.solution.y0:.6g} "
+          f"exploitability={eps:.6g}")
+    return 0 if result.report.converged else 2, {
         "status": result.report.status,
-        "iterations": len(result.report.rows),
-        "final_residual": result.report.rows[-1].residual if result.report.rows else None,
+        "iterations": len(rows),
+        "final_residual": rows[-1].residual,
         "y0": result.solution.y0,
         "y0_stderr": result.solution.y0_stderr,
         "exploitability": eps,
         "exploitability_stderr": eps_se,
         "mimicking_max_w1": result.mimicking.max_w1,
-        "wall_ms_total": total_ms,
-        "wall_ms_per_iter": [round(r.wall_ms, 3) for r in result.report.rows],
-    })
-    print(f"status={result.report.status} iterations={len(result.report.rows)} "
-          f"residual={result.report.rows[-1].residual:.6g} y0={result.solution.y0:.6g} "
-          f"exploitability={eps:.6g}")
-    return 0 if result.report.converged else 2
+        "wall_ms_per_iter": [round(r.wall_ms, 3) for r in rows],
+    }
 
 
-def _cmd_phi(spec, config, args, outputs) -> int:
-    out = _out_dir(args, outputs)
-    t0 = time.perf_counter()
+def _cmd_phi(spec, config, out) -> tuple:
     reference = _reference(spec, config)
-    m0 = initial_flow(spec, config, reference[1])
-    phi = apply_phi(spec, m0, config, reference)
-    total_ms = (time.perf_counter() - t0) * 1e3
+    phi = apply_phi(spec, initial_flow(spec, config, reference[1]), config, reference)
     flow_to_csv(phi.flow, out / "flow.csv")
     _write_bsde_residuals(out, phi.solution)
-    _write_manifest(out / "manifest.txt", spec, config, {
-        "y0": phi.solution.y0, "y0_stderr": phi.solution.y0_stderr,
-        "wall_ms_total": total_ms,
-    })
     print(f"y0={phi.solution.y0:.6g} (stderr {phi.solution.y0_stderr:.2g})")
-    return 0
+    return 0, {"y0": phi.solution.y0, "y0_stderr": phi.solution.y0_stderr}
 
 
-def _cmd_bsde_check(spec, config, args, outputs) -> int:
-    out = _out_dir(args, outputs)
-    t0 = time.perf_counter()
-    grid = config.grid(spec)
+def _cmd_bsde_check(spec, config, out) -> tuple:
     noise, paths = _reference(spec, config)
     m0 = initial_flow(spec, config, paths)
     basis = config.basis()
     zero = solve_bsde(spec, m0, paths, noise, basis, driver="zero")
     full = solve_bsde(spec, m0, paths, noise, basis)
-    g_term = _terminal_values(spec, m0, paths)
-    total_ms = (time.perf_counter() - t0) * 1e3
+    terminal_mean = float(_terminal_values(spec, m0, paths).mean())
     _write_csv(out / "bsde_check.csv", ["step", "residual_var_zero", "residual_var"],
                [(str(k), zero.residual_var[k], full.residual_var[k])
-                for k in range(grid.n_steps)])
-    martingale_gap = abs(zero.y0 - float(g_term.mean()))
-    _write_manifest(out / "manifest.txt", spec, config, {
+                for k in range(config.n_steps)])
+    martingale_gap = abs(zero.y0 - terminal_mean)
+    print(f"zero-driver y0={zero.y0:.6g} vs E[terminal]={terminal_mean:.6g} "
+          f"(gap {martingale_gap:.3g}); driver y0={full.y0:.6g}")
+    return 0, {
         "y0_zero_driver": zero.y0,
-        "terminal_mean": float(g_term.mean()),
+        "terminal_mean": terminal_mean,
         "martingale_gap": martingale_gap,
         "martingale_gap_se": zero.y0_stderr,
         "y0": full.y0,
-        "wall_ms_total": total_ms,
-    })
-    print(f"zero-driver y0={zero.y0:.6g} vs E[terminal]={g_term.mean():.6g} "
-          f"(gap {martingale_gap:.3g}); driver y0={full.y0:.6g}")
-    return 0
+    }
 
 
-def _cmd_w1_oracle(spec, config, args, outputs) -> int:
-    out = _out_dir(args, outputs)
+def _cmd_w1_oracle(spec, config, out) -> tuple:
     rng = np.random.default_rng(config.seed)
     rows = []
     worst = 0.0
-    t0 = time.perf_counter()
     for case in range(200):
         na, nb = rng.integers(1, 11, size=2)
         mu = EmpiricalMeasure(rng.normal(0, 2, size=(na, 1)), rng.random(na) + 0.05)
@@ -295,18 +255,12 @@ def _cmd_w1_oracle(spec, config, args, outputs) -> int:
             b = lp_transport(mu, nu, q)
             worst = max(worst, abs(a - b))
             rows.append((str(case), _FMT % q, a, b, abs(a - b)))
-    total_ms = (time.perf_counter() - t0) * 1e3
     _write_csv(out / "w1_oracle.csv", ["case", "q", "quantile", "lp", "absdiff"], rows)
-    _write_manifest(out / "manifest.txt", spec, config,
-                    {"max_absdiff": worst, "wall_ms_total": total_ms})
     print(f"max |quantile - lp| = {worst:.3g} over 200 cases x q in (1, 2)")
-    return 0 if worst <= 1e-9 else 1
+    return 0 if worst <= 1e-9 else 1, {"max_absdiff": worst}
 
 
-def _cmd_mimic_check(spec, config, args, outputs) -> int:
-    out = _out_dir(args, outputs)
-    t0 = time.perf_counter()
-    grid = config.grid(spec)
+def _cmd_mimic_check(spec, config, out) -> tuple:
     noise, paths = _reference(spec, config)
     flow = initial_flow(spec, config, paths)
     actions = lagged_noise_control(spec, noise)
@@ -314,16 +268,14 @@ def _cmd_mimic_check(spec, config, args, outputs) -> int:
     policy = project_control(spec, paths, actions, flow, weights, config.basis())
     report = mimicking_check(spec, (paths, weights), policy, flow, _eval_noise(spec, config))
     gap, gap_se = project_cost_gap(spec, paths, actions, policy, flow, noise)
-    total_ms = (time.perf_counter() - t0) * 1e3
-    _write_mimicking(out, grid, report)
-    _write_manifest(out / "manifest.txt", spec, config, {
-        "max_w1": report.max_w1, "mean_w1": report.mean_w1,
-        "cost_gap": gap, "cost_gap_stderr": gap_se,
-        "clamp_count": report.clamp_count, "wall_ms_total": total_ms,
-    })
+    _write_mimicking(out, flow.grid, report)
     print(f"mimicking: max W1 = {report.max_w1:.4g}, mean = {report.mean_w1:.4g}; "
           f"cost gap = {gap:.4g} (se {gap_se:.2g})")
-    return 0
+    return 0, {
+        "max_w1": report.max_w1, "mean_w1": report.mean_w1,
+        "cost_gap": gap, "cost_gap_stderr": gap_se,
+        "clamp_count": report.clamp_count,
+    }
 
 
 _COMMANDS = {
@@ -332,14 +284,13 @@ _COMMANDS = {
     "bsde-check": _cmd_bsde_check,
     "w1-oracle": _cmd_w1_oracle,
     "mimic-check": _cmd_mimic_check,
-    "validate": _cmd_validate,
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cnmfg")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in (*_COMMANDS, "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         for key in _FLAGS:
@@ -349,6 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
+    """Runs one command and returns its exit code.
+
+    A ``_cmd_*`` function computes, writes its data CSVs into ``out`` and
+    prints one line, then returns (exit code, manifest values); this function
+    creates ``out``, times the command and writes ``manifest.txt`` last.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -357,7 +314,17 @@ def run_command(argv) -> int:
     try:
         spec, config, outputs = parse_config(args.config)
         config = _apply_overrides(config, args)
-        return _COMMANDS[args.command](spec, config, args, outputs)
+        if args.command == "validate":     # writes nothing
+            report = validate_spec(spec, n_probes=512, seed=config.seed)
+            print(report.summary())
+            return 0 if report.passed else 1
+        out = Path(args.out_dir or outputs.get("out_dir") or "run_out")
+        out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        code, values = _COMMANDS[args.command](spec, config, out)
+        values["wall_ms_total"] = (time.perf_counter() - t0) * 1e3
+        _write_manifest(out / "manifest.txt", spec, config, values)
+        return code
     except (ConfigError, ValueError, RuntimeError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,8 +69,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("residual tolerance must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("residual tolerance (config key 'tol') must be finite and > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.retained_eval_paths < 1:

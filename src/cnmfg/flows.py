@@ -275,7 +275,7 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
     ends = np.cumsum(counts)
     starts = ends - counts
     totals = np.array([w_block[lo:hi].sum() for lo, hi in zip(starts, ends)])
-    bad = np.flatnonzero((counts > 0) & ~((totals > 0) & (totals < np.inf)))
+    bad = np.flatnonzero(~((totals > 0) & (totals < np.inf)))
     if bad.size:
         b = int(bad[0])
         why = ("weights degenerate: other bins' paths carry all the mass" if totals[b] == 0
@@ -283,8 +283,7 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
         raise ValueError(f"empirical measure needs positive total mass at step {k}, "
                          f"bin {b} (total weight {totals[b]:.6g}): {why}")
     w_block /= np.repeat(totals, counts)
-    measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi], p) if hi > lo
-                else EmpiricalMeasure(np.zeros((1, atoms.shape[1])), np.ones(1), p)
+    measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi], p)
                 for lo, hi in zip(starts, ends)]
     return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels)
 
@@ -392,12 +391,8 @@ def _bin_steps(paths: PathBundle, src_w: np.ndarray, key_idx: np.ndarray, n_bins
 
 def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
     """Grid index of the latest partition time at or before each step."""
-    snapped = sorted(set(grid.nearest_step(t) for t in partition))
-    snapped_arr = np.asarray(snapped)
-    key_idx = np.empty(grid.n_steps + 1, dtype=int)
-    for k in range(grid.n_steps + 1):
-        key_idx[k] = snapped_arr[np.searchsorted(snapped_arr, k, side="right") - 1]
-    return key_idx
+    snapped = np.asarray(sorted(set(grid.nearest_step(t) for t in partition)))
+    return snapped[np.searchsorted(snapped, np.arange(grid.n_steps + 1), side="right") - 1]
 
 
 def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWeights],
@@ -411,15 +406,18 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     the controlled measure).  ``partition_times`` None conditions on the
     current common state; otherwise on its value at the latest partition time
     (0 and the horizon always included).  Bins with fewer than
-    ``min_bin_count`` atoms are merged into their nearest neighbour.
+    ``min_bin_count`` (at least 1) atoms are merged into their nearest
+    neighbour, so no bin is empty.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
+    if min_bin_count < 1:
+        raise ValueError("min_bin_count must be >= 1")
     if x_paths.xc.shape[2] != 1:
         raise NotImplementedError("conditioning keys require a one-dimensional common state")
     n = x_paths.n_paths
     grid = x_paths.grid
-    max_bins = max(1, n // max(min_bin_count, 1))
+    max_bins = max(1, n // min_bin_count)
     if n_bins > max_bins:
         warnings.warn(f"n_bins={n_bins} exceeds n_paths/min_bin_count; clamped to {max_bins}")
         n_bins = max_bins

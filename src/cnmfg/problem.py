@@ -151,10 +151,10 @@ class ProblemSpec:
         for name in ("d_state", "d_common", "d_action"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
-        if self.p < 2:
-            raise ValueError("moment exponent p must be >= 2")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be finite and > 0")
+        if not 2 <= self.p < np.inf:
+            raise ValueError("moment exponent p must be finite and >= 2")
         object.__setattr__(self, "sigma", np.atleast_2d(np.asarray(self.sigma, float)))
         object.__setattr__(self, "sigma0", np.atleast_2d(np.asarray(self.sigma0, float)))
         object.__setattr__(self, "sigmac", np.atleast_2d(np.asarray(self.sigmac, float)))
@@ -162,6 +162,9 @@ class ProblemSpec:
         hi = np.atleast_1d(np.asarray(self.action_hi, float))
         object.__setattr__(self, "action_lo", lo)
         object.__setattr__(self, "action_hi", hi)
+        for name in ("sigma", "sigma0", "sigmac", "action_lo", "action_hi"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.sigma.shape != (self.d_state, self.d_state):
             raise ValueError("sigma must be d_state x d_state")
         if self.sigma0.shape != (self.d_state, self.d_common):
@@ -172,34 +175,27 @@ class ProblemSpec:
             raise ValueError("action box bounds must have length d_action")
         if np.any(lo > hi):
             raise ValueError("empty action box (lo > hi)")
-        # condition numbers recorded at construction; the inverse itself is
-        # computed lazily so validate_spec can still report on a singular spec
-        object.__setattr__(self, "_cond_sigma", float(np.linalg.cond(self.sigma)))
-        object.__setattr__(self, "_cond_sigmac", float(np.linalg.cond(self.sigmac)))
-        object.__setattr__(self, "_sigma_inv", None)
         object.__setattr__(self, "argmin_action", _bind_hook(
             self.argmin_action, (self.drift, self.running_cost, self.sigma.tobytes())))
         object.__setattr__(self, "invert_drift", _bind_hook(self.invert_drift, (self.drift,)))
 
-    @property
+    @cached_property
     def cond_sigma(self) -> float:
-        return self._cond_sigma
+        return float(np.linalg.cond(self.sigma))
 
-    @property
+    @cached_property
     def cond_sigmac(self) -> float:
-        return self._cond_sigmac
+        return float(np.linalg.cond(self.sigmac))
 
-    @property
+    @cached_property
     def sigma_inv(self) -> np.ndarray:
-        cached = self._sigma_inv
-        if cached is None:
-            if not np.isfinite(self._cond_sigma) or self._cond_sigma > _COND_LIMIT:
-                raise SingularDiffusionError(
-                    f"sigma is numerically singular (cond={self._cond_sigma:.3g})"
-                )
-            cached = np.linalg.inv(self.sigma)
-            object.__setattr__(self, "_sigma_inv", cached)
-        return cached
+        """Inverse of sigma, computed on first use rather than at construction
+        so that validate_spec can still report on a singular spec."""
+        if not np.isfinite(self.cond_sigma) or self.cond_sigma > _COND_LIMIT:
+            raise SingularDiffusionError(
+                f"sigma is numerically singular (cond={self.cond_sigma:.3g})"
+            )
+        return np.linalg.inv(self.sigma)
 
     def clip_action(self, a: np.ndarray) -> np.ndarray:
         return np.clip(a, self.action_lo, self.action_hi)

@@ -38,6 +38,19 @@ seed = 7
 max_iters = 5
 """
 
+# every command's manifest: versions, then the problem and solver settings
+MANIFEST_COMMON_KEYS = [
+    "cnmfg_version", "numpy_version", "python_version", "scipy_version",
+    "problem.family", "problem.action_hi", "problem.action_lo", "problem.action_weight",
+    "problem.common_init", "problem.common_init_std", "problem.horizon", "problem.init_clip",
+    "problem.init_mean", "problem.init_std", "problem.interaction", "problem.p",
+    "problem.sigma", "problem.sigma0", "problem.sigmac", "problem.state_weight",
+    "problem.terminal_weight", "solver.basis_degree", "solver.damping", "solver.eval_seed",
+    "solver.flow_order", "solver.max_iters", "solver.min_bin_count", "solver.n_bins",
+    "solver.n_paths", "solver.n_steps", "solver.partition_times",
+    "solver.retained_eval_paths", "solver.ridge", "solver.seed", "solver.tol",
+]
+
 
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -153,6 +166,49 @@ class TestRunCommand:
         assert run_command(["phi", "--config", str(cfg), "--out-dir", str(out)] + flags) == 1
         assert "'paths'" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("section, line, named", [
+        ("solver", "tol = nan", "'tol'"),
+        ("solver", "tol = inf", "'tol'"),
+        ("problem", "p = nan", "moment exponent p"),
+        ("problem", "p = inf", "moment exponent p"),
+        ("problem", "horizon = inf", "horizon"),
+        ("problem", "sigma0 = nan", "sigma0"),
+        ("problem", "action_lo = nan", "action_lo"),
+        ("problem", "action_hi = inf", "action_hi"),
+    ])
+    def test_non_finite_value_is_error(self, tmp_path, capsys, section, line, named):
+        text = (MINIMAL + line + "\n" if section == "solver"
+                else MINIMAL.replace("family = lq", "family = lq\n" + line))
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (out / "manifest.txt").exists()
+
+    def test_validate_creates_no_out_dir(self, tmp_path):
+        cfg = _write(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        assert run_command(["validate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("solve", ["exploitability", "exploitability_stderr", "final_residual", "iterations",
+                   "mimicking_max_w1", "status", "wall_ms_per_iter", "y0", "y0_stderr"]),
+        ("phi", ["y0", "y0_stderr"]),
+        ("bsde-check", ["martingale_gap", "martingale_gap_se", "terminal_mean", "y0",
+                        "y0_zero_driver"]),
+        ("w1-oracle", ["max_absdiff"]),
+        ("mimic-check", ["clamp_count", "cost_gap", "cost_gap_stderr", "max_w1", "mean_w1"]),
+    ])
+    def test_manifest_keys(self, tmp_path, command, keys):
+        cfg = _write(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        assert run_command([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert {line.split(" = ", 1)[0] for line in manifest} == set(
+            MANIFEST_COMMON_KEYS + keys + ["wall_ms_total"])
 
     def test_unknown_flag_is_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL)

@@ -515,6 +515,11 @@ class TestEstimateFlow:
             bins = flow.bins_at(k)
             assert np.all(bins.counts >= 64)
 
+    def test_min_bin_count_below_one_rejected(self, lq_spec):
+        paths = simulate_driftless_state(lq_spec, generate_noise(200, TimeGrid(1.0, 3), 6, 1, 1))
+        with pytest.raises(ValueError, match="min_bin_count"):
+            estimate_conditional_flow(paths, None, 4, min_bin_count=0)
+
     def test_bin_clamp_warns(self, lq_spec):
         noise = generate_noise(100, TimeGrid(1.0, 3), 6, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
@@ -729,18 +734,20 @@ class TestFlowOwnedCaches:
         part = estimate_conditional_flow(paths, w, 8, min_bin_count=32,
                                          partition_times=[0.0, 0.3, 0.6, 1.0])
         # one heavy path per step crowds the weighted quantile edges between two
-        # adjacent keys; without merging (min_bin_count 0) the bins between stay empty
+        # adjacent keys; the merge rule (min_bin_count 1) folds the bins between
         heavy_w = np.full((paths.n_paths, grid.n_steps + 1), 1e-12)
         heavy_w[paths.key_order[paths.n_paths // 2], np.arange(grid.n_steps + 1)] = 1.0
-        heavy = estimate_conditional_flow(paths, None, 8, min_bin_count=0).reweighted(heavy_w)
+        heavy = estimate_conditional_flow(paths, None, 8, min_bin_count=1).reweighted(heavy_w)
         flows = {"current": cur, "partition": part,
                  "reweighted": cur.reweighted(0.5 * cur.src_w + 0.5 * part.src_w),
-                 "empty-bins": heavy}
+                 "crowded": heavy}
         return paths, flows
 
     def test_cached_grouping_equals_assign(self, lq_spec, small_config):
         paths, flows = self._flows(lq_spec, small_config, 40)
-        assert any(np.any(st.counts == 0) for st in flows["empty-bins"].steps)
+        crowded = flows["crowded"].steps
+        assert any(st.n_bins < 8 for st in crowded[1:])
+        assert all(np.all(st.counts > 0) for st in crowded)
         assert flows["current"].bins_at(0).n_bins == 1     # point-mass initial common state
         for name, flow in flows.items():
             assert flow.paths is paths
