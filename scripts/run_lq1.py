@@ -2,10 +2,12 @@
 """Solve the LQ-1 instance end to end and print a compact summary.
 
 Equivalent to `cnmfg solve --config scripts/lq1.cfg` but keeps the
-intermediate objects around for interactive poking.
+intermediate objects around for interactive poking.  The last line gives the
+wall time from the start of the solve and the process's peak resident memory.
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -50,6 +52,8 @@ def main():
     terminal = result.flow.measure(config.n_steps, 0)     # moments of order spec.p
     print(f"one terminal bin mean/moment: {terminal.mean[0]:.4f} / {terminal.pth_moment:.4f}")
     np.set_printoptions(precision=4)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0   # KiB on Linux
+    print(f"wall {time.perf_counter() - t0:.1f}s, peak RSS {peak_mb:.0f} MB")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import inspect
+import math
 import sys
 import time
 from pathlib import Path
@@ -79,6 +80,11 @@ def _parse_number(raw: str, kind, path, lineno):
     raise ConfigError(f"{path}:{lineno}: unsupported value kind")
 
 
+def _require_finite(values, key, raw, path, lineno) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{path}:{lineno}: {key!r} must be finite, got {raw!r}")
+
+
 def parse_config(path):
     """Parse a config file into (ProblemSpec, SolverConfig, output options)."""
     path = Path(path)
@@ -118,7 +124,9 @@ def parse_config(path):
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for family {family!r}")
         problem_params[key] = _parse_number(raw, float, path, lineno)
-    spec = make_instance(family, **problem_params)
+    spec = make_instance(family, **problem_params)   # its own messages name the keys it checks
+    for key, (raw, lineno) in table["problem"].items():
+        _require_finite([problem_params[key]], key, raw, path, lineno)
 
     solver_params = {}
     for key, (raw, lineno) in table["solver"].items():
@@ -126,6 +134,8 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: unknown solver key {key!r}")
         name, kind = _SOLVER_KEYS[key]
         solver_params[name] = _parse_number(raw, kind, path, lineno)
+        if kind == "times":
+            _require_finite(solver_params[name], key, raw, path, lineno)
     try:
         config = SolverConfig(**solver_params)
     except ValueError as exc:

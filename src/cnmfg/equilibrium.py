@@ -183,6 +183,7 @@ def apply_phi(spec: ProblemSpec, m: ConditionalMeasureFlow, config: SolverConfig
         noise, paths = reference
     solution = solve_bsde(spec, m, paths, noise, config.basis())
     weights = control_weights(spec, m, solution.control_samples, paths, noise)
+    del m       # a temporary input flow is freed before the output is binned
     return PhiResult(flow=_estimate_flow(spec, config, paths, weights), solution=solution,
                      weights=weights)
 

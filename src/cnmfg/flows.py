@@ -11,7 +11,6 @@ conditioning exactly.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -21,7 +20,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .girsanov import GirsanovWeights
-from .problem import EmpiricalMeasure
+from .problem import EmpiricalMeasure, _RowsMeasure
 from .sde import (PathBundle, TimeGrid, searchsorted_right, sorted_ties, stable_argsort,
                   step_major)
 
@@ -78,8 +77,11 @@ def wasserstein_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -
         raise ValueError("wasserstein_1d requires 1-d supports")
     if q < 1:
         raise ValueError("order q must be >= 1")
-    xa, wa = mu.sorted_1d
-    xb, wb = nu.sorted_1d
+    return _wasserstein_sorted(*mu.sorted_1d, *nu.sorted_1d, q)
+
+
+def _wasserstein_sorted(xa, wa, xb, wb, q: float) -> float:
+    """``wasserstein_1d`` on sorted atoms ``xa``, ``xb`` with weights ``wa``, ``wb``."""
     ca = np.cumsum(wa)
     cb = np.cumsum(wb)
     inner = np.concatenate([ca[:-1], cb[:-1]])
@@ -113,8 +115,11 @@ def lp_transport(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -> 
         raise ValueError("dimension mismatch between measures")
     if q < 1:
         raise ValueError("order q must be >= 1")
-    xa, wa = mu.support, mu.weights
-    xb, wb = nu.support, nu.weights
+    return _transport_cost(mu.support, mu.weights, nu.support, nu.weights, q)
+
+
+def _transport_cost(xa, wa, xb, wb, q: float) -> float:
+    """``lp_transport`` on atoms ``xa``, ``xb`` (rows) with weights ``wa``, ``wb``."""
     if xa.shape[0] > _MAX_LP_ATOMS:
         xa = _systematic_resample(xa, wa, _MAX_LP_ATOMS)
         wa = np.full(_MAX_LP_ATOMS, 1.0 / _MAX_LP_ATOMS)
@@ -150,12 +155,16 @@ def _transport_lp(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
     return max(res.fun, 0.0)
 
 
-def _wq(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float) -> float:
-    if mu is nu:
-        return 0.0
-    if mu.dim == 1:
-        return wasserstein_1d(mu, nu, q)
-    return lp_transport(mu, nu, q)
+def _atoms_of(mu: EmpiricalMeasure) -> tuple:
+    """(atoms, weights) of ``mu`` as ``_wq`` takes them: sorted 1-d atoms or support rows."""
+    return mu.sorted_1d if mu.dim == 1 else (mu.support, mu.weights)
+
+
+def _wq(a: tuple, b: tuple, q: float) -> float:
+    """Order-q Wasserstein distance between two ``_atoms_of`` pairs."""
+    if a[0].ndim == 1:
+        return _wasserstein_sorted(*a, *b, q)
+    return _transport_cost(*a, *b, q)
 
 
 def truncation_bound_check(x, y, radius, q):
@@ -187,10 +196,19 @@ def truncation_bound_check(x, y, radius, q):
 
 @dataclass
 class StepBins:
+    """One step of a flow: bin b's atoms are the source rows ``rows[lo:hi]``, sorted
+    by the first state coordinate (ties in path order), with weights
+    ``row_w[lo:hi]`` of total ``totals[b]``, where [lo, hi) is the b-th run of
+    ``counts``.  ``row_w`` is the step's path-normalized weights in ``rows``
+    order; each measure reads its slices on access."""
+
     edges: np.ndarray                       # (n_bins + 1,) including outer edges
     measures: list                          # EmpiricalMeasure per bin
     counts: np.ndarray
     labels: np.ndarray                      # (n_source,) bin of each source row
+    rows: np.ndarray                        # (n_source,) source rows, bin-major
+    row_w: np.ndarray                       # (n_source,) weight of each of ``rows``
+    totals: np.ndarray                      # (n_bins,) total weight of each bin
 
     @property
     def n_bins(self) -> int:
@@ -232,7 +250,8 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
                     weights: np.ndarray, n_bins: int, min_bin_count: int,
                     state_order: np.ndarray, p: float) -> StepBins:
     """Quantile bins of ``keys`` at step k; ``order`` is a stable argsort of ``keys``
-    and ``state_order`` one of ``atoms[:, 0]``."""
+    and ``state_order`` one of ``atoms[:, 0]``.  The bins' measures read ``atoms``
+    and ``weights`` (normalized over the step) through the bins' rows."""
     n = keys.shape[0]
     sorted_keys = keys[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)
@@ -266,15 +285,13 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
     # sorted rows [lo, hi) of bin b are the rows that assign(k, keys) puts in b
     labels = np.empty(n, dtype=_label_dtype(counts.size))
     labels[order] = np.repeat(np.arange(counts.size, dtype=labels.dtype), counts)
-    # the step's atoms and weights as one bin-major block, each bin's rows
-    # sorted by the first state coordinate, ties in path order; the measures
-    # are views
-    by_bin = state_order[np.argsort(labels[state_order], kind="stable")]   # radix sort for int16
-    block = atoms[by_bin]
-    w_block = weights[by_bin]
+    # the step's rows bin-major, each bin's rows sorted by the first state
+    # coordinate, ties in path order, and their weights in that order
+    rows = state_order[np.argsort(labels[state_order], kind="stable")]   # radix sort for int16
+    row_w = weights[rows]
     ends = np.cumsum(counts)
     starts = ends - counts
-    totals = np.array([w_block[lo:hi].sum() for lo, hi in zip(starts, ends)])
+    totals = np.array([row_w[lo:hi].sum() for lo, hi in zip(starts, ends)])
     bad = np.flatnonzero(~((totals > 0) & (totals < np.inf)))
     if bad.size:
         b = int(bad[0])
@@ -282,24 +299,23 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
                else "weights not finite or negative")
         raise ValueError(f"empirical measure needs positive total mass at step {k}, "
                          f"bin {b} (total weight {totals[b]:.6g}): {why}")
-    w_block /= np.repeat(totals, counts)
-    measures = [EmpiricalMeasure._normalized(block[lo:hi], w_block[lo:hi], p)
-                for lo, hi in zip(starts, ends)]
-    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels)
+    measures = [_RowsMeasure(atoms, rows[lo:hi], row_w[lo:hi], total, p)
+                for lo, hi, total in zip(starts, ends, totals)]
+    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels,
+                    rows=rows, row_w=row_w, totals=totals)
 
 
 @dataclass
 class ConditionalMeasureFlow:
     """Per-step weights on one fixed particle system, binned by the conditioning key.
 
-    The flow copies no particles: ``paths`` is the bundle it was estimated on
-    and ``src_w`` its weights.  ``estimate_conditional_flow`` and ``reweighted``
-    build ``steps`` from the two with ``_bin_steps`` under the flow's binning
-    settings.
+    The flow copies no particles: ``paths`` is the bundle it was estimated on,
+    and each step's ``StepBins`` holds the step's weights once, in bin order.
+    ``estimate_conditional_flow`` and ``reweighted`` build ``steps`` with
+    ``_bin_steps`` under the flow's binning settings.
     """
 
     paths: PathBundle
-    src_w: np.ndarray                         # (n, n_steps + 1), normalized per step
     steps: list                               # StepBins per time step
     key_idx: np.ndarray                       # (n_steps + 1,) grid index of the key
     partition_times: Optional[tuple]          # None: current-value conditioning
@@ -321,11 +337,21 @@ class ConditionalMeasureFlow:
         keys = self.paths.xc[:, :, 0]
         return keys if self.partition_times is None else keys[:, self.key_idx]
 
+    @property
+    def src_w(self) -> np.ndarray:
+        """(n, n_steps + 1) step-major weights of the source rows, normalized per step;
+        each step's bin-order weights scattered back to path order."""
+        w = step_major(self.n_source, len(self.steps))
+        for k, bins in enumerate(self.steps):
+            w[:, k][bins.rows] = bins.row_w
+        return w
+
     def reweighted(self, src_w: np.ndarray) -> "ConditionalMeasureFlow":
-        """The flow of the same particles and binning settings under weights ``src_w``."""
-        return replace(self, src_w=src_w, steps=_bin_steps(
-            self.paths, src_w, self.key_idx, self.n_bins_requested, self.min_bin_count,
-            self.flow_p))
+        """The flow of the same particles and binning settings under weights ``src_w``
+        ((n, n_steps + 1), normalized per step)."""
+        return replace(self, steps=_bin_steps(
+            self.paths, lambda k: src_w[:, k], self.key_idx, self.n_bins_requested,
+            self.min_bin_count, self.flow_p))
 
     def key_index(self, k: int) -> int:
         return int(self.key_idx[k])
@@ -379,12 +405,13 @@ class ConditionalMeasureFlow:
         return self.steps[k].measures[bin_idx]
 
 
-def _bin_steps(paths: PathBundle, src_w: np.ndarray, key_idx: np.ndarray, n_bins: int,
+def _bin_steps(paths: PathBundle, step_w, key_idx: np.ndarray, n_bins: int,
                min_bin_count: int, p: float) -> list:
-    """StepBins per step: the atoms ``paths.x[:, k]`` binned by the key at ``key_idx[k]``,
-    each bin's measure carrying moment order ``p``."""
+    """StepBins per step: the atoms ``paths.x[:, k]`` under the weights ``step_w(k)``
+    (path order, normalized) binned by the key at ``key_idx[k]``, each bin's measure
+    carrying moment order ``p``."""
     keys, order, state_order = paths.xc[:, :, 0], paths.key_order, paths.state_order
-    return [_make_step_bins(k, keys[:, j], order[:, j], paths.x[:, k], src_w[:, k],
+    return [_make_step_bins(k, keys[:, j], order[:, j], paths.x[:, k], step_w(k),
                             n_bins, min_bin_count, state_order[:, k], p)
             for k, j in enumerate(key_idx)]
 
@@ -428,16 +455,19 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
         partition = tuple(sorted(set(float(t) for t in partition_times) | {0.0, grid.horizon}))
         key_idx = _partition_key_index(grid, partition)
 
-    w_steps = step_major(n, grid.n_steps + 1)
     if weights is None:
-        w_steps.fill(1.0 / n)
+        unit = np.full(n, 1.0 / n)
+
+        def step_w(k):
+            return unit
     else:
-        for k in range(w_steps.shape[1]):
-            w_steps[:, k] = weights.scaled(k)
-            w_steps[:, k] /= w_steps[:, k].sum()     # pairwise along the contiguous step
+        def step_w(k):
+            w = weights.scaled(k)
+            w /= w.sum()     # pairwise along the contiguous step
+            return w
     return ConditionalMeasureFlow(
-        paths=x_paths, src_w=w_steps,
-        steps=_bin_steps(x_paths, w_steps, key_idx, n_bins, min_bin_count, flow_p),
+        paths=x_paths,
+        steps=_bin_steps(x_paths, step_w, key_idx, n_bins, min_bin_count, flow_p),
         key_idx=key_idx, partition_times=partition, n_bins_requested=n_bins,
         min_bin_count=min_bin_count, flow_p=flow_p)
 
@@ -465,10 +495,15 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
     for k in range(n_nodes):
         bins_a = m.assign(k, xc[:, m.key_index(k)])
         bins_b = m2.assign(k, xc[:, m2.key_index(k)])
-        n_b = m2.steps[k].n_bins
+        mus, nus = m.steps[k].measures, m2.steps[k].measures
+        n_b = len(nus)
         pairs, inverse = np.unique(bins_a * n_b + bins_b, return_inverse=True)
-        vals = np.array([_wq(m.measure(k, int(p) // n_b), m2.measure(k, int(p) % n_b), q) ** 2
-                         for p in pairs])
+        ia, ib = (i.tolist() for i in np.divmod(pairs, n_b))
+        # each bin's atoms are read once per step
+        atoms_a = {a: _atoms_of(mus[a]) for a in set(ia)}
+        atoms_b = {b: _atoms_of(nus[b]) for b in set(ib)}
+        vals = np.array([0.0 if mus[a] is nus[b] else _wq(atoms_a[a], atoms_b[b], q) ** 2
+                         for a, b in zip(ia, ib)])
         w2[:, k] = vals[inverse]
     dt = m.grid.dt
     trap_w = np.full(n_nodes, dt)
@@ -484,16 +519,19 @@ def flow_to_csv(flow: ConditionalMeasureFlow, path) -> None:
     header = ["step", "t", "bin_index", "bin_lo", "bin_hi"]
     for c in range(d):
         header.extend(f"x{c}_q{j:02d}" for j in range(_CSV_QUANTILES))
+    row_fmt = ",".join(["%d,%.17g,%d"] + ["%.17g"] * (2 + d * _CSV_QUANTILES)) + "\r\n"
     times = flow.grid.times
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        # the bytes csv.writer gives these rows: no cell needs quoting
+        fh.write(",".join(header) + "\r\n")
         for k, bins in enumerate(flow.steps):
+            rows = []
             for b, mu in enumerate(bins.measures):
-                row = [str(k), f"{times[k]:.17g}", str(b),
-                       f"{bins.edges[b]:.17g}", f"{bins.edges[b + 1]:.17g}"]
-                for c in range(d):
-                    quants = (_sorted_quantiles(*mu.sorted_1d, qs) if d == 1
-                              else _weighted_quantiles(mu.support[:, c], mu.weights, qs))
-                    row.extend(f"{v:.17g}" for v in quants)
-                writer.writerow(row)
+                if d == 1:
+                    quants = [_sorted_quantiles(*mu.sorted_1d, qs)]
+                else:
+                    support, w = mu.support, mu.weights
+                    quants = [_weighted_quantiles(support[:, c], w, qs) for c in range(d)]
+                rows.append(row_fmt % (k, times[k], b, bins.edges[b], bins.edges[b + 1],
+                                       *np.concatenate(quants).tolist()))
+            fh.write("".join(rows))

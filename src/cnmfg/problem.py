@@ -79,19 +79,6 @@ class EmpiricalMeasure:
         self.p = float(p)
         self._sorted = None
 
-    @classmethod
-    def _normalized(cls, support: np.ndarray, weights: np.ndarray,
-                    p: float) -> "EmpiricalMeasure":
-        """The measure on (n, d) ``support``, sorted by its first coordinate, with
-        ``weights`` already summing to one, both taken unchanged; for 1-d support
-        ``sorted_1d`` is the pair of them."""
-        mu = cls.__new__(cls)
-        mu.support = support
-        mu.weights = weights
-        mu.p = p
-        mu._sorted = (support[:, 0], weights) if support.shape[1] == 1 else None
-        return mu
-
     @property
     def dim(self) -> int:
         return self.support.shape[1]
@@ -107,14 +94,46 @@ class EmpiricalMeasure:
     @property
     def sorted_1d(self):
         """(sorted atoms, matching weights), tied atoms in support order; only
-        valid for 1-d supports.  Views of ``support`` and ``weights`` for a
-        measure built sorted (a flow's bins); otherwise sorted on first use."""
+        valid for 1-d supports.  Sorted on first use and cached."""
         if self.dim != 1:
             raise ValueError("sorted_1d requires 1-d support")
         if self._sorted is None:
             order = np.argsort(self.support[:, 0], kind="stable")
             self._sorted = (self.support[order, 0], self.weights[order])
         return self._sorted
+
+
+class _RowsMeasure(EmpiricalMeasure):
+    """A flow bin: rows ``rows`` of the (n, d) ``atoms``, sorted by their first
+    coordinate, under the weights ``w`` of total ``total``.
+
+    Nothing is copied at construction: ``support``, ``weights`` and
+    ``sorted_1d`` are gathered on each read, and only ``mean`` and
+    ``pth_moment`` are cached.  ``atoms`` must not change afterwards.
+    """
+
+    def __init__(self, atoms: np.ndarray, rows: np.ndarray, w: np.ndarray, total: float,
+                 p: float):
+        self._atoms, self._rows, self._w, self._total = atoms, rows, w, total
+        self.p = p
+
+    @property
+    def support(self) -> np.ndarray:
+        return self._atoms.take(self._rows, axis=0)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._w / self._total
+
+    @property
+    def dim(self) -> int:
+        return self._atoms.shape[1]
+
+    @property
+    def sorted_1d(self):
+        if self.dim != 1:
+            raise ValueError("sorted_1d requires 1-d support")
+        return self._atoms[:, 0].take(self._rows), self.weights
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,9 @@ class NoiseBundle:
 @dataclass
 class PathBundle:
     """Simulated paths.  The key and state orders and the basis statistics are
-    computed on first use and cached, so ``x`` and ``xc`` must not be mutated
-    after that."""
+    computed on first use and cached, and a flow binned on the bundle reads its
+    bins' atoms from ``x`` on access, so ``x`` and ``xc`` must not be mutated
+    after first use."""
 
     grid: TimeGrid
     x: np.ndarray     # (n_paths, n_steps + 1, d_state), step-major

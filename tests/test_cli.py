@@ -187,6 +187,25 @@ class TestRunCommand:
         assert err.startswith("error: ") and named in err
         assert not (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("section, line, named", [
+        ("problem", "interaction = nan", "'interaction'"),
+        ("problem", "init_std = inf", "'init_std'"),
+        ("problem", "action_weight = -inf", "'action_weight'"),
+        ("solver", "partition = 0.5, nan", "'partition'"),
+        ("solver", "partition = inf", "'partition'"),
+    ])
+    def test_non_finite_value_fails_before_out_dir(self, tmp_path, capsys, section, line,
+                                                    named):
+        text = (MINIMAL + line + "\n" if section == "solver"
+                else MINIMAL.replace("family = lq", "family = lq\n" + line))
+        cfg = _write(tmp_path, text)
+        lineno = text.splitlines().index(line) + 1
+        out = tmp_path / "out"
+        assert run_command(["phi", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:{lineno}: ") and named in err
+        assert not out.exists()
+
     def test_validate_creates_no_out_dir(self, tmp_path):
         cfg = _write(tmp_path, MINIMAL)
         out = tmp_path / "out"

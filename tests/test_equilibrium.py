@@ -271,6 +271,42 @@ class TestIterateLifetime:
         assert res.report.status == "max_iters"
         assert alive == [[False] * 3] * 3
 
+    def test_apply_phi_frees_a_temporary_input_flow(self, lq_spec, monkeypatch):
+        cfg = SolverConfig(**self._CFG)
+        reference = equilibrium_mod._reference(lq_spec, cfg)
+        held = [initial_flow(lq_spec, cfg, reference[1])]
+        ref = weakref.ref(held[0])
+        dead = []
+        estimate = equilibrium_mod.estimate_conditional_flow
+
+        def recording(paths, weights, *args, **kwargs):
+            dead.append(ref() is None)
+            return estimate(paths, weights, *args, **kwargs)
+
+        monkeypatch.setattr(equilibrium_mod, "estimate_conditional_flow", recording)
+        phi = apply_phi(lq_spec, held.pop(), cfg, reference)   # the call holds the only reference
+        assert dead == [True]
+        assert phi.flow.n_source == cfg.n_paths
+
+    def test_bootstrap_frees_the_initial_flow(self, lq_spec, monkeypatch):
+        refs, dead = [], []
+        init, estimate = equilibrium_mod.initial_flow, equilibrium_mod.estimate_conditional_flow
+
+        def recording_init(*args, **kwargs):
+            m0 = init(*args, **kwargs)
+            refs.append(weakref.ref(m0))
+            return m0
+
+        def recording_estimate(paths, weights, *args, **kwargs):
+            if weights is not None:
+                dead.append(refs[0]() is None)
+            return estimate(paths, weights, *args, **kwargs)
+
+        monkeypatch.setattr(equilibrium_mod, "initial_flow", recording_init)
+        monkeypatch.setattr(equilibrium_mod, "estimate_conditional_flow", recording_estimate)
+        solve_equilibrium(lq_spec, SolverConfig(max_iters=1, **self._CFG), project=False)
+        assert dead == [True, True]
+
     @pytest.mark.parametrize("max_iters", [1, 3])
     def test_max_iters_exit_pairs_the_flow_with_its_application(self, lq_spec, max_iters):
         cfg = SolverConfig(max_iters=max_iters, **self._CFG)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -22,7 +23,8 @@ from cnmfg.flows import (
     wasserstein_1d,
 )
 from cnmfg.girsanov import GirsanovWeights, stochastic_exponential
-from cnmfg.sde import PathBundle, TimeGrid, generate_noise, simulate_driftless_state
+from cnmfg.sde import (PathBundle, TimeGrid, generate_noise, simulate_driftless_state,
+                       step_major)
 
 # frozen after the first binning-stability sweep (8 vs 16 bins, 2e4 paths, seed 21)
 BINNING_STABILITY_REFERENCE = 0.05912026969340029
@@ -295,15 +297,16 @@ class TestTruncationBound:
 
 def _constant_flow(grid, measures_per_step, key_idx=None):
     steps = [
-        StepBins(edges=np.array([-1e9, 1e9]), measures=[m], counts=np.array([1]),
-                 labels=np.zeros(4, np.int16))
+        StepBins(edges=np.array([-1e9, 1e9]), measures=[m], counts=np.array([4]),
+                 labels=np.zeros(4, np.int16), rows=np.arange(4, dtype=np.int32),
+                 row_w=np.full(4, 0.25), totals=np.array([1.0]))
         for m in measures_per_step
     ]
     n_nodes = grid.n_steps + 1
     paths = PathBundle(grid=grid, x=np.zeros((4, n_nodes, 1)), xc=np.zeros((4, n_nodes, 1)),
                        label="driftless")
     return ConditionalMeasureFlow(
-        paths=paths, src_w=np.full((4, n_nodes), 0.25), steps=steps,
+        paths=paths, steps=steps,
         key_idx=np.arange(n_nodes) if key_idx is None else key_idx,
         partition_times=None, n_bins_requested=1, min_bin_count=1,
     )
@@ -374,7 +377,7 @@ class TestFlowDistance:
             for k in range(keys.shape[1]):
                 a = int(m.assign(k, keys[i:i + 1, k])[0])
                 b = int(m2.assign(k, keys[i:i + 1, k])[0])
-                w2[i, k] = flows_mod._wq(m.measure(k, a), m2.measure(k, b), q) ** 2
+                w2[i, k] = wasserstein_1d(m.measure(k, a), m2.measure(k, b), q) ** 2
         trap_w = np.full(keys.shape[1], grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
         expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
@@ -396,7 +399,7 @@ class TestFlowDistance:
             for k in range(xc.shape[1]):
                 a = int(cur.assign(k, xc[i:i + 1, cur.key_index(k)])[0])
                 b = int(part.assign(k, xc[i:i + 1, part.key_index(k)])[0])
-                w2[i, k] = flows_mod._wq(cur.measure(k, a), part.measure(k, b), q) ** 2
+                w2[i, k] = wasserstein_1d(cur.measure(k, a), part.measure(k, b), q) ** 2
         trap_w = np.full(xc.shape[1], grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
         expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
@@ -833,11 +836,10 @@ class TestFlowOwnedCaches:
                     np.testing.assert_array_equal(xs, mu.support[order, 0])
                     np.testing.assert_array_equal(ws, mu.weights[order])
                     if count:
-                        blocks.append((mu.support, mu.weights, xs, ws))
-                # each of the four is a slice of one block per step
-                for views in blocks:
-                    assert all(a.base is not None and a.base is b.base
-                               for a, b in zip(views, blocks[0]))
+                        blocks.append(mu._rows)
+                # each bin's rows are a slice of the step's one row array, in bin order
+                assert all(rows.base is bins.rows for rows in blocks)
+                np.testing.assert_array_equal(np.concatenate(blocks), bins.rows)
 
 
 class TestKeyOrderCache:
@@ -871,15 +873,15 @@ class TestKeyOrderCache:
                 np.testing.assert_array_equal(
                     mu.weights, EmpiricalMeasure(paths.x[rows, k], flow.src_w[rows, k]).weights)
 
-    def test_sorted_1d_shares_the_bin_block(self, lq_spec, small_config):
+    def test_sorted_1d_is_the_bin_support(self, lq_spec, small_config):
         noise = generate_noise(2000, small_config.grid(lq_spec), 26, 1, 1)
         paths = simulate_driftless_state(lq_spec, noise)
         flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
         for bins in flow.steps:
             for mu in bins.measures:
                 xs, ws = mu.sorted_1d
-                assert np.shares_memory(xs, mu.support)
-                assert np.shares_memory(ws, mu.weights)
+                np.testing.assert_array_equal(xs, mu.support[:, 0])
+                np.testing.assert_array_equal(ws, mu.weights)
 
     def test_current_mode_shares_the_cached_order(self, lq_spec, small_config):
         # the flow copies no particles: its keys are a view of the paths' common state
@@ -889,6 +891,80 @@ class TestKeyOrderCache:
         assert flow.paths is paths
         assert np.shares_memory(flow.src_key, paths.xc)
         assert paths.key_order.dtype == np.int32
+
+
+class TestStepStorage:
+    """A step keeps its rows and its weights once; bins read them on access."""
+
+    @staticmethod
+    def _flows(lq_spec, small_config, seed):
+        grid = small_config.grid(lq_spec)
+        noise = generate_noise(4000, grid, seed, 1, 1)
+        paths = simulate_driftless_state(lq_spec, noise)
+        w = stochastic_exponential(lq_spec, np.clip(0.7 * paths.x[:, :-1, :], -1, 1), noise)
+        flows = {}
+        for mode, times in (("current", None), ("partition", [0.0, 0.3, 0.6, 1.0])):
+            for name, weights in (("unit", None), ("girsanov", w)):
+                flows[mode, name] = (weights, estimate_conditional_flow(
+                    paths, weights, 8, min_bin_count=32, partition_times=times))
+        return paths, flows
+
+    def test_src_w_is_the_fill_and_divide_array(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 47)
+        n, n_nodes = paths.n_paths, paths.grid.n_steps + 1
+        for weights, flow in flows.values():
+            want = step_major(n, n_nodes)
+            if weights is None:
+                want.fill(1.0 / n)
+            else:
+                for k in range(n_nodes):
+                    want[:, k] = weights.scaled(k)
+                    want[:, k] /= want[:, k].sum()
+            assert "src_w" not in {f.name for f in dataclasses.fields(flow)}   # derived
+            got = flow.src_w
+            assert got.strides == want.strides           # step-major
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    def test_a_step_holds_no_atoms_copy(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 48)
+        n = paths.n_paths
+        for _, flow in flows.values():
+            for bins in flow.steps:
+                arrays = [getattr(bins, f.name) for f in dataclasses.fields(bins)]
+                held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+                small = 8 * (3 * bins.n_bins + 1)                # edges, counts, totals
+                assert n * (8 + 4 + 2) <= held <= n * (8 + 4 + 2) + small
+                for mu in bins.measures:                     # views, nothing gathered
+                    assert mu._rows.base is bins.rows and mu._w.base is bins.row_w
+                    assert np.shares_memory(mu._atoms, paths.x)
+                    assert not any(isinstance(v, np.ndarray) and v.base is None
+                                   for v in vars(mu).values())
+
+    def test_bins_are_the_old_block_slices(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 49)
+        for _, flow in flows.values():
+            src_w = flow.src_w
+            for k, bins in enumerate(flow.steps):
+                # the step's atoms and weights as one bin-major block, rebuilt
+                labels = flow.assign(k, paths.xc[:, flow.key_index(k), 0])
+                state_order = np.argsort(paths.x[:, k, 0], kind="stable")
+                rows = state_order[np.argsort(labels[state_order], kind="stable")]
+                np.testing.assert_array_equal(bins.rows, rows)
+                block, w_block = paths.x[rows, k], src_w[rows, k]
+                ends = np.cumsum(bins.counts)
+                starts = ends - bins.counts
+                totals = np.array([w_block[lo:hi].sum() for lo, hi in zip(starts, ends)])
+                w_block /= np.repeat(totals, bins.counts)
+                for mu, lo, hi in zip(bins.measures, starts, ends):
+                    support, w = block[lo:hi], w_block[lo:hi]
+                    np.testing.assert_array_equal(mu.support, support)
+                    np.testing.assert_array_equal(mu.weights, w)
+                    xs, ws = mu.sorted_1d
+                    np.testing.assert_array_equal(xs, support[:, 0])
+                    np.testing.assert_array_equal(ws, w)
+                    np.testing.assert_array_equal(mu.mean, w @ support)
+                    assert mu.pth_moment == float(w @ np.linalg.norm(support, axis=1) ** mu.p)
+                    assert isinstance(mu, EmpiricalMeasure) and mu.dim == 1
 
 
 class TestPartitionMode:
@@ -993,7 +1069,7 @@ class TestMixFlows:
             f1, f2 = self._flows(lq_spec, small_config, 14, partition_times=times)
             blended = 0.75 * f1.src_w + 0.25 * f2.src_w
             mixed = f1.reweighted(blended)
-            assert mixed.src_w is blended
+            np.testing.assert_array_equal(mixed.src_w, blended)
             assert mixed.paths is f1.paths
             assert mixed.n_source == 4000
             np.testing.assert_array_equal(mixed.key_idx, f1.key_idx)
@@ -1020,10 +1096,10 @@ class TestMixFlows:
         mixed = f1.reweighted(0.5 * f1.src_w + 0.5 * f2.src_w)
         for bins in mixed.steps:
             for got in bins.measures:
-                want = EmpiricalMeasure._normalized(got.support, got.weights, mixed.flow_p)
+                support, w = got.support, got.weights
                 assert got.p == mixed.flow_p
-                np.testing.assert_array_equal(got.mean, want.mean)
-                assert got.pth_moment == want.pth_moment
+                np.testing.assert_array_equal(got.mean, w @ support)
+                assert got.pth_moment == float(w @ np.linalg.norm(support, axis=1) ** got.p)
 
 
 class TestSerialization:
