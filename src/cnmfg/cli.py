@@ -222,8 +222,7 @@ def _cmd_solve(spec, config, out) -> tuple:
 
 
 def _cmd_phi(spec, config, out) -> tuple:
-    reference = _reference(spec, config)
-    phi = apply_phi(spec, initial_flow(spec, config, reference[1]), config, reference)
+    phi = apply_phi(spec, None, config)
     flow_to_csv(phi.flow, out / "flow.csv")
     _write_bsde_residuals(out, phi.solution)
     print(f"y0={phi.solution.y0:.6g} (stderr {phi.solution.y0_stderr:.2g})")

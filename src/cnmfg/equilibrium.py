@@ -11,7 +11,7 @@ Non-convergence is a reportable outcome, not an error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -83,6 +83,9 @@ class SolverConfig:
             raise ValueError("n_steps (config key 'steps') must be >= 1")
         if self.basis_degree < 0:
             raise ValueError("basis_degree (config key 'degree') must be >= 0")
+        for name, key in (("ridge", "ridge"), ("flow_order", "order")):
+            if np.isinf(getattr(self, name)):
+                raise ValueError(f"{name} (config key {key!r}) must be finite")
         if not self.ridge >= 0:
             raise ValueError("ridge (config key 'ridge') must be >= 0")
         if self.n_bins < 1:
@@ -152,11 +155,11 @@ def _eval_noise(spec: ProblemSpec, config: SolverConfig) -> NoiseBundle:
 
 
 def _reference(spec: ProblemSpec, config: SolverConfig):
+    """(noise, driftless paths) of the config's seed; ``dw0`` lives on only in the paths."""
     grid = config.grid(spec)
     noise = generate_noise(config.n_paths, grid, config.seed,
                            d_state=spec.d_state, d_common=spec.d_common)
-    paths = simulate_driftless_state(spec, noise)
-    return noise, paths
+    return replace(noise, dw0=None), simulate_driftless_state(spec, noise)
 
 
 def _estimate_flow(spec: ProblemSpec, config: SolverConfig, paths: PathBundle,
@@ -174,16 +177,19 @@ def initial_flow(spec: ProblemSpec, config: SolverConfig,
     return _estimate_flow(spec, config, paths, None)
 
 
-def apply_phi(spec: ProblemSpec, m: ConditionalMeasureFlow, config: SolverConfig,
+def apply_phi(spec: ProblemSpec, m: Optional[ConditionalMeasureFlow], config: SolverConfig,
               reference: Optional[tuple] = None) -> PhiResult:
-    """One application of the best-response map; bitwise deterministic per seed."""
-    if reference is None:
-        noise, paths = _reference(spec, config)
-    else:
-        noise, paths = reference
+    """One application of the best-response map; bitwise deterministic per seed.
+
+    ``m`` None maps the reference's unit-weight flow (``initial_flow``).  Without
+    ``reference`` the map simulates its own and frees its noise, like a temporary
+    input flow, before the output is binned."""
+    noise, paths = _reference(spec, config) if reference is None else reference
+    if m is None:
+        m = initial_flow(spec, config, paths)
     solution = solve_bsde(spec, m, paths, noise, config.basis())
     weights = control_weights(spec, m, solution.control_samples, paths, noise)
-    del m       # a temporary input flow is freed before the output is binned
+    del m, noise
     return PhiResult(flow=_estimate_flow(spec, config, paths, weights), solution=solution,
                      weights=weights)
 
@@ -199,7 +205,7 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     reference = _reference(spec, config)
     report = IterationReport()
     damping = config.damping
-    m = apply_phi(spec, initial_flow(spec, config, reference[1]), config, reference).flow
+    m = apply_phi(spec, None, config, reference).flow
 
     stall = 0
     prev_residual = np.inf

@@ -288,7 +288,8 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
     # the step's rows bin-major, each bin's rows sorted by the first state
     # coordinate, ties in path order, and their weights in that order
     rows = state_order[np.argsort(labels[state_order], kind="stable")]   # radix sort for int16
-    row_w = weights[rows]
+    # a unit-weight flow's shared zero-stride vector equals each of its gathers
+    row_w = weights if weights.strides == (0,) else weights[rows]
     ends = np.cumsum(counts)
     starts = ends - counts
     totals = np.array([row_w[lo:hi].sum() for lo, hi in zip(starts, ends)])
@@ -310,7 +311,8 @@ class ConditionalMeasureFlow:
     """Per-step weights on one fixed particle system, binned by the conditioning key.
 
     The flow copies no particles: ``paths`` is the bundle it was estimated on,
-    and each step's ``StepBins`` holds the step's weights once, in bin order.
+    and each step's ``StepBins`` holds the step's weights once, in bin order
+    (every step of a unit-weight flow holds one shared read-only constant vector).
     ``estimate_conditional_flow`` and ``reweighted`` build ``steps`` with
     ``_bin_steps`` under the flow's binning settings.
     """
@@ -456,7 +458,8 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
         key_idx = _partition_key_index(grid, partition)
 
     if weights is None:
-        unit = np.full(n, 1.0 / n)
+        # zero stride: one 8-byte vector for every step, whose slices are its own views
+        unit = np.lib.stride_tricks.as_strided(np.array([1.0 / n]), (n,), (0,), writeable=False)
 
         def step_w(k):
             return unit

@@ -143,10 +143,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class NoiseBundle:
+    """Brownian increments of one seed.  ``dw0`` is None when the common increments
+    live on only in the paths they drove (the solver's reference); no simulator takes it."""
+
     grid: TimeGrid
     seed: int
-    dw: np.ndarray    # (n_paths, n_steps, d_state), step-major
-    dw0: np.ndarray   # (n_paths, n_steps, d_common), step-major
+    dw: np.ndarray            # (n_paths, n_steps, d_state), step-major
+    dw0: np.ndarray | None    # (n_paths, n_steps, d_common), step-major
 
     @property
     def n_paths(self) -> int:
@@ -281,6 +284,9 @@ def draw_initial_states(spec: ProblemSpec, noise: NoiseBundle):
 
 def simulate_common_state(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
     """Euler scheme for the common state driven by W0; returns (n, n_steps+1, d_common)."""
+    if noise.dw0 is None:
+        raise ValueError("noise bundle has no dW0: its common increments were already "
+                         "integrated into reference paths")
     grid = noise.grid
     n = noise.n_paths
     _, xc0 = draw_initial_states(spec, noise)

@@ -156,6 +156,18 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, key", [
+        ("ridge = inf", "'ridge'"), ("ridge = -inf", "'ridge'"),
+        ("order = inf", "'order'"), ("order = -inf", "'order'"),
+    ])
+    def test_infinite_ridge_or_order_fails_at_parse_time(self, tmp_path, capsys, line, key):
+        cfg = _write(tmp_path, MINIMAL + line + "\n")
+        out = tmp_path / "out"
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "must be finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, flags", [
         (MINIMAL, ["--paths", "1"]),
         (MINIMAL.replace("paths = 2000", "paths = 1"), []),

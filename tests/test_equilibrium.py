@@ -48,6 +48,12 @@ class TestSolverConfig:
         cfg = SolverConfig(n_bins=1, min_bin_count=1, flow_order=1.0)
         assert (cfg.n_bins, cfg.min_bin_count, cfg.flow_order) == (1, 1, 1.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("field, key", [("ridge", "'ridge'"), ("flow_order", "'order'")])
+    def test_ridge_and_order_must_be_finite(self, field, key, value):
+        with pytest.raises(ValueError, match=f"{key}\\) must be finite"):
+            SolverConfig(**{field: value})
+
     @pytest.mark.parametrize("n_paths", [1, 0, -4])
     def test_paths_at_least_two(self, n_paths):
         # every reported stderr divides by n_paths - 1
@@ -263,7 +269,8 @@ class TestIterateLifetime:
             if len(refs) >= 2:
                 alive.append([r() is not None for r in refs[-1]])
             phi = apply(spec, m, config, reference)
-            refs.append((weakref.ref(m), weakref.ref(phi.flow), weakref.ref(phi.weights)))
+            held = [] if m is None else [weakref.ref(m)]    # the bootstrap bins its own input
+            refs.append((*held, weakref.ref(phi.flow), weakref.ref(phi.weights)))
             return phi
 
         monkeypatch.setattr(equilibrium_mod, "apply_phi", recording)
@@ -306,6 +313,46 @@ class TestIterateLifetime:
         monkeypatch.setattr(equilibrium_mod, "estimate_conditional_flow", recording_estimate)
         solve_equilibrium(lq_spec, SolverConfig(max_iters=1, **self._CFG), project=False)
         assert dead == [True, True]
+
+    def test_reference_keeps_no_dw0(self, lq_spec):
+        cfg = SolverConfig(**self._CFG)
+        noise, paths = equilibrium_mod._reference(lq_spec, cfg)
+        fresh = generate_noise(cfg.n_paths, cfg.grid(lq_spec), cfg.seed, 1, 1)
+        assert noise.dw0 is None     # its increments live on in paths.xc and paths.x
+        np.testing.assert_array_equal(noise.dw, fresh.dw)
+        np.testing.assert_array_equal(paths.x, simulate_driftless_state(lq_spec, fresh).x)
+
+    def test_self_simulated_phi_frees_its_noise_before_binning(self, lq_spec, monkeypatch):
+        cfg = SolverConfig(**self._CFG)
+        refs, alive = [], []
+        generate = equilibrium_mod.generate_noise
+        estimate = equilibrium_mod.estimate_conditional_flow
+
+        def recording_generate(*args, **kwargs):
+            noise = generate(*args, **kwargs)
+            refs.append((weakref.ref(noise.dw), weakref.ref(noise.dw.base)))
+            return noise
+
+        def recording_estimate(paths, weights, *args, **kwargs):
+            alive.append([r() is not None for r in refs[0]])
+            return estimate(paths, weights, *args, **kwargs)
+
+        monkeypatch.setattr(equilibrium_mod, "generate_noise", recording_generate)
+        monkeypatch.setattr(equilibrium_mod, "estimate_conditional_flow", recording_estimate)
+        phi = apply_phi(lq_spec, None, cfg)
+        assert len(refs) == 1
+        # the input flow is binned while the noise lives, the output after it is freed
+        assert alive == [[True, True], [False, False]]
+        assert phi.flow.n_source == cfg.n_paths
+
+    def test_none_maps_the_unit_weight_flow_bitwise(self, lq_spec):
+        cfg = SolverConfig(**self._CFG)
+        reference = equilibrium_mod._reference(lq_spec, cfg)
+        want = apply_phi(lq_spec, initial_flow(lq_spec, cfg, reference[1]), cfg, reference)
+        for got in (apply_phi(lq_spec, None, cfg, reference), apply_phi(lq_spec, None, cfg)):
+            assert got.flow.src_w.tobytes(order="A") == want.flow.src_w.tobytes(order="A")
+            assert got.solution.y0 == want.solution.y0
+            assert got.weights.log_m.tobytes(order="A") == want.weights.log_m.tobytes(order="A")
 
     @pytest.mark.parametrize("max_iters", [1, 3])
     def test_max_iters_exit_pairs_the_flow_with_its_application(self, lq_spec, max_iters):

@@ -940,6 +940,41 @@ class TestStepStorage:
                     assert not any(isinstance(v, np.ndarray) and v.base is None
                                    for v in vars(mu).values())
 
+    def test_a_unit_weight_flow_shares_one_weight_vector(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 50)
+        n = paths.n_paths
+        for mode in ("current", "partition"):
+            steps = flows[mode, "unit"][1].steps
+            shared = steps[0].row_w
+            assert shared.strides == (0,) and not shared.flags.writeable
+            for bins in steps:
+                assert bins.row_w is shared
+                # rows (int32) and labels (int16); edges, counts and totals per bin
+                arrays = [getattr(bins, f.name) for f in dataclasses.fields(bins)
+                          if f.name != "row_w"]
+                held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+                assert n * (4 + 2) <= held <= n * (4 + 2) + 8 * (3 * bins.n_bins + 1)
+
+    def test_a_unit_weight_flow_bins_the_gathered_weights_bitwise(self, lq_spec, small_config):
+        paths, flows = self._flows(lq_spec, small_config, 51)
+        n = paths.n_paths
+        for mode in ("current", "partition"):
+            unit = flows[mode, "unit"][1]
+            full = step_major(n, len(unit.steps))
+            full.fill(1.0 / n)
+            gathered = unit.reweighted(full)      # each step gathers its own weights
+            assert gathered.steps[0].row_w is not gathered.steps[1].row_w
+            assert unit.src_w.tobytes(order="A") == full.tobytes(order="A")
+            for a, b in zip(unit.steps, gathered.steps):
+                np.testing.assert_array_equal(a.rows, b.rows)
+                assert a.edges.tobytes() == b.edges.tobytes()
+                assert a.totals.tobytes() == b.totals.tobytes()
+                for mu, nu in zip(a.measures, b.measures):
+                    assert mu.weights.tobytes() == nu.weights.tobytes()
+                    assert mu.sorted_1d[1].tobytes() == nu.sorted_1d[1].tobytes()
+                    assert mu.mean.tobytes() == nu.mean.tobytes()
+                    assert np.float64(mu.pth_moment).tobytes() == np.float64(nu.pth_moment).tobytes()
+
     def test_bins_are_the_old_block_slices(self, lq_spec, small_config):
         paths, flows = self._flows(lq_spec, small_config, 49)
         for _, flow in flows.values():

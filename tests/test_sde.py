@@ -288,6 +288,17 @@ class TestDriftlessState:
             np.testing.assert_array_equal(paths.x[:, k], paths.x[:, 0])
 
 
+class TestSpentNoise:
+    def test_a_bundle_without_dw0_drives_no_simulator(self, lq_spec, small_config):
+        noise = replace(generate_noise(100, small_config.grid(lq_spec), 14, 1, 1), dw0=None)
+        flow = initial_flow(lq_spec, small_config)
+        for simulate in (lambda: simulate_common_state(lq_spec, noise),
+                         lambda: simulate_driftless_state(lq_spec, noise),
+                         lambda: simulate_markov_sde(lq_spec, _ConstantPolicy(0.0), flow, noise)):
+            with pytest.raises(ValueError, match="common increments were already integrated"):
+                simulate()
+
+
 class _ConstantPolicy:
     def __init__(self, value):
         self.value = value
