@@ -28,8 +28,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import comb
 
 from .flows import ConditionalMeasureFlow
-from .girsanov import (GirsanovWeights, log_increments, self_normalized_mean,
-                       stochastic_exponential)
+from .girsanov import (GirsanovWeights, log_increments, put_log_increment,
+                       self_normalized_mean, stochastic_exponential)
 from .problem import ProblemSpec, minimize_hamiltonian_batch
 from .sde import NoiseBundle, PathBundle, TimeGrid, searchsorted_right, step_major
 
@@ -125,20 +125,33 @@ class BasisSpec:
         return out
 
     def monomials(self, x: np.ndarray, xc: np.ndarray, centre: np.ndarray,
-                  scale: np.ndarray) -> np.ndarray:
+                  scale: np.ndarray, blocks: Optional[tuple] = None) -> np.ndarray:
         """(n, n_features) F-ordered monomials of the inputs standardized as
-        (input - centre) / scale, one entry per input variable."""
-        z = np.concatenate([np.atleast_2d(x).T, np.atleast_2d(xc).T], dtype=float)
+        (input - centre) / scale, one entry per input variable.
+
+        ``blocks``, an (n_vars, n) and an (n_features, n) array, are filled in
+        place and the result is a view of the second; without them both are
+        allocated."""
+        x, xc = np.atleast_2d(x), np.atleast_2d(xc)
+        n, d_x = x.shape
+        if blocks is None:
+            n_vars = d_x + xc.shape[1]
+            blocks = np.empty((n_vars, n)), np.empty((self.n_features(n_vars), n))
+        z, cols = blocks
+        z[:d_x] = x.T
+        z[d_x:] = xc.T
         z -= centre[:, None]
         z /= scale[:, None]
-        return self._monomials(z, np.empty((self.n_features(z.shape[0]), z.shape[1]))).T
+        return self._monomials(z, cols).T
 
-    def features(self, k: int, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    def features(self, k: int, x: np.ndarray, xc: np.ndarray,
+                 blocks: Optional[tuple] = None) -> np.ndarray:
         """(n, n_features) F-ordered columns of step k: monomials of the
-        standardized inputs, then standardized by ``col_stats``."""
+        standardized inputs, then standardized by ``col_stats``; ``blocks`` as
+        for ``monomials``."""
         if self.stats is None or self.col_stats is None:
             raise ValueError("basis statistics not fitted")
-        cols = self.monomials(x, xc, *self.stats[k]).T    # the (n_features, n) block
+        cols = self.monomials(x, xc, *self.stats[k], blocks=blocks).T   # the (n_features, n) block
         cols -= self.col_stats[k, 0][:, None]
         cols /= self.col_stats[k, 1][:, None]
         cols[0] = 1.0
@@ -211,6 +224,7 @@ class BsdeSolution:
     y0_stderr: float
     residual_var: np.ndarray     # (n_steps,)
     control_samples: Optional[np.ndarray] = None   # (n, n_steps, d_action), step-major
+    weights: Optional[GirsanovWeights] = None      # of the pass's control, if asked for
     _window_coef: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def z_smoothed(self, k: int, x: np.ndarray, xc: np.ndarray, window: int = 9) -> np.ndarray:
@@ -243,21 +257,34 @@ def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                         paths.x[:, k])
 
 
+def _sigma_inv_drift(spec: ProblemSpec, t: float, x: np.ndarray, mu,
+                     a: np.ndarray) -> np.ndarray:
+    """sigma^-1 b(t, x, mu, a), one row per path."""
+    return np.asarray(spec.drift(t, x, mu, a), float) @ spec.sigma_inv.T
+
+
 def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundle,
                noise: NoiseBundle, basis: BasisSpec, driver: str = "hamiltonian",
-               explosion_threshold: float = 1e8) -> BsdeSolution:
+               explosion_threshold: float = 1e8, keep_actions: bool = False,
+               weights: bool = False) -> BsdeSolution:
     """Backward LSMC pass for the value process and its martingale integrands.
 
-    ``driver="zero"`` switches the driver off (martingale test mode); it
-    minimizes no Hamiltonian, so its ``control_samples`` is None.  The
-    integrand targets are centred by the preliminary value fit before the
+    The integrand targets are centred by the preliminary value fit before the
     increment regression, which removes the dominant 1/dt variance term
-    without changing the conditional expectation.
+    without changing the conditional expectation.  Each step's actions
+    minimize the Hamiltonian at the regressed integrand; ``keep_actions``
+    stores them as ``control_samples``.  ``weights`` evaluates sigma^-1 b at
+    them in the same per-bin call and accumulates their Girsanov weights step
+    by step (``put_log_increment``), bitwise equal to ``control_weights`` on
+    the stored actions.  ``driver="zero"`` (martingale test mode) minimizes no
+    Hamiltonian, so it has neither.
     """
     if paths.label != "driftless":
         raise ValueError("solve_bsde expects reference-measure (driftless) paths")
     if driver not in ("hamiltonian", "zero"):
         raise ValueError("driver must be 'hamiltonian' or 'zero'")
+    if driver == "zero" and (keep_actions or weights):
+        raise ValueError("driver='zero' minimizes no Hamiltonian: it has no actions or weights")
     grid = paths.grid
     n = paths.n_paths
     dt = grid.dt
@@ -267,7 +294,8 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
 
     z_coef = np.zeros((n_steps, spec.d_state, n_feat))
     resid = np.zeros(n_steps)
-    actions = step_major(n, n_steps, spec.d_action) if driver == "hamiltonian" else None
+    actions = step_major(n, n_steps, spec.d_action) if keep_actions else None
+    log_m = step_major(n, n_steps + 1) if weights else None
 
     y_next = _terminal_values(spec, flow, paths)
     # raw pathwise accumulation: the intercept makes every regression mean-
@@ -275,8 +303,11 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     # honest standard error for the value estimate
     raw_sum = y_next.copy()
     y0 = 0.0
+    # one pair of feature blocks for all steps, as in BasisSpec._fit: freed
+    # per-step blocks stay in the heap as slack at the end of the pass
+    blocks = np.empty((spec.d_state + spec.d_common, n)), np.empty((n_feat, n))
     for k in range(n_steps - 1, -1, -1):
-        feats = fitted.features(k, paths.x[:, k], paths.xc[:, k])
+        feats = fitted.features(k, paths.x[:, k], paths.xc[:, k], blocks)
         factor = _ridge_factor(feats, fitted.ridge)
         c_pre = _ridge_solve(factor, feats, y_next)
         y_fit_pre = feats @ c_pre
@@ -289,9 +320,19 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
             h = np.zeros(n)
         else:
             t_k = grid.times[k]
-            actions[:, k], h = flow.per_bin(
-                k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z),
-                paths.x[:, k], feats @ z_coef[k].T)
+
+            def minimize(mu, x, z):
+                a, h_bin = minimize_hamiltonian_batch(spec, t_k, x, mu, z)
+                if log_m is None:
+                    return a, h_bin
+                return a, h_bin, _sigma_inv_drift(spec, t_k, x, mu, a)
+
+            a_k, h, *lam = flow.per_bin(k, paths, minimize, paths.x[:, k],
+                                        feats @ z_coef[k].T)
+            if actions is not None:
+                actions[:, k] = a_k
+            if log_m is not None:
+                put_log_increment(log_m, k, lam[0], noise)
 
         raw_sum += h * dt
         target = y_next + h * dt
@@ -306,7 +347,9 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     y0_se = float(raw_sum.std(ddof=1) / np.sqrt(n))
 
     return BsdeSolution(grid=grid, basis=fitted, z_coef=z_coef, y0=y0, y0_stderr=y0_se,
-                        residual_var=resid, control_samples=actions)
+                        residual_var=resid, control_samples=actions,
+                        weights=None if log_m is None else
+                        GirsanovWeights.from_increments(grid, log_m))
 
 
 @dataclass
@@ -389,18 +432,19 @@ def _control_array(control_samples: np.ndarray, paths: PathBundle) -> np.ndarray
 def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                     control_samples: np.ndarray, paths: PathBundle,
                     noise: NoiseBundle) -> GirsanovWeights:
-    """Girsanov weights of an adapted control: the stochastic exponential of sigma^-1 b.
+    """Girsanov weights of an adapted control given as an action array: the
+    stochastic exponential of sigma^-1 b.
 
     The drifts are evaluated one step at a time as ``stochastic_exponential``
-    accumulates them, so no (n, n_steps, d_state) drift array exists.
+    accumulates them, so no (n, n_steps, d_state) drift array exists.  The
+    BSDE's own control gets its weights from ``solve_bsde(..., weights=True)``.
     """
     a = _control_array(control_samples, paths)
-    sig_inv_t = spec.sigma_inv.T
 
     def step_drift(k):
         t_k = paths.grid.times[k]
         return flow.per_bin(
-            k, paths, lambda mu, x, a_k: np.asarray(spec.drift(t_k, x, mu, a_k), float) @ sig_inv_t,
+            k, paths, lambda mu, x, a_k: _sigma_inv_drift(spec, t_k, x, mu, a_k),
             paths.x[:, k], a[:, k])
     return stochastic_exponential(spec, step_drift, noise)
 

@@ -217,6 +217,7 @@ def _cmd_solve(spec, config, out) -> tuple:
         "exploitability": eps,
         "exploitability_stderr": eps_se,
         "mimicking_max_w1": result.mimicking.max_w1,
+        "ess_frac_terminal": result.weights.ess_frac(-1),
         "wall_ms_per_iter": [round(r.wall_ms, 3) for r in rows],
     }
 
@@ -226,7 +227,8 @@ def _cmd_phi(spec, config, out) -> tuple:
     flow_to_csv(phi.flow, out / "flow.csv")
     _write_bsde_residuals(out, phi.solution)
     print(f"y0={phi.solution.y0:.6g} (stderr {phi.solution.y0_stderr:.2g})")
-    return 0, {"y0": phi.solution.y0, "y0_stderr": phi.solution.y0_stderr}
+    return 0, {"y0": phi.solution.y0, "y0_stderr": phi.solution.y0_stderr,
+               "ess_frac_terminal": phi.weights.ess_frac(-1)}
 
 
 def _cmd_bsde_check(spec, config, out) -> tuple:

@@ -1,10 +1,11 @@
 """Fixed points of the best-response measure map by damped Picard iteration.
 
 One application of the map: simulate reference paths, solve the optimality
-BSDE against the input flow, reweight by the stochastic exponential of the
-controlled drift, re-estimate the conditional law.  Every application reuses
-the same common random numbers, so every iterate is a weight array on one
-fixed reference particle system and mixing blends the weights.
+BSDE against the input flow, which also accumulates the stochastic exponential
+of the controlled drift, and re-estimate the conditional law under those
+weights.  Every application reuses the same common random numbers, so every
+iterate is a weight array on one fixed reference particle system and mixing
+blends the weights.
 Non-convergence is a reportable outcome, not an error.
 """
 
@@ -20,7 +21,6 @@ from .bsde import (
     BasisSpec,
     BsdeSolution,
     MarkovPolicy,
-    control_weights,
     extract_control,
     policy_actions_along,
     solve_bsde,
@@ -134,7 +134,11 @@ class IterationReport:
 class PhiResult:
     flow: ConditionalMeasureFlow
     solution: BsdeSolution
-    weights: GirsanovWeights
+
+    @property
+    def weights(self) -> GirsanovWeights:
+        """Girsanov weights of the BSDE's control, with which ``flow`` was binned."""
+        return self.solution.weights
 
 
 @dataclass
@@ -178,20 +182,23 @@ def initial_flow(spec: ProblemSpec, config: SolverConfig,
 
 
 def apply_phi(spec: ProblemSpec, m: Optional[ConditionalMeasureFlow], config: SolverConfig,
-              reference: Optional[tuple] = None) -> PhiResult:
+              reference: Optional[tuple] = None, keep_actions: bool = False) -> PhiResult:
     """One application of the best-response map; bitwise deterministic per seed.
 
-    ``m`` None maps the reference's unit-weight flow (``initial_flow``).  Without
-    ``reference`` the map simulates its own and frees its noise, like a temporary
-    input flow, before the output is binned."""
+    The output flow is binned with the Girsanov weights of the BSDE's control,
+    which the backward pass accumulates step by step (``solve_bsde(...,
+    weights=True)``); the pass stores its action array only with
+    ``keep_actions``.  ``m`` None maps the reference's unit-weight flow
+    (``initial_flow``).  Without ``reference`` the map simulates its own and
+    frees its noise, like a temporary input flow, before the output is binned."""
     noise, paths = _reference(spec, config) if reference is None else reference
     if m is None:
         m = initial_flow(spec, config, paths)
-    solution = solve_bsde(spec, m, paths, noise, config.basis())
-    weights = control_weights(spec, m, solution.control_samples, paths, noise)
+    solution = solve_bsde(spec, m, paths, noise, config.basis(), keep_actions=keep_actions,
+                          weights=True)
     del m, noise
-    return PhiResult(flow=_estimate_flow(spec, config, paths, weights), solution=solution,
-                     weights=weights)
+    return PhiResult(flow=_estimate_flow(spec, config, paths, solution.weights),
+                     solution=solution)
 
 
 def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
@@ -211,7 +218,8 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     prev_residual = np.inf
     for it in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        phi = apply_phi(spec, m, config, reference)
+        # any application may be the last, whose actions the projection reads
+        phi = apply_phi(spec, m, config, reference, keep_actions=project)
         residual = flow_distance(phi.flow, m, config.flow_order, config.retained_eval_paths)
         wall_ms = (time.perf_counter() - t0) * 1e3
         report.rows.append(IterationRow(iteration=it, residual=residual,
@@ -243,6 +251,9 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     if project:
         table = project_control(spec, reference[1], phi.solution.control_samples,
                                 m, phi.weights, config.basis())
+        # nothing reads the actions after this: exploitability scores the
+        # feedback policy and its own best response
+        phi.solution.control_samples = None
         result.eval_noise = _eval_noise(spec, config)
         result.projected_policy = table
         result.mimicking = mimicking_check(spec, (reference[1], phi.weights),
@@ -268,7 +279,7 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
     paths = simulate_driftless_state(spec, noise)
 
     a_pol = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
-    br = solve_bsde(spec, flow, paths, noise, config.basis())
+    br = solve_bsde(spec, flow, paths, noise, config.basis(), keep_actions=True)
     n_axis = _N_CONST
     while n_axis > 1 and n_axis ** spec.d_action > 81:
         n_axis -= 1

@@ -1,11 +1,14 @@
 """Stochastic exponential weights for the change of measure, and weighted means.
 
 Weights are held only in the log domain; each consumer exponentiates the
-step it needs, when it needs it.  All expectation estimators are
-self-normalized ratios, so the discretization bias of the normalizing constant
-cancels, and so does any per-step constant factor: normalized weights come
-from ``scaled(k)``, which divides out step k's largest weight in the log domain
-and cannot overflow.
+step it needs, when it needs it.  Every log M is built the same way: each
+step's checked log-increment is written into column k + 1 of a step-major
+array (``put_log_increment``, in any step order), then
+``GirsanovWeights.from_increments`` sums the columns in place in step order.
+All expectation estimators are self-normalized ratios, so the discretization
+bias of the normalizing constant cancels, and so does any per-step constant
+factor: normalized weights come from ``scaled(k)``, which divides out step
+k's largest weight in the log domain and cannot overflow.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .sde import NoiseBundle, TimeGrid, step_major
 __all__ = [
     "GirsanovWeights",
     "stochastic_exponential",
+    "put_log_increment",
     "log_increments",
     "self_normalized_mean",
     "weighted_conditional_values",
@@ -32,6 +36,14 @@ __all__ = [
 class GirsanovWeights:
     grid: TimeGrid
     log_m: np.ndarray                       # (n_paths, n_steps + 1), log M_t, step-major
+
+    @classmethod
+    def from_increments(cls, grid: TimeGrid, log_m: np.ndarray) -> "GirsanovWeights":
+        """Weights of a step-major ``log_m`` whose column k + 1 holds step k's
+        log-increment and column 0 zero: the columns are summed in place, in step order."""
+        for k in range(grid.n_steps):
+            np.add(log_m[:, k], log_m[:, k + 1], out=log_m[:, k + 1])
+        return cls(grid=grid, log_m=log_m)
 
     @property
     def n_paths(self) -> int:
@@ -50,6 +62,12 @@ class GirsanovWeights:
         shifted = self.log_m[:, k] - self.log_m[:, k].max()
         return np.exp(shifted, out=shifted)
 
+    def ess_frac(self, k: int) -> float:
+        """Kish effective sample size of the weights at step k over the path count,
+        (sum w)^2 / (n sum w^2) on ``scaled(k)``: one for equal weights, 1/n for one path."""
+        w = self.scaled(k)
+        return float(w.sum() ** 2 / np.dot(w, w) / w.size)
+
 
 def stochastic_exponential(spec: ProblemSpec, drift_samples, noise: NoiseBundle
                            ) -> GirsanovWeights:
@@ -57,25 +75,33 @@ def stochastic_exponential(spec: ProblemSpec, drift_samples, noise: NoiseBundle
 
     ``drift_samples`` is an (n_paths, n_steps, d_state) array of sigma^-1 b
     evaluations, or a callable giving step k's (n_paths, d_state) drifts, which
-    is called once per step in step order.  log M accumulates
-    lambda . dW - |lambda|^2 dt / 2 one step at a time, straight into the
-    step-major ``log_m``.
+    is called once per step in step order.  Each step's increment
+    lambda . dW - |lambda|^2 dt / 2 goes straight into the step-major
+    ``log_m``, which is then summed in place.
     """
-    dw, dt = noise.dw, noise.grid.dt
+    dw = noise.dw
     lam = drift_samples if callable(drift_samples) else np.asarray(drift_samples, float)
     if not callable(lam) and lam.shape != dw.shape:
         raise ValueError(f"drift_samples shape {lam.shape} != increments shape {dw.shape}")
     log_m = step_major(dw.shape[0], noise.grid.n_steps + 1)
     for k in range(noise.grid.n_steps):
-        lam_k = np.asarray(lam(k) if callable(lam) else lam[:, k], float)
-        if lam_k.shape != dw[:, k].shape:
-            raise ValueError(f"step {k} drift shape {lam_k.shape} != increments shape "
-                             f"{dw[:, k].shape}")
-        bad = ~np.isfinite(lam_k).all(axis=1)
-        if bad.any():
-            raise RuntimeError(f"non-finite drift sample at path {np.argmax(bad)}, step {k}")
-        np.add(log_m[:, k], log_increments(lam_k, dw[:, k], dt), out=log_m[:, k + 1])
-    return GirsanovWeights(grid=noise.grid, log_m=log_m)
+        put_log_increment(log_m, k, lam(k) if callable(lam) else lam[:, k], noise)
+    return GirsanovWeights.from_increments(noise.grid, log_m)
+
+
+def put_log_increment(log_m: np.ndarray, k: int, lam_k, noise: NoiseBundle) -> None:
+    """Writes step k's log-increment of the sigma^-1 drifts ``lam_k`` (n_paths,
+    d_state) into ``log_m[:, k + 1]``; a misshapen or non-finite drift raises,
+    naming the step (and the first offending path)."""
+    dw_k = noise.dw[:, k]
+    lam_k = np.asarray(lam_k, float)
+    if lam_k.shape != dw_k.shape:
+        raise ValueError(f"step {k} drift shape {lam_k.shape} != increments shape "
+                         f"{dw_k.shape}")
+    bad = ~np.isfinite(lam_k).all(axis=1)
+    if bad.any():
+        raise RuntimeError(f"non-finite drift sample at path {np.argmax(bad)}, step {k}")
+    log_m[:, k + 1] = log_increments(lam_k, dw_k, noise.grid.dt)
 
 
 def log_increments(lam: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:

@@ -70,9 +70,15 @@ class TestZeroDriver:
     def test_zero_driver_stores_no_actions(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=500, n_steps=5, n_bins=2)
         zero = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), driver="zero")
-        assert zero.control_samples is None
-        full = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2))
+        assert zero.control_samples is None and zero.weights is None
+        for kw in ({"keep_actions": True}, {"weights": True}):
+            with pytest.raises(ValueError, match="no actions or weights"):
+                solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), driver="zero",
+                           **kw)
+        full = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), keep_actions=True)
         assert full.control_samples.shape == (500, 5, 1)
+        assert full.weights is None
+        assert solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2)).control_samples is None
 
 
 class TestHjbOracle:
@@ -172,7 +178,7 @@ class TestEvaluateObjective:
     def test_optimal_beats_perturbations(self, lq_nointeraction_spec):
         spec = lq_nointeraction_spec
         grid, noise, paths, flow = _setup(spec, n_paths=10_000, seed=6)
-        sol = solve_bsde(spec, flow, paths, noise, BasisSpec(degree=4))
+        sol = solve_bsde(spec, flow, paths, noise, BasisSpec(degree=4), keep_actions=True)
         a_opt = sol.control_samples
         j_opt, se_opt = stacked_objective_influence(spec, flow, lambda k: a_opt[None, :, k],
                                                     paths, noise)[0][:2]
@@ -255,6 +261,37 @@ class TestStackedScoring:
         with pytest.raises(RuntimeError, match="step 2"):
             stacked_objective_influence(lq_spec, flow, lambda k: controls[:, :, k],
                                         paths, noise)
+
+
+class TestFusedWeights:
+    """``solve_bsde(..., weights=True)`` against ``control_weights`` on the stored actions."""
+
+    @pytest.mark.parametrize("family", ["lq", "tanh"])
+    @pytest.mark.parametrize("partition", [None, (0.3, 0.6)])
+    def test_bitwise_equal_to_control_weights(self, family, partition):
+        spec = cnmfg.make_instance(family)
+        _, noise, paths, _ = _setup(spec, n_paths=3000, n_steps=12, seed=9)
+        flow = estimate_conditional_flow(paths, None, 8, partition_times=partition)
+        basis = BasisSpec(degree=2)
+        plain = solve_bsde(spec, flow, paths, noise, basis)
+        fused = solve_bsde(spec, flow, paths, noise, basis, keep_actions=True, weights=True)
+        want = control_weights(spec, flow, fused.control_samples, paths, noise).log_m
+        _assert_bitwise(fused.weights.log_m, want)
+        assert (fused.y0, fused.y0_stderr) == (plain.y0, plain.y0_stderr)
+        _assert_bitwise(fused.z_coef, plain.z_coef)
+        _assert_bitwise(fused.residual_var, plain.residual_var)
+
+    def test_nonfinite_drift_names_path_and_step(self, lq_spec):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)
+        x_bad = paths.x[7, 2, 0]
+
+        def drift(t, x, mu, a):
+            b = lq_spec.drift(t, x, mu, a)
+            return np.where((t == grid.times[2]) & (x == x_bad), np.nan, b)
+
+        spec = replace(lq_spec, drift=drift)
+        with pytest.raises(RuntimeError, match=r"non-finite drift sample at path 7, step 2"):
+            solve_bsde(spec, flow, paths, noise, BasisSpec(degree=2), weights=True)
 
 
 class TestRegression:

@@ -225,9 +225,10 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, keys", [
-        ("solve", ["exploitability", "exploitability_stderr", "final_residual", "iterations",
-                   "mimicking_max_w1", "status", "wall_ms_per_iter", "y0", "y0_stderr"]),
-        ("phi", ["y0", "y0_stderr"]),
+        ("solve", ["ess_frac_terminal", "exploitability", "exploitability_stderr",
+                   "final_residual", "iterations", "mimicking_max_w1", "status",
+                   "wall_ms_per_iter", "y0", "y0_stderr"]),
+        ("phi", ["ess_frac_terminal", "y0", "y0_stderr"]),
         ("bsde-check", ["martingale_gap", "martingale_gap_se", "terminal_mean", "y0",
                         "y0_zero_driver"]),
         ("w1-oracle", ["max_absdiff"]),

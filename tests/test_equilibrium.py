@@ -264,11 +264,11 @@ class TestIterateLifetime:
         refs, alive = [], []
         apply = equilibrium_mod.apply_phi
 
-        def recording(spec, m, config, reference=None):
+        def recording(spec, m, config, reference=None, **kwargs):
             gc.collect()
             if len(refs) >= 2:
                 alive.append([r() is not None for r in refs[-1]])
-            phi = apply(spec, m, config, reference)
+            phi = apply(spec, m, config, reference, **kwargs)
             held = [] if m is None else [weakref.ref(m)]    # the bootstrap bins its own input
             refs.append((*held, weakref.ref(phi.flow), weakref.ref(phi.weights)))
             return phi
@@ -353,6 +353,31 @@ class TestIterateLifetime:
             assert got.flow.src_w.tobytes(order="A") == want.flow.src_w.tobytes(order="A")
             assert got.solution.y0 == want.solution.y0
             assert got.weights.log_m.tobytes(order="A") == want.weights.log_m.tobytes(order="A")
+
+    @pytest.mark.parametrize("project", [False, True])
+    def test_actions_live_only_for_the_projection(self, lq_spec, monkeypatch, project):
+        kept, projected = [], []
+        apply, project_control = equilibrium_mod.apply_phi, equilibrium_mod.project_control
+
+        def recording_apply(*args, **kwargs):
+            phi = apply(*args, **kwargs)
+            kept.append(phi.solution.control_samples is not None)
+            return phi
+
+        def recording_project(spec, paths, action_samples, *args):
+            projected.append(weakref.ref(action_samples))
+            return project_control(spec, paths, action_samples, *args)
+
+        monkeypatch.setattr(equilibrium_mod, "apply_phi", recording_apply)
+        monkeypatch.setattr(equilibrium_mod, "project_control", recording_project)
+        res = solve_equilibrium(lq_spec, SolverConfig(max_iters=2, **self._CFG), project=project)
+        # the bootstrap is never the last application; the others may be
+        assert kept == [False, project, project]
+        gc.collect()
+        assert [r() for r in projected] == ([None] if project else [])
+        assert res.solution.control_samples is None
+        assert (res.projected_policy is not None) == project
+        assert apply_phi(lq_spec, None, SolverConfig(**self._CFG)).solution.control_samples is None
 
     @pytest.mark.parametrize("max_iters", [1, 3])
     def test_max_iters_exit_pairs_the_flow_with_its_application(self, lq_spec, max_iters):

@@ -104,6 +104,15 @@ class TestStochasticExponential:
             np.testing.assert_allclose(w.scaled(k) * m_k.max(), m_k, rtol=1e-12)
             np.testing.assert_allclose(w_big.scaled(k), w.scaled(k), rtol=1e-12)
 
+    def test_ess_frac_is_kish_on_scaled_weights(self):
+        log_m = np.zeros((4, 3))
+        log_m[:, 1] = np.log([1.0, 1.0, 3.0, 3.0]) + 800.0   # exp(log M) alone overflows
+        log_m[:, 2] = [0.0, -1e4, -1e4, -1e4]
+        w = GirsanovWeights(grid=TimeGrid(1.0, 2), log_m=log_m)
+        assert w.ess_frac(0) == 1.0
+        assert w.ess_frac(1) == pytest.approx(8.0 ** 2 / (4 * 20.0), rel=1e-12)
+        assert w.ess_frac(-1) == 0.25
+
     def test_fourth_moment_reported_not_asserted(self, lq_spec):
         # diagnostic only: bounded drift keeps E[M_T^4] finite
         noise = generate_noise(50_000, TimeGrid(1.0, 50), 7)

@@ -42,7 +42,8 @@ def layers(lq_spec):
     noise = generate_noise(N, grid, 3, 1, 1)
     paths = simulate_driftless_state(lq_spec, noise)
     flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
-    solution = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2))
+    solution = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), keep_actions=True,
+                          weights=True)
     weights = stochastic_exponential(lq_spec, np.clip(0.5 * paths.x[:, :-1], -1, 1), noise)
     return grid, noise, paths, flow, solution, weights
 
@@ -67,8 +68,9 @@ def test_simulators_and_orders(lq_spec, layers):
 
 
 def test_weights_and_flows(layers):
-    _, _, paths, flow, _, weights = layers
+    _, _, paths, flow, solution, weights = layers
     _assert_step_major(weights.log_m, (N, STEPS + 1))
+    _assert_step_major(solution.weights.log_m, (N, STEPS + 1))
     _assert_step_major(np.exp(weights.log_m), (N, STEPS + 1))
     _assert_step_major(flow.src_w, (N, STEPS + 1))
     weighted = estimate_conditional_flow(paths, weights, 4, min_bin_count=32)
