@@ -39,7 +39,6 @@ __all__ = [
     "MarkovPolicy",
     "solve_bsde",
     "extract_control",
-    "policy_actions_along",
     "control_weights",
     "stacked_objective_influence",
     "policy_to_csv",
@@ -380,17 +379,6 @@ class MarkovPolicy:
             return _bilinear(self.x_axes[k], self.key_axes[k], self.tables[k],
                              x[:, 0], np.asarray(key, float))
         raise ValueError(f"unknown policy kind {self.kind!r}")
-
-
-def policy_actions_along(policy: MarkovPolicy, flow: ConditionalMeasureFlow,
-                         paths: PathBundle, d_action: int) -> np.ndarray:
-    """(n, n_steps, d_action) step-major actions of ``policy`` along ``paths``, keyed by ``flow``."""
-    n_steps = paths.grid.n_steps
-    out = step_major(paths.n_paths, n_steps, d_action)
-    for k in range(n_steps):
-        keys = paths.xc[:, flow.key_index(k), 0]
-        out[:, k] = policy.actions(k, paths.x[:, k], paths.xc[:, k], keys)
-    return out
 
 
 def _bilinear(x_axis: np.ndarray, k_axis: np.ndarray, table: np.ndarray,

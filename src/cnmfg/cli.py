@@ -217,7 +217,7 @@ def _cmd_solve(spec, config, out) -> tuple:
         "exploitability": eps,
         "exploitability_stderr": eps_se,
         "mimicking_max_w1": result.mimicking.max_w1,
-        "ess_frac_terminal": result.weights.ess_frac(-1),
+        "ess_frac_terminal": result.solution.weights.ess_frac(-1),
         "wall_ms_per_iter": [round(r.wall_ms, 3) for r in rows],
     }
 

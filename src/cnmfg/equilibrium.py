@@ -22,7 +22,6 @@ from .bsde import (
     BsdeSolution,
     MarkovPolicy,
     extract_control,
-    policy_actions_along,
     solve_bsde,
     stacked_objective_influence,
 )
@@ -40,11 +39,13 @@ __all__ = [
     "EquilibriumResult",
     "initial_flow",
     "apply_phi",
+    "next_damping",
     "solve_equilibrium",
     "exploitability",
 ]
 
 _MIN_DAMPING = 1.0 / 64.0
+_STALL_ROWS = 5   # consecutive non-decreasing residuals at one damping that halve it
 _N_CONST = 9      # most constant deviation actions per axis of the exploitability family
 _SHIFT = 0.1      # size of its shifted-policy deviations
 
@@ -125,10 +126,6 @@ class IterationReport:
     def converged(self) -> bool:
         return self.status == "converged"
 
-    @property
-    def residuals(self) -> np.ndarray:
-        return np.asarray([r.residual for r in self.rows])
-
 
 @dataclass
 class PhiResult:
@@ -145,8 +142,7 @@ class PhiResult:
 class EquilibriumResult:
     flow: ConditionalMeasureFlow
     policy: Optional[MarkovPolicy]                 # feedback closure (representation a)
-    solution: BsdeSolution
-    weights: GirsanovWeights
+    solution: BsdeSolution                         # its ``weights`` bin the last application
     report: IterationReport
     projected_policy: Optional[MarkovPolicy] = None  # lookup table (representation b)
     mimicking: Optional[MimickingReport] = None
@@ -201,53 +197,58 @@ def apply_phi(spec: ProblemSpec, m: Optional[ConditionalMeasureFlow], config: So
                      solution=solution)
 
 
+def next_damping(rows: list, config: SolverConfig) -> tuple:
+    """(status, damping) after the last of ``rows``: the Picard loop's stop rule.
+
+    By precedence: a residual <= ``tol`` is ``converged``; five rows at the
+    current damping whose residuals did not decrease (within 1e-15) from the
+    row before halve it, and below 1/64 is ``aborted``; the ``max_iters``-th
+    row is ``max_iters``; otherwise ``running``, mixing at the damping returned.
+    """
+    damping = rows[-1].damping
+    if rows[-1].residual <= config.tol:
+        return "converged", damping
+    residuals = [np.inf] + [r.residual for r in rows]    # the first row follows an infinite one
+    if len(rows) >= _STALL_ROWS and all(
+            rows[-i].damping == damping and residuals[-i] >= residuals[-i - 1] - 1e-15
+            for i in range(1, _STALL_ROWS + 1)):
+        damping /= 2.0
+        if damping < _MIN_DAMPING:
+            return "aborted", damping
+    if len(rows) >= config.max_iters:
+        return "max_iters", damping
+    return "running", damping
+
+
 def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
                       project: bool = True) -> EquilibriumResult:
     """Damped Picard iteration on the measure map, then Markovian projection.
 
     The loop bootstraps with one map application, so a constant map converges
-    at the first reported iteration with residual zero.  Five consecutive
-    non-decreasing residuals halve the damping; damping below 1/64 aborts.
+    at the first reported iteration with residual zero.  After each
+    application ``next_damping`` reads the report's rows and names the status
+    and the damping of the next mix.
     """
     reference = _reference(spec, config)
     report = IterationReport()
     damping = config.damping
     m = apply_phi(spec, None, config, reference).flow
-
-    stall = 0
-    prev_residual = np.inf
-    for it in range(1, config.max_iters + 1):
+    while report.status == "running":
         t0 = time.perf_counter()
         # any application may be the last, whose actions the projection reads
         phi = apply_phi(spec, m, config, reference, keep_actions=project)
         residual = flow_distance(phi.flow, m, config.flow_order, config.retained_eval_paths)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        report.rows.append(IterationRow(iteration=it, residual=residual,
+        report.rows.append(IterationRow(iteration=len(report.rows) + 1, residual=residual,
                                         damping=damping, y0=phi.solution.y0,
-                                        wall_ms=wall_ms))
-        if residual <= config.tol:
-            report.status = "converged"
-            break
-        if residual >= prev_residual - 1e-15:
-            stall += 1
-        else:
-            stall = 0
-        if stall >= 5:
-            damping = damping / 2.0
-            stall = 0
-            if damping < _MIN_DAMPING:
-                report.status = "aborted"
-                break
-        if it == config.max_iters:
-            report.status = "max_iters"
-            break
-        prev_residual = residual
-        m = m.reweighted((1.0 - damping) * m.src_w + damping * phi.flow.src_w)
-        del phi     # the next application runs without this one's flow, weights and solution
+                                        wall_ms=(time.perf_counter() - t0) * 1e3))
+        report.status, damping = next_damping(report.rows, config)
+        if report.status == "running":
+            m = m.reweighted((1.0 - damping) * m.src_w + damping * phi.flow.src_w)
+            del phi     # the next application runs without this one's flow, weights and solution
 
     # m is the iterate the last application ran on, so (m, phi) is a matched pair
     result = EquilibriumResult(flow=m, policy=extract_control(phi.solution, spec, m),
-                               solution=phi.solution, weights=phi.weights, report=report)
+                               solution=phi.solution, report=report)
     if project:
         table = project_control(spec, reference[1], phi.solution.control_samples,
                                 m, phi.weights, config.basis())
@@ -278,7 +279,6 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
         raise ValueError("eval_noise was not drawn from the config's evaluation seed and grid")
     paths = simulate_driftless_state(spec, noise)
 
-    a_pol = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
     br = solve_bsde(spec, flow, paths, noise, config.basis(), keep_actions=True)
     n_axis = _N_CONST
     while n_axis > 1 and n_axis ** spec.d_action > 81:
@@ -293,12 +293,14 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
              + [f"shift{s:+g}" for s in shifts])
 
     def step_actions(k):
+        keys = paths.xc[:, flow.key_index(k), 0]
+        a_pol = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
         a_k = np.empty((len(names), paths.n_paths, spec.d_action))
-        a_k[0] = a_pol[:, k]
+        a_k[0] = a_pol
         a_k[1] = br.control_samples[:, k]
         a_k[2:2 + len(consts)] = consts[:, None, :]
         for i, s in enumerate(shifts):
-            a_k[2 + len(consts) + i] = spec.clip_action(a_pol[:, k] + s)
+            a_k[2 + len(consts) + i] = spec.clip_action(a_pol + s)
         return a_k
 
     scores = stacked_objective_influence(spec, flow, step_actions, paths, noise)

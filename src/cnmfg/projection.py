@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (BasisSpec, MarkovPolicy, policy_actions_along, stacked_objective_influence,
-                   _ridge_factor, _ridge_solve)
+from .bsde import (BasisSpec, MarkovPolicy, stacked_objective_influence, _ridge_factor,
+                   _ridge_solve)
 from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec, box_minimize_batch
@@ -189,12 +189,18 @@ def project_cost_gap(spec: ProblemSpec, paths: PathBundle, action_samples: np.nd
                      policy: MarkovPolicy, flow: ConditionalMeasureFlow, noise: NoiseBundle):
     """J(original) - J(markovian) with a paired standard error; >= 0 up to noise.
 
-    Both controls are scored in one stacked pass, each under its own weights.
+    Both controls are scored in one stacked pass, each under its own weights;
+    the policy's actions are evaluated one step at a time, as the pass needs them.
     """
-    markov_actions = spec.clip_action(policy_actions_along(policy, flow, paths, spec.d_action))
     original = np.asarray(action_samples, float)
+
+    def step_actions(k):
+        keys = paths.xc[:, flow.key_index(k), 0]
+        markov = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
+        return np.stack([original[:, k], markov])
+
     (j_orig, _, infl_orig), (j_mark, _, infl_mark) = stacked_objective_influence(
-        spec, flow, lambda k: np.stack([original[:, k], markov_actions[:, k]]), paths, noise)
+        spec, flow, step_actions, paths, noise)
     diff = infl_orig - infl_mark
     se = float(diff.std(ddof=1) / np.sqrt(paths.n_paths))
     return float(j_orig - j_mark), se

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import subprocess
@@ -266,6 +267,30 @@ class TestRunCommand:
         assert code == 2
         residuals = (out / "residuals.csv").read_text().splitlines()
         assert len(residuals) == 2  # header plus the single iteration row
+
+    def test_residuals_replay_through_the_stop_rule(self, tmp_path):
+        # a tolerance no run meets: the damping halves before the run stops
+        cfg = _write(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        code = run_command(["solve", "--config", str(cfg), "--out-dir", str(out),
+                            "--tol", "1e-12", "--max-iters", "40"])
+        with open(out / "residuals.csv", newline="") as fh:
+            rows = [equilibrium.IterationRow(int(r["iter"]), float(r["residual"]),
+                                             float(r["damping"]), float(r["y0"]), 0.0)
+                    for r in csv.DictReader(fh)]
+        manifest = dict(line.split(" = ", 1)
+                        for line in (out / "manifest.txt").read_text().splitlines())
+        config = equilibrium.SolverConfig(tol=float(manifest["solver.tol"]),
+                                          max_iters=int(manifest["solver.max_iters"]),
+                                          damping=float(manifest["solver.damping"]))
+        assert rows[0].damping == config.damping
+        assert len({r.damping for r in rows}) > 1
+        for i in range(1, len(rows)):
+            assert equilibrium.next_damping(rows[:i], config) == ("running", rows[i].damping)
+        status, _ = equilibrium.next_damping(rows, config)
+        assert manifest["status"] == repr(status)
+        assert int(manifest["iterations"]) == len(rows) == rows[-1].iteration
+        assert code == (0 if status == "converged" else 2)
 
     def test_solve_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, NO_INTERACTION)

@@ -7,10 +7,12 @@ import pytest
 import cnmfg
 import cnmfg.equilibrium as equilibrium_mod
 from cnmfg.equilibrium import (
+    IterationRow,
     SolverConfig,
     apply_phi,
     exploitability,
     initial_flow,
+    next_damping,
     solve_equilibrium,
 )
 from cnmfg.flows import estimate_conditional_flow, flow_distance
@@ -119,7 +121,7 @@ class TestSolveEquilibrium:
         cfg = SolverConfig(n_paths=10_000, seed=1)
         res = solve_equilibrium(lq_spec, cfg, project=False)
         assert res.report.converged
-        rs = res.report.residuals
+        rs = np.asarray([r.residual for r in res.report.rows])
         assert np.all(np.diff(rs) < 0)
         assert rs[-1] <= cfg.tol
         assert res.report.rows[0].residual > cfg.tol  # the loop was exercised
@@ -256,6 +258,113 @@ class TestMixing:
             assert dampings[-1] < 0.5
 
 
+def _rows(residuals, dampings=None):
+    dampings = [0.5] * len(residuals) if dampings is None else dampings
+    return [IterationRow(iteration=i + 1, residual=r, damping=d, y0=0.0, wall_ms=0.0)
+            for i, (r, d) in enumerate(zip(residuals, dampings))]
+
+
+def _stateful_rule(residuals, damping, tol, max_iters):
+    """The stop rule as the loop body kept it, with its stall counter.
+
+    Returns the status and the damping each row ran at."""
+    dampings, stall, prev = [], 0, np.inf
+    for it, r in enumerate(residuals, start=1):
+        dampings.append(damping)
+        if r <= tol:
+            return "converged", dampings
+        stall = stall + 1 if r >= prev - 1e-15 else 0
+        if stall >= 5:
+            damping, stall = damping / 2.0, 0
+            if damping < 1.0 / 64.0:
+                return "aborted", dampings
+        if it == max_iters:
+            return "max_iters", dampings
+        prev = r
+    return "running", dampings
+
+
+class TestStopRule:
+    """``next_damping`` on hand-built rows, without a solve."""
+
+    CFG = SolverConfig(tol=0.05, max_iters=30)
+
+    def test_first_row_at_or_below_tol_converges(self):
+        assert next_damping(_rows([0.05]), self.CFG) == ("converged", 0.5)
+        assert next_damping(_rows([0.0]), self.CFG) == ("converged", 0.5)
+        assert next_damping(_rows([0.05000001]), self.CFG) == ("running", 0.5)
+
+    def test_converged_wins_over_max_iters(self):
+        cfg = SolverConfig(tol=0.05, max_iters=3)
+        assert next_damping(_rows([0.3, 0.2, 0.04]), cfg) == ("converged", 0.5)
+        assert next_damping(_rows([0.3, 0.2, 0.1]), cfg) == ("max_iters", 0.5)
+        assert next_damping(_rows([0.3, 0.2]), cfg) == ("running", 0.5)
+
+    def test_aborted_wins_over_max_iters(self):
+        cfg = SolverConfig(tol=0.05, max_iters=6)
+        rows = _rows([0.2] * 6, [1 / 32] + [1 / 64] * 5)
+        assert next_damping(rows, cfg) == ("aborted", 1 / 128)
+        # a halving on the last row that stays at or above 1/64 is max_iters
+        rows = _rows([0.2] * 6, [1 / 16] + [1 / 32] * 5)
+        assert next_damping(rows, cfg) == ("max_iters", 1 / 64)
+
+    def test_four_stalls_keep_and_five_halve(self):
+        # the first row follows no residual, so it never counts as a stall
+        assert next_damping(_rows([0.1] * 5), self.CFG) == ("running", 0.5)
+        assert next_damping(_rows([0.1] * 6), self.CFG) == ("running", 0.25)
+        assert next_damping(_rows([0.3, 0.1, 0.1, 0.2, 0.2, 0.3]), self.CFG) == ("running", 0.5)
+        assert next_damping(_rows([0.3, 0.3, 0.3, 0.4, 0.4, 0.5]), self.CFG) == ("running", 0.25)
+        assert next_damping(_rows([0.1, 0.1, 0.1, 0.09, 0.1, 0.1]), self.CFG) == ("running", 0.5)
+
+    @pytest.mark.parametrize("drops, damping", [
+        ([1e-15] * 5, 0.25),                           # a decrease by 1e-15 counts as a tie
+        ([1e-15, 1e-15, 3e-15, 1e-15, 1e-15], 0.5),    # by 3e-15 it is a decrease
+        ([0.0, -1e-3, 0.0, -2e-3, 1e-16], 0.25),
+    ])
+    def test_decrease_within_1e_15_is_not_a_decrease(self, drops, damping):
+        residuals = [1.0]
+        for d in drops:
+            residuals.append(residuals[-1] - d)
+        assert next_damping(_rows(residuals), self.CFG) == ("running", damping)
+
+    def test_rows_at_the_previous_damping_do_not_count(self):
+        dampings = [0.5] * 6 + [0.25] * 4
+        assert next_damping(_rows([0.1] * 10, dampings), self.CFG) == ("running", 0.25)
+        dampings.append(0.25)
+        assert next_damping(_rows([0.1] * 11, dampings), self.CFG) == ("running", 0.125)
+        # the first row at a new damping is compared with the last at the old one
+        residuals = [0.1] * 6 + [0.09] + [0.1] * 4
+        assert next_damping(_rows(residuals, dampings), self.CFG) == ("running", 0.25)
+
+    def test_one_sixty_fourth_continues_and_below_aborts(self):
+        rows = _rows([0.1] * 6, [1 / 16] + [1 / 32] * 5)
+        assert next_damping(rows, self.CFG) == ("running", 1 / 64)
+        rows = _rows([0.1] * 6, [1 / 32] + [1 / 64] * 5)
+        assert next_damping(rows, self.CFG) == ("aborted", 1 / 128)
+
+    def test_reading_rows_equals_the_stall_counter(self):
+        rng = np.random.default_rng(21)
+        steps = np.array([-0.01, -1e-3, -3e-15, -1e-15, 0.0, 0.0, 1e-16, 1e-3, 0.01])
+        seen = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 60))
+            residuals = 0.2 + np.cumsum(rng.choice(steps, n, p=[.05, .1, .1, .15, .2, .2, .1,
+                                                               .05, .05]))
+            if rng.random() < 0.2:
+                residuals[rng.integers(n)] = 0.0 if rng.random() < 0.5 else np.inf
+            start = float(rng.choice([1.0, 0.5, 0.3, 1 / 16, 1 / 32]))
+            cfg = SolverConfig(tol=0.05, max_iters=int(rng.integers(1, 50)), damping=start)
+            expected = _stateful_rule(residuals.tolist(), start, cfg.tol, cfg.max_iters)
+            rows, status, damping = [], "running", start
+            while status == "running" and len(rows) < n:
+                rows.append(IterationRow(len(rows) + 1, float(residuals[len(rows)]), damping,
+                                         0.0, 0.0))
+                status, damping = next_damping(rows, cfg)
+            assert (status, [r.damping for r in rows]) == expected
+            seen.add(status)
+        assert seen == {"converged", "aborted", "max_iters", "running"}
+
+
 class TestIterateLifetime:
     _CFG = dict(n_paths=2000, n_steps=10, n_bins=4, min_bin_count=32, seed=3, tol=1e-12)
 
@@ -387,4 +496,4 @@ class TestIterateLifetime:
         assert len(res.report.rows) == max_iters
         phi = apply_phi(lq_spec, res.flow, cfg)
         assert phi.solution.y0 == res.solution.y0 == res.report.rows[-1].y0
-        assert np.array_equal(phi.weights.log_m, res.weights.log_m)
+        assert np.array_equal(phi.weights.log_m, res.solution.weights.log_m)
