@@ -44,6 +44,8 @@ __all__ = [
     "policy_to_csv",
 ]
 
+_EXPLOSION_THRESHOLD = 1e8   # a step's residual variance above this aborts the pass
+
 
 @lru_cache(maxsize=None)
 def _monomial_exponents(n_vars: int, degree: int) -> tuple:
@@ -264,8 +266,7 @@ def _sigma_inv_drift(spec: ProblemSpec, t: float, x: np.ndarray, mu,
 
 def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundle,
                noise: NoiseBundle, basis: BasisSpec, driver: str = "hamiltonian",
-               explosion_threshold: float = 1e8, keep_actions: bool = False,
-               weights: bool = False) -> BsdeSolution:
+               keep_actions: bool = False, weights: bool = False) -> BsdeSolution:
     """Backward LSMC pass for the value process and its martingale integrands.
 
     The integrand targets are centred by the preliminary value fit before the
@@ -337,7 +338,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
         target = y_next + h * dt
         y_fit = feats @ (c_pre + _ridge_solve(factor, feats, h * dt))
         resid[k] = float(np.mean((target - y_fit) ** 2))
-        if resid[k] > explosion_threshold:
+        if resid[k] > _EXPLOSION_THRESHOLD:
             raise RuntimeError(
                 f"BSDE regression exploded at step {k}: residual variance {resid[k]:.3g}")
         if k == 0:
@@ -470,7 +471,9 @@ def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
         cost, lam = flow.per_bin(k, paths, costs_and_drifts, paths.x[:, k],
                                  a_k.transpose(1, 0, 2))
         if not np.all(np.isfinite(lam)):
-            raise RuntimeError(f"non-finite drift sample at step {k}")
+            path, control = np.argwhere(~np.isfinite(lam).all(axis=2))[0]
+            raise RuntimeError(f"non-finite drift sample at path {path}, control {control}, "
+                               f"step {k}")
         run_cost = run_cost + cost
         log_m = log_m + log_increments(lam, noise.dw[:, k, None], grid.dt)
     payoff = run_cost + _terminal_values(spec, flow, paths)[:, None]

@@ -50,14 +50,10 @@ _SOLVER_KEYS = {
     "bins": ("n_bins", int),
     "min_bin_count": ("min_bin_count", int),
     "degree": ("basis_degree", int),
-    "ridge": ("ridge", float),
     "damping": ("damping", float),
     "max_iters": ("max_iters", int),
     "tol": ("tol", float),
-    "order": ("flow_order", float),
     "seed": ("seed", int),
-    "eval_seed": ("eval_seed", int),
-    "retained_eval_paths": ("retained_eval_paths", int),
     "partition": ("partition_times", "times"),
 }
 
@@ -134,8 +130,10 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: unknown solver key {key!r}")
         name, kind = _SOLVER_KEYS[key]
         solver_params[name] = _parse_number(raw, kind, path, lineno)
-        if kind == "times":
-            _require_finite(solver_params[name], key, raw, path, lineno)
+        if kind == "times":     # the comparisons also reject NaN and infinities
+            if not all(0.0 <= t <= spec.horizon for t in solver_params[name]):
+                raise ConfigError(f"{path}:{lineno}: {key!r} times must lie in "
+                                  f"[0, horizon={spec.horizon:g}], got {raw!r}")
     try:
         config = SolverConfig(**solver_params)
     except ValueError as exc:
@@ -152,8 +150,6 @@ def parse_config(path):
 def _apply_overrides(config: SolverConfig, args) -> SolverConfig:
     fields = {_SOLVER_KEYS[key][0]: getattr(args, key) for key in _FLAGS
               if getattr(args, key) is not None}
-    if "seed" in fields:
-        fields["eval_seed"] = None   # re-derive from the new seed
     return dataclasses.replace(config, **fields) if fields else config
 
 
@@ -188,6 +184,7 @@ def _write_manifest(path: Path, spec: ProblemSpec, config: SolverConfig,
         kv[f"problem.{key}"] = repr(val)
     for f in dataclasses.fields(config):
         kv[f"solver.{f.name}"] = repr(getattr(config, f.name))
+    kv["solver.eval_seed"] = repr(config.eval_seed)
     kv.update({k: repr(v) for k, v in extra.items()})
     with open(path, "w") as fh:
         for key in sorted(kv):

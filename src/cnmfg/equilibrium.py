@@ -57,15 +57,11 @@ class SolverConfig:
     n_bins: int = 16
     min_bin_count: int = 64
     basis_degree: int = 2
-    ridge: float = 1e-8
     damping: float = 0.5
     max_iters: int = 30
     tol: float = 0.05
-    flow_order: float = 2.0
     seed: int = 1
-    eval_seed: Optional[int] = None
     partition_times: Optional[tuple] = None
-    retained_eval_paths: int = 2048
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -74,8 +70,6 @@ class SolverConfig:
             raise ValueError("residual tolerance (config key 'tol') must be finite and > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.retained_eval_paths < 1:
-            raise ValueError("retained_eval_paths must be >= 1")
         # named as in a config file's [solver] section too; every reported
         # stderr is a sample standard deviation (ddof=1), so it needs two paths
         if self.n_paths < 2:
@@ -84,19 +78,10 @@ class SolverConfig:
             raise ValueError("n_steps (config key 'steps') must be >= 1")
         if self.basis_degree < 0:
             raise ValueError("basis_degree (config key 'degree') must be >= 0")
-        for name, key in (("ridge", "ridge"), ("flow_order", "order")):
-            if np.isinf(getattr(self, name)):
-                raise ValueError(f"{name} (config key {key!r}) must be finite")
-        if not self.ridge >= 0:
-            raise ValueError("ridge (config key 'ridge') must be >= 0")
         if self.n_bins < 1:
             raise ValueError("n_bins (config key 'bins') must be >= 1")
         if self.min_bin_count < 1:
             raise ValueError("min_bin_count must be >= 1")
-        if not self.flow_order >= 1:
-            raise ValueError("flow_order (config key 'order') must be >= 1")
-        if self.eval_seed is None:
-            object.__setattr__(self, "eval_seed", self.seed + 99_991)
         if self.partition_times is not None:
             object.__setattr__(self, "partition_times",
                                tuple(float(t) for t in self.partition_times))
@@ -105,7 +90,12 @@ class SolverConfig:
         return TimeGrid(horizon=spec.horizon, n_steps=self.n_steps)
 
     def basis(self) -> BasisSpec:
-        return BasisSpec(degree=self.basis_degree, ridge=self.ridge)
+        return BasisSpec(degree=self.basis_degree)
+
+    @property
+    def eval_seed(self) -> int:
+        """Seed of the evaluation noise that the mimicking check and exploitability draw."""
+        return self.seed + 99_991
 
 
 @dataclass
@@ -237,7 +227,7 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
         t0 = time.perf_counter()
         # any application may be the last, whose actions the projection reads
         phi = apply_phi(spec, m, config, reference, keep_actions=project)
-        residual = flow_distance(phi.flow, m, config.flow_order, config.retained_eval_paths)
+        residual = flow_distance(phi.flow, m)
         report.rows.append(IterationRow(iteration=len(report.rows) + 1, residual=residual,
                                         damping=damping, y0=phi.solution.y0,
                                         wall_ms=(time.perf_counter() - t0) * 1e3))

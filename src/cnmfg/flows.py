@@ -63,6 +63,11 @@ def _systematic_resample(support: np.ndarray, weights: np.ndarray, n_out: int) -
 # ---------------------------------------------------------------------------
 
 
+def _check_order(q: float) -> None:
+    if not 1 <= q < np.inf:
+        raise ValueError(f"order q must be finite and >= 1, got {q!r}")
+
+
 def wasserstein_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -> float:
     """Order-q Wasserstein distance between 1-d empirical measures.
 
@@ -75,8 +80,7 @@ def wasserstein_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -
     """
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("wasserstein_1d requires 1-d supports")
-    if q < 1:
-        raise ValueError("order q must be >= 1")
+    _check_order(q)
     return _wasserstein_sorted(*mu.sorted_1d, *nu.sorted_1d, q)
 
 
@@ -113,8 +117,7 @@ def lp_transport(mu: EmpiricalMeasure, nu: EmpiricalMeasure, q: float = 1.0) -> 
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")
-    if q < 1:
-        raise ValueError("order q must be >= 1")
+    _check_order(q)
     return _transport_cost(mu.support, mu.weights, nu.support, nu.weights, q)
 
 
@@ -486,6 +489,9 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
     share one, so the estimate is symmetric; each flow looks a path up by its
     own key at every step.
     """
+    _check_order(q)
+    if retained < 1:
+        raise ValueError(f"retained evaluation paths must be >= 1, got {retained!r}")
     if m.grid != m2.grid:
         raise ValueError("flow grids do not match")
     evals = []

@@ -35,6 +35,7 @@ _N_X = 41               # state points per step of the lookup table
 _N_KEY = 41             # conditioning-key points per step of the lookup table
 _SPAN_SIGMAS = 3.0      # table axes span the weighted mean +- this many deviations
 _MAX_FLAGGED = 0.01     # largest tolerated fraction of failed drift inversions
+_INVERSION_TOL = 1e-6   # drift gap above which an interior cell's inversion failed
 
 
 def lagged_noise_control(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
@@ -63,7 +64,7 @@ def _weighted_span(values: np.ndarray, weights: np.ndarray, n_points: int):
 
 def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.ndarray,
                     flow: ConditionalMeasureFlow, weights: GirsanovWeights,
-                    basis: BasisSpec, inversion_tol: float = 1e-6) -> MarkovPolicy:
+                    basis: BasisSpec) -> MarkovPolicy:
     """Project an adapted control onto (state, key) and rebuild it as a table.
 
     The drift is regressed (not the action): the conditional-drift identity is
@@ -127,7 +128,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         margin = 1e-9 * np.maximum(spec.action_hi - spec.action_lo, 1.0)
         interior = np.all((cell_actions > spec.action_lo + margin)
                           & (cell_actions < spec.action_hi - margin), axis=1)
-        bad = (cell_resid > inversion_tol) & interior
+        bad = (cell_resid > _INVERSION_TOL) & interior
         flagged += int(np.count_nonzero(bad))
         total_cells += cell_x.size
         if np.any(bad):

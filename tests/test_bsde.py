@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 import cnmfg
+import cnmfg.bsde as bsde_mod
 from cnmfg.bsde import (
     BasisSpec,
     BsdeSolution,
@@ -209,6 +210,15 @@ class TestStackedScoring:
             assert (est, se) == (est1, se1)
             np.testing.assert_array_equal(infl, infl1)
 
+    def test_non_finite_drift_names_path_control_and_step(self, lq_spec):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=8, seed=9)
+        controls = np.zeros((3, 1000, 8, 1))
+        controls[1, 17, 4] = np.nan       # the lq drift is the action
+        with pytest.raises(RuntimeError, match="non-finite drift sample at path 17, "
+                                               "control 1, step 4"):
+            stacked_objective_influence(lq_spec, flow, lambda k: controls[:, :, k], paths,
+                                        noise)
+
     @pytest.mark.parametrize("family", ["lq", "tanh"])
     def test_terminal_only_payoff_under_control_weights(self, family):
         # with no running cost the payoff is the terminal cost, so the scoring
@@ -320,12 +330,12 @@ class TestRegression:
         np.testing.assert_array_equal(fresh.stats, first.stats)
         np.testing.assert_array_equal(fresh.col_stats, first.col_stats)
 
-    def test_explosion_threshold_aborts(self, lq_spec):
+    def test_explosion_threshold_aborts(self, lq_spec, monkeypatch):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=5, seed=8)
         spec = replace(lq_spec, terminal_cost=lambda x, mu: 1e9 * x[:, 0] ** 2)
+        monkeypatch.setattr(bsde_mod, "_EXPLOSION_THRESHOLD", 1e3)
         with pytest.raises(RuntimeError, match="exploded at step"):
-            solve_bsde(spec, flow, paths, noise, BasisSpec(degree=2),
-                       explosion_threshold=1e3)
+            solve_bsde(spec, flow, paths, noise, BasisSpec(degree=2))
 
     def test_requires_driftless_paths(self, lq_spec, small_config):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=5, seed=8)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import cnmfg
 from cnmfg import equilibrium
-from cnmfg.cli import ConfigError, parse_config, run_command
+from cnmfg.cli import _SOLVER_KEYS, ConfigError, parse_config, run_command
 
 MINIMAL = """
 [problem]
@@ -23,6 +24,7 @@ min_bin_count = 32
 seed = 7
 max_iters = 10
 """
+APPENDED = len(MINIMAL.splitlines()) + 1    # the line number of a line appended to MINIMAL
 
 NO_INTERACTION = """
 [problem]
@@ -47,9 +49,8 @@ MANIFEST_COMMON_KEYS = [
     "problem.init_mean", "problem.init_std", "problem.interaction", "problem.p",
     "problem.sigma", "problem.sigma0", "problem.sigmac", "problem.state_weight",
     "problem.terminal_weight", "solver.basis_degree", "solver.damping", "solver.eval_seed",
-    "solver.flow_order", "solver.max_iters", "solver.min_bin_count", "solver.n_bins",
-    "solver.n_paths", "solver.n_steps", "solver.partition_times",
-    "solver.retained_eval_paths", "solver.ridge", "solver.seed", "solver.tol",
+    "solver.max_iters", "solver.min_bin_count", "solver.n_bins", "solver.n_paths",
+    "solver.n_steps", "solver.partition_times", "solver.seed", "solver.tol",
 ]
 
 
@@ -112,6 +113,11 @@ class TestParseConfig:
         _, config, _ = parse_config(cfg)
         assert config.partition_times == (0.0, 0.5, 1.0)
 
+    def test_solver_keys_match_config_fields(self):
+        targets = [name for name, _ in _SOLVER_KEYS.values()]
+        fields = [f.name for f in dataclasses.fields(equilibrium.SolverConfig)]
+        assert sorted(targets) == sorted(fields)
+
 
 class TestRunCommand:
     def test_validate_ok(self, tmp_path, capsys):
@@ -145,16 +151,19 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not (out / "residuals.csv").exists()
 
-    @pytest.mark.parametrize("old, new, message", [
-        ("steps = 10", "steps = 0", "n_steps (config key 'steps') must be >= 1"),
-        ("seed = 7", "seed = 7\ndegree = -1", "basis_degree (config key 'degree') must be >= 0"),
-        ("seed = 7", "seed = 7\nridge = -1", "ridge (config key 'ridge') must be >= 0"),
+    @pytest.mark.parametrize("old, new, message, where", [
+        ("steps = 10", "steps = 0", "n_steps (config key 'steps') must be >= 1", ""),
+        ("seed = 7", "seed = 7\ndegree = -1", "basis_degree (config key 'degree') must be >= 0",
+         ""),
+        # the ridge is no setting but BasisSpec's constant, so the key is unknown
+        ("seed = 7", "seed = 7\nridge = -1", "unknown solver key 'ridge'", ":11"),
     ])
-    def test_bad_grid_or_basis_fails_at_parse_time(self, tmp_path, capsys, old, new, message):
+    def test_bad_grid_or_basis_fails_at_parse_time(self, tmp_path, capsys, old, new, message,
+                                                   where):
         cfg = _write(tmp_path, MINIMAL.replace(old, new))
         out = tmp_path / "out"
         assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}{where}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line, key", [
@@ -162,11 +171,34 @@ class TestRunCommand:
         ("order = inf", "'order'"), ("order = -inf", "'order'"),
     ])
     def test_infinite_ridge_or_order_fails_at_parse_time(self, tmp_path, capsys, line, key):
+        # neither is a setting: the residual's order and the ridge are constants
         cfg = _write(tmp_path, MINIMAL + line + "\n")
         out = tmp_path / "out"
         assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err and "must be finite" in err
+        assert err == f"error: {cfg}:{APPENDED}: unknown solver key {key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "order = 2", "retained_eval_paths = 2048", "ridge = 1e-8", "eval_seed = 5",
+    ])
+    def test_constant_settings_are_unknown_keys(self, tmp_path, capsys, line):
+        cfg = _write(tmp_path, MINIMAL + line + "\n")
+        out = tmp_path / "out"
+        assert run_command(["phi", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        key = line.split(" = ")[0]
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:{APPENDED}: unknown solver key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["partition = 0.5, 2.0", "partition = -0.5"])
+    def test_partition_outside_horizon_fails_before_out_dir(self, tmp_path, capsys, line):
+        cfg = _write(tmp_path, MINIMAL + line + "\n")
+        out = tmp_path / "out"
+        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:{APPENDED}: 'partition' times must lie in "
+                              "[0, horizon=1], got ")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, flags", [
@@ -239,9 +271,14 @@ class TestRunCommand:
         cfg = _write(tmp_path, MINIMAL)
         out = tmp_path / "out"
         assert run_command([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
-        manifest = (out / "manifest.txt").read_text().splitlines()
-        assert {line.split(" = ", 1)[0] for line in manifest} == set(
-            MANIFEST_COMMON_KEYS + keys + ["wall_ms_total"])
+        manifest = dict(line.split(" = ", 1)
+                        for line in (out / "manifest.txt").read_text().splitlines())
+        assert set(manifest) == set(MANIFEST_COMMON_KEYS + keys + ["wall_ms_total"])
+        # each SolverConfig field, and the evaluation seed its property derives
+        assert {k for k in manifest if k.startswith("solver.")} == {
+            f"solver.{f.name}" for f in dataclasses.fields(equilibrium.SolverConfig)
+        } | {"solver.eval_seed"}
+        assert manifest["solver.eval_seed"] == repr(7 + 99_991)
 
     def test_unknown_flag_is_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL)

@@ -32,29 +32,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
 
-    @pytest.mark.parametrize("retained", [0, -5])
-    def test_retained_eval_paths_positive(self, retained):
-        with pytest.raises(ValueError, match="retained_eval_paths"):
-            SolverConfig(retained_eval_paths=retained)
-        assert SolverConfig(retained_eval_paths=1).retained_eval_paths == 1
-
     @pytest.mark.parametrize("field, value, key", [
         ("n_bins", 0, "bins"), ("n_bins", -2, "bins"),
         ("min_bin_count", 0, "min_bin_count"), ("min_bin_count", -5, "min_bin_count"),
-        ("flow_order", 0.5, "order"), ("flow_order", 0.0, "order"),
-        ("flow_order", float("nan"), "order"),
     ])
     def test_binning_and_order_bounds(self, field, value, key):
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{field: value})
-        cfg = SolverConfig(n_bins=1, min_bin_count=1, flow_order=1.0)
-        assert (cfg.n_bins, cfg.min_bin_count, cfg.flow_order) == (1, 1, 1.0)
-
-    @pytest.mark.parametrize("value", [np.inf, -np.inf])
-    @pytest.mark.parametrize("field, key", [("ridge", "'ridge'"), ("flow_order", "'order'")])
-    def test_ridge_and_order_must_be_finite(self, field, key, value):
-        with pytest.raises(ValueError, match=f"{key}\\) must be finite"):
-            SolverConfig(**{field: value})
+        cfg = SolverConfig(n_bins=1, min_bin_count=1)
+        assert (cfg.n_bins, cfg.min_bin_count) == (1, 1)
 
     @pytest.mark.parametrize("n_paths", [1, 0, -4])
     def test_paths_at_least_two(self, n_paths):

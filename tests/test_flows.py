@@ -444,6 +444,40 @@ class TestFlowDistance:
             flow_distance(m, m2, 2.0)
 
 
+class TestOrderCheck:
+    """wasserstein_1d, lp_transport and flow_distance share one order check."""
+
+    BAD_ORDERS = [0.5, 0.0, -1.0, np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def _flow():
+        return _constant_flow(TimeGrid(1.0, 4), [EmpiricalMeasure(np.array([0.0]))] * 5)
+
+    @pytest.mark.parametrize("q", BAD_ORDERS)
+    @pytest.mark.parametrize("distance", [wasserstein_1d, lp_transport])
+    def test_measure_distances_reject_order(self, distance, q):
+        with pytest.raises(ValueError, match="order q must be finite and >= 1"):
+            distance(_measure([0.0, 1.0]), _measure([2.0]), q)
+
+    @pytest.mark.parametrize("q", BAD_ORDERS)
+    def test_flow_distance_rejects_order(self, q):
+        m = self._flow()
+        with pytest.raises(ValueError, match="order q must be finite and >= 1"):
+            flow_distance(m, m, q)
+
+    @pytest.mark.parametrize("retained", [0, -5])
+    def test_flow_distance_rejects_no_retained_paths(self, retained):
+        m = self._flow()
+        with pytest.raises(ValueError, match="retained evaluation paths must be >= 1"):
+            flow_distance(m, m, 2.0, retained)
+
+    def test_order_one_and_one_retained_path_accepted(self):
+        m = self._flow()
+        assert flow_distance(m, m, 1.0, 1) == 0.0
+        assert wasserstein_1d(_measure([0.0]), _measure([2.0]), 1.0) == 2.0
+        assert lp_transport(_measure([0.0]), _measure([2.0]), 1.0) == pytest.approx(2.0)
+
+
 class TestPositiveMass:
     """A NaN or infinite total mass is rejected like a non-positive one."""
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cnmfg
+import cnmfg.projection as projection_mod
 from cnmfg.bsde import BasisSpec, control_weights
 from cnmfg.equilibrium import SolverConfig, initial_flow
 from cnmfg.flows import estimate_conditional_flow
@@ -56,16 +57,16 @@ class TestProjectControl:
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
         assert np.abs(policy.tables - 0.4).max() <= 1e-3
 
-    def test_inversion_abort_machinery(self, lq_spec, setup):
+    def test_inversion_abort_machinery(self, lq_spec, setup, monkeypatch):
         cfg, grid, noise, paths, flow, fresh = setup
         actions = _affine_markov_actions(paths)
+        # impossible tolerance: every interior-argmin cell flags
+        monkeypatch.setattr(projection_mod, "_INVERSION_TOL", -1.0)
         # the closed-form inverse and the box-search fallback
         for spec in (lq_spec, replace(lq_spec, invert_drift=None)):
             w = control_weights(spec, flow, actions, paths, noise)
-            # impossible tolerance: every interior-argmin cell flags
             with pytest.raises(RuntimeError, match="drift inversion failed"):
-                project_control(spec, paths, actions, flow, w, BasisSpec(degree=2),
-                                inversion_tol=-1.0)
+                project_control(spec, paths, actions, flow, w, BasisSpec(degree=2))
 
     def test_residual_comes_from_the_drift_not_the_hook(self, lq_spec, setup):
         cfg, grid, noise, paths, flow, fresh = setup
