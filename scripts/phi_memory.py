@@ -4,13 +4,14 @@
     PYTHONPATH=src python scripts/phi_memory.py --config scripts/lq1.cfg --paths 80000
 
 Runs the stages of ``apply_phi(spec, None, config)`` one at a time: the
-reference simulation, the input (unit-weight) flow, the BSDE pass with its
-Girsanov weights, and the output flow, binned after the noise and the input
-flow are dropped.  After each stage it prints, in MB: the resident set
-(``/proc/self/statm``), the peak resident set (``ru_maxrss``), the bytes
-``tracemalloc`` traces now and at their peak during the stage, and the slack,
-the resident set above the one after import minus the traced bytes: freed heap
-the allocator keeps, plus ``tracemalloc``'s own bookkeeping.
+reference simulation, the BSDE pass with its Girsanov weights, which bins each
+step of the input (unit-weight) flow when it reads it, and the output flow,
+binned after the noise and the input flow are dropped.  After each stage it
+prints, in MB: the resident set (``/proc/self/statm``), the peak resident set
+(``ru_maxrss``), the bytes ``tracemalloc`` traces now and at their peak during
+the stage, and the slack, the resident set above the one after import minus
+the traced bytes: freed heap the allocator keeps, plus ``tracemalloc``'s own
+bookkeeping.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import tracemalloc
 
 from cnmfg.bsde import solve_bsde
 from cnmfg.cli import parse_config
-from cnmfg.equilibrium import _estimate_flow, _reference, initial_flow
+from cnmfg.equilibrium import _estimate_flow, _reference
 
 _MB = 1024.0 ** 2
 _PAGE = os.sysconf("SC_PAGE_SIZE")
@@ -57,8 +58,7 @@ def main():
     try:
         noise, paths = _reference(spec, config)
         report("reference")
-        m = initial_flow(spec, config, paths)
-        report("input flow")
+        m = _estimate_flow(spec, config, paths, None, on_read=True)
         solution = solve_bsde(spec, m, paths, noise, config.basis(), weights=True)
         report("BSDE pass")
         del m, noise

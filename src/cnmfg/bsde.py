@@ -303,21 +303,24 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     # honest standard error for the value estimate
     raw_sum = y_next.copy()
     y0 = 0.0
-    # one pair of feature blocks for all steps, as in BasisSpec._fit: freed
-    # per-step blocks stay in the heap as slack at the end of the pass
+    # one set of path-sized buffers for all steps, as in BasisSpec._fit: freed
+    # per-step arrays stay in the heap as slack at the end of the pass.  y_next
+    # takes each step's value fit in place.
     blocks = np.empty((spec.d_state + spec.d_common, n)), np.empty((n_feat, n))
+    dev, target, h_dt = np.empty(n), np.empty(n), np.empty(n)
+    zt, z_fit = np.empty((n, spec.d_state)), np.empty((n, spec.d_state))
     for k in range(n_steps - 1, -1, -1):
         feats = fitted.features(k, paths.x[:, k], paths.xc[:, k], blocks)
         factor = _ridge_factor(feats, fitted.ridge)
         c_pre = _ridge_solve(factor, feats, y_next)
-        y_fit_pre = feats @ c_pre
-        centred = y_next - y_fit_pre
+        centred = np.subtract(y_next, np.matmul(feats, c_pre, out=dev), out=dev)
 
-        zt = centred[:, None] * noise.dw[:, k] / dt
+        np.multiply(centred[:, None], noise.dw[:, k], out=zt)
+        zt /= dt
         z_coef[k] = _ridge_solve(factor, feats, zt).T
 
         if driver == "zero":
-            h = np.zeros(n)
+            h_dt.fill(0.0)
         else:
             t_k = grid.times[k]
 
@@ -328,22 +331,24 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
                 return a, h_bin, _sigma_inv_drift(spec, t_k, x, mu, a)
 
             a_k, h, *lam = flow.per_bin(k, paths, minimize, paths.x[:, k],
-                                        feats @ z_coef[k].T)
+                                        np.matmul(feats, z_coef[k].T, out=z_fit))
             if actions is not None:
                 actions[:, k] = a_k
             if log_m is not None:
                 put_log_increment(log_m, k, lam[0], noise)
+            np.multiply(h, dt, out=h_dt)
 
-        raw_sum += h * dt
-        target = y_next + h * dt
-        y_fit = feats @ (c_pre + _ridge_solve(factor, feats, h * dt))
-        resid[k] = float(np.mean((target - y_fit) ** 2))
+        raw_sum += h_dt
+        np.add(y_next, h_dt, out=target)
+        y_fit = np.matmul(feats, c_pre + _ridge_solve(factor, feats, h_dt), out=y_next)
+        np.subtract(target, y_fit, out=dev)
+        dev *= dev
+        resid[k] = float(np.mean(dev))
         if resid[k] > _EXPLOSION_THRESHOLD:
             raise RuntimeError(
                 f"BSDE regression exploded at step {k}: residual variance {resid[k]:.3g}")
         if k == 0:
             y0 = float(target.mean())
-        y_next = y_fit
     y0_se = float(raw_sum.std(ddof=1) / np.sqrt(n))
 
     return BsdeSolution(grid=grid, basis=fitted, z_coef=z_coef, y0=y0, y0_stderr=y0_se,

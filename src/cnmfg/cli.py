@@ -191,6 +191,14 @@ def _write_manifest(path: Path, spec: ProblemSpec, config: SolverConfig,
             fh.write(f"{key} = {kv[key]}\n")
 
 
+def _ess_values(weights) -> dict:
+    """Manifest health values of Girsanov weights: the terminal and the smallest
+    Kish ESS fraction over steps 1..n_steps, with the step of the smallest."""
+    frac_min, step = weights.ess_frac_min()
+    return {"ess_frac_terminal": weights.ess_frac(-1), "ess_frac_min": frac_min,
+            "ess_frac_min_step": step}
+
+
 def _cmd_solve(spec, config, out) -> tuple:
     result = solve_equilibrium(spec, config)
     eps, eps_se = exploitability(spec, result.flow, result.policy, config,
@@ -214,7 +222,7 @@ def _cmd_solve(spec, config, out) -> tuple:
         "exploitability": eps,
         "exploitability_stderr": eps_se,
         "mimicking_max_w1": result.mimicking.max_w1,
-        "ess_frac_terminal": result.solution.weights.ess_frac(-1),
+        **_ess_values(result.solution.weights),
         "wall_ms_per_iter": [round(r.wall_ms, 3) for r in rows],
     }
 
@@ -225,7 +233,7 @@ def _cmd_phi(spec, config, out) -> tuple:
     _write_bsde_residuals(out, phi.solution)
     print(f"y0={phi.solution.y0:.6g} (stderr {phi.solution.y0_stderr:.2g})")
     return 0, {"y0": phi.solution.y0, "y0_stderr": phi.solution.y0_stderr,
-               "ess_frac_terminal": phi.weights.ess_frac(-1)}
+               **_ess_values(phi.weights)}
 
 
 def _cmd_bsde_check(spec, config, out) -> tuple:

@@ -25,7 +25,8 @@ from .bsde import (
     solve_bsde,
     stacked_objective_influence,
 )
-from .flows import ConditionalMeasureFlow, estimate_conditional_flow, flow_distance
+from .flows import (ConditionalMeasureFlow, estimate_conditional_flow, flow_distance,
+                    _flow_on_read)
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec
 from .projection import MimickingReport, mimicking_check, project_control
@@ -153,10 +154,13 @@ def _reference(spec: ProblemSpec, config: SolverConfig):
 
 
 def _estimate_flow(spec: ProblemSpec, config: SolverConfig, paths: PathBundle,
-                   weights: Optional[GirsanovWeights]) -> ConditionalMeasureFlow:
-    return estimate_conditional_flow(
-        paths, weights, config.n_bins, partition_times=config.partition_times,
-        min_bin_count=config.min_bin_count, flow_p=spec.p)
+                   weights: Optional[GirsanovWeights],
+                   on_read: bool = False) -> ConditionalMeasureFlow:
+    """The config's flow of ``paths`` under ``weights``; with ``on_read`` each
+    step is binned whenever it is read and not kept (``flows._flow_on_read``)."""
+    estimate = _flow_on_read if on_read else estimate_conditional_flow
+    return estimate(paths, weights, config.n_bins, partition_times=config.partition_times,
+                    min_bin_count=config.min_bin_count, flow_p=spec.p)
 
 
 def initial_flow(spec: ProblemSpec, config: SolverConfig,
@@ -175,11 +179,12 @@ def apply_phi(spec: ProblemSpec, m: Optional[ConditionalMeasureFlow], config: So
     which the backward pass accumulates step by step (``solve_bsde(...,
     weights=True)``); the pass stores its action array only with
     ``keep_actions``.  ``m`` None maps the reference's unit-weight flow
-    (``initial_flow``).  Without ``reference`` the map simulates its own and
-    frees its noise, like a temporary input flow, before the output is binned."""
+    (``initial_flow``), each step of it binned when the pass reads it, so no
+    step outlives its read.  Without ``reference`` the map simulates its own
+    and frees its noise before the output is binned."""
     noise, paths = _reference(spec, config) if reference is None else reference
     if m is None:
-        m = initial_flow(spec, config, paths)
+        m = _estimate_flow(spec, config, paths, None, on_read=True)
     solution = solve_bsde(spec, m, paths, noise, config.basis(), keep_actions=keep_actions,
                           weights=True)
     del m, noise

@@ -208,7 +208,6 @@ class StepBins:
     edges: np.ndarray                       # (n_bins + 1,) including outer edges
     measures: list                          # EmpiricalMeasure per bin
     counts: np.ndarray
-    labels: np.ndarray                      # (n_source,) bin of each source row
     rows: np.ndarray                        # (n_source,) source rows, bin-major
     row_w: np.ndarray                       # (n_source,) weight of each of ``rows``
     totals: np.ndarray                      # (n_bins,) total weight of each bin
@@ -305,8 +304,8 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
                          f"bin {b} (total weight {totals[b]:.6g}): {why}")
     measures = [_RowsMeasure(atoms, rows[lo:hi], row_w[lo:hi], total, p)
                 for lo, hi, total in zip(starts, ends, totals)]
-    return StepBins(edges=full_edges, measures=measures, counts=counts, labels=labels,
-                    rows=rows, row_w=row_w, totals=totals)
+    return StepBins(edges=full_edges, measures=measures, counts=counts, rows=rows,
+                    row_w=row_w, totals=totals)
 
 
 @dataclass
@@ -316,12 +315,13 @@ class ConditionalMeasureFlow:
     The flow copies no particles: ``paths`` is the bundle it was estimated on,
     and each step's ``StepBins`` holds the step's weights once, in bin order
     (every step of a unit-weight flow holds one shared read-only constant vector).
-    ``estimate_conditional_flow`` and ``reweighted`` build ``steps`` with
-    ``_bin_steps`` under the flow's binning settings.
+    ``estimate_conditional_flow`` and ``reweighted`` build ``steps`` as the list
+    of a ``_StepsOnRead`` under the flow's binning settings; a flow from
+    ``_flow_on_read`` keeps the ``_StepsOnRead``, which bins a step whenever it is read.
     """
 
     paths: PathBundle
-    steps: list                               # StepBins per time step
+    steps: list                               # StepBins per time step, or _StepsOnRead
     key_idx: np.ndarray                       # (n_steps + 1,) grid index of the key
     partition_times: Optional[tuple]          # None: current-value conditioning
     n_bins_requested: int
@@ -354,9 +354,9 @@ class ConditionalMeasureFlow:
     def reweighted(self, src_w: np.ndarray) -> "ConditionalMeasureFlow":
         """The flow of the same particles and binning settings under weights ``src_w``
         ((n, n_steps + 1), normalized per step)."""
-        return replace(self, steps=_bin_steps(
+        return replace(self, steps=list(_StepsOnRead(
             self.paths, lambda k: src_w[:, k], self.key_idx, self.n_bins_requested,
-            self.min_bin_count, self.flow_p))
+            self.min_bin_count, self.flow_p)))
 
     def key_index(self, k: int) -> int:
         return int(self.key_idx[k])
@@ -372,15 +372,21 @@ class ConditionalMeasureFlow:
         """Rows grouped by their bin at step k; see ``group_rows``.
 
         ``keys`` holds conditioning keys, or is a ``PathBundle`` keyed by its
-        common state at ``key_index(k)``.  The flow's own bundle reuses the bin
-        labels recorded when the flow was binned instead of assigning again.
+        common state at ``key_index(k)``.  The flow's own bundle takes its bin
+        labels from the step's rows and counts instead of assigning again.
         """
-        bins = self.steps[k]
+        return self._groups(k, self.steps[k], keys)
+
+    def _groups(self, k: int, bins: StepBins, keys):
+        """``groups(k, keys)`` with ``bins``, the flow's step k, already read."""
         if keys is self.paths:
-            return group_rows(bins.labels, bins.n_bins)
+            labels = np.empty(self.n_source, dtype=_label_dtype(bins.n_bins))
+            labels[bins.rows] = np.repeat(np.arange(bins.n_bins, dtype=labels.dtype),
+                                          bins.counts)
+            return group_rows(labels, bins.n_bins)
         if isinstance(keys, PathBundle):
             keys = keys.xc[:, self.key_index(k), 0]
-        return group_rows(self.assign(k, keys), bins.n_bins)
+        return group_rows(searchsorted_right(bins.edges[1:-1], keys), bins.n_bins)
 
     def per_bin(self, k: int, keys, fn, *rows):
         """``fn(measure(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
@@ -388,10 +394,11 @@ class ConditionalMeasureFlow:
         ``keys`` is as for ``groups``.  Each call gets exactly the rows of the
         mask ``assign(k, keys) == b``, in path order.  ``fn`` returns one array
         or a tuple of arrays with one leading entry per row; each comes back
-        scattered to row order.
+        scattered to row order.  Step k is read from ``steps`` once.
         """
-        perm, groups = self.groups(k, keys)
-        measures = self.steps[k].measures
+        bins = self.steps[k]
+        perm, groups = self._groups(k, bins, keys)
+        measures = bins.measures
         if not groups:
             raise ValueError(f"per_bin at step {k} got no rows")
         gathered = [np.asarray(r)[perm] for r in rows]
@@ -410,15 +417,26 @@ class ConditionalMeasureFlow:
         return self.steps[k].measures[bin_idx]
 
 
-def _bin_steps(paths: PathBundle, step_w, key_idx: np.ndarray, n_bins: int,
-               min_bin_count: int, p: float) -> list:
-    """StepBins per step: the atoms ``paths.x[:, k]`` under the weights ``step_w(k)``
-    (path order, normalized) binned by the key at ``key_idx[k]``, each bin's measure
-    carrying moment order ``p``."""
-    keys, order, state_order = paths.xc[:, :, 0], paths.key_order, paths.state_order
-    return [_make_step_bins(k, keys[:, j], order[:, j], paths.x[:, k], step_w(k),
-                            n_bins, min_bin_count, state_order[:, k], p)
-            for k, j in enumerate(key_idx)]
+class _StepsOnRead:
+    """StepBins per step, each binned when it is read and kept by nobody: step k
+    is the atoms ``paths.x[:, k]`` under the weights ``step_w(k)`` (path order,
+    normalized) binned by the key at ``key_idx[k]``, each bin's measure carrying
+    moment order ``p``.  A pass that reads each step once, as ``solve_bsde``
+    reads its input flow, holds one step's bins at a time; ``list`` bins them all."""
+
+    def __init__(self, paths: PathBundle, step_w, key_idx: np.ndarray, n_bins: int,
+                 min_bin_count: int, p: float):
+        self._args = paths, step_w, key_idx, n_bins, min_bin_count, p
+
+    def __len__(self) -> int:
+        return len(self._args[2])
+
+    def __getitem__(self, k) -> StepBins:
+        paths, step_w, key_idx, n_bins, min_bin_count, p = self._args
+        k = range(len(key_idx))[k]
+        j = key_idx[k]
+        return _make_step_bins(k, paths.xc[:, j, 0], paths.key_order[:, j], paths.x[:, k],
+                               step_w(k), n_bins, min_bin_count, paths.state_order[:, k], p)
 
 
 def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
@@ -441,6 +459,14 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     ``min_bin_count`` (at least 1) atoms are merged into their nearest
     neighbour, so no bin is empty.
     """
+    flow = _flow_on_read(x_paths, weights, n_bins, partition_times, min_bin_count, flow_p)
+    return replace(flow, steps=list(flow.steps))
+
+
+def _flow_on_read(x_paths: PathBundle, weights: Optional[GirsanovWeights], n_bins: int,
+                  partition_times: Optional[Sequence[float]], min_bin_count: int,
+                  flow_p: float) -> ConditionalMeasureFlow:
+    """``estimate_conditional_flow``'s flow with its steps binned on read (``_StepsOnRead``)."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     if min_bin_count < 1:
@@ -473,7 +499,7 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
             return w
     return ConditionalMeasureFlow(
         paths=x_paths,
-        steps=_bin_steps(x_paths, step_w, key_idx, n_bins, min_bin_count, flow_p),
+        steps=_StepsOnRead(x_paths, step_w, key_idx, n_bins, min_bin_count, flow_p),
         key_idx=key_idx, partition_times=partition, n_bins_requested=n_bins,
         min_bin_count=min_bin_count, flow_p=flow_p)
 

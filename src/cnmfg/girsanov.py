@@ -68,6 +68,13 @@ class GirsanovWeights:
         w = self.scaled(k)
         return float(w.sum() ** 2 / np.dot(w, w) / w.size)
 
+    def ess_frac_min(self) -> tuple:
+        """(smallest ``ess_frac(k)`` over steps 1..n_steps, the first step k attaining it);
+        step 0 is left out, where every weight is one."""
+        fracs = [self.ess_frac(k) for k in range(1, self.grid.n_steps + 1)]
+        k = int(np.argmin(fracs))
+        return fracs[k], k + 1
+
 
 def stochastic_exponential(spec: ProblemSpec, drift_samples, noise: NoiseBundle
                            ) -> GirsanovWeights:

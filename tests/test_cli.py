@@ -129,19 +129,10 @@ class TestRunCommand:
         assert run_command(["validate", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("retained", ["0", "-3"])
-    def test_nonpositive_retained_eval_paths_is_error(self, tmp_path, capsys, retained):
-        cfg = _write(tmp_path, MINIMAL + f"retained_eval_paths = {retained}\n")
-        out = tmp_path / "out"
-        assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
-        assert "retained_eval_paths" in capsys.readouterr().err
-        assert not (out / "residuals.csv").exists()
-
     @pytest.mark.parametrize("old, new, key", [
         ("bins = 4", "bins = 0", "'bins'"),
         ("min_bin_count = 32", "min_bin_count = 0", "min_bin_count"),
         ("min_bin_count = 32", "min_bin_count = -5", "min_bin_count"),
-        ("seed = 7", "seed = 7\norder = 0.5", "'order'"),
     ])
     def test_bad_binning_or_order_is_error(self, tmp_path, capsys, old, new, key):
         assert old in MINIMAL
@@ -180,7 +171,8 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
-        "order = 2", "retained_eval_paths = 2048", "ridge = 1e-8", "eval_seed = 5",
+        "order = 2", "order = 0.5", "retained_eval_paths = 2048", "retained_eval_paths = 0",
+        "ridge = 1e-8", "eval_seed = 5",
     ])
     def test_constant_settings_are_unknown_keys(self, tmp_path, capsys, line):
         cfg = _write(tmp_path, MINIMAL + line + "\n")
@@ -258,10 +250,10 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, keys", [
-        ("solve", ["ess_frac_terminal", "exploitability", "exploitability_stderr",
-                   "final_residual", "iterations", "mimicking_max_w1", "status",
-                   "wall_ms_per_iter", "y0", "y0_stderr"]),
-        ("phi", ["ess_frac_terminal", "y0", "y0_stderr"]),
+        ("solve", ["ess_frac_min", "ess_frac_min_step", "ess_frac_terminal", "exploitability",
+                   "exploitability_stderr", "final_residual", "iterations",
+                   "mimicking_max_w1", "status", "wall_ms_per_iter", "y0", "y0_stderr"]),
+        ("phi", ["ess_frac_min", "ess_frac_min_step", "ess_frac_terminal", "y0", "y0_stderr"]),
         ("bsde-check", ["martingale_gap", "martingale_gap_se", "terminal_mean", "y0",
                         "y0_zero_driver"]),
         ("w1-oracle", ["max_absdiff"]),

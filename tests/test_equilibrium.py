@@ -392,10 +392,12 @@ class TestIterateLifetime:
 
     def test_bootstrap_frees_the_initial_flow(self, lq_spec, monkeypatch):
         refs, dead = [], []
-        init, estimate = equilibrium_mod.initial_flow, equilibrium_mod.estimate_conditional_flow
+        # the bootstrap maps m = None: its unit-weight flow is binned on read
+        on_read = equilibrium_mod._flow_on_read
+        estimate = equilibrium_mod.estimate_conditional_flow
 
-        def recording_init(*args, **kwargs):
-            m0 = init(*args, **kwargs)
+        def recording_on_read(*args, **kwargs):
+            m0 = on_read(*args, **kwargs)
             refs.append(weakref.ref(m0))
             return m0
 
@@ -404,7 +406,7 @@ class TestIterateLifetime:
                 dead.append(refs[0]() is None)
             return estimate(paths, weights, *args, **kwargs)
 
-        monkeypatch.setattr(equilibrium_mod, "initial_flow", recording_init)
+        monkeypatch.setattr(equilibrium_mod, "_flow_on_read", recording_on_read)
         monkeypatch.setattr(equilibrium_mod, "estimate_conditional_flow", recording_estimate)
         solve_equilibrium(lq_spec, SolverConfig(max_iters=1, **self._CFG), project=False)
         assert dead == [True, True]
@@ -421,33 +423,46 @@ class TestIterateLifetime:
         cfg = SolverConfig(**self._CFG)
         refs, alive = [], []
         generate = equilibrium_mod.generate_noise
-        estimate = equilibrium_mod.estimate_conditional_flow
 
         def recording_generate(*args, **kwargs):
             noise = generate(*args, **kwargs)
             refs.append((weakref.ref(noise.dw), weakref.ref(noise.dw.base)))
             return noise
 
-        def recording_estimate(paths, weights, *args, **kwargs):
-            alive.append([r() is not None for r in refs[0]])
-            return estimate(paths, weights, *args, **kwargs)
+        def recording(estimate):
+            def estimate_and_record(paths, weights, *args, **kwargs):
+                alive.append([r() is not None for r in refs[0]])
+                return estimate(paths, weights, *args, **kwargs)
+            return estimate_and_record
 
         monkeypatch.setattr(equilibrium_mod, "generate_noise", recording_generate)
-        monkeypatch.setattr(equilibrium_mod, "estimate_conditional_flow", recording_estimate)
+        for name in ("_flow_on_read", "estimate_conditional_flow"):
+            monkeypatch.setattr(equilibrium_mod, name, recording(getattr(equilibrium_mod, name)))
         phi = apply_phi(lq_spec, None, cfg)
         assert len(refs) == 1
-        # the input flow is binned while the noise lives, the output after it is freed
+        # the input flow is binned (on read) while the noise lives, the output
+        # after it is freed
         assert alive == [[True, True], [False, False]]
         assert phi.flow.n_source == cfg.n_paths
 
     def test_none_maps_the_unit_weight_flow_bitwise(self, lq_spec):
-        cfg = SolverConfig(**self._CFG)
-        reference = equilibrium_mod._reference(lq_spec, cfg)
-        want = apply_phi(lq_spec, initial_flow(lq_spec, cfg, reference[1]), cfg, reference)
-        for got in (apply_phi(lq_spec, None, cfg, reference), apply_phi(lq_spec, None, cfg)):
-            assert got.flow.src_w.tobytes(order="A") == want.flow.src_w.tobytes(order="A")
-            assert got.solution.y0 == want.solution.y0
-            assert got.weights.log_m.tobytes(order="A") == want.weights.log_m.tobytes(order="A")
+        # m None bins the input flow on read; in both conditioning modes the
+        # map equals the one of the materialized unit-weight flow bit for bit
+        for partition in (None, (0.0, 0.3, 0.6, 1.0)):
+            cfg = SolverConfig(partition_times=partition, **self._CFG)
+            reference = equilibrium_mod._reference(lq_spec, cfg)
+            want = apply_phi(lq_spec, initial_flow(lq_spec, cfg, reference[1]), cfg, reference)
+            for got in (apply_phi(lq_spec, None, cfg, reference), apply_phi(lq_spec, None, cfg)):
+                assert (got.solution.y0, got.solution.y0_stderr) == (want.solution.y0,
+                                                                     want.solution.y0_stderr)
+                assert got.weights.log_m.tobytes(order="A") == want.weights.log_m.tobytes(
+                    order="A")
+                assert got.flow.src_w.tobytes(order="A") == want.flow.src_w.tobytes(order="A")
+                assert len(got.flow.steps) == len(want.flow.steps) == cfg.n_steps + 1
+                for a, b in zip(got.flow.steps, want.flow.steps):
+                    for field in ("edges", "counts", "rows", "row_w"):
+                        x, y = getattr(a, field), getattr(b, field)
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
     @pytest.mark.parametrize("project", [False, True])
     def test_actions_live_only_for_the_projection(self, lq_spec, monkeypatch, project):

@@ -298,8 +298,8 @@ class TestTruncationBound:
 def _constant_flow(grid, measures_per_step, key_idx=None):
     steps = [
         StepBins(edges=np.array([-1e9, 1e9]), measures=[m], counts=np.array([4]),
-                 labels=np.zeros(4, np.int16), rows=np.arange(4, dtype=np.int32),
-                 row_w=np.full(4, 0.25), totals=np.array([1.0]))
+                 rows=np.arange(4, dtype=np.int32), row_w=np.full(4, 0.25),
+                 totals=np.array([1.0]))
         for m in measures_per_step
     ]
     n_nodes = grid.n_steps + 1
@@ -756,7 +756,7 @@ class TestPerBin:
 
 
 class TestFlowOwnedCaches:
-    """Bin labels and per-bin atom orders recorded at binning, against recomputing them."""
+    """Bin groups and per-bin atom orders recorded at binning, against recomputing them."""
 
     @staticmethod
     def _flows(lq_spec, small_config, seed, x_decimals=None):
@@ -780,8 +780,15 @@ class TestFlowOwnedCaches:
                  "crowded": heavy}
         return paths, flows
 
-    def test_cached_grouping_equals_assign(self, lq_spec, small_config):
+    def test_cached_grouping_equals_assign(self, lq_spec, small_config, monkeypatch):
         paths, flows = self._flows(lq_spec, small_config, 40)
+        rebuilt = []
+
+        def recording(labels, n_groups):
+            rebuilt.append(labels)
+            return group_rows(labels, n_groups)
+
+        monkeypatch.setattr(flows_mod, "group_rows", recording)
         crowded = flows["crowded"].steps
         assert any(st.n_bins < 8 for st in crowded[1:])
         assert all(np.all(st.counts > 0) for st in crowded)
@@ -790,9 +797,10 @@ class TestFlowOwnedCaches:
             assert flow.paths is paths
             for k in range(paths.grid.n_steps + 1):
                 labels = flow.assign(k, paths.xc[:, flow.key_index(k), 0])
-                assert flow.bins_at(k).labels.dtype == np.int16
-                np.testing.assert_array_equal(flow.bins_at(k).labels, labels)
                 perm, groups = flow.groups(k, paths)
+                # the labels groups() rebuilds from the step's rows and counts
+                assert rebuilt[-1].dtype == np.int16
+                np.testing.assert_array_equal(rebuilt[-1], labels)
                 want_perm, want_groups = group_rows(labels, flow.bins_at(k).n_bins)
                 np.testing.assert_array_equal(perm, want_perm)
                 assert groups == want_groups, (name, k)
@@ -967,7 +975,7 @@ class TestStepStorage:
                 arrays = [getattr(bins, f.name) for f in dataclasses.fields(bins)]
                 held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
                 small = 8 * (3 * bins.n_bins + 1)                # edges, counts, totals
-                assert n * (8 + 4 + 2) <= held <= n * (8 + 4 + 2) + small
+                assert n * (8 + 4) <= held <= n * (8 + 4) + small   # weights and rows
                 for mu in bins.measures:                     # views, nothing gathered
                     assert mu._rows.base is bins.rows and mu._w.base is bins.row_w
                     assert np.shares_memory(mu._atoms, paths.x)
@@ -983,11 +991,11 @@ class TestStepStorage:
             assert shared.strides == (0,) and not shared.flags.writeable
             for bins in steps:
                 assert bins.row_w is shared
-                # rows (int32) and labels (int16); edges, counts and totals per bin
+                # rows (int32); edges, counts and totals per bin
                 arrays = [getattr(bins, f.name) for f in dataclasses.fields(bins)
                           if f.name != "row_w"]
                 held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-                assert n * (4 + 2) <= held <= n * (4 + 2) + 8 * (3 * bins.n_bins + 1)
+                assert n * 4 <= held <= n * 4 + 8 * (3 * bins.n_bins + 1)
 
     def test_a_unit_weight_flow_bins_the_gathered_weights_bitwise(self, lq_spec, small_config):
         paths, flows = self._flows(lq_spec, small_config, 51)

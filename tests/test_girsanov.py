@@ -113,6 +113,21 @@ class TestStochasticExponential:
         assert w.ess_frac(1) == pytest.approx(8.0 ** 2 / (4 * 20.0), rel=1e-12)
         assert w.ess_frac(-1) == 0.25
 
+    def test_ess_frac_min_is_smallest_over_steps_after_zero(self, lq_spec):
+        log_m = np.zeros((4, 4))
+        log_m[:, 0] = [0.0, -1e4, -1e4, -1e4]        # step 0 is not scanned
+        log_m[:, 1] = [0.0, -1e4, 0.0, 0.0]           # 0.75
+        log_m[:, 2] = [0.0, -1e4, -1e4, 0.0]          # 0.5, the smallest, twice
+        log_m[:, 3] = [0.0, 0.0, -1e4, -1e4]
+        assert GirsanovWeights(grid=TimeGrid(1.0, 3), log_m=log_m).ess_frac_min() == (0.5, 2)
+        noise = generate_noise(2000, TimeGrid(1.0, 10), 9)
+        w = stochastic_exponential(lq_spec, _drift_array(noise, 0.9), noise)
+        fracs = [w.ess_frac(k) for k in range(1, 11)]
+        assert w.ess_frac_min() == (min(fracs), 1 + fracs.index(min(fracs)))
+        assert w.ess_frac_min()[1] == 10       # a constant drift degrades the weights steadily
+        zero = stochastic_exponential(lq_spec, _drift_array(noise, 0.0), noise)
+        assert zero.ess_frac_min() == (1.0, 1)
+
     def test_fourth_moment_reported_not_asserted(self, lq_spec):
         # diagnostic only: bounded drift keeps E[M_T^4] finite
         noise = generate_noise(50_000, TimeGrid(1.0, 50), 7)
