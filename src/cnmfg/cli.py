@@ -201,6 +201,10 @@ def _ess_values(weights) -> dict:
 
 def _cmd_solve(spec, config, out) -> tuple:
     result = solve_equilibrium(spec, config)
+    # the manifest's ESS values are all that is read of the last weights, so
+    # their log M goes before exploitability runs
+    ess = _ess_values(result.solution.weights)
+    result.solution.weights = None
     eps, eps_se = exploitability(spec, result.flow, result.policy, config,
                                  eval_noise=result.eval_noise)
     rows = result.report.rows
@@ -222,7 +226,7 @@ def _cmd_solve(spec, config, out) -> tuple:
         "exploitability": eps,
         "exploitability_stderr": eps_se,
         "mimicking_max_w1": result.mimicking.max_w1,
-        **_ess_values(result.solution.weights),
+        **ess,
         "wall_ms_per_iter": [round(r.wall_ms, 3) for r in rows],
     }
 
@@ -279,11 +283,13 @@ def _cmd_w1_oracle(spec, config, out) -> tuple:
 def _cmd_mimic_check(spec, config, out) -> tuple:
     noise, paths = _reference(spec, config)
     flow = initial_flow(spec, config, paths)
+    paths.forget_sort_orders()       # nothing bins the reference again
     actions = lagged_noise_control(spec, noise)
     weights = control_weights(spec, flow, actions, paths, noise)
     policy = project_control(spec, paths, actions, flow, weights, config.basis())
-    report = mimicking_check(spec, (paths, weights), policy, flow, _eval_noise(spec, config))
     gap, gap_se = project_cost_gap(spec, paths, actions, policy, flow, noise)
+    del noise, actions               # the probe's dW and actions go before the check's noise
+    report = mimicking_check(spec, (paths, weights), policy, flow, _eval_noise(spec, config))
     _write_mimicking(out, flow.grid, report)
     print(f"mimicking: max W1 = {report.max_w1:.4g}, mean = {report.mean_w1:.4g}; "
           f"cost gap = {gap:.4g} (se {gap_se:.2g})")

@@ -222,7 +222,8 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     The loop bootstraps with one map application, so a constant map converges
     at the first reported iteration with residual zero.  After each
     application ``next_damping`` reads the report's rows and names the status
-    and the damping of the next mix.
+    and the damping of the next mix, which is blended and binned one step at a
+    time.  The returned flow's bundle holds no cached sort orders.
     """
     reference = _reference(spec, config)
     report = IterationReport()
@@ -238,21 +239,29 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
                                         wall_ms=(time.perf_counter() - t0) * 1e3))
         report.status, damping = next_damping(report.rows, config)
         if report.status == "running":
-            m = m.reweighted((1.0 - damping) * m.src_w + damping * phi.flow.src_w)
+            # reweighted bins each step as its blend is formed, so no
+            # (n, n_steps + 1) weight array exists
+            m = m.reweighted(lambda k: (1.0 - damping) * m.step_weights(k)
+                             + damping * phi.flow.step_weights(k))
             del phi     # the next application runs without this one's flow, weights and solution
 
-    # m is the iterate the last application ran on, so (m, phi) is a matched pair
-    result = EquilibriumResult(flow=m, policy=extract_control(phi.solution, spec, m),
-                               solution=phi.solution, report=report)
+    # m is the iterate the last application ran on, so (m, solution) is a
+    # matched pair.  Nothing after the loop reads the reference noise or Φ(m),
+    # and no flow is binned from the reference again, so its sort orders go too.
+    solution, paths = phi.solution, reference[1]
+    del phi, reference
+    paths.forget_sort_orders()
+    result = EquilibriumResult(flow=m, policy=extract_control(solution, spec, m),
+                               solution=solution, report=report)
     if project:
-        table = project_control(spec, reference[1], phi.solution.control_samples,
-                                m, phi.weights, config.basis())
+        table = project_control(spec, paths, solution.control_samples,
+                                m, solution.weights, config.basis())
         # nothing reads the actions after this: exploitability scores the
         # feedback policy and its own best response
-        phi.solution.control_samples = None
+        solution.control_samples = None
         result.eval_noise = _eval_noise(spec, config)
         result.projected_policy = table
-        result.mimicking = mimicking_check(spec, (reference[1], phi.weights),
+        result.mimicking = mimicking_check(spec, (paths, solution.weights),
                                            table, m, result.eval_noise)
     return result
 

@@ -344,18 +344,28 @@ class ConditionalMeasureFlow:
 
     @property
     def src_w(self) -> np.ndarray:
-        """(n, n_steps + 1) step-major weights of the source rows, normalized per step;
-        each step's bin-order weights scattered back to path order."""
+        """(n, n_steps + 1) step-major weights of the source rows, normalized per
+        step: ``step_weights(k)`` in column k."""
         w = step_major(self.n_source, len(self.steps))
-        for k, bins in enumerate(self.steps):
-            w[:, k][bins.rows] = bins.row_w
+        for k in range(len(self.steps)):
+            w[:, k] = self.step_weights(k)
         return w
 
-    def reweighted(self, src_w: np.ndarray) -> "ConditionalMeasureFlow":
-        """The flow of the same particles and binning settings under weights ``src_w``
-        ((n, n_steps + 1), normalized per step)."""
+    def step_weights(self, k: int) -> np.ndarray:
+        """(n,) weights of the source rows at step k, normalized over the step:
+        the step's bin-order weights scattered back to path order."""
+        bins = self.steps[k]
+        w = np.empty(self.n_source)
+        w[bins.rows] = bins.row_w
+        return w
+
+    def reweighted(self, step_w) -> "ConditionalMeasureFlow":
+        """The flow of the same particles and binning settings under the weights
+        ``step_w(k)`` of each step k ((n,) in path order, normalized over the
+        step).  Every step is binned here, one at a time, so a blend of two
+        flows' ``step_weights`` never exists for more than one step."""
         return replace(self, steps=list(_StepsOnRead(
-            self.paths, lambda k: src_w[:, k], self.key_idx, self.n_bins_requested,
+            self.paths, step_w, self.key_idx, self.n_bins_requested,
             self.min_bin_count, self.flow_p)))
 
     def key_index(self, k: int) -> int:

@@ -185,6 +185,12 @@ class PathBundle:
         int32; every flow binned on the bundle lists each bin's atoms in this order."""
         return _stable_column_order(self.x[:, :, 0])
 
+    def forget_sort_orders(self) -> None:
+        """Drop the cached key and state orders; a later binning on the bundle
+        computes them again."""
+        for name in ("key_order", "state_order"):
+            self.__dict__.pop(name, None)
+
 
 def _stable_column_order(values: np.ndarray) -> np.ndarray:
     order = step_major(*values.shape, dtype=np.int32)

@@ -21,6 +21,7 @@ from cnmfg.bsde import (
 from cnmfg.equilibrium import initial_flow
 from cnmfg.flows import estimate_conditional_flow
 from cnmfg.girsanov import self_normalized_mean
+from cnmfg.problem import minimize_hamiltonian_batch
 from cnmfg.sde import (PathBundle, TimeGrid, generate_noise, simulate_driftless_state,
                        step_major)
 
@@ -315,6 +316,50 @@ class TestRegression:
 
         coef = _ridge_solve(_ridge_factor(feats, 1e-12), feats, target)
         np.testing.assert_allclose(feats @ coef, target, atol=1e-8)
+
+    @staticmethod
+    def _ridge_fit(feats, target, ridge):
+        """Fitted values of the ridge regression with an unpenalized intercept, from
+        the augmented least-squares problem |F c - y|^2 + n ridge |c[1:]|^2."""
+        n, n_feat = feats.shape
+        a = np.vstack([feats, np.sqrt(n * ridge) * np.eye(n_feat)[1:]])
+        b = np.concatenate([target, np.zeros(n_feat - 1)])
+        return feats @ np.linalg.lstsq(a, b, rcond=None)[0]
+
+    def test_zero_driver_residual_variance_recomputed(self, lq_spec):
+        # each step regresses the previous step's value fit (the terminal values
+        # at the last step); residual_var is the mean squared residual
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=4000, n_steps=10, seed=12)
+        basis = BasisSpec(degree=2)
+        sol = solve_bsde(lq_spec, flow, paths, noise, basis, driver="zero")
+        fitted = basis.fit_stats(paths)
+        y = _terminal_values(lq_spec, flow, paths)
+        want = np.empty(grid.n_steps)
+        for k in range(grid.n_steps - 1, -1, -1):
+            fit = self._ridge_fit(fitted.features(k, paths.x[:, k], paths.xc[:, k]), y,
+                                  basis.ridge)
+            want[k] = np.mean((y - fit) ** 2)
+            y = fit
+        assert np.all(want > 0)
+        np.testing.assert_allclose(sol.residual_var, want, rtol=1e-9)
+
+    def test_last_step_residual_variance_recomputed(self, lq_spec):
+        # the last step's value target is g + H dt, H minimized at the integrand
+        # fitted to the centred terminal values times dW / dt
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=4000, n_steps=10, seed=13)
+        basis = BasisSpec(degree=2)
+        sol = solve_bsde(lq_spec, flow, paths, noise, basis)
+        k, dt = grid.n_steps - 1, grid.dt
+        feats = basis.fit_stats(paths).features(k, paths.x[:, k], paths.xc[:, k])
+        g = _terminal_values(lq_spec, flow, paths)
+        centred = g - self._ridge_fit(feats, g, basis.ridge)
+        z = self._ridge_fit(feats, centred * noise.dw[:, k, 0] / dt, basis.ridge)[:, None]
+        h = flow.per_bin(k, paths, lambda mu, x, zb: minimize_hamiltonian_batch(
+            lq_spec, grid.times[k], x, mu, zb)[1], paths.x[:, k], z)
+        target = g + h * dt
+        want = np.mean((target - self._ridge_fit(feats, target, basis.ridge)) ** 2)
+        assert want > 0
+        np.testing.assert_allclose(sol.residual_var[k], want, rtol=1e-9)
 
     def test_basis_fit_cached_per_degree(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=5, seed=9)

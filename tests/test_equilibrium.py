@@ -489,6 +489,47 @@ class TestIterateLifetime:
         assert (res.projected_policy is not None) == project
         assert apply_phi(lq_spec, None, SolverConfig(**self._CFG)).solution.control_samples is None
 
+    @pytest.mark.parametrize("project", [False, True])
+    def test_loop_exit_releases_the_reference_noise_output_flow_and_orders(
+            self, lq_spec, monkeypatch, project):
+        refs, seen = [], []
+        generate, apply = equilibrium_mod.generate_noise, equilibrium_mod.apply_phi
+        project_control = equilibrium_mod.project_control
+
+        def recording_generate(*args, **kwargs):
+            noise = generate(*args, **kwargs)
+            if not refs:                                  # the reference's noise
+                refs.append(weakref.ref(noise.dw.base))
+            return noise
+
+        def recording_apply(*args, **kwargs):
+            phi = apply(*args, **kwargs)
+            refs[1:] = [weakref.ref(phi.flow)]            # the last application's flow
+            return phi
+
+        def recording_project(spec, paths, *args):
+            gc.collect()
+            seen.append(([r() is None for r in refs],
+                         {"key_order", "state_order"} & vars(paths).keys()))
+            return project_control(spec, paths, *args)
+
+        monkeypatch.setattr(equilibrium_mod, "generate_noise", recording_generate)
+        monkeypatch.setattr(equilibrium_mod, "apply_phi", recording_apply)
+        monkeypatch.setattr(equilibrium_mod, "project_control", recording_project)
+        res = solve_equilibrium(lq_spec, SolverConfig(max_iters=2, **self._CFG), project=project)
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        assert seen == ([([True, True], set())] if project else [])
+        # the returned bundle holds no cached sort orders; a later binning
+        # computes the same orders again
+        paths = res.flow.paths
+        assert not {"key_order", "state_order"} & vars(paths).keys()
+        again = estimate_conditional_flow(paths, res.solution.weights, self._CFG["n_bins"],
+                                          min_bin_count=self._CFG["min_bin_count"])
+        want = apply_phi(lq_spec, res.flow, SolverConfig(**self._CFG)).flow
+        for a, b in zip(again.steps, want.steps):
+            assert a.rows.tobytes() == b.rows.tobytes()
+
     @pytest.mark.parametrize("max_iters", [1, 3])
     def test_max_iters_exit_pairs_the_flow_with_its_application(self, lq_spec, max_iters):
         cfg = SolverConfig(max_iters=max_iters, **self._CFG)

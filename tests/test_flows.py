@@ -774,9 +774,11 @@ class TestFlowOwnedCaches:
         # adjacent keys; the merge rule (min_bin_count 1) folds the bins between
         heavy_w = np.full((paths.n_paths, grid.n_steps + 1), 1e-12)
         heavy_w[paths.key_order[paths.n_paths // 2], np.arange(grid.n_steps + 1)] = 1.0
-        heavy = estimate_conditional_flow(paths, None, 8, min_bin_count=1).reweighted(heavy_w)
+        heavy = estimate_conditional_flow(paths, None, 8, min_bin_count=1).reweighted(
+            lambda k: heavy_w[:, k])
+        blended = 0.5 * cur.src_w + 0.5 * part.src_w
         flows = {"current": cur, "partition": part,
-                 "reweighted": cur.reweighted(0.5 * cur.src_w + 0.5 * part.src_w),
+                 "reweighted": cur.reweighted(lambda k: blended[:, k]),
                  "crowded": heavy}
         return paths, flows
 
@@ -1004,7 +1006,7 @@ class TestStepStorage:
             unit = flows[mode, "unit"][1]
             full = step_major(n, len(unit.steps))
             full.fill(1.0 / n)
-            gathered = unit.reweighted(full)      # each step gathers its own weights
+            gathered = unit.reweighted(lambda k: full[:, k])   # each step gathers its own weights
             assert gathered.steps[0].row_w is not gathered.steps[1].row_w
             assert unit.src_w.tobytes(order="A") == full.tobytes(order="A")
             for a, b in zip(unit.steps, gathered.steps):
@@ -1145,7 +1147,7 @@ class TestMixFlows:
         for times in (None, [0.0, 0.3, 0.6, 1.0]):
             f1, f2 = self._flows(lq_spec, small_config, 14, partition_times=times)
             blended = 0.75 * f1.src_w + 0.25 * f2.src_w
-            mixed = f1.reweighted(blended)
+            mixed = f1.reweighted(lambda k: blended[:, k])
             np.testing.assert_array_equal(mixed.src_w, blended)
             assert mixed.paths is f1.paths
             assert mixed.n_source == 4000
@@ -1159,9 +1161,33 @@ class TestMixFlows:
                      for k in range(keys.shape[1])]
             _assert_flows_bitwise_equal(mixed, SimpleNamespace(steps=steps))
 
+    def test_stepwise_mix_equals_the_full_array_blend_bitwise(self, lq_spec, small_config):
+        # the Picard loop blends (1 - d) m + d phi one step at a time, as it bins
+        # the step; the (n, n_steps + 1) blend of src_w it replaced gives the same bins
+        def stepwise(m, phi, d):
+            return m.reweighted(lambda k: (1.0 - d) * m.step_weights(k) + d * phi.step_weights(k))
+
+        def whole(m, phi, d):
+            blended = (1.0 - d) * m.src_w + d * phi.src_w
+            return m.reweighted(lambda k: blended[:, k])
+
+        for times in (None, [0.0, 0.3, 0.6, 1.0]):
+            unit, weighted = self._flows(lq_spec, small_config, 17, partition_times=times)
+            # the first mix has a unit-weight iterate, the second a mixed one
+            m1 = stepwise(unit, weighted, 0.5)
+            pairs = [(m1, whole(unit, weighted, 0.5)),
+                     (stepwise(m1, weighted, 0.3), whole(m1, weighted, 0.3))]
+            for got, want in pairs:
+                assert len(got.steps) == len(want.steps) == small_config.n_steps + 1
+                for a, b in zip(got.steps, want.steps):
+                    for field in ("edges", "counts", "rows", "row_w", "totals"):
+                        x, y = getattr(a, field), getattr(b, field)
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+
     def test_full_weight_recovers_target(self, lq_spec, small_config):
         f1, f2 = self._flows(lq_spec, small_config, 15)
-        mixed = f1.reweighted(0.0 * f1.src_w + 1.0 * f2.src_w)
+        blended = 0.0 * f1.src_w + 1.0 * f2.src_w
+        mixed = f1.reweighted(lambda k: blended[:, k])
         _assert_flows_bitwise_equal(mixed, f2)
         assert flow_distance(mixed, f2, 2.0) == 0.0
 
@@ -1170,7 +1196,8 @@ class TestMixFlows:
         for bins in f1.steps:                      # warm f1's moment caches
             for mu in bins.measures:
                 mu.mean, mu.pth_moment
-        mixed = f1.reweighted(0.5 * f1.src_w + 0.5 * f2.src_w)
+        blended = 0.5 * f1.src_w + 0.5 * f2.src_w
+        mixed = f1.reweighted(lambda k: blended[:, k])
         for bins in mixed.steps:
             for got in bins.measures:
                 support, w = got.support, got.weights
@@ -1199,7 +1226,8 @@ class TestSerialization:
         paths.x[:, :, 0] = np.round(paths.x[:, :, 0], 1)          # tied atoms
         w = np.random.default_rng(3).random((4000, small_config.n_steps + 1))
         flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
-        flow = flow.reweighted(w / w.sum(axis=0))
+        w /= w.sum(axis=0)
+        flow = flow.reweighted(lambda k: w[:, k])
         flow_to_csv(flow, tmp_path / "flow.csv")
         qs = np.linspace(0.0, 1.0, 33)
         rows = list(csv.reader((tmp_path / "flow.csv").read_text().splitlines()))[1:]

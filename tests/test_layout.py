@@ -75,7 +75,8 @@ def test_weights_and_flows(layers):
     _assert_step_major(flow.src_w, (N, STEPS + 1))
     weighted = estimate_conditional_flow(paths, weights, 4, min_bin_count=32)
     _assert_step_major(weighted.src_w, (N, STEPS + 1))
-    mixed = flow.reweighted(0.5 * flow.src_w + 0.5 * weighted.src_w)
+    blended = 0.5 * flow.src_w + 0.5 * weighted.src_w
+    mixed = flow.reweighted(lambda k: blended[:, k])
     _assert_step_major(mixed.src_w, (N, STEPS + 1))
 
 
