@@ -12,7 +12,7 @@ information only; no test reads them.
 import time
 
 import cnmfg
-from cnmfg.equilibrium import SolverConfig, exploitability, solve_equilibrium
+from cnmfg.equilibrium import SolverConfig, _reference, exploitability, solve_equilibrium
 from cnmfg.flows import estimate_conditional_flow, flow_distance
 from cnmfg.sde import generate_noise, simulate_markov_sde
 
@@ -28,8 +28,9 @@ def main():
 
     fresh = generate_noise(config.n_paths, config.grid(spec), config.eval_seed,
                            spec.d_state, spec.d_common)
-    eps, se = exploitability(spec, result.flow, result.policy, config, eval_noise=fresh)
     controlled = simulate_markov_sde(spec, result.policy, result.flow, fresh)
+    eps, se = exploitability(spec, result.flow, result.policy, config,
+                             eval_reference=_reference(spec, config, fresh))
     re_flow = estimate_conditional_flow(controlled, None, config.n_bins,
                                         min_bin_count=config.min_bin_count)
     consistency = flow_distance(re_flow, result.flow, 2.0)

@@ -38,6 +38,7 @@ __all__ = [
     "BsdeSolution",
     "MarkovPolicy",
     "solve_bsde",
+    "pass_actions",
     "extract_control",
     "control_weights",
     "stacked_objective_influence",
@@ -224,7 +225,6 @@ class BsdeSolution:
     y0: float
     y0_stderr: float
     residual_var: np.ndarray     # (n_steps,)
-    control_samples: Optional[np.ndarray] = None   # (n, n_steps, d_action), step-major
     weights: Optional[GirsanovWeights] = None      # of the pass's control, if asked for
     _window_coef: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -266,24 +266,25 @@ def _sigma_inv_drift(spec: ProblemSpec, t: float, x: np.ndarray, mu,
 
 def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundle,
                noise: NoiseBundle, basis: BasisSpec, driver: str = "hamiltonian",
-               keep_actions: bool = False, weights: bool = False) -> BsdeSolution:
+               weights: bool = False) -> BsdeSolution:
     """Backward LSMC pass for the value process and its martingale integrands.
 
     The integrand targets are centred by the preliminary value fit before the
     increment regression, which removes the dominant 1/dt variance term
     without changing the conditional expectation.  Each step's actions
-    minimize the Hamiltonian at the regressed integrand; ``keep_actions``
-    stores them as ``control_samples``.  ``weights`` evaluates sigma^-1 b at
-    them in the same per-bin call and accumulates their Girsanov weights step
-    by step (``put_log_increment``), bitwise equal to ``control_weights`` on
-    the stored actions.  ``driver="zero"`` (martingale test mode) minimizes no
-    Hamiltonian, so it has neither.
+    minimize the Hamiltonian at the regressed integrand; the pass keeps none
+    of them, and ``pass_actions`` recomputes any step's from the solution.
+    ``weights`` evaluates sigma^-1 b at them in the same per-bin call and
+    accumulates their Girsanov weights step by step (``put_log_increment``),
+    bitwise equal to ``control_weights`` on the actions ``pass_actions``
+    gives.  ``driver="zero"`` (martingale test mode) minimizes no
+    Hamiltonian, so it has no actions or weights.
     """
     if paths.label != "driftless":
         raise ValueError("solve_bsde expects reference-measure (driftless) paths")
     if driver not in ("hamiltonian", "zero"):
         raise ValueError("driver must be 'hamiltonian' or 'zero'")
-    if driver == "zero" and (keep_actions or weights):
+    if driver == "zero" and weights:
         raise ValueError("driver='zero' minimizes no Hamiltonian: it has no actions or weights")
     grid = paths.grid
     n = paths.n_paths
@@ -294,7 +295,6 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
 
     z_coef = np.zeros((n_steps, spec.d_state, n_feat))
     resid = np.zeros(n_steps)
-    actions = step_major(n, n_steps, spec.d_action) if keep_actions else None
     log_m = step_major(n, n_steps + 1) if weights else None
 
     y_next = _terminal_values(spec, flow, paths)
@@ -330,10 +330,8 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
                     return a, h_bin
                 return a, h_bin, _sigma_inv_drift(spec, t_k, x, mu, a)
 
-            a_k, h, *lam = flow.per_bin(k, paths, minimize, paths.x[:, k],
-                                        np.matmul(feats, z_coef[k].T, out=z_fit))
-            if actions is not None:
-                actions[:, k] = a_k
+            _, h, *lam = flow.per_bin(k, paths, minimize, paths.x[:, k],
+                                      np.matmul(feats, z_coef[k].T, out=z_fit))
             if log_m is not None:
                 put_log_increment(log_m, k, lam[0], noise)
             np.multiply(h, dt, out=h_dt)
@@ -352,9 +350,21 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     y0_se = float(raw_sum.std(ddof=1) / np.sqrt(n))
 
     return BsdeSolution(grid=grid, basis=fitted, z_coef=z_coef, y0=y0, y0_stderr=y0_se,
-                        residual_var=resid, control_samples=actions,
+                        residual_var=resid,
                         weights=None if log_m is None else
                         GirsanovWeights.from_increments(grid, log_m))
+
+
+def pass_actions(spec: ProblemSpec, solution: BsdeSolution, flow: ConditionalMeasureFlow,
+                 paths: PathBundle, k: int) -> np.ndarray:
+    """(n, d_action) step-k actions of the ``solve_bsde`` pass that gave
+    ``solution`` on ``flow`` and ``paths``, bitwise: the pass's own features,
+    integrand fit and per-bin Hamiltonian minimization, repeated for one step."""
+    feats = solution.basis.features(k, paths.x[:, k], paths.xc[:, k])
+    t_k = paths.grid.times[k]
+    return flow.per_bin(
+        k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z)[0],
+        paths.x[:, k], feats @ solution.z_coef[k].T)
 
 
 @dataclass
@@ -416,15 +426,15 @@ def extract_control(solution: BsdeSolution, spec: ProblemSpec,
                         solution=solution, label="bsde-feedback")
 
 
-def _control_array(control_samples: np.ndarray, paths: PathBundle) -> np.ndarray:
-    a = np.asarray(control_samples, float)
+def _control_array(actions: np.ndarray, paths: PathBundle) -> np.ndarray:
+    a = np.asarray(actions, float)
     if a.shape[:2] != (paths.n_paths, paths.grid.n_steps):
-        raise ValueError(f"control_samples shape {a.shape} does not match paths")
+        raise ValueError(f"action array shape {a.shape} does not match paths")
     return a
 
 
 def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
-                    control_samples: np.ndarray, paths: PathBundle,
+                    actions: np.ndarray, paths: PathBundle,
                     noise: NoiseBundle) -> GirsanovWeights:
     """Girsanov weights of an adapted control given as an action array: the
     stochastic exponential of sigma^-1 b.
@@ -433,7 +443,7 @@ def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     accumulates them, so no (n, n_steps, d_state) drift array exists.  The
     BSDE's own control gets its weights from ``solve_bsde(..., weights=True)``.
     """
-    a = _control_array(control_samples, paths)
+    a = _control_array(actions, paths)
 
     def step_drift(k):
         t_k = paths.grid.times[k]

@@ -24,7 +24,7 @@ from . import __version__
 from .bsde import _terminal_values, control_weights, policy_to_csv, solve_bsde
 from .equilibrium import (
     SolverConfig,
-    _eval_noise,
+    _evaluation_noise,
     _reference,
     apply_phi,
     exploitability,
@@ -206,7 +206,7 @@ def _cmd_solve(spec, config, out) -> tuple:
     ess = _ess_values(result.solution.weights)
     result.solution.weights = None
     eps, eps_se = exploitability(spec, result.flow, result.policy, config,
-                                 eval_noise=result.eval_noise)
+                                 eval_reference=result.eval_reference)
     rows = result.report.rows
     _write_csv(out / "residuals.csv", ["iter", "residual", "y0", "damping"],
                [(str(r.iteration), r.residual, r.y0, r.damping) for r in rows])
@@ -289,7 +289,8 @@ def _cmd_mimic_check(spec, config, out) -> tuple:
     policy = project_control(spec, paths, actions, flow, weights, config.basis())
     gap, gap_se = project_cost_gap(spec, paths, actions, policy, flow, noise)
     del noise, actions               # the probe's dW and actions go before the check's noise
-    report = mimicking_check(spec, (paths, weights), policy, flow, _eval_noise(spec, config))
+    report = mimicking_check(spec, (paths, weights), policy, flow,
+                            _evaluation_noise(spec, config))
     _write_mimicking(out, flow.grid, report)
     print(f"mimicking: max W1 = {report.max_w1:.4g}, mean = {report.mean_w1:.4g}; "
           f"cost gap = {gap:.4g} (se {gap_se:.2g})")

@@ -22,6 +22,7 @@ from .bsde import (
     BsdeSolution,
     MarkovPolicy,
     extract_control,
+    pass_actions,
     solve_bsde,
     stacked_objective_influence,
 )
@@ -30,7 +31,8 @@ from .flows import (ConditionalMeasureFlow, estimate_conditional_flow, flow_dist
 from .girsanov import GirsanovWeights
 from .problem import ProblemSpec
 from .projection import MimickingReport, mimicking_check, project_control
-from .sde import NoiseBundle, PathBundle, TimeGrid, generate_noise, simulate_driftless_state
+from .sde import (NoiseBundle, PathBundle, TimeGrid, generate_noise, simulate_driftless_state,
+                  step_major)
 
 __all__ = [
     "SolverConfig",
@@ -137,19 +139,21 @@ class EquilibriumResult:
     report: IterationReport
     projected_policy: Optional[MarkovPolicy] = None  # lookup table (representation b)
     mimicking: Optional[MimickingReport] = None
-    eval_noise: Optional[NoiseBundle] = None         # evaluation-seed noise of the mimicking check
+    eval_reference: Optional[tuple] = None           # ``_reference`` of the evaluation noise
 
 
-def _eval_noise(spec: ProblemSpec, config: SolverConfig) -> NoiseBundle:
+def _evaluation_noise(spec: ProblemSpec, config: SolverConfig) -> NoiseBundle:
     return generate_noise(config.n_paths, config.grid(spec), config.eval_seed,
                           d_state=spec.d_state, d_common=spec.d_common)
 
 
-def _reference(spec: ProblemSpec, config: SolverConfig):
-    """(noise, driftless paths) of the config's seed; ``dw0`` lives on only in the paths."""
-    grid = config.grid(spec)
-    noise = generate_noise(config.n_paths, grid, config.seed,
-                           d_state=spec.d_state, d_common=spec.d_common)
+def _reference(spec: ProblemSpec, config: SolverConfig,
+               noise: Optional[NoiseBundle] = None):
+    """(noise, driftless paths) of ``noise``, by default the config's seed's;
+    ``dw0`` lives on only in the paths."""
+    if noise is None:
+        noise = generate_noise(config.n_paths, config.grid(spec), config.seed,
+                               d_state=spec.d_state, d_common=spec.d_common)
     return replace(noise, dw0=None), simulate_driftless_state(spec, noise)
 
 
@@ -172,21 +176,21 @@ def initial_flow(spec: ProblemSpec, config: SolverConfig,
 
 
 def apply_phi(spec: ProblemSpec, m: Optional[ConditionalMeasureFlow], config: SolverConfig,
-              reference: Optional[tuple] = None, keep_actions: bool = False) -> PhiResult:
+              reference: Optional[tuple] = None) -> PhiResult:
     """One application of the best-response map; bitwise deterministic per seed.
 
     The output flow is binned with the Girsanov weights of the BSDE's control,
     which the backward pass accumulates step by step (``solve_bsde(...,
-    weights=True)``); the pass stores its action array only with
-    ``keep_actions``.  ``m`` None maps the reference's unit-weight flow
-    (``initial_flow``), each step of it binned when the pass reads it, so no
-    step outlives its read.  Without ``reference`` the map simulates its own
-    and frees its noise before the output is binned."""
+    weights=True)``); no action array exists, and ``bsde.pass_actions`` gives
+    any step's actions from the solution and ``m``.  ``m`` None maps the
+    reference's unit-weight flow (``initial_flow``), each step of it binned
+    when the pass reads it, so no step outlives its read.  Without
+    ``reference`` the map simulates its own and frees its noise before the
+    output is binned."""
     noise, paths = _reference(spec, config) if reference is None else reference
     if m is None:
         m = _estimate_flow(spec, config, paths, None, on_read=True)
-    solution = solve_bsde(spec, m, paths, noise, config.basis(), keep_actions=keep_actions,
-                          weights=True)
+    solution = solve_bsde(spec, m, paths, noise, config.basis(), weights=True)
     del m, noise
     return PhiResult(flow=_estimate_flow(spec, config, paths, solution.weights),
                      solution=solution)
@@ -223,7 +227,9 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     at the first reported iteration with residual zero.  After each
     application ``next_damping`` reads the report's rows and names the status
     and the damping of the next mix, which is blended and binned one step at a
-    time.  The returned flow's bundle holds no cached sort orders.
+    time, dropping each step of the two flows it blends once read.  The
+    returned flow's bundle holds no cached sort orders.  With ``project`` the
+    result also holds the evaluation reference that ``exploitability`` takes.
     """
     reference = _reference(spec, config)
     report = IterationReport()
@@ -231,19 +237,26 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     m = apply_phi(spec, None, config, reference).flow
     while report.status == "running":
         t0 = time.perf_counter()
-        # any application may be the last, whose actions the projection reads
-        phi = apply_phi(spec, m, config, reference, keep_actions=project)
+        phi = apply_phi(spec, m, config, reference)
         residual = flow_distance(phi.flow, m)
         report.rows.append(IterationRow(iteration=len(report.rows) + 1, residual=residual,
                                         damping=damping, y0=phi.solution.y0,
                                         wall_ms=(time.perf_counter() - t0) * 1e3))
         report.status, damping = next_damping(report.rows, config)
         if report.status == "running":
-            # reweighted bins each step as its blend is formed, so no
-            # (n, n_steps + 1) weight array exists
-            m = m.reweighted(lambda k: (1.0 - damping) * m.step_weights(k)
-                             + damping * phi.flow.step_weights(k))
-            del phi     # the next application runs without this one's flow, weights and solution
+            # the next application runs without this one's solution and its
+            # log M; reweighted bins each step as its blend is formed, so no
+            # (n, n_steps + 1) weight array exists, and the two flows blended
+            # shrink as the new iterate grows
+            phi.solution = None
+
+            def blend(k):
+                w = (1.0 - damping) * m.step_weights(k) + damping * phi.flow.step_weights(k)
+                m.steps[k] = phi.flow.steps[k] = None
+                return w
+
+            m = m.reweighted(blend)
+            del phi
 
     # m is the iterate the last application ran on, so (m, solution) is a
     # matched pair.  Nothing after the loop reads the reference noise or Φ(m),
@@ -254,36 +267,44 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     result = EquilibriumResult(flow=m, policy=extract_control(solution, spec, m),
                                solution=solution, report=report)
     if project:
-        table = project_control(spec, paths, solution.control_samples,
-                                m, solution.weights, config.basis())
-        # nothing reads the actions after this: exploitability scores the
-        # feedback policy and its own best response
-        solution.control_samples = None
-        result.eval_noise = _eval_noise(spec, config)
+        # the last application's actions, recomputed from its fit on m; the
+        # array lives only for the projection
+        actions = step_major(paths.n_paths, paths.grid.n_steps, spec.d_action)
+        for k in range(paths.grid.n_steps):
+            actions[:, k] = pass_actions(spec, solution, m, paths, k)
+        table = project_control(spec, paths, actions, m, solution.weights, config.basis())
+        del actions
+        noise = _evaluation_noise(spec, config)
         result.projected_policy = table
-        result.mimicking = mimicking_check(spec, (paths, solution.weights),
-                                           table, m, result.eval_noise)
+        result.mimicking = mimicking_check(spec, (paths, solution.weights), table, m, noise)
+        # exploitability scores on the evaluation noise's driftless paths,
+        # which need no dW0 once simulated
+        result.eval_reference = _reference(spec, config, noise)
     return result
 
 
 def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: MarkovPolicy,
-                   config: SolverConfig, eval_noise: Optional[NoiseBundle] = None):
+                   config: SolverConfig, eval_reference: Optional[tuple] = None):
     """Objective gain available to a deviating agent, over a finite deviation family.
 
     Family: the policy itself, a fresh BSDE best response to the flow, constant
     policies on an action grid, and the policy shifted by +-0.1 (clamped).
     The grid spans the whole box with the largest per-axis count n <= 9
     whose n^d_action points number at most 81.  Evaluation uses the evaluation
-    seed, independent of estimation noise; ``eval_noise`` passes that seed's
-    noise when the caller already holds it (``EquilibriumResult.eval_noise``).
+    seed, independent of estimation noise: ``eval_reference``, the (noise
+    without dW0, driftless paths) pair of ``_reference`` on that seed's noise,
+    when the caller already holds it (``EquilibriumResult.eval_reference``),
+    else one simulated here.  The best response's actions are recomputed one
+    step at a time (``pass_actions``) as the scoring pass reads them.
     """
-    noise = _eval_noise(spec, config) if eval_noise is None else eval_noise
+    noise, paths = (_reference(spec, config, _evaluation_noise(spec, config))
+                    if eval_reference is None else eval_reference)
     if (noise.seed, noise.grid, noise.n_paths) != (config.eval_seed, config.grid(spec),
                                                    config.n_paths):
-        raise ValueError("eval_noise was not drawn from the config's evaluation seed and grid")
-    paths = simulate_driftless_state(spec, noise)
+        raise ValueError("eval_reference was not drawn from the config's evaluation seed "
+                         "and grid")
 
-    br = solve_bsde(spec, flow, paths, noise, config.basis(), keep_actions=True)
+    br = solve_bsde(spec, flow, paths, noise, config.basis())
     n_axis = _N_CONST
     while n_axis > 1 and n_axis ** spec.d_action > 81:
         n_axis -= 1
@@ -301,7 +322,7 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
         a_pol = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
         a_k = np.empty((len(names), paths.n_paths, spec.d_action))
         a_k[0] = a_pol
-        a_k[1] = br.control_samples[:, k]
+        a_k[1] = pass_actions(spec, br, flow, paths, k)
         a_k[2:2 + len(consts)] = consts[:, None, :]
         for i, s in enumerate(shifts):
             a_k[2 + len(consts) + i] = spec.clip_action(a_pol + s)

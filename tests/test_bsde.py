@@ -14,6 +14,7 @@ from cnmfg.bsde import (
     _terminal_values,
     control_weights,
     extract_control,
+    pass_actions,
     policy_to_csv,
     solve_bsde,
     stacked_objective_influence,
@@ -34,6 +35,14 @@ def _setup(spec, n_paths=20_000, n_steps=50, seed=11, n_bins=8):
     paths = simulate_driftless_state(spec, noise)
     flow = estimate_conditional_flow(paths, None, n_bins)
     return grid, noise, paths, flow
+
+
+def _all_pass_actions(spec, sol, flow, paths):
+    """(n, n_steps, d_action) step-major stack of ``pass_actions`` over every step."""
+    a = step_major(paths.n_paths, paths.grid.n_steps, spec.d_action)
+    for k in range(paths.grid.n_steps):
+        a[:, k] = pass_actions(spec, sol, flow, paths, k)
+    return a
 
 
 class TestZeroDriver:
@@ -72,15 +81,15 @@ class TestZeroDriver:
     def test_zero_driver_stores_no_actions(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=500, n_steps=5, n_bins=2)
         zero = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), driver="zero")
-        assert zero.control_samples is None and zero.weights is None
-        for kw in ({"keep_actions": True}, {"weights": True}):
-            with pytest.raises(ValueError, match="no actions or weights"):
-                solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), driver="zero",
-                           **kw)
-        full = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), keep_actions=True)
-        assert full.control_samples.shape == (500, 5, 1)
+        assert zero.weights is None
+        with pytest.raises(ValueError, match="no actions or weights"):
+            solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), driver="zero",
+                       weights=True)
+        full = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2))
+        assert _all_pass_actions(lq_spec, full, flow, paths).shape == (500, 5, 1)
         assert full.weights is None
-        assert solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2)).control_samples is None
+        # no solution field holds a per-path array
+        assert all(np.ndim(v) < 2 or v.shape[0] != 500 for v in vars(full).values())
 
 
 class TestHjbOracle:
@@ -180,8 +189,8 @@ class TestEvaluateObjective:
     def test_optimal_beats_perturbations(self, lq_nointeraction_spec):
         spec = lq_nointeraction_spec
         grid, noise, paths, flow = _setup(spec, n_paths=10_000, seed=6)
-        sol = solve_bsde(spec, flow, paths, noise, BasisSpec(degree=4), keep_actions=True)
-        a_opt = sol.control_samples
+        sol = solve_bsde(spec, flow, paths, noise, BasisSpec(degree=4))
+        a_opt = _all_pass_actions(spec, sol, flow, paths)
         j_opt, se_opt = stacked_objective_influence(spec, flow, lambda k: a_opt[None, :, k],
                                                     paths, noise)[0][:2]
         for shift in (-0.25, 0.25):
@@ -275,7 +284,8 @@ class TestStackedScoring:
 
 
 class TestFusedWeights:
-    """``solve_bsde(..., weights=True)`` against ``control_weights`` on the stored actions."""
+    """``solve_bsde(..., weights=True)`` against ``control_weights`` on the
+    actions ``pass_actions`` recomputes."""
 
     @pytest.mark.parametrize("family", ["lq", "tanh"])
     @pytest.mark.parametrize("partition", [None, (0.3, 0.6)])
@@ -285,12 +295,25 @@ class TestFusedWeights:
         flow = estimate_conditional_flow(paths, None, 8, partition_times=partition)
         basis = BasisSpec(degree=2)
         plain = solve_bsde(spec, flow, paths, noise, basis)
-        fused = solve_bsde(spec, flow, paths, noise, basis, keep_actions=True, weights=True)
-        want = control_weights(spec, flow, fused.control_samples, paths, noise).log_m
+        fused = solve_bsde(spec, flow, paths, noise, basis, weights=True)
+        want = control_weights(spec, flow, _all_pass_actions(spec, fused, flow, paths), paths,
+                               noise).log_m
         _assert_bitwise(fused.weights.log_m, want)
         assert (fused.y0, fused.y0_stderr) == (plain.y0, plain.y0_stderr)
         _assert_bitwise(fused.z_coef, plain.z_coef)
         _assert_bitwise(fused.residual_var, plain.residual_var)
+
+    @pytest.mark.parametrize("partition", [None, (0.3, 0.6)])
+    def test_bitwise_on_paths_the_flow_was_not_binned_on(self, lq_spec, partition):
+        # exploitability's best response: a flow of one bundle, a pass on
+        # another, whose keys are assigned from the flow's edges
+        _, _, own, _ = _setup(lq_spec, n_paths=3000, n_steps=12, seed=9)
+        flow = estimate_conditional_flow(own, None, 8, partition_times=partition)
+        _, noise, paths, _ = _setup(lq_spec, n_paths=2000, n_steps=12, seed=10)
+        fused = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), weights=True)
+        actions = _all_pass_actions(lq_spec, fused, flow, paths)
+        _assert_bitwise(control_weights(lq_spec, flow, actions, paths, noise).log_m,
+                        fused.weights.log_m)
 
     def test_nonfinite_drift_names_path_and_step(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)

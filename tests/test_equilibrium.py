@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cnmfg
+import cnmfg.bsde as bsde_mod
 import cnmfg.equilibrium as equilibrium_mod
 from cnmfg.equilibrium import (
     IterationRow,
@@ -179,18 +180,25 @@ class TestExploitability:
         cfg = SolverConfig(n_paths=2000, n_steps=10, n_bins=4, min_bin_count=32, seed=7)
         res = solve_equilibrium(lq_spec, cfg)
         fresh = generate_noise(cfg.n_paths, cfg.grid(lq_spec), cfg.eval_seed, 1, 1)
-        np.testing.assert_array_equal(res.eval_noise.dw, fresh.dw)
-        np.testing.assert_array_equal(res.eval_noise.dw0, fresh.dw0)
+        noise, paths = res.eval_reference
+        assert noise.dw0 is None      # only the mimicking check simulates with it
+        np.testing.assert_array_equal(noise.dw, fresh.dw)
+        driftless = simulate_driftless_state(lq_spec, fresh)
+        np.testing.assert_array_equal(paths.x, driftless.x)
+        np.testing.assert_array_equal(paths.xc, driftless.xc)
         own = exploitability(lq_spec, res.flow, res.policy, cfg)
         calls = []
-        real = equilibrium_mod.generate_noise
-        monkeypatch.setattr(equilibrium_mod, "generate_noise",
-                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        shared = exploitability(lq_spec, res.flow, res.policy, cfg, eval_noise=res.eval_noise)
+        for name in ("generate_noise", "simulate_driftless_state"):
+            real = getattr(equilibrium_mod, name)
+            monkeypatch.setattr(equilibrium_mod, name,
+                                lambda *a, _real=real, **kw: calls.append(a) or _real(*a, **kw))
+        shared = exploitability(lq_spec, res.flow, res.policy, cfg,
+                                eval_reference=res.eval_reference)
         assert shared == own and not calls
-        estimation = generate_noise(cfg.n_paths, cfg.grid(lq_spec), cfg.seed, 1, 1)
+        estimation = equilibrium_mod._reference(lq_spec, cfg)
         with pytest.raises(ValueError, match="evaluation seed"):
-            exploitability(lq_spec, res.flow, res.policy, cfg, eval_noise=estimation)
+            exploitability(lq_spec, res.flow, res.policy, cfg, eval_reference=estimation)
+        assert solve_equilibrium(lq_spec, cfg, project=False).eval_reference is None
 
     def test_constant_grid_spans_a_three_action_box(self, monkeypatch):
         # driftless state, cost 0.5 |a - (1, 0, 0)|^2: minimized on the a0 = hi face
@@ -465,29 +473,47 @@ class TestIterateLifetime:
                         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
     @pytest.mark.parametrize("project", [False, True])
-    def test_actions_live_only_for_the_projection(self, lq_spec, monkeypatch, project):
-        kept, projected = [], []
-        apply, project_control = equilibrium_mod.apply_phi, equilibrium_mod.project_control
+    def test_only_the_projection_allocates_an_action_array(self, lq_spec, monkeypatch,
+                                                            project):
+        cfg = SolverConfig(max_iters=2, **self._CFG)
+        action_shape = (cfg.n_paths, cfg.n_steps, lq_spec.d_action)
+        events, arrays = [], []
+        for mod in (bsde_mod, equilibrium_mod):
+            def recording_step_major(*shape, _real=mod.step_major, **kwargs):
+                arr = _real(*shape, **kwargs)
+                if shape == action_shape:
+                    events.append("actions")
+                    arrays.extend((weakref.ref(arr), weakref.ref(arr.base)))
+                return arr
+            monkeypatch.setattr(mod, "step_major", recording_step_major)
+        solve, project_control = equilibrium_mod.solve_bsde, equilibrium_mod.project_control
+        mimicking_check = equilibrium_mod.mimicking_check
 
-        def recording_apply(*args, **kwargs):
-            phi = apply(*args, **kwargs)
-            kept.append(phi.solution.control_samples is not None)
-            return phi
+        def recording_solve(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            # no field holds a per-path array (log M sits in ``weights``)
+            assert all(np.ndim(v) < 2 or v.shape[0] != cfg.n_paths
+                       for v in vars(solution).values())
+            events.append("pass")
+            return solution
 
-        def recording_project(spec, paths, action_samples, *args):
-            projected.append(weakref.ref(action_samples))
-            return project_control(spec, paths, action_samples, *args)
+        def recording_project(*args):
+            events.append("projection")
+            return project_control(*args)
 
-        monkeypatch.setattr(equilibrium_mod, "apply_phi", recording_apply)
+        def recording_mimicking(*args):
+            gc.collect()
+            events.append(f"mimicking, {sum(r() is not None for r in arrays)} alive")
+            return mimicking_check(*args)
+
+        monkeypatch.setattr(equilibrium_mod, "solve_bsde", recording_solve)
         monkeypatch.setattr(equilibrium_mod, "project_control", recording_project)
-        res = solve_equilibrium(lq_spec, SolverConfig(max_iters=2, **self._CFG), project=project)
-        # the bootstrap is never the last application; the others may be
-        assert kept == [False, project, project]
-        gc.collect()
-        assert [r() for r in projected] == ([None] if project else [])
-        assert res.solution.control_samples is None
-        assert (res.projected_policy is not None) == project
-        assert apply_phi(lq_spec, None, SolverConfig(**self._CFG)).solution.control_samples is None
+        monkeypatch.setattr(equilibrium_mod, "mimicking_check", recording_mimicking)
+        res = solve_equilibrium(lq_spec, cfg, project=project)
+        exploitability(lq_spec, res.flow, res.policy, cfg, eval_reference=res.eval_reference)
+        # the bootstrap, two loop applications and exploitability's best response
+        assert events == ["pass"] * 3 + (["actions", "projection", "mimicking, 0 alive"]
+                                         if project else []) + ["pass"]
 
     @pytest.mark.parametrize("project", [False, True])
     def test_loop_exit_releases_the_reference_noise_output_flow_and_orders(

@@ -8,7 +8,9 @@ C-contiguous ``[:, k]``.
 import numpy as np
 import pytest
 
-from cnmfg.bsde import BasisSpec, extract_control, solve_bsde
+import cnmfg.equilibrium as equilibrium_mod
+from cnmfg.bsde import BasisSpec, extract_control, pass_actions, solve_bsde
+from cnmfg.equilibrium import SolverConfig, solve_equilibrium
 from cnmfg.flows import estimate_conditional_flow
 from cnmfg.girsanov import stochastic_exponential
 from cnmfg.sde import (
@@ -42,8 +44,7 @@ def layers(lq_spec):
     noise = generate_noise(N, grid, 3, 1, 1)
     paths = simulate_driftless_state(lq_spec, noise)
     flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
-    solution = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), keep_actions=True,
-                          weights=True)
+    solution = solve_bsde(lq_spec, flow, paths, noise, BasisSpec(degree=2), weights=True)
     weights = stochastic_exponential(lq_spec, np.clip(0.5 * paths.x[:, :-1], -1, 1), noise)
     return grid, noise, paths, flow, solution, weights
 
@@ -80,6 +81,21 @@ def test_weights_and_flows(layers):
     _assert_step_major(mixed.src_w, (N, STEPS + 1))
 
 
-def test_controls(layers):
-    solution = layers[4]
-    _assert_step_major(solution.control_samples, (N, STEPS, 1))
+def test_controls(lq_spec, layers, monkeypatch):
+    _, _, paths, flow, solution, _ = layers
+    for k in (0, 1, STEPS - 1):
+        a_k = pass_actions(lq_spec, solution, flow, paths, k)
+        assert a_k.shape == (N, 1) and a_k.flags.c_contiguous
+    # the action array solve_equilibrium builds for the projection
+    projected = []
+    project_control = equilibrium_mod.project_control
+
+    def recording(spec, paths, actions, *args):
+        _assert_step_major(actions, (N, STEPS, 1))
+        projected.append(actions.dtype)
+        return project_control(spec, paths, actions, *args)
+
+    monkeypatch.setattr(equilibrium_mod, "project_control", recording)
+    cfg = SolverConfig(n_paths=N, n_steps=STEPS, n_bins=4, min_bin_count=32, max_iters=1)
+    solve_equilibrium(lq_spec, cfg)
+    assert projected == [np.float64]

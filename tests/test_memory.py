@@ -1,5 +1,5 @@
-"""Peak memory of one best-response map application and of one Picard mix,
-traced by ``tracemalloc``.
+"""Peak memory of one best-response map application, of one Picard mix and
+of ``exploitability``, traced by ``tracemalloc``.
 
 The unit is one float64 per path and grid point, n_paths * (n_steps + 1) * 8
 bytes.  A self-simulated ``apply_phi(spec, None, config)`` holds the reference
@@ -18,18 +18,22 @@ and the sort orders) and a peak of 6.33 units (6.43 then), now set while the
 reference noise is drawn.  An (n, n_steps) action array held next to log M,
 as when the weights were a second pass over stored actions, adds about one
 unit.  The Picard loop's mix blends and bins one step at a time, so it holds
-the new iterate's bins and no (n, n_steps + 1) weight array.
+no (n, n_steps + 1) weight array, and it drops each step of the two flows it
+blends once read, after the last application's solution (log M) has gone.
+``exploitability`` recomputes its best response's actions one step at a time
+as the scoring pass reads them, so it holds no action array either.
 """
 
 import tracemalloc
 
 import cnmfg.equilibrium as equilibrium_mod
-from cnmfg.equilibrium import SolverConfig, apply_phi, solve_equilibrium
+from cnmfg.equilibrium import SolverConfig, apply_phi, exploitability, solve_equilibrium
 from cnmfg.flows import ConditionalMeasureFlow
 
 PEAK_BOUND_UNITS = 6.43
 PASS_ENTRY_BOUND_UNITS = 3.08
-MIX_BOUND_UNITS = 2.0
+MIX_BOUND_UNITS = 7.4
+EXPLOITABILITY_BOUND_UNITS = 4.3
 
 
 def _traced_phi(spec, cfg, monkeypatch):
@@ -70,34 +74,49 @@ def test_pass_starts_without_input_flow_bins(lq_spec, monkeypatch):
 
 
 def test_picard_mix_holds_no_weight_array(lq_spec, monkeypatch):
-    # traced from the end of the loop's flow_distance to the end of its mix: the
-    # new iterate's bins (int32 rows and float64 weights, 1.5 units, 1.62 with
-    # their measures) and one step's temporaries, 1.68 units at the peak.
-    # Blending full (n, n_steps + 1) arrays (m's and Phi(m)'s weights, their
-    # two scaled copies and their sum) peaked at 3.0 units before the first
-    # step was binned; one such array held through the binning adds a unit.
+    # traced from the start of the solve; the peak within the loop's one mix.
+    # Held: the reference noise (1 unit), paths (2), sort orders (1), the
+    # input iterate's and Phi's flows (1.5 each: int32 rows and float64
+    # weights), which shrink by one step as the new iterate grows by one: 7.32
+    # units.  Blending full (n, n_steps + 1) arrays peaked 3.0 units above
+    # what the loop held; keeping both old flows whole through the mix adds
+    # 1.62 units (8.94), keeping Phi's solution (log M) 1.0 (8.33), and both
+    # 2.62 (9.94).
     cfg = SolverConfig(n_paths=8000, n_steps=50, n_bins=16, seed=1, max_iters=2, tol=1e-12)
     unit = cfg.n_paths * (cfg.n_steps + 1) * 8
     peaks = []
-    distance = equilibrium_mod.flow_distance
     reweighted = ConditionalMeasureFlow.reweighted
 
-    def tracing_distance(*args, **kwargs):
-        residual = distance(*args, **kwargs)
-        tracemalloc.start()
-        return residual
-
     def traced_reweighted(self, *args, **kwargs):
+        tracemalloc.reset_peak()
         mixed = reweighted(self, *args, **kwargs)
         peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
         return mixed
 
-    monkeypatch.setattr(equilibrium_mod, "flow_distance", tracing_distance)
     monkeypatch.setattr(ConditionalMeasureFlow, "reweighted", traced_reweighted)
+    tracemalloc.start()
     try:
         res = solve_equilibrium(lq_spec, cfg, project=False)
     finally:
         tracemalloc.stop()
     assert res.report.status == "max_iters" and len(peaks) == 1
     assert peaks[0] / unit <= MIX_BOUND_UNITS, f"traced mix peak {peaks[0] / unit:.2f} units"
+
+
+def test_exploitability_holds_no_action_array(lq_spec):
+    # traced from before the evaluation reference is simulated from noise held
+    # outside: its paths (2 units), the best response's pass and the stacked
+    # scoring of 13 controls, 4.27 units at the peak.  The best response's
+    # (n, n_steps) action array held through the scoring added about one unit.
+    cfg = SolverConfig(n_paths=8000, n_steps=50, n_bins=16, seed=1)
+    unit = cfg.n_paths * (cfg.n_steps + 1) * 8
+    res = solve_equilibrium(lq_spec, cfg, project=False)
+    noise = equilibrium_mod._evaluation_noise(lq_spec, cfg)
+    tracemalloc.start()
+    try:
+        reference = equilibrium_mod._reference(lq_spec, cfg, noise)
+        exploitability(lq_spec, res.flow, res.policy, cfg, eval_reference=reference)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / unit <= EXPLOITABILITY_BOUND_UNITS, f"traced peak {peak / unit:.2f} units"
