@@ -255,7 +255,7 @@ def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                      paths: PathBundle) -> np.ndarray:
     k = paths.grid.n_steps
     return flow.per_bin(k, paths, lambda mu, x: np.asarray(spec.terminal_cost(x, mu), float),
-                        paths.x[:, k])
+                        paths.x[:, k], mean_only=spec.mean_field)
 
 
 def _sigma_inv_drift(spec: ProblemSpec, t: float, x: np.ndarray, mu,
@@ -331,7 +331,8 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
                 return a, h_bin, _sigma_inv_drift(spec, t_k, x, mu, a)
 
             _, h, *lam = flow.per_bin(k, paths, minimize, paths.x[:, k],
-                                      np.matmul(feats, z_coef[k].T, out=z_fit))
+                                      np.matmul(feats, z_coef[k].T, out=z_fit),
+                                      mean_only=spec.mean_field)
             if log_m is not None:
                 put_log_increment(log_m, k, lam[0], noise)
             np.multiply(h, dt, out=h_dt)
@@ -363,8 +364,8 @@ def pass_actions(spec: ProblemSpec, solution: BsdeSolution, flow: ConditionalMea
     feats = solution.basis.features(k, paths.x[:, k], paths.xc[:, k])
     t_k = paths.grid.times[k]
     return flow.per_bin(
-        k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z)[0],
-        paths.x[:, k], feats @ solution.z_coef[k].T)
+        k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z, values=False),
+        paths.x[:, k], feats @ solution.z_coef[k].T, mean_only=spec.mean_field)
 
 
 @dataclass
@@ -389,8 +390,9 @@ class MarkovPolicy:
             z_hat = self.solution.z_smoothed(k, x, np.atleast_2d(xc))
             t_k = self.grid.times[k]
             return self.flow.per_bin(
-                k, key, lambda mu, xs, z: minimize_hamiltonian_batch(self.spec, t_k, xs, mu, z)[0],
-                x, z_hat)
+                k, key, lambda mu, xs, z: minimize_hamiltonian_batch(self.spec, t_k, xs, mu, z,
+                                                                     values=False),
+                x, z_hat, mean_only=self.spec.mean_field)
         if self.kind == "table":
             return _bilinear(self.x_axes[k], self.key_axes[k], self.tables[k],
                              x[:, 0], np.asarray(key, float))
@@ -449,7 +451,7 @@ def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
         t_k = paths.grid.times[k]
         return flow.per_bin(
             k, paths, lambda mu, x, a_k: _sigma_inv_drift(spec, t_k, x, mu, a_k),
-            paths.x[:, k], a[:, k])
+            paths.x[:, k], a[:, k], mean_only=spec.mean_field)
     return stochastic_exponential(spec, step_drift, noise)
 
 
@@ -461,30 +463,31 @@ def stacked_objective_influence(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     running cost and each control's terminal log-weight are accumulated in
     step order, the order in which ``stochastic_exponential`` accumulates, and
     the terminal cost is added last; each payoff is then self-normalized by
-    its own weights, shifted by their own maximum.  Returns one (estimate,
+    its own weights, shifted by their own maximum.  Each (step, bin) call
+    evaluates the C controls one at a time.  Returns one (estimate,
     stderr, influence) triple per control; control c's triple equals bitwise
     the self-normalized mean of its payoff under
     ``control_weights(...).scaled(-1)``.  Only (n, C) arrays persist
     across steps.
     """
     grid = paths.grid
-    sig_inv_t = spec.sigma_inv.T
     run_cost = log_m = 0.0
     for k in range(grid.n_steps):
         t_k = grid.times[k]
         a_k = step_actions(k)
-        c = a_k.shape[0]
 
         def costs_and_drifts(mu, x, a):
-            # (m, C, d) rows become control-major batches of C * m rows
-            x_b = np.tile(x, (c, 1))
-            a_b = a.transpose(1, 0, 2).reshape(x_b.shape[0], -1)
-            drift = np.asarray(spec.drift(t_k, x_b, mu, a_b), float) @ sig_inv_t
-            cost = np.asarray(spec.running_cost(t_k, x_b, mu, a_b), float).reshape(c, -1)
-            return cost.T * grid.dt, drift.reshape(c, -1, spec.d_state).transpose(1, 0, 2)
+            # a is (m, C, d_action): one (m, C) cost and (m, C, d_state) drift
+            m, c = a.shape[:2]
+            cost, lam = np.empty((m, c)), np.empty((m, c, spec.d_state))
+            for j in range(c):
+                cost[:, j] = np.ravel(spec.running_cost(t_k, x, mu, a[:, j]))
+                lam[:, j] = _sigma_inv_drift(spec, t_k, x, mu, a[:, j])
+            cost *= grid.dt
+            return cost, lam
 
         cost, lam = flow.per_bin(k, paths, costs_and_drifts, paths.x[:, k],
-                                 a_k.transpose(1, 0, 2))
+                                 a_k.transpose(1, 0, 2), mean_only=spec.mean_field)
         if not np.all(np.isfinite(lam)):
             path, control = np.argwhere(~np.isfinite(lam).all(axis=2))[0]
             raise RuntimeError(f"non-finite drift sample at path {path}, control {control}, "

@@ -257,7 +257,9 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
     n = keys.shape[0]
     sorted_keys = keys[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)
-    edges = _sorted_quantiles(sorted_keys, weights[order], qs)
+    # a unit-weight flow's shared zero-stride vector equals each of its gathers
+    unit = weights.strides == (0,)
+    edges = _sorted_quantiles(sorted_keys, weights if unit else weights[order], qs)
     lo_key, hi_key = sorted_keys[0], sorted_keys[-1]
     interior = np.unique(edges[1:-1])
     interior = interior[(interior > lo_key) & (interior < hi_key)]
@@ -290,8 +292,7 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
     # the step's rows bin-major, each bin's rows sorted by the first state
     # coordinate, ties in path order, and their weights in that order
     rows = state_order[np.argsort(labels[state_order], kind="stable")]   # radix sort for int16
-    # a unit-weight flow's shared zero-stride vector equals each of its gathers
-    row_w = weights if weights.strides == (0,) else weights[rows]
+    row_w = weights if unit else weights[rows]
     ends = np.cumsum(counts)
     starts = ends - counts
     totals = np.array([row_w[lo:hi].sum() for lo, hi in zip(starts, ends)])
@@ -389,24 +390,39 @@ class ConditionalMeasureFlow:
 
     def _groups(self, k: int, bins: StepBins, keys):
         """``groups(k, keys)`` with ``bins``, the flow's step k, already read."""
+        return group_rows(self._labels(k, bins, keys), bins.n_bins)
+
+    def _labels(self, k: int, bins: StepBins, keys) -> np.ndarray:
+        """``assign(k, keys)`` with ``bins`` already read; the flow's own bundle
+        takes its labels from the step's rows and counts."""
         if keys is self.paths:
             labels = np.empty(self.n_source, dtype=_label_dtype(bins.n_bins))
             labels[bins.rows] = np.repeat(np.arange(bins.n_bins, dtype=labels.dtype),
                                           bins.counts)
-            return group_rows(labels, bins.n_bins)
+            return labels
         if isinstance(keys, PathBundle):
             keys = keys.xc[:, self.key_index(k), 0]
-        return group_rows(searchsorted_right(bins.edges[1:-1], keys), bins.n_bins)
+        return searchsorted_right(bins.edges[1:-1], keys)
 
-    def per_bin(self, k: int, keys, fn, *rows):
+    def per_bin(self, k: int, keys, fn, *rows, mean_only=False):
         """``fn(measure(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
 
         ``keys`` is as for ``groups``.  Each call gets exactly the rows of the
         mask ``assign(k, keys) == b``, in path order.  ``fn`` returns one array
         or a tuple of arrays with one leading entry per row; each comes back
         scattered to row order.  Step k is read from ``steps`` once.
+
+        With ``mean_only`` (a spec's ``mean_field`` declaration: ``fn`` reads
+        its measure only as ``mean[j]`` and each row on its own) ``fn`` is
+        called once, on all rows in path order (read-only) and a measure whose
+        ``mean`` is the (d, n) array of each row's bin mean; no rows are
+        grouped, gathered or scattered.  Each output that is not a fresh array
+        (a view, or memory shared with a row argument) is copied, so both
+        paths return arrays of their own.
         """
         bins = self.steps[k]
+        if mean_only:
+            return self._per_row(k, bins, keys, fn, rows)
         perm, groups = self._groups(k, bins, keys)
         measures = bins.measures
         if not groups:
@@ -423,8 +439,45 @@ class ConditionalMeasureFlow:
                 out[perm[lo:hi]] = part
         return tuple(outs) if isinstance(res, tuple) else outs[0]
 
+    def _per_row(self, k: int, bins: StepBins, keys, fn, rows):
+        """``per_bin(..., mean_only=True)``'s one call, on step k's ``bins``."""
+        labels = self._labels(k, bins, keys)
+        n = labels.size
+        if n == 0:
+            raise ValueError(f"per_bin at step {k} got no rows")
+        means = np.stack([mu.mean for mu in bins.measures], axis=1)      # (d, n_bins)
+        args = [np.asarray(r).view() for r in rows]
+        for a in args:
+            a.flags.writeable = False
+        res = fn(_RowMeans(means[:, labels]), *args)
+        parts = []
+        for part in (res if isinstance(res, tuple) else (res,)):
+            part = np.asarray(part)
+            if part.shape[:1] != (n,):
+                raise ValueError(f"per_bin at step {k}: an output of shape {part.shape} "
+                                 f"has no leading entry per row ({n} rows)")
+            if not part.flags.owndata or any(np.may_share_memory(part, a) for a in args):
+                part = part.copy()
+            parts.append(part)
+        return tuple(parts) if isinstance(res, tuple) else parts[0]
+
     def measure(self, k: int, bin_idx: int) -> EmpiricalMeasure:
         return self.steps[k].measures[bin_idx]
+
+
+class _RowMeans:
+    """The measure a ``mean_field`` spec's coefficients see in a per-row call:
+    ``mean`` is (d, n), column i the mean of row i's bin, and nothing else."""
+
+    __slots__ = ("mean",)
+
+    def __init__(self, mean: np.ndarray):
+        self.mean = mean
+
+    def __getattr__(self, name):
+        raise AttributeError(
+            f"a per-row measure has only 'mean', not {name!r}: a spec declared "
+            "mean_field reads mu only as mu.mean[j]")
 
 
 class _StepsOnRead:

@@ -9,9 +9,20 @@ Coefficient callables are vectorized over a batch of paths:
     argmin_action(t, x, mu, z)  optional, z (n, d_state)                 -> (n, d_action)
     invert_drift(t, x, mu, target)  optional, target (n, d_state)        -> (n, d_action)
 
-``mu`` is always an :class:`EmpiricalMeasure` (weighted atoms plus cached
+``mu`` is an :class:`EmpiricalMeasure` (weighted atoms plus cached
 moments): the one measure type, which the flows in ``flows.py`` also bin,
-sort and transport.
+sort and transport.  Row i of a batch is a player conditioned on the common
+state, and ``mu`` is the conditional law of its bin.
+
+A spec built with ``mean_field=True`` declares that every callable above
+taking ``mu`` reads it only as ``mu.mean[j]`` and treats each batch row on its
+own (no sums, sorts or stop tests across rows).  Such a spec's coefficients
+may then be called once for a whole step, with rows from many bins: ``mu`` is
+an object whose ``mean`` is a (d_state, n) array, column i the mean of row
+i's bin, and elementwise code computes the same bits as one call per bin.
+The declaration is bound like the two hooks: a ``dataclasses.replace`` that
+swaps ``drift``, ``running_cost``, ``terminal_cost`` or either hook drops it
+(a hook that the replace itself drops counts as swapped).
 """
 
 from __future__ import annotations
@@ -165,6 +176,7 @@ class ProblemSpec:
     params: dict = field(default_factory=dict)
     argmin_action: Optional[Callable] = None
     invert_drift: Optional[Callable] = None
+    mean_field: bool = False
 
     def __post_init__(self):
         for name in ("d_state", "d_common", "d_action"):
@@ -197,6 +209,10 @@ class ProblemSpec:
         object.__setattr__(self, "argmin_action", _bind_hook(
             self.argmin_action, (self.drift, self.running_cost, self.sigma.tobytes())))
         object.__setattr__(self, "invert_drift", _bind_hook(self.invert_drift, (self.drift,)))
+        # a truthy bound token, or False once a callable that takes mu is swapped
+        object.__setattr__(self, "mean_field", _bind_hook(self.mean_field or None, (
+            self.drift, self.running_cost, self.terminal_cost, self.argmin_action,
+            self.invert_drift)) or False)
 
     @cached_property
     def cond_sigma(self) -> float:
@@ -221,7 +237,8 @@ class ProblemSpec:
 
 
 class _BoundHook:
-    """A closed-form hook tied to the coefficients it was derived from."""
+    """A closed-form hook, or the ``mean_field`` declaration (``fn`` True), tied
+    to the coefficients it was derived from."""
 
     __slots__ = ("fn", "derived_from")
 
@@ -239,7 +256,8 @@ def _bind_hook(hook: Optional[Callable], derived_from: tuple) -> Optional[_Bound
     ``dataclasses.replace`` hands the old spec's bound hook to the new spec; a
     hook bound to other coefficients no longer solves this spec's problem and
     is dropped.  ``argmin_action`` is bound to the drift, running cost and
-    sigma; ``invert_drift`` to the drift alone.
+    sigma; ``invert_drift`` to the drift alone; ``mean_field`` to the drift,
+    the running and terminal costs and the two bound hooks.
     """
     if hook is None:
         return None
@@ -343,22 +361,25 @@ def _golden_section_coord(objective, base_a, base_val, j, a_lo, a_hi):
 
 
 def minimize_hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray,
-                               mu: EmpiricalMeasure, z: np.ndarray):
-    """Vectorized Hamiltonian minimization; returns (actions (n, d_action), values (n,)).
+                               mu: EmpiricalMeasure, z: np.ndarray, values: bool = True):
+    """Vectorized Hamiltonian minimization; returns (actions (n, d_action), values (n,)),
+    or the actions alone with ``values=False``.
 
     With an ``argmin_action`` hook the unconstrained minimizer is clipped to
-    the action box; otherwise the generic box search runs.
+    the action box, and the Hamiltonian is evaluated only for ``values``;
+    otherwise the generic box search runs.
     """
     n = x.shape[0]
     if spec.argmin_action is not None:
         a = np.asarray(spec.argmin_action(t, x, mu, z), float).reshape(n, spec.d_action)
         a = spec.clip_action(a)
-        return a, hamiltonian_batch(spec, t, x, mu, a, z)
+        return (a, hamiltonian_batch(spec, t, x, mu, a, z)) if values else a
 
     def objective(a):
         return hamiltonian_batch(spec, t, x, mu, a, z)
 
-    return box_minimize_batch(objective, spec.action_lo, spec.action_hi, n)
+    a, h = box_minimize_batch(objective, spec.action_lo, spec.action_hi, n)
+    return (a, h) if values else a
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +502,8 @@ def _zero_common_drift(t, xc):
 
 def _scalar_spec(family: str, params: dict, drift, running_cost, terminal_cost,
                  argmin_action, invert_drift, drift_bound: float) -> ProblemSpec:
-    """A built-in 1-d instance with zero common drift.
+    """A built-in 1-d instance with zero common drift, whose coefficients read
+    ``mu`` only through its mean (``mean_field``).
 
     ``params`` holds every keyword value of the family's builder; each is
     recorded in ``spec.params`` as a float.  The initial common state is a
@@ -503,6 +525,7 @@ def _scalar_spec(family: str, params: dict, drift, running_cost, terminal_cost,
                                                       clip=v["init_clip"], dim=1),
         init_common_sampler=common_sampler,
         family=family, params=v, argmin_action=argmin_action, invert_drift=invert_drift,
+        mean_field=True,
     )
 
 

@@ -96,7 +96,8 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         w_k = weights.scaled(k)
 
         drift_vals = flow.per_bin(k, paths, lambda mu, xs, acts: np.asarray(
-            spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a[:, k])
+            spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a[:, k],
+            mean_only=spec.mean_field)
 
         feats = fitted.features(k, paths.x[:, k], keys[:, None])
         factor = _ridge_factor(feats, fitted.ridge, sample_w=w_k)
@@ -122,7 +123,8 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
             acts = spec.clip_action(acts.reshape(xs.shape[0], spec.d_action))
             return acts, gap(acts)
 
-        cell_actions, val = flow.per_bin(k, cell_key, invert, cell_x[:, None], b_hat)
+        cell_actions, val = flow.per_bin(k, cell_key, invert, cell_x[:, None], b_hat,
+                                         mean_only=spec.mean_field)
         cell_resid = np.sqrt(np.maximum(val, 0.0))
 
         margin = 1e-9 * np.maximum(spec.action_hi - spec.action_lo, 1.0)

@@ -330,7 +330,7 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle) -> 
     """Controlled state under a Markovian feedback policy and a conditional measure flow.
 
     ``policy`` exposes ``actions(k, x, xc, key)``; ``flow`` exposes
-    ``key_index(k)`` and ``per_bin(k, keys, fn, *rows)``.  Actions falling
+    ``key_index(k)`` and ``per_bin(k, keys, fn, *rows, mean_only)``.  Actions falling
     outside the box are clamped and counted.
     """
     grid = noise.grid
@@ -352,7 +352,7 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle) -> 
         clamped += int(np.count_nonzero(outside.any(axis=1)))
         a = spec.clip_action(a)
         b = flow.per_bin(k, keys, lambda mu, xs, acts: np.asarray(
-            spec.drift(times[k], xs, mu, acts), float), x[:, k], a)
+            spec.drift(times[k], xs, mu, acts), float), x[:, k], a, mean_only=spec.mean_field)
         if not np.all(np.isfinite(b)):
             bad = int(np.argwhere(~np.isfinite(b))[0][0])
             raise RuntimeError(f"non-finite controlled drift at step {k}, path {bad}")

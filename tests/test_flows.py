@@ -675,23 +675,31 @@ class TestPerBin:
     """``flow.per_bin`` against a boolean-mask loop over the bins."""
 
     @staticmethod
-    def _check(flow, k, keys, fn, *rows):
+    def _check(flow, k, keys, fn, *rows, mean_only=False):
         calls = []
 
         def recording(mu, *slices):
             calls.append((mu, [np.copy(s) for s in slices]))
             return fn(mu, *slices)
 
-        got = flow.per_bin(k, keys, recording, *rows)
+        got = flow.per_bin(k, keys, recording, *rows, mean_only=mean_only)
         labels = flow.assign(k, keys)
         bins = np.unique(labels)
-        # one call per non-empty bin, in bin order, with the bin's measure
-        # itself and exactly the mask's rows in path order
-        assert len(calls) == bins.size
-        for (mu, slices), b in zip(calls, bins):
-            assert mu is flow.measure(k, int(b))
+        if mean_only:
+            # one call on every row in path order, each row seeing its bin's mean
+            ((mu, slices),) = calls
+            np.testing.assert_array_equal(
+                mu.mean, np.stack([flow.measure(k, int(b)).mean for b in labels], axis=1))
             for seen, r in zip(slices, rows):
-                np.testing.assert_array_equal(seen, r[labels == b])
+                np.testing.assert_array_equal(seen, r)
+        else:
+            # one call per non-empty bin, in bin order, with the bin's measure
+            # itself and exactly the mask's rows in path order
+            assert len(calls) == bins.size
+            for (mu, slices), b in zip(calls, bins):
+                assert mu is flow.measure(k, int(b))
+                for seen, r in zip(slices, rows):
+                    np.testing.assert_array_equal(seen, r[labels == b])
         single = not isinstance(got, tuple)
         got = (got,) if single else got
         want = [np.full_like(g, np.nan) for g in got]
@@ -715,9 +723,12 @@ class TestPerBin:
         k = 10
         keys = np.concatenate([[1e6], paths.xc[:, k, 0], [-1e6, np.inf, -np.inf]])
         x = np.arange(keys.size, dtype=float)
-        # a running sum depends on the row order inside each bin
-        (out,) = self._check(flow, k, keys, lambda mu, x: np.cumsum(x) + mu.mean[0], x)
-        assert out.shape == (keys.size,)
+        # a running sum depends on the row order inside each bin; a per-row
+        # call takes only functions of each row on its own
+        for mean_only, fn in ((False, lambda mu, x: np.cumsum(x) + mu.mean[0]),
+                              (True, lambda mu, x: x * x + mu.mean[0])):
+            (out,) = self._check(flow, k, keys, fn, x, mean_only=mean_only)
+            assert out.shape == (keys.size,)
 
     def test_tuple_output_stacked_rows(self, lq_spec, small_config):
         paths, flow = self._flow(lq_spec, small_config, 21)
@@ -748,11 +759,35 @@ class TestPerBin:
                              paths.x[:, 0])
         np.testing.assert_array_equal(out, np.cumsum(paths.x[:, 0], axis=0))
 
-
     def test_zero_rows_name_the_step(self, lq_spec, small_config):
         paths, flow = self._flow(lq_spec, small_config, 24)
-        with pytest.raises(ValueError, match="step 3"):
-            flow.per_bin(3, np.empty(0), lambda mu, x: x, np.empty((0, 1)))
+        for mean_only in (False, True):
+            with pytest.raises(ValueError, match="step 3"):
+                flow.per_bin(3, np.empty(0), lambda mu, x: x, np.empty((0, 1)),
+                             mean_only=mean_only)
+
+    def test_per_row_outputs_are_fresh_arrays(self, lq_spec, small_config):
+        paths, flow = self._flow(lq_spec, small_config, 25)
+        k = 6
+        x = paths.x[:, k]
+        same, view, own = flow.per_bin(
+            k, paths, lambda mu, x: (x, x[:, 0], x * mu.mean[0][:, None]), x, mean_only=True)
+        for out in (same, view, own):
+            assert out.flags.owndata and out.flags.writeable
+            assert not np.may_share_memory(out, paths.x)
+        np.testing.assert_array_equal(same, x)
+        np.testing.assert_array_equal(view, x[:, 0])
+
+    def test_per_row_measure_and_output_checks(self, lq_spec, small_config):
+        paths, flow = self._flow(lq_spec, small_config, 26)
+        with pytest.raises(AttributeError, match="mean_field"):
+            flow.per_bin(4, paths, lambda mu, x: x * mu.pth_moment, paths.x[:, 4],
+                         mean_only=True)
+        with pytest.raises(ValueError, match="step 4"):
+            flow.per_bin(4, paths, lambda mu, x: x[:-1], paths.x[:, 4], mean_only=True)
+        with pytest.raises(ValueError, match="read-only"):
+            flow.per_bin(4, paths, lambda mu, x: np.add(x, 1.0, out=x), paths.x[:, 4],
+                         mean_only=True)
 
 
 class TestFlowOwnedCaches:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cnmfg
+import cnmfg.problem as problem_mod
 from cnmfg.problem import (
     _FAMILIES,
     EmpiricalMeasure,
@@ -134,6 +135,29 @@ class TestMinimizeHamiltonian:
             assert h_batch[i] == pytest.approx(h_single, abs=1e-12)
 
 
+class TestActionsOnly:
+    @pytest.mark.parametrize("family,params", [
+        ("lq", dict()), ("tanh", dict()), ("lq", dict(action_weight=0.0))])
+    def test_same_actions_without_the_hamiltonian(self, family, params, monkeypatch):
+        spec = make_instance(family, **params)
+        rng = np.random.default_rng(13)
+        x = rng.normal(0.0, 1.0, size=(300, 1))
+        z = rng.uniform(-4.0, 4.0, size=(300, 1))
+        mu = EmpiricalMeasure(rng.normal(0.0, 1.0, size=(7, 1)))
+        a, _ = minimize_hamiltonian_batch(spec, 0.4, x, mu, z)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return hamiltonian_batch(*args)
+
+        monkeypatch.setattr(problem_mod, "hamiltonian_batch", counting)
+        only = minimize_hamiltonian_batch(spec, 0.4, x, mu, z, values=False)
+        np.testing.assert_array_equal(only, a)
+        # a closed-form argmin evaluates no Hamiltonian; the box search must
+        assert (len(calls) == 0) == (spec.argmin_action is not None)
+
+
 class TestClosedFormArgmin:
     # the box search resolves the argmin to about sqrt(ulp(H) / c_a), so the
     # sampled states keep |H| of order one, as on the solver's paths
@@ -216,6 +240,25 @@ class TestInvertDrift:
         assert swapped.invert_drift is spec.invert_drift
         assert swapped.argmin_action is None
         assert replace(lq_unit_spec, sigma=[[2.0]]).invert_drift is lq_unit_spec.invert_drift
+
+
+class TestMeanFieldDeclaration:
+    @pytest.mark.parametrize("family", ["lq", "tanh"])
+    def test_bound_to_the_callables_taking_mu(self, family):
+        spec = make_instance(family)
+        assert spec.mean_field
+        assert replace(spec, horizon=2.0).mean_field is spec.mean_field
+        for swap in (dict(drift=lambda t, x, mu, a: a),
+                     dict(running_cost=lambda t, x, mu, a: a[:, 0] ** 2),
+                     dict(terminal_cost=lambda x, mu: x[:, 0]),
+                     dict(argmin_action=lambda t, x, mu, z: -z),
+                     dict(invert_drift=lambda t, x, mu, target: target),
+                     dict(sigma=[[2.0]])):            # drops the argmin hook with it
+            assert replace(spec, **swap).mean_field is False, swap
+        # declared again for the new callables
+        redeclared = replace(spec, terminal_cost=lambda x, mu: x[:, 0], mean_field=True)
+        assert redeclared.mean_field and redeclared.mean_field is not spec.mean_field
+        assert replace(spec, mean_field=False).mean_field is False
 
 
 class TestValidateSpec:
