@@ -375,31 +375,16 @@ class ConditionalMeasureFlow:
     def bins_at(self, k: int) -> StepBins:
         return self.steps[k]
 
-    def assign(self, k: int, keys: np.ndarray) -> np.ndarray:
-        """Bin of each key at step k: ``np.searchsorted(interior edges, keys, "right")``."""
-        return searchsorted_right(self.steps[k].edges[1:-1], keys)
-
-    def groups(self, k: int, keys):
-        """Rows grouped by their bin at step k; see ``group_rows``.
+    def assign(self, k: int, keys) -> np.ndarray:
+        """Bin of each key at step k: ``np.searchsorted(interior edges, keys, "right")``.
 
         ``keys`` holds conditioning keys, or is a ``PathBundle`` keyed by its
-        common state at ``key_index(k)``.  The flow's own bundle takes its bin
-        labels from the step's rows and counts instead of assigning again.
+        common state at ``key_index(k)``.
         """
-        return self._groups(k, self.steps[k], keys)
+        return self._assign(k, self.steps[k], keys)
 
-    def _groups(self, k: int, bins: StepBins, keys):
-        """``groups(k, keys)`` with ``bins``, the flow's step k, already read."""
-        return group_rows(self._labels(k, bins, keys), bins.n_bins)
-
-    def _labels(self, k: int, bins: StepBins, keys) -> np.ndarray:
-        """``assign(k, keys)`` with ``bins`` already read; the flow's own bundle
-        takes its labels from the step's rows and counts."""
-        if keys is self.paths:
-            labels = np.empty(self.n_source, dtype=_label_dtype(bins.n_bins))
-            labels[bins.rows] = np.repeat(np.arange(bins.n_bins, dtype=labels.dtype),
-                                          bins.counts)
-            return labels
+    def _assign(self, k: int, bins: StepBins, keys) -> np.ndarray:
+        """``assign(k, keys)`` with ``bins``, the flow's step k, already read."""
         if isinstance(keys, PathBundle):
             keys = keys.xc[:, self.key_index(k), 0]
         return searchsorted_right(bins.edges[1:-1], keys)
@@ -407,7 +392,7 @@ class ConditionalMeasureFlow:
     def per_bin(self, k: int, keys, fn, *rows, mean_only=False):
         """``fn(measure(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
 
-        ``keys`` is as for ``groups``.  Each call gets exactly the rows of the
+        ``keys`` is as for ``assign``.  Each call gets exactly the rows of the
         mask ``assign(k, keys) == b``, in path order.  ``fn`` returns one array
         or a tuple of arrays with one leading entry per row; each comes back
         scattered to row order.  Step k is read from ``steps`` once.
@@ -421,45 +406,38 @@ class ConditionalMeasureFlow:
         paths return arrays of their own.
         """
         bins = self.steps[k]
-        if mean_only:
-            return self._per_row(k, bins, keys, fn, rows)
-        perm, groups = self._groups(k, bins, keys)
-        measures = bins.measures
-        if not groups:
+        labels = self._assign(k, bins, keys)
+        n = labels.size
+        if n == 0:
             raise ValueError(f"per_bin at step {k} got no rows")
+        if mean_only:
+            means = np.stack([mu.mean for mu in bins.measures], axis=1)      # (d, n_bins)
+            args = [np.asarray(r).view() for r in rows]
+            for a in args:
+                a.flags.writeable = False
+            res = fn(_RowMeans(means[:, labels]), *args)
+            parts = []
+            for part in (res if isinstance(res, tuple) else (res,)):
+                part = np.asarray(part)
+                if part.shape[:1] != (n,):
+                    raise ValueError(f"per_bin at step {k}: an output of shape {part.shape} "
+                                     f"has no leading entry per row ({n} rows)")
+                if not part.flags.owndata or any(np.may_share_memory(part, a) for a in args):
+                    part = part.copy()
+                parts.append(part)
+            return tuple(parts) if isinstance(res, tuple) else parts[0]
+        perm, groups = group_rows(labels, bins.n_bins)
+        measures = bins.measures
         gathered = [np.asarray(r)[perm] for r in rows]
         outs = None
         for b, lo, hi in groups:
             res = fn(measures[b], *(g[lo:hi] for g in gathered))
             parts = res if isinstance(res, tuple) else (res,)
             if outs is None:
-                outs = [np.empty((perm.size,) + np.shape(p)[1:], np.result_type(p))
-                        for p in parts]
+                outs = [np.empty((n,) + np.shape(p)[1:], np.result_type(p)) for p in parts]
             for out, part in zip(outs, parts):
                 out[perm[lo:hi]] = part
         return tuple(outs) if isinstance(res, tuple) else outs[0]
-
-    def _per_row(self, k: int, bins: StepBins, keys, fn, rows):
-        """``per_bin(..., mean_only=True)``'s one call, on step k's ``bins``."""
-        labels = self._labels(k, bins, keys)
-        n = labels.size
-        if n == 0:
-            raise ValueError(f"per_bin at step {k} got no rows")
-        means = np.stack([mu.mean for mu in bins.measures], axis=1)      # (d, n_bins)
-        args = [np.asarray(r).view() for r in rows]
-        for a in args:
-            a.flags.writeable = False
-        res = fn(_RowMeans(means[:, labels]), *args)
-        parts = []
-        for part in (res if isinstance(res, tuple) else (res,)):
-            part = np.asarray(part)
-            if part.shape[:1] != (n,):
-                raise ValueError(f"per_bin at step {k}: an output of shape {part.shape} "
-                                 f"has no leading entry per row ({n} rows)")
-            if not part.flags.owndata or any(np.may_share_memory(part, a) for a in args):
-                part = part.copy()
-            parts.append(part)
-        return tuple(parts) if isinstance(res, tuple) else parts[0]
 
     def measure(self, k: int, bin_idx: int) -> EmpiricalMeasure:
         return self.steps[k].measures[bin_idx]

@@ -312,9 +312,9 @@ def box_minimize_batch(objective: Callable, lo: np.ndarray, hi: np.ndarray, n: i
     best_val = vals[pick, np.arange(n)]
 
     # cyclic coordinate descent over a single coordinate is idempotent after
-    # the first sweep; later sweeps only matter when coordinates couple
-    for sweep in range(1 if d == 1 else _SWEEPS):
-        moved = 0.0
+    # the first sweep; later sweeps only matter when coordinates couple.  Every
+    # batch runs the same sweeps, so a row's action never depends on its batch.
+    for _ in range(1 if d == 1 else _SWEEPS):
         for j in range(d):
             if spacing[j] <= 0:
                 continue
@@ -322,12 +322,8 @@ def box_minimize_batch(objective: Callable, lo: np.ndarray, hi: np.ndarray, n: i
             a_hi = np.minimum(best_a[:, j] + spacing[j], hi[j])
             if np.max(a_hi - a_lo) < 1e-13 * max(1.0, hi[j] - lo[j]):
                 continue
-            prev = best_a[:, j].copy()
             best_a, best_val = _golden_section_coord(
                 objective, best_a, best_val, j, a_lo, a_hi)
-            moved = max(moved, float(np.max(np.abs(best_a[:, j] - prev))))
-        if sweep > 0 and moved < 1e-10:
-            break
     return best_a, best_val
 
 

@@ -636,8 +636,8 @@ class TestGroups:
         flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
         k = 10
         keys = np.concatenate([[1e6], paths.xc[:, k, 0], [-1e6, np.inf, -np.inf]])
-        perm, groups = flow.groups(k, keys)
         labels = flow.assign(k, keys)
+        perm, groups = group_rows(labels, flow.bins_at(k).n_bins)
         assert groups[0][0] == 0 and groups[-1][0] == flow.bins_at(k).n_bins - 1
         self._check(perm, groups, labels, flow.bins_at(k).n_bins)
 
@@ -648,7 +648,7 @@ class TestGroups:
         k = 10
         edges = flow.bins_at(k).edges
         keys = np.array([edges[-1], edges[0], edges[-1], 0.5 * (edges[2] + edges[3])])
-        perm, groups = flow.groups(k, keys)
+        perm, groups = group_rows(flow.assign(k, keys), flow.bins_at(k).n_bins)
         last = flow.bins_at(k).n_bins - 1
         assert [b for b, _, _ in groups] == [0, 2, last]
         self._check(perm, groups, flow.assign(k, keys), last + 1)
@@ -658,7 +658,7 @@ class TestGroups:
         paths = simulate_driftless_state(lq_spec, noise)
         flow = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
         assert flow.bins_at(0).n_bins == 1      # point-mass initial common state
-        perm, groups = flow.groups(0, paths.xc[:, 0, 0])
+        perm, groups = group_rows(flow.assign(0, paths.xc[:, 0, 0]), flow.bins_at(0).n_bins)
         np.testing.assert_array_equal(perm, np.arange(4000))
         assert groups == [(0, 0, 4000)]
 
@@ -791,7 +791,7 @@ class TestPerBin:
 
 
 class TestFlowOwnedCaches:
-    """Bin groups and per-bin atom orders recorded at binning, against recomputing them."""
+    """Bin rows and per-bin atom orders recorded at binning, against recomputing them."""
 
     @staticmethod
     def _flows(lq_spec, small_config, seed, x_decimals=None):
@@ -817,15 +817,8 @@ class TestFlowOwnedCaches:
                  "crowded": heavy}
         return paths, flows
 
-    def test_cached_grouping_equals_assign(self, lq_spec, small_config, monkeypatch):
+    def test_cached_grouping_equals_assign(self, lq_spec, small_config):
         paths, flows = self._flows(lq_spec, small_config, 40)
-        rebuilt = []
-
-        def recording(labels, n_groups):
-            rebuilt.append(labels)
-            return group_rows(labels, n_groups)
-
-        monkeypatch.setattr(flows_mod, "group_rows", recording)
         crowded = flows["crowded"].steps
         assert any(st.n_bins < 8 for st in crowded[1:])
         assert all(np.all(st.counts > 0) for st in crowded)
@@ -833,28 +826,15 @@ class TestFlowOwnedCaches:
         for name, flow in flows.items():
             assert flow.paths is paths
             for k in range(paths.grid.n_steps + 1):
-                labels = flow.assign(k, paths.xc[:, flow.key_index(k), 0])
-                perm, groups = flow.groups(k, paths)
-                # the labels groups() rebuilds from the step's rows and counts
-                assert rebuilt[-1].dtype == np.int16
-                np.testing.assert_array_equal(rebuilt[-1], labels)
-                want_perm, want_groups = group_rows(labels, flow.bins_at(k).n_bins)
-                np.testing.assert_array_equal(perm, want_perm)
-                assert groups == want_groups, (name, k)
-        assert flows["current"].groups(0, paths)[1] == [(0, 0, paths.n_paths)]
-
-    def test_own_bundle_skips_assign(self, lq_spec, small_config, monkeypatch):
-        paths, flows = self._flows(lq_spec, small_config, 41)
-        flow = flows["partition"]
-        want = flow.groups(17, paths)
-
-        def no_assign(k, keys):
-            raise AssertionError("assign called for the flow's own bundle")
-
-        monkeypatch.setattr(flow, "assign", no_assign)
-        perm, groups = flow.groups(17, paths)
-        np.testing.assert_array_equal(perm, want[0])
-        assert groups == want[1]
+                # the step's sorted rows [lo, hi) of bin b are the rows assign puts in b
+                bins = flow.bins_at(k)
+                rebuilt = np.empty(paths.n_paths, dtype=np.intp)
+                rebuilt[bins.rows] = np.repeat(np.arange(bins.n_bins), bins.counts)
+                labels = flow.assign(k, paths)
+                np.testing.assert_array_equal(labels, rebuilt, err_msg=f"{name} {k}")
+                np.testing.assert_array_equal(
+                    labels, flow.assign(k, paths.xc[:, flow.key_index(k), 0]))
+        assert group_rows(flows["current"].assign(0, paths), 1)[1] == [(0, 0, paths.n_paths)]
 
     def test_foreign_bundle_keyed_by_its_common_state(self, lq_spec, small_config):
         paths, flows = self._flows(lq_spec, small_config, 42)
@@ -865,12 +845,12 @@ class TestFlowOwnedCaches:
             for k in (0, 7, 13, paths.grid.n_steps):
                 for bundle in (twin, other):
                     keys = bundle.xc[:, flow.key_index(k), 0]
-                    perm, groups = flow.groups(k, bundle)
-                    want_perm, want_groups = group_rows(flow.assign(k, keys),
-                                                        flow.bins_at(k).n_bins)
+                    n_bins = flow.bins_at(k).n_bins
+                    perm, groups = group_rows(flow.assign(k, bundle), n_bins)
+                    want_perm, want_groups = group_rows(flow.assign(k, keys), n_bins)
                     np.testing.assert_array_equal(perm, want_perm)
                     assert groups == want_groups
-                np.testing.assert_array_equal(flow.groups(k, twin)[0], flow.groups(k, paths)[0])
+                np.testing.assert_array_equal(flow.assign(k, twin), flow.assign(k, paths))
 
     def test_per_bin_on_paths_equals_per_bin_on_keys(self, lq_spec, small_config):
         paths, flows = self._flows(lq_spec, small_config, 44)

@@ -125,3 +125,45 @@ def test_terminal_cost_returning_a_view_leaves_the_paths(case):
     _bitwise(paths.x, before)
     want = solve_bsde(replace(spec, mean_field=False), flow, paths, noise, BasisSpec(degree=2))
     assert (got.y0, got.y0_stderr) == (want.y0, want.y0_stderr)
+
+
+def _two_action_spec():
+    """A declared spec with two coupled action axes and no argmin hook, so the
+    Hamiltonian is minimized by the box search's coordinate sweeps."""
+    w = 1.5
+
+    def drift(t, x, mu, a):
+        return a[:, :1] + 0.5 * a[:, 1:]
+
+    def running_cost(t, x, mu, a):
+        dev = x[:, 0] - w * mu.mean[0]
+        return 0.5 * a[:, 0] ** 2 + 0.4 * a[:, 0] * a[:, 1] + 0.5 * a[:, 1] ** 2 + dev ** 2
+
+    def terminal_cost(x, mu):
+        return 0.5 * (x[:, 0] - w * mu.mean[0]) ** 2
+
+    return replace(cnmfg.make_instance("lq"), d_action=2, action_lo=[-1.0, -1.0],
+                   action_hi=[1.0, 1.0], drift_bound=1.5, drift=drift,
+                   running_cost=running_cost, terminal_cost=terminal_cost,
+                   argmin_action=None, invert_drift=None, mean_field=True)
+
+
+def test_two_coupled_action_axes():
+    # every batch runs the same coordinate sweeps, so one whole-step batch and
+    # one batch per bin give each row the same action
+    declared = _two_action_spec()
+    looped = replace(declared, mean_field=False)
+    assert declared.mean_field and declared.argmin_action is None and not looped.mean_field
+    n_paths, n_steps = 600, 4
+    noise = generate_noise(n_paths, TimeGrid(declared.horizon, n_steps), 12, 1, 1)
+    paths = simulate_driftless_state(declared, noise)
+    flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
+    sols = [solve_bsde(s, flow, paths, noise, BasisSpec(degree=2), weights=True)
+            for s in (declared, looped)]
+    _bitwise(sols[0].z_coef, sols[1].z_coef)
+    _bitwise(sols[0].weights.log_m, sols[1].weights.log_m)
+    assert (sols[0].y0, sols[0].y0_stderr) == (sols[1].y0, sols[1].y0_stderr)
+    for k in range(n_steps):
+        got, want = (pass_actions(s, sols[0], flow, paths, k) for s in (declared, looped))
+        assert got.shape == (n_paths, 2)
+        _bitwise(got, want)
