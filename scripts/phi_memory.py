@@ -4,14 +4,16 @@
     PYTHONPATH=src python scripts/phi_memory.py --config scripts/lq1.cfg --paths 80000
     PYTHONPATH=src python scripts/phi_memory.py --config scripts/lq1.cfg --command solve
 
-``phi`` (the default) runs the stages of ``apply_phi(spec, None, config)`` one
-at a time: the reference simulation, the BSDE pass with its Girsanov weights,
-which bins each step of the input (unit-weight) flow when it reads it, and the
-output flow, binned after the noise and the input flow are dropped.  ``solve``
-runs the ``cnmfg solve`` command into a temporary directory and reports after
-each map application, flow distance and Picard mix, the projection, the
-mimicking check and ``exploitability``, and once the command has written its
-files.
+``phi`` (the default) runs ``apply_phi(spec, None, config)`` and reports after
+each of its stages: the reference simulation, the input (unit-weight) flow
+(``flow 1``, whose steps are binned only as the pass reads them), the BSDE pass
+with its Girsanov weights, and the output flow (``flow 2``), binned after the
+noise and the input flow are dropped.  ``solve`` runs the ``cnmfg solve``
+command into a temporary directory and reports after each map application,
+flow distance and Picard mix, the projection, the mimicking check and
+``exploitability``, and once the command has written its files.  Each stage is
+the program's own function, wrapped at the binding its caller looks up, and is
+numbered by its calls.
 
 The run is made twice, each in a fresh interpreter as perfbench runs a
 repetition: once untraced, and once under ``tracemalloc``, whose own
@@ -39,8 +41,6 @@ from pathlib import Path
 
 import cnmfg.cli as cli_mod
 import cnmfg.equilibrium as equilibrium_mod
-from cnmfg.bsde import solve_bsde
-from cnmfg.equilibrium import _estimate_flow, _reference
 from cnmfg.flows import ConditionalMeasureFlow
 
 _MB = 1024.0 ** 2
@@ -54,40 +54,40 @@ def _rss() -> float:
         return int(fh.read().split()[1]) * _PAGE
 
 
+def _staged(owner, name, stage, report, counts):
+    """Replaces ``owner.name`` by a wrapper that calls it, then reports
+    ``"<stage> <n>"`` for its n-th call, counted in ``counts``."""
+    fn = getattr(owner, name)
+
+    @functools.wraps(fn)
+    def run_and_report(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        counts[stage] = counts.get(stage, 0) + 1
+        report(f"{stage} {counts[stage]}")
+        return out
+
+    setattr(owner, name, run_and_report)
+
+
 def _run_phi(spec, config, report):
-    noise, paths = _reference(spec, config)
-    report("reference")
-    m = _estimate_flow(spec, config, paths, None, on_read=True)
-    solution = solve_bsde(spec, m, paths, noise, config.basis(), weights=True)
-    report("BSDE pass")
-    del m, noise
-    flow = _estimate_flow(spec, config, paths, solution.weights)
-    report("output flow")
-    print(f"y0 {solution.y0!r}; {flow.n_source} paths binned")
+    counts = {}
+    for name, stage in (("_reference", "reference"), ("_estimate_flow", "flow"),
+                        ("solve_bsde", "BSDE pass")):
+        _staged(equilibrium_mod, name, stage, report, counts)
+    phi = equilibrium_mod.apply_phi(spec, None, config)
+    print(f"y0 {phi.solution.y0!r}; {phi.flow.n_source} paths binned")
 
 
 def _run_solve(spec, config, report):
     counts = {}
-
-    def staged(owner, name, stage):
-        fn = getattr(owner, name)
-
-        @functools.wraps(fn)
-        def run_and_report(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            counts[stage] = counts.get(stage, 0) + 1
-            report(f"{stage} {counts[stage]}")
-            return out
-
-        setattr(owner, name, run_and_report)
-
     # each stage at the binding its caller looks up
-    staged(equilibrium_mod, "apply_phi", "phi")
-    staged(equilibrium_mod, "flow_distance", "distance")
-    staged(ConditionalMeasureFlow, "reweighted", "mix")
-    staged(equilibrium_mod, "project_control", "projection")
-    staged(equilibrium_mod, "mimicking_check", "mimicking")
-    staged(cli_mod, "exploitability", "exploitability")
+    for owner, name, stage in ((equilibrium_mod, "apply_phi", "phi"),
+                               (equilibrium_mod, "flow_distance", "distance"),
+                               (ConditionalMeasureFlow, "reweighted", "mix"),
+                               (equilibrium_mod, "project_control", "projection"),
+                               (equilibrium_mod, "mimicking_check", "mimicking"),
+                               (cli_mod, "exploitability", "exploitability")):
+        _staged(owner, name, stage, report, counts)
     with tempfile.TemporaryDirectory() as out:
         cli_mod._cmd_solve(spec, config, Path(out))
         report("files")

@@ -19,7 +19,7 @@ window's per-step fits into one polynomial in the inputs
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -226,28 +226,23 @@ class BsdeSolution:
     y0_stderr: float
     residual_var: np.ndarray     # (n_steps,)
     weights: Optional[GirsanovWeights] = None      # of the pass's control, if asked for
-    _window_coef: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def z_smoothed(self, k: int, x: np.ndarray, xc: np.ndarray, window: int = 9) -> np.ndarray:
         """Integrand averaged over a centred step window.
 
         The integrand is continuous in time, so averaging the per-step fits
         trades an O(window * dt) bias for a substantial variance cut.  Each
-        neighbour's fit, under its own standardization, is a polynomial in
-        the inputs; their mean is folded into one coefficient matrix on the
+        neighbour's fit, under its own standardization, is a polynomial in the
+        inputs; each call folds their mean into one coefficient matrix on the
         monomials of the inputs standardized by step k's statistics (scale one
-        for a variable constant at step k), cached per (step, window).
+        for a variable constant at step k).
         """
-        fold = self._window_coef.get((k, window))
-        if fold is None:
-            n_steps = self.z_coef.shape[0]
-            lo, hi = max(0, k - window // 2), min(n_steps, k + window // 2 + 1)
-            centre, std = self.basis.stats[k]
-            scale = np.where(np.isinf(std), 1.0, std)
-            coef = sum(self.basis.coef_on(j, self.z_coef[j], centre, scale)
-                       for j in range(lo, hi)) / (hi - lo)
-            fold = self._window_coef[(k, window)] = (centre, scale, coef)
-        centre, scale, coef = fold
+        n_steps = self.z_coef.shape[0]
+        lo, hi = max(0, k - window // 2), min(n_steps, k + window // 2 + 1)
+        centre, std = self.basis.stats[k]
+        scale = np.where(np.isinf(std), 1.0, std)
+        coef = sum(self.basis.coef_on(j, self.z_coef[j], centre, scale)
+                   for j in range(lo, hi)) / (hi - lo)
         return self.basis.monomials(x, xc, centre, scale) @ coef.T
 
 
@@ -327,12 +322,12 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
             def minimize(mu, x, z):
                 a, h_bin = minimize_hamiltonian_batch(spec, t_k, x, mu, z)
                 if log_m is None:
-                    return a, h_bin
-                return a, h_bin, _sigma_inv_drift(spec, t_k, x, mu, a)
+                    return (h_bin,)
+                return h_bin, _sigma_inv_drift(spec, t_k, x, mu, a)
 
-            _, h, *lam = flow.per_bin(k, paths, minimize, paths.x[:, k],
-                                      np.matmul(feats, z_coef[k].T, out=z_fit),
-                                      mean_only=spec.mean_field)
+            h, *lam = flow.per_bin(k, paths, minimize, paths.x[:, k],
+                                   np.matmul(feats, z_coef[k].T, out=z_fit),
+                                   mean_only=spec.mean_field)
             if log_m is not None:
                 put_log_increment(log_m, k, lam[0], noise)
             np.multiply(h, dt, out=h_dt)

@@ -28,7 +28,7 @@ from .bsde import (
 )
 from .flows import (ConditionalMeasureFlow, estimate_conditional_flow, flow_distance,
                     _flow_on_read)
-from .girsanov import GirsanovWeights
+from .girsanov import GirsanovWeights, paired_gap
 from .problem import ProblemSpec
 from .projection import MimickingReport, mimicking_check, project_control
 from .sde import (NoiseBundle, PathBundle, TimeGrid, generate_noise, simulate_driftless_state,
@@ -313,14 +313,11 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
     mesh = np.meshgrid(*axes, indexing="ij")
     consts = np.column_stack([g.ravel() for g in mesh])
     shifts = (-_SHIFT, _SHIFT)
-    names = (["self", "bsde-best-response"]
-             + [f"const{tuple(np.round(c, 6))}" for c in consts]
-             + [f"shift{s:+g}" for s in shifts])
 
     def step_actions(k):
         keys = paths.xc[:, flow.key_index(k), 0]
         a_pol = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
-        a_k = np.empty((len(names), paths.n_paths, spec.d_action))
+        a_k = np.empty((2 + len(consts) + len(shifts), paths.n_paths, spec.d_action))
         a_k[0] = a_pol
         a_k[1] = pass_actions(spec, br, flow, paths, k)
         a_k[2:2 + len(consts)] = consts[:, None, :]
@@ -329,12 +326,4 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
         return a_k
 
     scores = stacked_objective_influence(spec, flow, step_actions, paths, noise)
-    j_pol, _, infl_pol = scores[0]
-    best = (j_pol, infl_pol, "self")
-    for name, (j, _, infl) in zip(names[1:], scores[1:]):
-        if j < best[0]:
-            best = (j, infl, name)
-    eps = j_pol - best[0]
-    diff = infl_pol - best[1]
-    se = float(diff.std(ddof=1) / np.sqrt(paths.n_paths))
-    return float(eps), se
+    return paired_gap(scores[0], min(scores, key=lambda s: s[0]))   # first lowest; self wins a tie

@@ -365,9 +365,7 @@ class ConditionalMeasureFlow:
         ``step_w(k)`` of each step k ((n,) in path order, normalized over the
         step).  Every step is binned here, one at a time, so a blend of two
         flows' ``step_weights`` never exists for more than one step."""
-        return replace(self, steps=list(_StepsOnRead(
-            self.paths, step_w, self.key_idx, self.n_bins_requested,
-            self.min_bin_count, self.flow_p)))
+        return replace(self, steps=list(_StepsOnRead(self, step_w)))
 
     def key_index(self, k: int) -> int:
         return int(self.key_idx[k])
@@ -460,24 +458,23 @@ class _RowMeans:
 
 class _StepsOnRead:
     """StepBins per step, each binned when it is read and kept by nobody: step k
-    is the atoms ``paths.x[:, k]`` under the weights ``step_w(k)`` (path order,
-    normalized) binned by the key at ``key_idx[k]``, each bin's measure carrying
-    moment order ``p``.  A pass that reads each step once, as ``solve_bsde``
-    reads its input flow, holds one step's bins at a time; ``list`` bins them all."""
+    is ``flow``'s atoms at k under the weights ``step_w(k)`` (path order,
+    normalized), binned as ``flow``'s settings say.  A pass that reads each step
+    once, as ``solve_bsde`` reads its input flow, holds one step's bins at a time."""
 
-    def __init__(self, paths: PathBundle, step_w, key_idx: np.ndarray, n_bins: int,
-                 min_bin_count: int, p: float):
-        self._args = paths, step_w, key_idx, n_bins, min_bin_count, p
+    def __init__(self, flow: ConditionalMeasureFlow, step_w):
+        self._flow, self._step_w = flow, step_w
 
     def __len__(self) -> int:
-        return len(self._args[2])
+        return len(self._flow.key_idx)
 
     def __getitem__(self, k) -> StepBins:
-        paths, step_w, key_idx, n_bins, min_bin_count, p = self._args
-        k = range(len(key_idx))[k]
-        j = key_idx[k]
+        f, paths = self._flow, self._flow.paths
+        k = range(len(self))[k]
+        j = f.key_idx[k]
         return _make_step_bins(k, paths.xc[:, j, 0], paths.key_order[:, j], paths.x[:, k],
-                               step_w(k), n_bins, min_bin_count, paths.state_order[:, k], p)
+                               self._step_w(k), f.n_bins_requested, f.min_bin_count,
+                               paths.state_order[:, k], f.flow_p)
 
 
 def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
@@ -538,11 +535,10 @@ def _flow_on_read(x_paths: PathBundle, weights: Optional[GirsanovWeights], n_bin
             w = weights.scaled(k)
             w /= w.sum()     # pairwise along the contiguous step
             return w
-    return ConditionalMeasureFlow(
-        paths=x_paths,
-        steps=_StepsOnRead(x_paths, step_w, key_idx, n_bins, min_bin_count, flow_p),
-        key_idx=key_idx, partition_times=partition, n_bins_requested=n_bins,
-        min_bin_count=min_bin_count, flow_p=flow_p)
+    # the settings flow that the steps read has no steps, so no cycle keeps a flow alive
+    settings = ConditionalMeasureFlow(x_paths, [], key_idx, partition, n_bins_requested=n_bins,
+                                      min_bin_count=min_bin_count, flow_p=flow_p)
+    return replace(settings, steps=_StepsOnRead(settings, step_w))
 
 
 def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,

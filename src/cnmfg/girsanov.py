@@ -27,6 +27,7 @@ __all__ = [
     "put_log_increment",
     "log_increments",
     "self_normalized_mean",
+    "paired_gap",
     "weighted_conditional_values",
     "ConditionalBinReport",
 ]
@@ -130,6 +131,13 @@ def self_normalized_mean(values: np.ndarray, weights: np.ndarray):
     influence = w * (v - est) / wbar
     stderr = float(influence.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else float("inf")
     return est, stderr, influence
+
+
+def paired_gap(a: tuple, b: tuple):
+    """(estimate a - estimate b, paired standard error) of two ``self_normalized_mean``
+    triples on the same paths; the error is that of the influence difference's mean."""
+    diff = a[2] - b[2]
+    return float(a[0] - b[0]), float(diff.std(ddof=1) / np.sqrt(diff.size))
 
 
 @dataclass

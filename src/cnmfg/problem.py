@@ -88,7 +88,6 @@ class EmpiricalMeasure:
         self.support = support
         self.weights = weights
         self.p = float(p)
-        self._sorted = None
 
     @property
     def dim(self) -> int:
@@ -105,13 +104,11 @@ class EmpiricalMeasure:
     @property
     def sorted_1d(self):
         """(sorted atoms, matching weights), tied atoms in support order; only
-        valid for 1-d supports.  Sorted on first use and cached."""
+        valid for 1-d supports.  Sorted on every call."""
         if self.dim != 1:
             raise ValueError("sorted_1d requires 1-d support")
-        if self._sorted is None:
-            order = np.argsort(self.support[:, 0], kind="stable")
-            self._sorted = (self.support[order, 0], self.weights[order])
-        return self._sorted
+        order = np.argsort(self.support[:, 0], kind="stable")
+        return self.support[order, 0], self.weights[order]
 
 
 class _RowsMeasure(EmpiricalMeasure):

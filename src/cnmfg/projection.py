@@ -19,7 +19,7 @@ import numpy as np
 from .bsde import (BasisSpec, MarkovPolicy, stacked_objective_influence, _ridge_factor,
                    _ridge_solve)
 from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport
-from .girsanov import GirsanovWeights
+from .girsanov import GirsanovWeights, paired_gap
 from .problem import ProblemSpec, box_minimize_batch
 from .sde import NoiseBundle, PathBundle, simulate_markov_sde, step_major
 
@@ -87,8 +87,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
     key_axes = np.empty((n_steps, _N_KEY))
     tables = np.empty((n_steps, _N_X, _N_KEY, spec.d_action))
     flagged = 0
-    total_cells = 0
-    worst = (0.0, -1, -1)
+    worst = (0.0, -1)
 
     for k in range(n_steps):
         keys = paths.xc[:, flow.key_index(k), 0]
@@ -132,14 +131,11 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
                           & (cell_actions < spec.action_hi - margin), axis=1)
         bad = (cell_resid > _INVERSION_TOL) & interior
         flagged += int(np.count_nonzero(bad))
-        total_cells += cell_x.size
         if np.any(bad):
-            i = int(np.argmax(np.where(bad, cell_resid, -np.inf)))
-            if cell_resid[i] > worst[0]:
-                worst = (float(cell_resid[i]), k, i)
+            worst = max(worst, (float(cell_resid[bad].max()), k), key=lambda w: w[0])
         tables[k] = cell_actions.reshape(_N_X, _N_KEY, spec.d_action)
 
-    frac = flagged / max(total_cells, 1)
+    frac = flagged / tables[..., 0].size
     if frac > _MAX_FLAGGED:
         raise RuntimeError(
             f"drift inversion failed on {frac:.2%} of cells "
@@ -202,8 +198,4 @@ def project_cost_gap(spec: ProblemSpec, paths: PathBundle, action_samples: np.nd
         markov = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
         return np.stack([original[:, k], markov])
 
-    (j_orig, _, infl_orig), (j_mark, _, infl_mark) = stacked_objective_influence(
-        spec, flow, step_actions, paths, noise)
-    diff = infl_orig - infl_mark
-    se = float(diff.std(ddof=1) / np.sqrt(paths.n_paths))
-    return float(j_orig - j_mark), se
+    return paired_gap(*stacked_objective_influence(spec, flow, step_actions, paths, noise))

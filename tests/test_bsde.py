@@ -613,9 +613,6 @@ class TestWindowFold:
                 for x, xc in ((paths.x[:, k], paths.xc[:, k]), off):
                     want = _window_loop(solution, k, x, xc, window)
                     _assert_fold_close(solution.z_smoothed(k, x, xc, window), want)
-        coef = solution._window_coef[(0, 9)]
-        solution.z_smoothed(0, *off, window=9)
-        assert solution._window_coef[(0, 9)] is coef            # folded once per (step, window)
 
     def test_solved_integrand(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=2000, n_steps=10, seed=4)

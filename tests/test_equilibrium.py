@@ -238,6 +238,26 @@ class TestExploitability:
         # the zero policy pays 0.5 per unit time; the best response pays nothing
         assert eps == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("self_estimate", [1.0, 0.5])
+    def test_tied_deviations_report_the_first(self, lq_spec, monkeypatch, self_estimate):
+        # two deviations tie for the lowest estimate with different influences:
+        # the gap is to the first of them, or to self when self ties too
+        cfg = SolverConfig(n_paths=500, n_steps=4, n_bins=2, min_bin_count=32, seed=3)
+        infl = np.random.default_rng(4).normal(size=(5, cfg.n_paths))
+        estimates = [self_estimate, 0.8, 0.5, 0.5, 0.6]
+        scores = [(j, 0.0, f) for j, f in zip(estimates, infl)]
+        monkeypatch.setattr(equilibrium_mod, "stacked_objective_influence",
+                            lambda *args: scores)
+
+        class Zero:
+            def actions(self, k, x, xc, key):
+                return np.zeros((np.atleast_2d(x).shape[0], 1))
+
+        eps, se = exploitability(lq_spec, initial_flow(lq_spec, cfg), Zero(), cfg)
+        first = 0 if self_estimate == 0.5 else 2
+        assert eps == self_estimate - 0.5
+        assert se == float((infl[0] - infl[first]).std(ddof=1) / np.sqrt(cfg.n_paths))
+
 
 class TestMixing:
     def test_damping_halves_on_stall(self, lq_spec):

@@ -5,6 +5,7 @@ import cnmfg
 from cnmfg.girsanov import (
     GirsanovWeights,
     log_increments,
+    paired_gap,
     self_normalized_mean,
     stochastic_exponential,
     weighted_conditional_values,
@@ -161,6 +162,21 @@ class TestWeightedExpectation:
         drifted_terminal = paths.x[:, -1, 0] + 0.5  # sigma=1, exact for constant drift
         se = 3 * drifted_terminal.std() / np.sqrt(drifted_terminal.size)
         assert abs(weighted_mean - 0.5) <= 3 * se
+
+
+class TestPairedGap:
+    def test_difference_and_paired_stderr(self):
+        rng = np.random.default_rng(3)
+        values, w = rng.normal(size=(2, 400)), rng.uniform(0.5, 2.0, size=(2, 400))
+        a, b = self_normalized_mean(values[0], w[0]), self_normalized_mean(values[1], w[1])
+        gap, se = paired_gap(a, b)
+        assert gap == a[0] - b[0]
+        assert se == (a[2] - b[2]).std(ddof=1) / np.sqrt(400)
+        assert se != np.hypot(a[1], b[1])       # paired, not independent errors
+
+    def test_a_triple_against_itself_is_zero(self):
+        t = self_normalized_mean(np.arange(10.0), np.linspace(1.0, 2.0, 10))
+        assert paired_gap(t, t) == (0.0, 0.0)
 
 
 class TestConditionalValues:
