@@ -19,12 +19,14 @@ The run is made twice, each in a fresh interpreter as perfbench runs a
 repetition: once untraced, and once under ``tracemalloc``, whose own
 bookkeeping raises the resident set and can move the stage at which it peaks.
 One row per stage gives, in MB: the untraced run's resident set
-(``/proc/self/statm``) and peak resident set (``ru_maxrss``); the same two in
+(``/proc/self/statm``) and peak resident set (``ru_maxrss``, raised to that
+resident set and to the row above where it lags below them); the same two in
 the traced run; the bytes ``tracemalloc`` traces now and at their peak during
 the stage; and the slack, the traced run's resident set above its resident set
 after import minus the traced bytes: freed heap the allocator keeps, plus
-``tracemalloc``'s bookkeeping.  A last line per run names the stage by which
-it first reached its peak.
+``tracemalloc``'s bookkeeping.  A last line per run names the first stage that
+came within 0.1 MB of its peak: the two kernel counters read disagree by about
+that much.
 """
 
 import argparse
@@ -45,6 +47,9 @@ from cnmfg.flows import ConditionalMeasureFlow
 
 _MB = 1024.0 ** 2
 _PAGE = os.sysconf("SC_PAGE_SIZE")
+# statm's resident set and ru_maxrss disagree by about 0.1 MB (seen up to
+# 0.11 MB on lq1), so a stage within this of the peak has reached it
+_RESOLUTION = 0.1 * _MB
 # a run in a fresh interpreter: this file imported as a module, then _run
 _CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import phi_memory; phi_memory._run()"
 
@@ -104,8 +109,12 @@ def _run():
 
     def report(stage):
         now, peak = tracemalloc.get_traced_memory()    # zeros when not tracing
-        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-        rows.append((stage, _rss(), maxrss, now, peak))
+        # the resident set first, and a peak no lower than it or the last row's:
+        # ru_maxrss can lag behind both
+        rss = _rss()
+        maxrss = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024, rss,
+                     rows[-1][2] if rows else 0)
+        rows.append((stage, rss, maxrss, now, peak))
         tracemalloc.reset_peak()
 
     if job["traced"]:
@@ -147,8 +156,9 @@ def main():
               f"{maxrss_t / _MB:8.1f} {now / _MB:8.1f} {peak / _MB:8.1f} "
               f"{(rss_t - traced['base'] - now) / _MB:8.1f}")
     for name, run in (("untraced", plain), ("traced", traced)):
-        top = max(run["rows"], key=lambda row: row[2])    # the first row at the largest maxrss
-        print(f"{name} peak {top[2] / _MB:.1f} MB, first reached by stage {top[0]!r}")
+        peak = run["rows"][-1][2]    # the peak column never falls
+        top = next(row for row in run["rows"] if row[2] >= peak - _RESOLUTION)
+        print(f"{name} peak {peak / _MB:.1f} MB, first reached by stage {top[0]!r}")
 
 
 if __name__ == "__main__":

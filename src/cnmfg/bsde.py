@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _EXPLOSION_THRESHOLD = 1e8   # a step's residual variance above this aborts the pass
+_RIDGE = 1e-8                 # ridge penalty of every basis regression
 
 
 @lru_cache(maxsize=None)
@@ -64,15 +65,12 @@ class BasisSpec:
     """
 
     degree: int = 2
-    ridge: float = 1e-8
     stats: Optional[np.ndarray] = None       # (n_steps + 1, 2, n_vars) input mean/std
     col_stats: Optional[np.ndarray] = None   # (n_steps + 1, 2, n_features) column mean/std
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
 
     def exponents(self, n_vars: int):
         return _monomial_exponents(n_vars, self.degree)
@@ -85,8 +83,7 @@ class BasisSpec:
         cached = paths.basis_stats.get(self.degree)
         if cached is None:
             cached = paths.basis_stats[self.degree] = self._fit(paths)
-        return BasisSpec(degree=self.degree, ridge=self.ridge,
-                         stats=cached.stats, col_stats=cached.col_stats)
+        return BasisSpec(degree=self.degree, stats=cached.stats, col_stats=cached.col_stats)
 
     def _fit(self, paths: PathBundle) -> "BasisSpec":
         n, n_steps1, d_x = paths.x.shape
@@ -110,7 +107,7 @@ class BasisSpec:
             raw /= stats[k, 1][:, None]
             mean, std = _row_mean_std(self._monomials(raw, cols)[1:], work)
             col_stats[k, :, 1:] = mean, np.where(std < 1e-12, np.inf, std)
-        return BasisSpec(degree=self.degree, ridge=self.ridge, stats=stats, col_stats=col_stats)
+        return BasisSpec(degree=self.degree, stats=stats, col_stats=col_stats)
 
     def _monomials(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out`` (n_features, n) filled with the monomials of the rows of ``z`` (n_vars, n)."""
@@ -306,7 +303,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
     zt, z_fit = np.empty((n, spec.d_state)), np.empty((n, spec.d_state))
     for k in range(n_steps - 1, -1, -1):
         feats = fitted.features(k, paths.x[:, k], paths.xc[:, k], blocks)
-        factor = _ridge_factor(feats, fitted.ridge)
+        factor = _ridge_factor(feats, _RIDGE)
         c_pre = _ridge_solve(factor, feats, y_next)
         centred = np.subtract(y_next, np.matmul(feats, c_pre, out=dev), out=dev)
 

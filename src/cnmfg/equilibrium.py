@@ -157,14 +157,14 @@ def _reference(spec: ProblemSpec, config: SolverConfig,
     return replace(noise, dw0=None), simulate_driftless_state(spec, noise)
 
 
-def _estimate_flow(spec: ProblemSpec, config: SolverConfig, paths: PathBundle,
+def _estimate_flow(config: SolverConfig, paths: PathBundle,
                    weights: Optional[GirsanovWeights],
                    on_read: bool = False) -> ConditionalMeasureFlow:
     """The config's flow of ``paths`` under ``weights``; with ``on_read`` each
     step is binned whenever it is read and not kept (``flows._flow_on_read``)."""
     estimate = _flow_on_read if on_read else estimate_conditional_flow
     return estimate(paths, weights, config.n_bins, partition_times=config.partition_times,
-                    min_bin_count=config.min_bin_count, flow_p=spec.p)
+                    min_bin_count=config.min_bin_count)
 
 
 def initial_flow(spec: ProblemSpec, config: SolverConfig,
@@ -172,7 +172,7 @@ def initial_flow(spec: ProblemSpec, config: SolverConfig,
     """Unit-weight conditional law of the driftless state; the iteration seed."""
     if paths is None:
         _, paths = _reference(spec, config)
-    return _estimate_flow(spec, config, paths, None)
+    return _estimate_flow(config, paths, None)
 
 
 def apply_phi(spec: ProblemSpec, m: Optional[ConditionalMeasureFlow], config: SolverConfig,
@@ -189,10 +189,10 @@ def apply_phi(spec: ProblemSpec, m: Optional[ConditionalMeasureFlow], config: So
     output is binned."""
     noise, paths = _reference(spec, config) if reference is None else reference
     if m is None:
-        m = _estimate_flow(spec, config, paths, None, on_read=True)
+        m = _estimate_flow(config, paths, None, on_read=True)
     solution = solve_bsde(spec, m, paths, noise, config.basis(), weights=True)
     del m, noise
-    return PhiResult(flow=_estimate_flow(spec, config, paths, solution.weights),
+    return PhiResult(flow=_estimate_flow(config, paths, solution.weights),
                      solution=solution)
 
 

@@ -250,7 +250,7 @@ def _label_dtype(n_groups: int):
 
 def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarray,
                     weights: np.ndarray, n_bins: int, min_bin_count: int,
-                    state_order: np.ndarray, p: float) -> StepBins:
+                    state_order: np.ndarray) -> StepBins:
     """Quantile bins of ``keys`` at step k; ``order`` is a stable argsort of ``keys``
     and ``state_order`` one of ``atoms[:, 0]``.  The bins' measures read ``atoms``
     and ``weights`` (normalized over the step) through the bins' rows."""
@@ -303,7 +303,7 @@ def _make_step_bins(k: int, keys: np.ndarray, order: np.ndarray, atoms: np.ndarr
                else "weights not finite or negative")
         raise ValueError(f"empirical measure needs positive total mass at step {k}, "
                          f"bin {b} (total weight {totals[b]:.6g}): {why}")
-    measures = [_RowsMeasure(atoms, rows[lo:hi], row_w[lo:hi], total, p)
+    measures = [_RowsMeasure(atoms, rows[lo:hi], row_w[lo:hi], total)
                 for lo, hi, total in zip(starts, ends, totals)]
     return StepBins(edges=full_edges, measures=measures, counts=counts, rows=rows,
                     row_w=row_w, totals=totals)
@@ -327,7 +327,6 @@ class ConditionalMeasureFlow:
     partition_times: Optional[tuple]          # None: current-value conditioning
     n_bins_requested: int
     min_bin_count: int
-    flow_p: float = 2.0
 
     @property
     def grid(self) -> TimeGrid:
@@ -474,7 +473,7 @@ class _StepsOnRead:
         j = f.key_idx[k]
         return _make_step_bins(k, paths.xc[:, j, 0], paths.key_order[:, j], paths.x[:, k],
                                self._step_w(k), f.n_bins_requested, f.min_bin_count,
-                               paths.state_order[:, k], f.flow_p)
+                               paths.state_order[:, k])
 
 
 def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
@@ -485,8 +484,7 @@ def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
 
 def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWeights],
                               n_bins: int, partition_times: Optional[Sequence[float]] = None,
-                              min_bin_count: int = 64,
-                              flow_p: float = 2.0) -> ConditionalMeasureFlow:
+                              min_bin_count: int = 64) -> ConditionalMeasureFlow:
     """Bin the conditioning key by weighted quantiles, one empirical law per bin.
 
     ``weights`` may be None for unit weights; otherwise the time-matched
@@ -497,13 +495,13 @@ def estimate_conditional_flow(x_paths: PathBundle, weights: Optional[GirsanovWei
     ``min_bin_count`` (at least 1) atoms are merged into their nearest
     neighbour, so no bin is empty.
     """
-    flow = _flow_on_read(x_paths, weights, n_bins, partition_times, min_bin_count, flow_p)
+    flow = _flow_on_read(x_paths, weights, n_bins, partition_times, min_bin_count)
     return replace(flow, steps=list(flow.steps))
 
 
 def _flow_on_read(x_paths: PathBundle, weights: Optional[GirsanovWeights], n_bins: int,
-                  partition_times: Optional[Sequence[float]], min_bin_count: int,
-                  flow_p: float) -> ConditionalMeasureFlow:
+                  partition_times: Optional[Sequence[float]],
+                  min_bin_count: int) -> ConditionalMeasureFlow:
     """``estimate_conditional_flow``'s flow with its steps binned on read (``_StepsOnRead``)."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -537,7 +535,7 @@ def _flow_on_read(x_paths: PathBundle, weights: Optional[GirsanovWeights], n_bin
             return w
     # the settings flow that the steps read has no steps, so no cycle keeps a flow alive
     settings = ConditionalMeasureFlow(x_paths, [], key_idx, partition, n_bins_requested=n_bins,
-                                      min_bin_count=min_bin_count, flow_p=flow_p)
+                                      min_bin_count=min_bin_count)
     return replace(settings, steps=_StepsOnRead(settings, step_w))
 
 

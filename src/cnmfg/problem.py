@@ -9,8 +9,8 @@ Coefficient callables are vectorized over a batch of paths:
     argmin_action(t, x, mu, z)  optional, z (n, d_state)                 -> (n, d_action)
     invert_drift(t, x, mu, target)  optional, target (n, d_state)        -> (n, d_action)
 
-``mu`` is an :class:`EmpiricalMeasure` (weighted atoms plus cached
-moments): the one measure type, which the flows in ``flows.py`` also bin,
+``mu`` is an :class:`EmpiricalMeasure` (weighted atoms plus a cached
+mean): the one measure type, which the flows in ``flows.py`` also bin,
 sort and transport.  Row i of a batch is a player conditioned on the common
 state, and ``mu`` is the conditional law of its bin.
 
@@ -65,11 +65,10 @@ class SingularDiffusionError(ValueError):
 class EmpiricalMeasure:
     """Finite-support probability measure: weighted atoms in R^d, normalized to mass one.
 
-    ``mean`` and the ``p``-th moment ``pth_moment`` are computed on first
-    access and cached.
+    ``mean`` is computed on first access and cached.
     """
 
-    def __init__(self, support, weights=None, p: float = 2.0):
+    def __init__(self, support, weights=None):
         support = np.asarray(support, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
@@ -87,7 +86,6 @@ class EmpiricalMeasure:
             weights = weights / total
         self.support = support
         self.weights = weights
-        self.p = float(p)
 
     @property
     def dim(self) -> int:
@@ -96,10 +94,6 @@ class EmpiricalMeasure:
     @cached_property
     def mean(self) -> np.ndarray:
         return self.weights @ self.support
-
-    @cached_property
-    def pth_moment(self) -> float:
-        return float(self.weights @ np.linalg.norm(self.support, axis=1) ** self.p)
 
     @property
     def sorted_1d(self):
@@ -116,14 +110,12 @@ class _RowsMeasure(EmpiricalMeasure):
     coordinate, under the weights ``w`` of total ``total``.
 
     Nothing is copied at construction: ``support``, ``weights`` and
-    ``sorted_1d`` are gathered on each read, and only ``mean`` and
-    ``pth_moment`` are cached.  ``atoms`` must not change afterwards.
+    ``sorted_1d`` are gathered on each read, and only ``mean`` is cached.
+    ``atoms`` must not change afterwards.
     """
 
-    def __init__(self, atoms: np.ndarray, rows: np.ndarray, w: np.ndarray, total: float,
-                 p: float):
+    def __init__(self, atoms: np.ndarray, rows: np.ndarray, w: np.ndarray, total: float):
         self._atoms, self._rows, self._w, self._total = atoms, rows, w, total
-        self.p = p
 
     @property
     def support(self) -> np.ndarray:
@@ -155,7 +147,6 @@ class ProblemSpec:
     d_common: int
     d_action: int
     horizon: float
-    p: float
     sigma: np.ndarray
     sigma0: np.ndarray
     sigmac: np.ndarray
@@ -181,8 +172,6 @@ class ProblemSpec:
                 raise ValueError(f"{name} must be a positive integer")
         if not 0 < self.horizon < np.inf:
             raise ValueError("horizon must be finite and > 0")
-        if not 2 <= self.p < np.inf:
-            raise ValueError("moment exponent p must be finite and >= 2")
         object.__setattr__(self, "sigma", np.atleast_2d(np.asarray(self.sigma, float)))
         object.__setattr__(self, "sigma0", np.atleast_2d(np.asarray(self.sigma0, float)))
         object.__setattr__(self, "sigmac", np.atleast_2d(np.asarray(self.sigmac, float)))
@@ -426,7 +415,7 @@ def validate_spec(spec: ProblemSpec, n_probes: int = 256, seed: int = 0) -> Vali
     x_probes = rng.normal(0.0, 3.0, size=(m, spec.d_state))
     xc_probes = rng.normal(0.0, 3.0, size=(m, spec.d_common))
     mu_atoms = rng.normal(0.0, 2.0, size=(8, spec.d_state))
-    mu = EmpiricalMeasure(mu_atoms, p=spec.p)
+    mu = EmpiricalMeasure(mu_atoms)
 
     max_drift = 0.0
     max_common = 0.0
@@ -508,7 +497,7 @@ def _scalar_spec(family: str, params: dict, drift, running_cost, terminal_cost,
     else:
         common_sampler = point_mass_sampler(v["common_init"], dim=1)
     return ProblemSpec(
-        d_state=1, d_common=1, d_action=1, horizon=v["horizon"], p=v["p"],
+        d_state=1, d_common=1, d_action=1, horizon=v["horizon"],
         sigma=[[v["sigma"]]], sigma0=[[v["sigma0"]]], sigmac=[[v["sigmac"]]],
         action_lo=[v["action_lo"]], action_hi=[v["action_hi"]],
         drift_bound=drift_bound, common_drift_bound=0.0,
@@ -527,8 +516,7 @@ def _make_lq(action_weight: float = 1.0, state_weight: float = 3.0,
              sigma: float = 1.0, sigma0: float = 0.5, sigmac: float = 1.0,
              horizon: float = 1.0, action_lo: float = -1.0, action_hi: float = 1.0,
              init_mean: float = 0.0, init_std: float = 0.5, init_clip: float = 3.0,
-             common_init: float = 0.0, common_init_std: float = 0.0,
-             p: float = 2.0) -> ProblemSpec:
+             common_init: float = 0.0, common_init_std: float = 0.0) -> ProblemSpec:
     """Linear-quadratic family: drift = action, quadratic costs in (a, x - w*mean).
 
     Default weights give a fixed point the damped iteration genuinely has to
@@ -568,8 +556,7 @@ def _make_tanh(gain: float = 0.5, cost_weight: float = 1.0, interaction: float =
                sigma: float = 1.0, sigma0: float = 0.5, sigmac: float = 1.0,
                horizon: float = 1.0, action_lo: float = -1.0, action_hi: float = 1.0,
                init_mean: float = 0.0, init_std: float = 0.5, init_clip: float = 3.0,
-               common_init: float = 0.0, common_init_std: float = 0.0,
-               p: float = 2.0) -> ProblemSpec:
+               common_init: float = 0.0, common_init_std: float = 0.0) -> ProblemSpec:
     """Saturating-drift family with costs that are nonsmooth in the measure argument."""
     params = dict(locals())
     g0 = float(gain)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (BasisSpec, MarkovPolicy, stacked_objective_influence, _ridge_factor,
-                   _ridge_solve)
+from .bsde import (BasisSpec, MarkovPolicy, stacked_objective_influence, _RIDGE,
+                   _ridge_factor, _ridge_solve)
 from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport
 from .girsanov import GirsanovWeights, paired_gap
 from .problem import ProblemSpec, box_minimize_batch
@@ -99,7 +99,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
             mean_only=spec.mean_field)
 
         feats = fitted.features(k, paths.x[:, k], keys[:, None])
-        factor = _ridge_factor(feats, fitted.ridge, sample_w=w_k)
+        factor = _ridge_factor(feats, _RIDGE, sample_w=w_k)
         coef = _ridge_solve(factor, feats, drift_vals, sample_w=w_k)
 
         x_axes[k] = _weighted_span(paths.x[:, k, 0], w_k, _N_X)

@@ -118,7 +118,7 @@ class TestExtractControl:
         stats[:, 1] = 1.0
         col_stats = np.zeros((grid.n_steps + 1, 2, n_feat))    # identity: mean 0, std 1
         col_stats[:, 1] = 1.0
-        fitted = BasisSpec(degree=2, ridge=0.0, stats=stats, col_stats=col_stats)
+        fitted = BasisSpec(degree=2, stats=stats, col_stats=col_stats)
         z_coef = np.zeros((grid.n_steps, 1, n_feat))
         z_coef[:, 0, 0] = const_z
         return BsdeSolution(grid=grid, basis=fitted, z_coef=z_coef, y0=0.0, y0_stderr=0.0,
@@ -331,7 +331,7 @@ class TestFusedWeights:
 class TestRegression:
     def test_idempotent_on_in_span_targets(self, lq_spec, small_config):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=4000, n_steps=10, seed=7)
-        basis = BasisSpec(degree=2, ridge=1e-12).fit_stats(paths)
+        basis = BasisSpec(degree=2).fit_stats(paths)
         k = 5
         feats = basis.features(k, paths.x[:, k], paths.xc[:, k])
         target = 1.5 * feats[:, 1] - 0.25 * feats[:, 3] + 0.8
@@ -360,7 +360,7 @@ class TestRegression:
         want = np.empty(grid.n_steps)
         for k in range(grid.n_steps - 1, -1, -1):
             fit = self._ridge_fit(fitted.features(k, paths.x[:, k], paths.xc[:, k]), y,
-                                  basis.ridge)
+                                  bsde_mod._RIDGE)
             want[k] = np.mean((y - fit) ** 2)
             y = fit
         assert np.all(want > 0)
@@ -375,21 +375,20 @@ class TestRegression:
         k, dt = grid.n_steps - 1, grid.dt
         feats = basis.fit_stats(paths).features(k, paths.x[:, k], paths.xc[:, k])
         g = _terminal_values(lq_spec, flow, paths)
-        centred = g - self._ridge_fit(feats, g, basis.ridge)
-        z = self._ridge_fit(feats, centred * noise.dw[:, k, 0] / dt, basis.ridge)[:, None]
+        centred = g - self._ridge_fit(feats, g, bsde_mod._RIDGE)
+        z = self._ridge_fit(feats, centred * noise.dw[:, k, 0] / dt, bsde_mod._RIDGE)[:, None]
         h = flow.per_bin(k, paths, lambda mu, x, zb: minimize_hamiltonian_batch(
             lq_spec, grid.times[k], x, mu, zb)[1], paths.x[:, k], z)
         target = g + h * dt
-        want = np.mean((target - self._ridge_fit(feats, target, basis.ridge)) ** 2)
+        want = np.mean((target - self._ridge_fit(feats, target, bsde_mod._RIDGE)) ** 2)
         assert want > 0
         np.testing.assert_allclose(sol.residual_var[k], want, rtol=1e-9)
 
     def test_basis_fit_cached_per_degree(self, lq_spec):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=5, seed=9)
-        first = BasisSpec(degree=2, ridge=1e-8).fit_stats(paths)
-        again = BasisSpec(degree=2, ridge=1e-3).fit_stats(paths)
+        first = BasisSpec(degree=2).fit_stats(paths)
+        again = BasisSpec(degree=2).fit_stats(paths)
         assert again.stats is first.stats and again.col_stats is first.col_stats
-        assert again.ridge == 1e-3
         cubic = BasisSpec(degree=3).fit_stats(paths)
         assert cubic.col_stats.shape[2] == cubic.n_features(2) != first.col_stats.shape[2]
         cold = replace(paths)   # same arrays, empty caches

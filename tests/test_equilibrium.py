@@ -204,7 +204,7 @@ class TestExploitability:
         # driftless state, cost 0.5 |a - (1, 0, 0)|^2: minimized on the a0 = hi face
         target = np.array([1.0, 0.0, 0.0])
         spec = ProblemSpec(
-            d_state=1, d_common=1, d_action=3, horizon=1.0, p=2.0,
+            d_state=1, d_common=1, d_action=3, horizon=1.0,
             sigma=[[1.0]], sigma0=[[0.5]], sigmac=[[1.0]],
             action_lo=[-1.0] * 3, action_hi=[1.0] * 3, drift_bound=0.0,
             common_drift_bound=0.0,

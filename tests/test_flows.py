@@ -493,7 +493,7 @@ class TestPositiveMass:
         weights[123] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="positive total mass"):
             flows_mod._make_step_bins(0, keys, np.arange(400), keys[:, None], weights, 4, 16,
-                                      np.arange(400), 2.0)
+                                      np.arange(400))
 
 
     def test_degenerate_weights_name_the_step_and_bin(self, lq_spec):
@@ -739,7 +739,8 @@ class TestPerBin:
 
         def fn(mu, x, a):
             run = np.cumsum(x)
-            return a * mu.pth_moment + run[:, None, None], run * mu.mean[0]
+            second = mu.weights @ mu.support[:, 0] ** 2   # a statistic beyond the mean
+            return a * second + run[:, None, None], run * mu.mean[0]
 
         stacked, flat = self._check(flow, k, keys, fn, x, a)
         assert stacked.shape == (keys.size, 3, 2) and flat.shape == (keys.size,)
@@ -858,7 +859,8 @@ class TestFlowOwnedCaches:
 
         def fn(mu, x, a):
             run = np.cumsum(x[:, 0])          # depends on the row order inside a bin
-            return a * mu.mean[0] + run[:, None, None], run * mu.pth_moment
+            second = mu.weights @ mu.support[:, 0] ** 2   # a statistic beyond the mean
+            return a * mu.mean[0] + run[:, None, None], run * second
 
         for flow in flows.values():
             for k in range(paths.grid.n_steps + 1):
@@ -1032,7 +1034,6 @@ class TestStepStorage:
                     assert mu.weights.tobytes() == nu.weights.tobytes()
                     assert mu.sorted_1d[1].tobytes() == nu.sorted_1d[1].tobytes()
                     assert mu.mean.tobytes() == nu.mean.tobytes()
-                    assert np.float64(mu.pth_moment).tobytes() == np.float64(nu.pth_moment).tobytes()
 
     def test_bins_are_the_old_block_slices(self, lq_spec, small_config):
         paths, flows = self._flows(lq_spec, small_config, 49)
@@ -1057,7 +1058,6 @@ class TestStepStorage:
                     np.testing.assert_array_equal(xs, support[:, 0])
                     np.testing.assert_array_equal(ws, w)
                     np.testing.assert_array_equal(mu.mean, w @ support)
-                    assert mu.pth_moment == float(w @ np.linalg.norm(support, axis=1) ** mu.p)
                     assert isinstance(mu, EmpiricalMeasure) and mu.dim == 1
 
 
@@ -1172,7 +1172,7 @@ class TestMixFlows:
             steps = [flows_mod._make_step_bins(k, keys[:, k],
                                                np.argsort(keys[:, k], kind="stable"),
                                                x[:, k], blended[:, k], 8, 32,
-                                               np.argsort(x[:, k, 0], kind="stable"), 2.0)
+                                               np.argsort(x[:, k, 0], kind="stable"))
                      for k in range(keys.shape[1])]
             _assert_flows_bitwise_equal(mixed, SimpleNamespace(steps=steps))
 
@@ -1208,17 +1208,15 @@ class TestMixFlows:
 
     def test_reweighted_summaries_describe_the_new_bins(self, lq_spec, small_config):
         f1, f2 = self._flows(lq_spec, small_config, 16)
-        for bins in f1.steps:                      # warm f1's moment caches
+        for bins in f1.steps:                      # warm f1's mean caches
             for mu in bins.measures:
-                mu.mean, mu.pth_moment
+                mu.mean
         blended = 0.5 * f1.src_w + 0.5 * f2.src_w
         mixed = f1.reweighted(lambda k: blended[:, k])
         for bins in mixed.steps:
             for got in bins.measures:
                 support, w = got.support, got.weights
-                assert got.p == mixed.flow_p
                 np.testing.assert_array_equal(got.mean, w @ support)
-                assert got.pth_moment == float(w @ np.linalg.norm(support, axis=1) ** got.p)
 
 
 class TestSerialization:

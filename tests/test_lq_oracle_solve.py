@@ -1,7 +1,8 @@
 """The solver against the LQ oracle (``lq_oracle.py``) on instances whose
-action box (+-4) never binds: the reported y0 lies within three printed
-standard errors of the oracle's value, each bin's conditional mean lies near
-beta(t) times its mean key, and the feedback's slope in x is -K11(t) / ca."""
+action box (+-4) never binds, one of them (w < 0) monotone: the reported y0
+lies within three printed standard errors of the oracle's value, each bin's
+conditional mean lies near beta(t) times its mean key, and the feedback's
+slope in x is -K11(t) / ca."""
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from lq_oracle import solve_lq
 from test_lq_oracle import CLIPPED_Y0
 
 # measured at seed 1: max |z| 2.63 and mean z +0.20 at w = 0.5, 3.93 and
-# +0.29 at w = 0.9 over 800 (step, bin) cells
+# +0.29 at w = 0.9, 2.99 and +0.12 at w = -0.5 over 800 (step, bin) cells
 MAX_BIN_Z = 5.0
 MAX_MEAN_BIN_Z = 0.5
-# measured at seed 1: relative slope errors from -3.2% to +2.5% at both w
+# measured at seed 1: relative slope errors from -3.2% to +2.5% at each w
 SLOPE_REL_TOL = 0.05
 
 

@@ -34,28 +34,19 @@ def minimize_hamiltonian(spec, t, x, mu, z):
 
 
 class TestMeasureSummary:
-    """The mean and p-th moment a measure hands the coefficients."""
+    """The mean a measure hands the coefficients."""
 
     def test_moments_cached(self):
-        mu = EmpiricalMeasure([[1.0], [3.0]], [0.25, 0.75], p=2.0)
+        mu = EmpiricalMeasure([[1.0], [3.0]], [0.25, 0.75])
         assert "mean" not in vars(mu)
         assert mu.mean[0] == pytest.approx(2.5)
         assert mu.mean is mu.mean                   # computed once, then cached
-        assert mu.pth_moment == pytest.approx(0.25 * 1 + 0.75 * 9)
-        recomputed = float(mu.weights @ np.linalg.norm(mu.support, axis=1) ** mu.p)
-        assert abs(recomputed - mu.pth_moment) <= 1e-12 * max(1.0, abs(recomputed))
-
-    def test_pth_moment_computed_on_first_access(self):
-        mu = EmpiricalMeasure([[1.0, 0.0], [0.0, -2.0]], [0.5, 0.5], p=3.0)
-        assert "pth_moment" not in vars(mu)
-        assert mu.pth_moment == pytest.approx(0.5 * 1 + 0.5 * 8)
-        assert vars(mu)["pth_moment"] == mu.pth_moment
         with pytest.raises(ValueError, match="negative"):
             EmpiricalMeasure([[0.0], [1.0]], [-0.5, 1.5])   # validation stays eager
 
     def test_dirac(self):
-        mu = EmpiricalMeasure([[2.0, 0.0]], [1.0], p=2.0)
-        assert mu.pth_moment == pytest.approx(4.0)
+        mu = EmpiricalMeasure([[2.0, 0.0]], [1.0])
+        assert mu.mean.tolist() == [2.0, 0.0]
 
 
 class TestHamiltonian:
@@ -71,7 +62,7 @@ class TestHamiltonian:
         assert got == pytest.approx(0.725)
 
     def test_zero_adjoint_is_running_cost(self, lq_unit_spec):
-        mu = EmpiricalMeasure([[0.3], [-0.1]], p=2.0)
+        mu = EmpiricalMeasure([[0.3], [-0.1]])
         x = np.array([[0.7]])
         a = np.array([[0.4]])
         f = lq_unit_spec.running_cost(0.3, x, mu, a)[0]
@@ -283,10 +274,6 @@ class TestValidateSpec:
         assert not report.passed
         assert report.max_drift > 1.0 + 1e-9
 
-    def test_p_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            make_instance("lq", p=1.5)
-
 
 class TestFamilies:
     def test_unknown_family(self):
@@ -311,10 +298,44 @@ class TestFamilies:
         defaults = {name: float(par.default) for name, par
                     in inspect.signature(_FAMILIES[family]).parameters.items()}
         assert make_instance(family).params == defaults
-        overrides = dict(sigma=2, horizon=1.5, action_lo=-0.5, common_init_std=0.25, p=3)
+        overrides = dict(sigma=2, horizon=1.5, action_lo=-0.5, common_init_std=0.25)
         params = make_instance(family, **overrides).params
         assert params == {**defaults, **{k: float(v) for k, v in overrides.items()}}
         assert all(type(v) is float for v in params.values())
+
+    @staticmethod
+    def _observables(spec) -> dict:
+        """What a run reads of a spec: its constants, its coefficients and hooks on a
+        fixed probe batch under a measure of nonzero mean, and its initial draws."""
+        rng = np.random.default_rng(0)
+        x, z = rng.normal(0.0, 1.5, (64, 1)), rng.normal(0.0, 1.0, (64, 1))
+        a = rng.uniform(-1.0, 1.0, (64, 1))
+        mu = EmpiricalMeasure([[0.4], [1.0]])
+        hooks = {name: getattr(spec, name) for name in ("argmin_action", "invert_drift")}
+        return {
+            "horizon": spec.horizon, "sigma": spec.sigma, "sigma0": spec.sigma0,
+            "sigmac": spec.sigmac, "box": (spec.action_lo, spec.action_hi),
+            "drift_bound": spec.drift_bound,
+            "drift": spec.drift(0.3, x, mu, a),
+            "running_cost": spec.running_cost(0.3, x, mu, a),
+            "terminal_cost": spec.terminal_cost(x, mu),
+            **{name: hook and hook(0.3, x, mu, z) for name, hook in hooks.items()},
+            "init_state": spec.init_state_sampler(np.random.default_rng(1), 4096),
+            "init_common": spec.init_common_sampler(np.random.default_rng(1), 4096),
+        }
+
+    @pytest.mark.parametrize("family, keyword", [
+        (family, keyword) for family in ("lq", "tanh")
+        for keyword in inspect.signature(_FAMILIES[family]).parameters])
+    def test_every_keyword_moves_an_observable(self, family, keyword):
+        # a keyword that moves none of them is a config key recorded but never read
+        default = inspect.signature(_FAMILIES[family]).parameters[keyword].default
+        base = self._observables(make_instance(family))
+        moved = self._observables(make_instance(family, **{keyword: 1.5 * default + 0.3}))
+
+        def same(u, v):
+            return (u is None) == (v is None) and (u is None or np.array_equal(u, v))
+        assert not all(same(base[name], moved[name]) for name in base), keyword
 
     def test_tanh_family_bound(self):
         spec = make_instance("tanh", gain=0.5)
