@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python scripts/phi_memory.py --config scripts/lq1.cfg --paths 80000
     PYTHONPATH=src python scripts/phi_memory.py --config scripts/lq1.cfg --command solve
+    PYTHONPATH=src python scripts/phi_memory.py --config scripts/lq1.cfg --command mimic-check
 
 ``phi`` (the default) runs ``apply_phi(spec, None, config)`` and reports after
 each of its stages: the reference simulation, the input (unit-weight) flow
@@ -11,7 +12,11 @@ with its Girsanov weights, and the output flow (``flow 2``), binned after the
 noise and the input flow are dropped.  ``solve`` runs the ``cnmfg solve``
 command into a temporary directory and reports after each map application,
 flow distance and Picard mix, the projection, the mimicking check and
-``exploitability``, and once the command has written its files.  Each stage is
+``exploitability``, and once the command has written its files.
+``mimic-check`` runs the ``cnmfg mimic-check`` command likewise and reports
+after the reference, the initial flow, the probe control's weights, the
+projection, the cost gap, the mimicking check's Markovian simulation, the
+rest of the mimicking check and the files.  Each stage is
 the program's own function, wrapped at the binding its caller looks up, and is
 numbered by its calls.
 
@@ -43,6 +48,7 @@ from pathlib import Path
 
 import cnmfg.cli as cli_mod
 import cnmfg.equilibrium as equilibrium_mod
+import cnmfg.projection as projection_mod
 from cnmfg.flows import ConditionalMeasureFlow
 
 _MB = 1024.0 ** 2
@@ -98,6 +104,24 @@ def _run_solve(spec, config, report):
         report("files")
 
 
+def _run_mimic_check(spec, config, report):
+    counts = {}
+    for owner, name, stage in ((cli_mod, "_reference", "reference"),
+                               (cli_mod, "initial_flow", "initial flow"),
+                               (cli_mod, "control_weights", "probe weights"),
+                               (cli_mod, "project_control", "projection"),
+                               (cli_mod, "project_cost_gap", "cost gap"),
+                               (projection_mod, "simulate_markov_sde", "markov paths"),
+                               (cli_mod, "mimicking_check", "mimicking")):
+        _staged(owner, name, stage, report, counts)
+    with tempfile.TemporaryDirectory() as out:
+        cli_mod._cmd_mimic_check(spec, config, Path(out))
+        report("files")
+
+
+_RUNS = {"phi": _run_phi, "solve": _run_solve, "mimic-check": _run_mimic_check}
+
+
 def _run():
     """One run of the command given on stdin as JSON; prints, as its last
     line, the resident set after import and one row per stage as JSON."""
@@ -119,7 +143,7 @@ def _run():
 
     if job["traced"]:
         tracemalloc.start()
-    (_run_solve if job["command"] == "solve" else _run_phi)(spec, config, report)
+    _RUNS[job["command"]](spec, config, report)
     print(json.dumps({"base": base, "rows": rows}))
 
 
@@ -139,7 +163,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--config", required=True)
     parser.add_argument("--paths", type=int)
-    parser.add_argument("--command", choices=("phi", "solve"), default="phi")
+    parser.add_argument("--command", choices=tuple(_RUNS), default="phi")
     args = parser.parse_args()
     cli_mod.parse_config(args.config)     # a bad config fails here, before any run
 

@@ -30,7 +30,7 @@ from .flows import (ConditionalMeasureFlow, estimate_conditional_flow, flow_dist
                     _flow_on_read)
 from .girsanov import GirsanovWeights, paired_gap
 from .problem import ProblemSpec
-from .projection import MimickingReport, mimicking_check, project_control
+from .projection import MimickingReport, _check_projectable, mimicking_check, project_control
 from .sde import (NoiseBundle, PathBundle, TimeGrid, generate_noise, simulate_driftless_state,
                   step_major)
 
@@ -230,7 +230,10 @@ def solve_equilibrium(spec: ProblemSpec, config: SolverConfig,
     time, dropping each step of the two flows it blends once read.  The
     returned flow's bundle holds no cached sort orders.  With ``project`` the
     result also holds the evaluation reference that ``exploitability`` takes.
+    A spec the projection cannot hold is refused before the first application.
     """
+    if project:
+        _check_projectable(spec)
     reference = _reference(spec, config)
     report = IterationReport()
     damping = config.damping

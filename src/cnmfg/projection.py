@@ -62,6 +62,12 @@ def _weighted_span(values: np.ndarray, weights: np.ndarray, n_points: int):
     return np.linspace(mean - half, mean + half, n_points)
 
 
+def _check_projectable(spec: ProblemSpec) -> None:
+    """Raises unless the lookup table can hold ``spec``'s policy: a 1-d state and key."""
+    if spec.d_state != 1 or spec.d_common != 1:
+        raise NotImplementedError("lookup-table projection requires 1-d state and key")
+
+
 def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.ndarray,
                     flow: ConditionalMeasureFlow, weights: GirsanovWeights,
                     basis: BasisSpec) -> MarkovPolicy:
@@ -73,8 +79,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
     best action is strictly interior signal a non-convex drift image or basis
     underfit; more than 1% of such cells aborts.
     """
-    if spec.d_state != 1 or spec.d_common != 1:
-        raise NotImplementedError("lookup-table projection requires 1-d state and key")
+    _check_projectable(spec)
     grid = paths.grid
     n = paths.n_paths
     n_steps = grid.n_steps

@@ -276,54 +276,63 @@ def _increment_sanity_check(arr: np.ndarray, dt: float, name: str) -> None:
                       f"var {var:.6g} vs dt {dt:.6g}")
 
 
-def draw_initial_states(spec: ProblemSpec, noise: NoiseBundle):
-    """Initial (state, common) draws; fixed per (seed, sampler), shared by all simulators."""
-    n = noise.n_paths
-    x0 = np.asarray(spec.init_state_sampler(_stream_generator(noise.seed, _STREAM_STATE_INIT), n), float)
-    xc0 = np.asarray(spec.init_common_sampler(_stream_generator(noise.seed, _STREAM_COMMON_INIT), n), float)
-    if x0.shape != (n, spec.d_state):
-        raise ValueError(f"init_state_sampler returned shape {x0.shape}, expected {(n, spec.d_state)}")
-    if xc0.shape != (n, spec.d_common):
-        raise ValueError(f"init_common_sampler returned shape {xc0.shape}, expected {(n, spec.d_common)}")
-    return x0, xc0
+def _simulate(spec: ProblemSpec, noise: NoiseBundle, policy=None, flow=None) -> PathBundle:
+    """Euler scheme for the common state X0 and the state X, advanced together.
 
-
-def simulate_common_state(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
-    """Euler scheme for the common state driven by W0; returns (n, n_steps+1, d_common)."""
+    Each initial sampler draws once, from its own stream of the noise seed.
+    At each step X0 takes its common drift and dW0; X takes, with a policy,
+    the drift of the policy's actions under ``flow`` (actions outside the box
+    are clamped and counted), then the diffusion increment, grouped so that a
+    zero drift reproduces the driftless paths bitwise.
+    """
     if noise.dw0 is None:
         raise ValueError("noise bundle has no dW0: its common increments were already "
                          "integrated into reference paths")
-    grid = noise.grid
-    n = noise.n_paths
-    _, xc0 = draw_initial_states(spec, noise)
+    grid, n = noise.grid, noise.n_paths
+    x = step_major(n, grid.n_steps + 1, spec.d_state)
     xc = step_major(n, grid.n_steps + 1, spec.d_common)
-    xc[:, 0] = xc0
+    for out, name, stream in ((x, "init_state_sampler", _STREAM_STATE_INIT),
+                              (xc, "init_common_sampler", _STREAM_COMMON_INIT)):
+        draw = np.asarray(getattr(spec, name)(_stream_generator(noise.seed, stream), n), float)
+        if draw.shape != out[:, 0].shape:
+            raise ValueError(f"{name} returned shape {draw.shape}, expected {out[:, 0].shape}")
+        out[:, 0] = draw
     dt = grid.dt
     times = grid.times
-    sigmac_t = spec.sigmac.T
+    sigma_t, sigma0_t, sigmac_t = spec.sigma.T, spec.sigma0.T, spec.sigmac.T
+    clamped = 0
     for k in range(grid.n_steps):
         bc = np.asarray(spec.common_drift(times[k], xc[:, k]), float)
         if not np.all(np.isfinite(bc)):
             bad = int(np.argwhere(~np.isfinite(bc))[0][0])
             raise RuntimeError(f"non-finite common drift at step {k}, path {bad}")
         xc[:, k + 1] = xc[:, k] + bc * dt + noise.dw0[:, k] @ sigmac_t
-    return xc
+        x_k = x[:, k]
+        if policy is not None:
+            keys = xc[:, flow.key_index(k), 0]
+            a = np.asarray(policy.actions(k, x_k, xc[:, k], keys), float)
+            outside = (a < spec.action_lo - 1e-12) | (a > spec.action_hi + 1e-12)
+            clamped += int(np.count_nonzero(outside.any(axis=1)))
+            a = spec.clip_action(a)
+            b = flow.per_bin(k, keys, lambda mu, xs, acts: np.asarray(
+                spec.drift(times[k], xs, mu, acts), float), x_k, a, mean_only=spec.mean_field)
+            if not np.all(np.isfinite(b)):
+                bad = int(np.argwhere(~np.isfinite(b))[0][0])
+                raise RuntimeError(f"non-finite controlled drift at step {k}, path {bad}")
+            x_k = x_k + b * dt
+        x[:, k + 1] = x_k + (noise.dw[:, k] @ sigma_t + noise.dw0[:, k] @ sigma0_t)
+    return PathBundle(grid=grid, x=x, xc=xc, label="driftless" if policy is None else "markov",
+                      clamp_count=clamped)
+
+
+def simulate_common_state(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
+    """Common state driven by W0, (n, n_steps+1, d_common), of the driftless simulation."""
+    return _simulate(spec, noise).xc
 
 
 def simulate_driftless_state(spec: ProblemSpec, noise: NoiseBundle) -> PathBundle:
     """Reference-measure state: initial draw plus pure diffusion, no drift term."""
-    grid = noise.grid
-    xc = simulate_common_state(spec, noise)
-    x0, _ = draw_initial_states(spec, noise)
-    x = step_major(noise.n_paths, grid.n_steps + 1, spec.d_state)
-    x[:, 0] = x0
-    sigma_t = spec.sigma.T
-    sigma0_t = spec.sigma0.T
-    # sequential accumulation, matching the controlled simulator exactly when
-    # the drift vanishes
-    for k in range(grid.n_steps):
-        x[:, k + 1] = x[:, k] + (noise.dw[:, k] @ sigma_t + noise.dw0[:, k] @ sigma0_t)
-    return PathBundle(grid=grid, x=x, xc=xc, label="driftless")
+    return _simulate(spec, noise)
 
 
 def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle) -> PathBundle:
@@ -336,27 +345,4 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle) -> 
     grid = noise.grid
     if grid.n_steps != flow.grid.n_steps or abs(grid.horizon - flow.grid.horizon) > 1e-12:
         raise ValueError("policy/flow grid does not match the noise grid")
-    xc = simulate_common_state(spec, noise)
-    x0, _ = draw_initial_states(spec, noise)
-    x = step_major(noise.n_paths, grid.n_steps + 1, spec.d_state)
-    x[:, 0] = x0
-    dt = grid.dt
-    times = grid.times
-    sigma_t = spec.sigma.T
-    sigma0_t = spec.sigma0.T
-    clamped = 0
-    for k in range(grid.n_steps):
-        keys = xc[:, flow.key_index(k), 0]
-        a = np.asarray(policy.actions(k, x[:, k], xc[:, k], keys), float)
-        outside = (a < spec.action_lo - 1e-12) | (a > spec.action_hi + 1e-12)
-        clamped += int(np.count_nonzero(outside.any(axis=1)))
-        a = spec.clip_action(a)
-        b = flow.per_bin(k, keys, lambda mu, xs, acts: np.asarray(
-            spec.drift(times[k], xs, mu, acts), float), x[:, k], a, mean_only=spec.mean_field)
-        if not np.all(np.isfinite(b)):
-            bad = int(np.argwhere(~np.isfinite(b))[0][0])
-            raise RuntimeError(f"non-finite controlled drift at step {k}, path {bad}")
-        # grouping matches the driftless simulator so a zero drift reproduces
-        # its paths bitwise
-        x[:, k + 1] = (x[:, k] + b * dt) + (noise.dw[:, k] @ sigma_t + noise.dw0[:, k] @ sigma0_t)
-    return PathBundle(grid=grid, x=x, xc=xc, label="markov", clamp_count=clamped)
+    return _simulate(spec, noise, policy, flow)

@@ -165,6 +165,9 @@ class TestRunCommand:
          ""),
         # the ridge is no setting but BasisSpec's constant, so the key is unknown
         ("seed = 7", "seed = 7\nridge = -1", "unknown solver key 'ridge'", ":11"),
+        ("seed = 7", "seed = 7\nseed 8", "expected key = value, got 'seed 8'", ":11"),
+        ("[problem]", "paths = 10\n[problem]", "key outside any section", ":2"),
+        ("seed = 7", "seed = 7\n[output]\nformat = csv", "unknown output key 'format'", ":12"),
     ])
     def test_bad_grid_or_basis_fails_at_parse_time(self, tmp_path, capsys, old, new, message,
                                                    where):

@@ -138,6 +138,24 @@ class TestSolveEquilibrium:
         assert np.array_equal(r_cur.flow.src_w, r_par.flow.src_w)
         assert np.array_equal(r_cur.flow.src_key, r_par.flow.src_key)
 
+    def test_two_dim_state_refused_before_the_first_phi(self, lq2_spec, monkeypatch):
+        calls = []
+        apply = equilibrium_mod.apply_phi
+
+        def counting(*args):
+            calls.append(args[1])
+            return apply(*args)
+
+        monkeypatch.setattr(equilibrium_mod, "apply_phi", counting)
+        cfg = SolverConfig(n_paths=2000, n_steps=10, n_bins=4, min_bin_count=32, seed=3,
+                           max_iters=3)
+        with pytest.raises(NotImplementedError,
+                           match="^lookup-table projection requires 1-d state and key$"):
+            solve_equilibrium(lq2_spec, cfg)
+        assert calls == []
+        res = solve_equilibrium(lq2_spec, cfg, project=False)
+        assert len(calls) == len(res.report.rows) + 1 and res.projected_policy is None
+
     def test_three_point_partition_converges(self, lq_spec):
         cfg = SolverConfig(n_paths=10_000, seed=1, partition_times=(0.0, 0.5, 1.0),
                            tol=0.08)

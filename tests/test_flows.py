@@ -362,26 +362,33 @@ class TestFlowDistance:
         d = flow_distance(f8, f16, 2.0)
         assert d == pytest.approx(BINNING_STABILITY_REFERENCE, rel=0.2)
 
-    def test_equals_pair_by_pair_value(self, lq_spec, small_config):
-        grid = small_config.grid(lq_spec)
-        noise = generate_noise(4000, grid, 19, 1, 1)
-        paths = simulate_driftless_state(lq_spec, noise)
-        w = stochastic_exponential(lq_spec, np.clip(0.5 * paths.x[:, :-1, :], -1, 1), noise)
-        m = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
-        m2 = estimate_conditional_flow(paths, w, 5, min_bin_count=32)
+    def test_equals_pair_by_pair_value(self, lq_spec, lq2_spec, small_config):
+        # a 1-d state's bins are compared by the quantile coupling, a 2-d
+        # state's by lp_transport (the LP, as one flow is weighted)
         q = 2.0
-        idx = np.unique(np.linspace(0, 3999, 2048).astype(int))
-        keys = paths.xc[idx, :, 0]
-        w2 = np.empty(keys.shape)
-        for i in range(keys.shape[0]):
-            for k in range(keys.shape[1]):
-                a = int(m.assign(k, keys[i:i + 1, k])[0])
-                b = int(m2.assign(k, keys[i:i + 1, k])[0])
-                w2[i, k] = wasserstein_1d(m.measure(k, a), m2.measure(k, b), q) ** 2
-        trap_w = np.full(keys.shape[1], grid.dt)
-        trap_w[0] = trap_w[-1] = 0.5 * grid.dt
-        expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
-        assert flow_distance(m, m2, q) == expected
+        for spec, n, n_steps, distance in ((lq_spec, 4000, small_config.n_steps, wasserstein_1d),
+                                           (lq2_spec, 400, 4, lp_transport)):
+            grid = TimeGrid(1.0, n_steps)
+            noise = generate_noise(n, grid, 19, spec.d_state, 1)
+            paths = simulate_driftless_state(spec, noise)
+            w = stochastic_exponential(spec, np.clip(0.5 * paths.x[:, :-1, :], -1, 1), noise)
+            m = estimate_conditional_flow(paths, None, 8, min_bin_count=32)
+            m2 = estimate_conditional_flow(paths, w, 5, min_bin_count=32)
+            idx = np.unique(np.linspace(0, n - 1, 2048).astype(int))
+            keys = paths.xc[idx, :, 0]
+            w2 = np.empty(keys.shape)
+            pairs = {}                      # (step, bin, bin) -> squared distance
+            for i in range(keys.shape[0]):
+                for k in range(keys.shape[1]):
+                    a = int(m.assign(k, keys[i:i + 1, k])[0])
+                    b = int(m2.assign(k, keys[i:i + 1, k])[0])
+                    if (k, a, b) not in pairs:
+                        pairs[k, a, b] = distance(m.measure(k, a), m2.measure(k, b), q) ** 2
+                    w2[i, k] = pairs[k, a, b]
+            trap_w = np.full(keys.shape[1], grid.dt)
+            trap_w[0] = trap_w[-1] = 0.5 * grid.dt
+            expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
+            assert flow_distance(m, m2, q) == expected
 
     def test_each_flow_keys_paths_by_its_own_key_map(self, lq_spec):
         grid = TimeGrid(1.0, 20)
@@ -551,6 +558,27 @@ class TestEstimateFlow:
         for k in range(1, 6):
             bins = flow.bins_at(k)
             assert np.all(bins.counts >= 64)
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_min_bin_count_merges_an_undersized_end_bin(self, end):
+        # 40% of the mass on the 5 keys at one end: the quantile bins there
+        # hold a few rows each, and the merge-nearest rule drops their edges
+        n, n_bins, min_count = 1000, 10, 50
+        keys = np.random.default_rng(4).normal(size=n)
+        order = np.argsort(keys, kind="stable")
+        weights = np.full(n, 0.6 / (n - 5))
+        weights[order[:5] if end == "first" else order[-5:]] = 0.4 / 5
+        qs = np.linspace(0.0, 1.0, n_bins + 1)
+        cw = np.cumsum(weights[order])
+        cw /= cw[-1]
+        quantile_edges = np.interp(qs, cw, keys[order])[1:-1]
+        raw = np.diff(np.searchsorted(keys[order], np.r_[-np.inf, quantile_edges, np.inf]))
+        assert raw[0 if end == "first" else -1] < min_count
+        bins = flows_mod._make_step_bins(0, keys, order, keys[:, None], weights, n_bins,
+                                         min_count, order)
+        assert np.all(bins.counts >= min_count) and bins.counts.sum() == n
+        assert np.all(np.isin(bins.edges[1:-1], quantile_edges))
+        assert bins.edges[0] == keys.min() and bins.edges[-1] == keys.max()
 
     def test_min_bin_count_below_one_rejected(self, lq_spec):
         paths = simulate_driftless_state(lq_spec, generate_noise(200, TimeGrid(1.0, 3), 6, 1, 1))
@@ -1232,6 +1260,33 @@ class TestSerialization:
         assert len(header) == 5 + 33
         expected_rows = sum(flow.bins_at(k).n_bins for k in range(flow.grid.n_steps + 1))
         assert len(lines) == 1 + expected_rows
+
+    def test_two_dim_flow_csv_has_per_coordinate_quantiles(self, lq2_spec, tmp_path):
+        noise = generate_noise(1000, TimeGrid(1.0, 4), 18, 2, 1)
+        paths = simulate_driftless_state(lq2_spec, noise)
+        paths.x[:, :, 1] = np.round(paths.x[:, :, 1], 1)          # tied atoms
+        w = np.random.default_rng(3).random((1000, 5))
+        w /= w.sum(axis=0)
+        flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
+        flow = flow.reweighted(lambda k: w[:, k])
+        flow_to_csv(flow, tmp_path / "flow.csv")
+        header, *rows = csv.reader((tmp_path / "flow.csv").read_text().splitlines())
+        assert len(header) == 5 + 2 * 33
+        assert header[5:] == [f"x{c}_q{j:02d}" for c in range(2) for j in range(33)]
+        qs = np.linspace(0.0, 1.0, 33)
+        i = 0
+        for k, bins in enumerate(flow.steps):
+            for b, mu in enumerate(bins.measures):
+                want = []
+                for c in range(2):
+                    order = np.argsort(mu.support[:, c], kind="stable")
+                    cw = np.cumsum(mu.weights[order])
+                    cw /= cw[-1]
+                    want.extend(np.interp(qs, cw, mu.support[order, c]))
+                assert rows[i][:3] == [str(k), f"{flow.grid.times[k]:.17g}", str(b)]
+                assert rows[i][5:] == [f"{v:.17g}" for v in want]
+                i += 1
+        assert i == len(rows)
 
     def test_flow_csv_quantiles_equal_per_bin_argsort(self, lq_spec, small_config, tmp_path):
         noise = generate_noise(4000, small_config.grid(lq_spec), 18, 1, 1)

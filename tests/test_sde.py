@@ -307,7 +307,72 @@ class _ConstantPolicy:
         return np.full((x.shape[0], 1), self.value)
 
 
+class _NanAt:
+    """A constant-zero policy whose action is NaN at one (step, path)."""
+
+    def __init__(self, step, path):
+        self.step, self.path = step, path
+
+    def actions(self, k, x, xc, key):
+        a = np.zeros((x.shape[0], 1))
+        if k == self.step:
+            a[self.path] = np.nan
+        return a
+
+
 class TestMarkovSde:
+    @pytest.mark.parametrize("common_from, message", [
+        (None, "non-finite controlled drift at step 2, path 7"),
+        (5, "non-finite controlled drift at step 2, path 7"),
+        (1, "non-finite common drift at step 1, path 4"),
+    ])
+    def test_nonfinite_drift_names_the_earlier_step(self, lq_spec, small_config, common_from,
+                                                    message):
+        # X0 and X are advanced together, so the first non-finite step wins
+        grid = small_config.grid(lq_spec)
+
+        def common_drift(t, xc):
+            bc = np.zeros_like(xc)
+            if common_from is not None and t >= (common_from - 0.5) * grid.dt:
+                bc[4] = np.inf
+            return bc
+
+        spec = replace(lq_spec, common_drift=common_drift)
+        noise = generate_noise(50, grid, 15, 1, 1)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            simulate_markov_sde(spec, _NanAt(2, 7), initial_flow(lq_spec, small_config), noise)
+
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_each_initial_sampler_draws_once(self, lq_spec, small_config, controlled):
+        calls = {"state": 0, "common": 0}
+
+        def counted(name, sampler):
+            def sample(rng, n):
+                calls[name] += 1
+                return sampler(rng, n)
+            return sample
+
+        spec = replace(lq_spec, init_state_sampler=counted("state", lq_spec.init_state_sampler),
+                       init_common_sampler=counted("common", lq_spec.init_common_sampler))
+        noise = generate_noise(100, small_config.grid(spec), 16, 1, 1)
+        if controlled:
+            flow = initial_flow(lq_spec, small_config)
+            paths = simulate_markov_sde(spec, _ConstantPolicy(0.0), flow, noise)
+        else:
+            paths = simulate_driftless_state(spec, noise)
+        assert calls == {"state": 1, "common": 1}
+        reference = simulate_driftless_state(lq_spec, noise)
+        np.testing.assert_array_equal(paths.x, reference.x)
+        np.testing.assert_array_equal(paths.xc, reference.xc)
+
+    @pytest.mark.parametrize("which", ["init_state_sampler", "init_common_sampler"])
+    def test_misshapen_initial_draw_rejected(self, lq_spec, which):
+        spec = replace(lq_spec, **{which: lambda rng, n: np.zeros(n)})
+        noise = generate_noise(10, TimeGrid(1.0, 3), 17, 1, 1)
+        with pytest.raises(ValueError, match=rf"^{which} returned shape \(10,\), "
+                                             rf"expected \(10, 1\)$"):
+            simulate_driftless_state(spec, noise)
+
     def test_zero_policy_matches_driftless(self, lq_spec, small_config):
         noise = generate_noise(small_config.n_paths, small_config.grid(lq_spec),
                                small_config.seed, 1, 1)
