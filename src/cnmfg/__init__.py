@@ -12,7 +12,6 @@ from .sde import (
     PathBundle,
     TimeGrid,
     generate_noise,
-    simulate_common_state,
     simulate_driftless_state,
     simulate_markov_sde,
 )

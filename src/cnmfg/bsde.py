@@ -344,8 +344,7 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
 
     return BsdeSolution(grid=grid, basis=fitted, z_coef=z_coef, y0=y0, y0_stderr=y0_se,
                         residual_var=resid,
-                        weights=None if log_m is None else
-                        GirsanovWeights.from_increments(grid, log_m))
+                        weights=None if log_m is None else GirsanovWeights.from_increments(log_m))
 
 
 def pass_actions(spec: ProblemSpec, solution: BsdeSolution, flow: ConditionalMeasureFlow,

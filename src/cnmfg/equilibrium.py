@@ -85,6 +85,8 @@ class SolverConfig:
             raise ValueError("n_bins (config key 'bins') must be >= 1")
         if self.min_bin_count < 1:
             raise ValueError("min_bin_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed (config key 'seed') must be >= 0")
         if self.partition_times is not None:
             object.__setattr__(self, "partition_times",
                                tuple(float(t) for t in self.partition_times))
@@ -318,7 +320,7 @@ def exploitability(spec: ProblemSpec, flow: ConditionalMeasureFlow, policy: Mark
     shifts = (-_SHIFT, _SHIFT)
 
     def step_actions(k):
-        keys = paths.xc[:, flow.key_index(k), 0]
+        keys = flow.keys(k, paths.xc)
         a_pol = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
         a_k = np.empty((2 + len(consts) + len(shifts), paths.n_paths, spec.d_action))
         a_k[0] = a_pol

@@ -366,8 +366,10 @@ class ConditionalMeasureFlow:
         flows' ``step_weights`` never exists for more than one step."""
         return replace(self, steps=list(_StepsOnRead(self, step_w)))
 
-    def key_index(self, k: int) -> int:
-        return int(self.key_idx[k])
+    def keys(self, k: int, xc: np.ndarray) -> np.ndarray:
+        """Conditioning keys at step k of the common states ``xc`` (n, n_steps + 1,
+        d_common): the first coordinate at the step's key index."""
+        return xc[:, self.key_idx[k], 0]
 
     def bins_at(self, k: int) -> StepBins:
         return self.steps[k]
@@ -375,15 +377,15 @@ class ConditionalMeasureFlow:
     def assign(self, k: int, keys) -> np.ndarray:
         """Bin of each key at step k: ``np.searchsorted(interior edges, keys, "right")``.
 
-        ``keys`` holds conditioning keys, or is a ``PathBundle`` keyed by its
-        common state at ``key_index(k)``.
+        ``keys`` holds conditioning keys, or is a ``PathBundle`` keyed by
+        ``keys(k, bundle.xc)``.
         """
         return self._assign(k, self.steps[k], keys)
 
     def _assign(self, k: int, bins: StepBins, keys) -> np.ndarray:
         """``assign(k, keys)`` with ``bins``, the flow's step k, already read."""
         if isinstance(keys, PathBundle):
-            keys = keys.xc[:, self.key_index(k), 0]
+            keys = self.keys(k, keys.xc)
         return searchsorted_right(bins.edges[1:-1], keys)
 
     def per_bin(self, k: int, keys, fn, *rows, mean_only=False):
@@ -470,10 +472,9 @@ class _StepsOnRead:
     def __getitem__(self, k) -> StepBins:
         f, paths = self._flow, self._flow.paths
         k = range(len(self))[k]
-        j = f.key_idx[k]
-        return _make_step_bins(k, paths.xc[:, j, 0], paths.key_order[:, j], paths.x[:, k],
-                               self._step_w(k), f.n_bins_requested, f.min_bin_count,
-                               paths.state_order[:, k])
+        return _make_step_bins(k, f.keys(k, paths.xc), paths.key_order[:, f.key_idx[k]],
+                               paths.x[:, k], self._step_w(k), f.n_bins_requested,
+                               f.min_bin_count, paths.state_order[:, k])
 
 
 def _partition_key_index(grid: TimeGrid, partition: tuple) -> np.ndarray:
@@ -558,13 +559,13 @@ def flow_distance(m: ConditionalMeasureFlow, m2: ConditionalMeasureFlow,
     evals = []
     for f in ((m,) if m2.paths is m.paths else (m, m2)):
         idx = np.unique(np.linspace(0, f.n_source - 1, min(retained, f.n_source)).astype(int))
-        evals.append(f.paths.xc[idx, :, 0])
+        evals.append(f.paths.xc[idx])
     xc = np.concatenate(evals)
-    n_eval, n_nodes = xc.shape
+    n_eval, n_nodes = xc.shape[:2]
     w2 = np.empty((n_eval, n_nodes))
     for k in range(n_nodes):
-        bins_a = m.assign(k, xc[:, m.key_index(k)])
-        bins_b = m2.assign(k, xc[:, m2.key_index(k)])
+        bins_a = m.assign(k, m.keys(k, xc))
+        bins_b = m2.assign(k, m2.keys(k, xc))
         mus, nus = m.steps[k].measures, m2.steps[k].measures
         n_b = len(nus)
         pairs, inverse = np.unique(bins_a * n_b + bins_b, return_inverse=True)

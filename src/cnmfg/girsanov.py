@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .problem import ProblemSpec
-from .sde import NoiseBundle, TimeGrid, step_major
+from .sde import NoiseBundle, step_major
 
 __all__ = [
     "GirsanovWeights",
@@ -35,16 +35,15 @@ __all__ = [
 
 @dataclass
 class GirsanovWeights:
-    grid: TimeGrid
     log_m: np.ndarray                       # (n_paths, n_steps + 1), log M_t, step-major
 
     @classmethod
-    def from_increments(cls, grid: TimeGrid, log_m: np.ndarray) -> "GirsanovWeights":
+    def from_increments(cls, log_m: np.ndarray) -> "GirsanovWeights":
         """Weights of a step-major ``log_m`` whose column k + 1 holds step k's
         log-increment and column 0 zero: the columns are summed in place, in step order."""
-        for k in range(grid.n_steps):
+        for k in range(log_m.shape[1] - 1):
             np.add(log_m[:, k], log_m[:, k + 1], out=log_m[:, k + 1])
-        return cls(grid=grid, log_m=log_m)
+        return cls(log_m=log_m)
 
     @property
     def n_paths(self) -> int:
@@ -72,7 +71,7 @@ class GirsanovWeights:
     def ess_frac_min(self) -> tuple:
         """(smallest ``ess_frac(k)`` over steps 1..n_steps, the first step k attaining it);
         step 0 is left out, where every weight is one."""
-        fracs = [self.ess_frac(k) for k in range(1, self.grid.n_steps + 1)]
+        fracs = [self.ess_frac(k) for k in range(1, self.log_m.shape[1])]
         k = int(np.argmin(fracs))
         return fracs[k], k + 1
 
@@ -94,7 +93,7 @@ def stochastic_exponential(spec: ProblemSpec, drift_samples, noise: NoiseBundle
     log_m = step_major(dw.shape[0], noise.grid.n_steps + 1)
     for k in range(noise.grid.n_steps):
         put_log_increment(log_m, k, lam(k) if callable(lam) else lam[:, k], noise)
-    return GirsanovWeights.from_increments(noise.grid, log_m)
+    return GirsanovWeights.from_increments(log_m)
 
 
 def put_log_increment(log_m: np.ndarray, k: int, lam_k, noise: NoiseBundle) -> None:

@@ -72,6 +72,8 @@ class EmpiricalMeasure:
         support = np.asarray(support, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
+        if support.shape[0] == 0:
+            raise ValueError("empirical measure needs a non-empty support")
         if weights is None:
             weights = np.full(support.shape[0], 1.0 / support.shape[0])
         else:
@@ -143,9 +145,9 @@ class _RowsMeasure(EmpiricalMeasure):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    d_state: int
-    d_common: int
-    d_action: int
+    d_state: int = field(init=False)         # read off sigma, sigmac and the action box
+    d_common: int = field(init=False)
+    d_action: int = field(init=False)
     horizon: float
     sigma: np.ndarray
     sigma0: np.ndarray
@@ -167,9 +169,6 @@ class ProblemSpec:
     mean_field: bool = False
 
     def __post_init__(self):
-        for name in ("d_state", "d_common", "d_action"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
         if not 0 < self.horizon < np.inf:
             raise ValueError("horizon must be finite and > 0")
         object.__setattr__(self, "sigma", np.atleast_2d(np.asarray(self.sigma, float)))
@@ -182,14 +181,17 @@ class ProblemSpec:
         for name in ("sigma", "sigma0", "sigmac", "action_lo", "action_hi"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if self.sigma.shape != (self.d_state, self.d_state):
-            raise ValueError("sigma must be d_state x d_state")
+        for name in ("sigma", "sigmac"):
+            m = getattr(self, name)
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+                raise ValueError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
+        if lo.ndim != 1 or lo.size == 0 or hi.shape != lo.shape:
+            raise ValueError("action box bounds must be non-empty vectors of one length")
+        object.__setattr__(self, "d_state", self.sigma.shape[0])
+        object.__setattr__(self, "d_common", self.sigmac.shape[0])
+        object.__setattr__(self, "d_action", lo.size)
         if self.sigma0.shape != (self.d_state, self.d_common):
             raise ValueError("sigma0 must be d_state x d_common")
-        if self.sigmac.shape != (self.d_common, self.d_common):
-            raise ValueError("sigmac must be d_common x d_common")
-        if lo.shape != (self.d_action,) or hi.shape != (self.d_action,):
-            raise ValueError("action box bounds must have length d_action")
         if np.any(lo > hi):
             raise ValueError("empty action box (lo > hi)")
         object.__setattr__(self, "argmin_action", _bind_hook(
@@ -497,7 +499,7 @@ def _scalar_spec(family: str, params: dict, drift, running_cost, terminal_cost,
     else:
         common_sampler = point_mass_sampler(v["common_init"], dim=1)
     return ProblemSpec(
-        d_state=1, d_common=1, d_action=1, horizon=v["horizon"],
+        horizon=v["horizon"],
         sigma=[[v["sigma"]]], sigma0=[[v["sigma0"]]], sigmac=[[v["sigmac"]]],
         action_lo=[v["action_lo"]], action_hi=[v["action_hi"]],
         drift_bound=drift_bound, common_drift_bound=0.0,

@@ -95,7 +95,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
     worst = (0.0, -1)
 
     for k in range(n_steps):
-        keys = paths.xc[:, flow.key_index(k), 0]
+        keys = flow.keys(k, paths.xc)
         t_k = grid.times[k]
         w_k = weights.scaled(k)
 
@@ -199,7 +199,7 @@ def project_cost_gap(spec: ProblemSpec, paths: PathBundle, action_samples: np.nd
     original = np.asarray(action_samples, float)
 
     def step_actions(k):
-        keys = paths.xc[:, flow.key_index(k), 0]
+        keys = flow.keys(k, paths.xc)
         markov = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
         return np.stack([original[:, k], markov])
 

@@ -31,7 +31,6 @@ __all__ = [
     "NoiseBundle",
     "PathBundle",
     "generate_noise",
-    "simulate_common_state",
     "simulate_driftless_state",
     "simulate_markov_sde",
 ]
@@ -309,7 +308,7 @@ def _simulate(spec: ProblemSpec, noise: NoiseBundle, policy=None, flow=None) -> 
         xc[:, k + 1] = xc[:, k] + bc * dt + noise.dw0[:, k] @ sigmac_t
         x_k = x[:, k]
         if policy is not None:
-            keys = xc[:, flow.key_index(k), 0]
+            keys = flow.keys(k, xc)
             a = np.asarray(policy.actions(k, x_k, xc[:, k], keys), float)
             outside = (a < spec.action_lo - 1e-12) | (a > spec.action_hi + 1e-12)
             clamped += int(np.count_nonzero(outside.any(axis=1)))
@@ -325,11 +324,6 @@ def _simulate(spec: ProblemSpec, noise: NoiseBundle, policy=None, flow=None) -> 
                       clamp_count=clamped)
 
 
-def simulate_common_state(spec: ProblemSpec, noise: NoiseBundle) -> np.ndarray:
-    """Common state driven by W0, (n, n_steps+1, d_common), of the driftless simulation."""
-    return _simulate(spec, noise).xc
-
-
 def simulate_driftless_state(spec: ProblemSpec, noise: NoiseBundle) -> PathBundle:
     """Reference-measure state: initial draw plus pure diffusion, no drift term."""
     return _simulate(spec, noise)
@@ -339,7 +333,7 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle) -> 
     """Controlled state under a Markovian feedback policy and a conditional measure flow.
 
     ``policy`` exposes ``actions(k, x, xc, key)``; ``flow`` exposes
-    ``key_index(k)`` and ``per_bin(k, keys, fn, *rows, mean_only)``.  Actions falling
+    ``keys(k, xc)`` and ``per_bin(k, keys, fn, *rows, mean_only)``.  Actions falling
     outside the box are clamped and counted.
     """
     grid = noise.grid

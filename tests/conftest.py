@@ -32,7 +32,7 @@ def lq_nointeraction_spec():
 def lq2_spec():
     """A 2-d state: drift (a, 0), costs on the first coordinate's gap to its mean."""
     return cnmfg.ProblemSpec(
-        d_state=2, d_common=1, d_action=1, horizon=1.0,
+        horizon=1.0,
         sigma=np.eye(2), sigma0=[[0.5], [0.25]], sigmac=[[1.0]],
         action_lo=[-1.0], action_hi=[1.0], drift_bound=1.0, common_drift_bound=0.0,
         drift=lambda t, x, mu, a: np.concatenate([a, np.zeros_like(a)], axis=1),

@@ -168,6 +168,7 @@ class TestRunCommand:
         ("seed = 7", "seed = 7\nseed 8", "expected key = value, got 'seed 8'", ":11"),
         ("[problem]", "paths = 10\n[problem]", "key outside any section", ":2"),
         ("seed = 7", "seed = 7\n[output]\nformat = csv", "unknown output key 'format'", ":12"),
+        ("seed = 7", "seed = -1", "seed (config key 'seed') must be >= 0", ""),
     ])
     def test_bad_grid_or_basis_fails_at_parse_time(self, tmp_path, capsys, old, new, message,
                                                    where):
@@ -175,6 +176,15 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert run_command(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}{where}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "validate", "w1-oracle"])
+    def test_negative_seed_flag_fails_before_out_dir(self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out-dir", str(out), "--seed", "-1"]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == "error: seed (config key 'seed') must be >= 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line, key", [

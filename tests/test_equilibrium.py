@@ -36,6 +36,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("field, value, key", [
         ("n_bins", 0, "bins"), ("n_bins", -2, "bins"),
         ("min_bin_count", 0, "min_bin_count"), ("min_bin_count", -5, "min_bin_count"),
+        ("seed", -1, "seed"),
     ])
     def test_binning_and_order_bounds(self, field, value, key):
         with pytest.raises(ValueError, match=key):
@@ -222,7 +223,7 @@ class TestExploitability:
         # driftless state, cost 0.5 |a - (1, 0, 0)|^2: minimized on the a0 = hi face
         target = np.array([1.0, 0.0, 0.0])
         spec = ProblemSpec(
-            d_state=1, d_common=1, d_action=3, horizon=1.0,
+            horizon=1.0,
             sigma=[[1.0]], sigma0=[[0.5]], sigmac=[[1.0]],
             action_lo=[-1.0] * 3, action_hi=[1.0] * 3, drift_bound=0.0,
             common_drift_bound=0.0,

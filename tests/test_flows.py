@@ -404,8 +404,8 @@ class TestFlowDistance:
         w2 = np.empty(xc.shape)
         for i in range(xc.shape[0]):
             for k in range(xc.shape[1]):
-                a = int(cur.assign(k, xc[i:i + 1, cur.key_index(k)])[0])
-                b = int(part.assign(k, xc[i:i + 1, part.key_index(k)])[0])
+                a = int(cur.assign(k, xc[i:i + 1, cur.key_idx[k]])[0])
+                b = int(part.assign(k, xc[i:i + 1, part.key_idx[k]])[0])
                 w2[i, k] = wasserstein_1d(cur.measure(k, a), part.measure(k, b), q) ** 2
         trap_w = np.full(xc.shape[1], grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
@@ -510,7 +510,7 @@ class TestPositiveMass:
         paths = simulate_driftless_state(lq_spec, noise)
         log_m = np.zeros((4000, 11))
         log_m[17, 1:] = 800.0
-        weights = GirsanovWeights(grid=noise.grid, log_m=log_m)
+        weights = GirsanovWeights(log_m=log_m)
         with pytest.raises(ValueError, match=r"positive total mass at step 1, bin \d+ "
                                              r"\(total weight 0\): weights degenerate"):
             estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
@@ -600,7 +600,7 @@ class TestEstimateFlow:
         log_m = np.ascontiguousarray(w.log_m.T)                 # (n_steps + 1, n)
         want = np.exp(log_m - log_m.max(axis=1, keepdims=True))
         want = (want / want.sum(axis=1, keepdims=True)).T
-        path_major = GirsanovWeights(grid=grid, log_m=np.ascontiguousarray(w.log_m))
+        path_major = GirsanovWeights(log_m=np.ascontiguousarray(w.log_m))
         for weights in (w, path_major):
             flow = estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
             np.testing.assert_array_equal(flow.src_w, want)
@@ -614,7 +614,7 @@ class TestEstimateFlow:
         log_m[:, 0] = 0.0
         log_m[:, 3:] += 600.0
         log_m[17, 3:] = 800.0
-        weights = GirsanovWeights(grid=noise.grid, log_m=log_m)
+        weights = GirsanovWeights(log_m=log_m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             flow = estimate_conditional_flow(paths, weights, 8, min_bin_count=32)
@@ -629,7 +629,7 @@ class TestEstimateFlow:
         noise = generate_noise(100, TimeGrid(1.0, 3), 7, 1, 2)
         from dataclasses import replace
 
-        spec2 = replace(lq_spec, d_common=2, sigma0=[[0.5, 0.0]],
+        spec2 = replace(lq_spec, sigma0=[[0.5, 0.0]],
                         sigmac=[[1.0, 0.0], [0.0, 1.0]],
                         init_common_sampler=cnmfg.problem.point_mass_sampler(0.0, dim=2))
         paths = simulate_driftless_state(spec2, noise)
@@ -862,7 +862,7 @@ class TestFlowOwnedCaches:
                 labels = flow.assign(k, paths)
                 np.testing.assert_array_equal(labels, rebuilt, err_msg=f"{name} {k}")
                 np.testing.assert_array_equal(
-                    labels, flow.assign(k, paths.xc[:, flow.key_index(k), 0]))
+                    labels, flow.assign(k, flow.keys(k, paths.xc)))
         assert group_rows(flows["current"].assign(0, paths), 1)[1] == [(0, 0, paths.n_paths)]
 
     def test_foreign_bundle_keyed_by_its_common_state(self, lq_spec, small_config):
@@ -873,7 +873,7 @@ class TestFlowOwnedCaches:
         for flow in flows.values():
             for k in (0, 7, 13, paths.grid.n_steps):
                 for bundle in (twin, other):
-                    keys = bundle.xc[:, flow.key_index(k), 0]
+                    keys = flow.keys(k, bundle.xc)
                     n_bins = flow.bins_at(k).n_bins
                     perm, groups = group_rows(flow.assign(k, bundle), n_bins)
                     want_perm, want_groups = group_rows(flow.assign(k, keys), n_bins)
@@ -892,7 +892,7 @@ class TestFlowOwnedCaches:
 
         for flow in flows.values():
             for k in range(paths.grid.n_steps + 1):
-                keys = paths.xc[:, flow.key_index(k), 0]
+                keys = flow.keys(k, paths.xc)
                 got = flow.per_bin(k, paths, fn, paths.x[:, k], a)
                 want = flow.per_bin(k, keys, fn, paths.x[:, k], a)
                 for g, w in zip(got, want):
@@ -1069,7 +1069,7 @@ class TestStepStorage:
             src_w = flow.src_w
             for k, bins in enumerate(flow.steps):
                 # the step's atoms and weights as one bin-major block, rebuilt
-                labels = flow.assign(k, paths.xc[:, flow.key_index(k), 0])
+                labels = flow.assign(k, flow.keys(k, paths.xc))
                 state_order = np.argsort(paths.x[:, k, 0], kind="stable")
                 rows = state_order[np.argsort(labels[state_order], kind="stable")]
                 np.testing.assert_array_equal(bins.rows, rows)
@@ -1112,8 +1112,8 @@ class TestPartitionMode:
                                          min_bin_count=32)
         # before T the key freezes at time zero, after which conditioning is
         # vacuous under the point-mass initial common state
-        assert part.key_index(grid.n_steps - 1) == 0
-        assert part.key_index(grid.n_steps) == grid.n_steps
+        assert part.key_idx[grid.n_steps - 1] == 0
+        assert part.key_idx[grid.n_steps] == grid.n_steps
         assert part.bins_at(grid.n_steps - 1).n_bins == 1
 
     def test_three_point_partition_key_indices(self, lq_spec):

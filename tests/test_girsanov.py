@@ -98,7 +98,7 @@ class TestStochasticExponential:
     def test_scaled_weights_proportional_with_unit_maximum(self, lq_spec):
         noise = generate_noise(2000, TimeGrid(1.0, 10), 8)
         w = stochastic_exponential(lq_spec, _drift_array(noise, 0.9), noise)
-        w_big = GirsanovWeights(grid=noise.grid, log_m=w.log_m + 1000.0)
+        w_big = GirsanovWeights(log_m=w.log_m + 1000.0)
         for k in range(w.log_m.shape[1]):
             m_k = np.exp(w.log_m[:, k])
             assert w.scaled(k).max() == 1.0
@@ -109,7 +109,7 @@ class TestStochasticExponential:
         log_m = np.zeros((4, 3))
         log_m[:, 1] = np.log([1.0, 1.0, 3.0, 3.0]) + 800.0   # exp(log M) alone overflows
         log_m[:, 2] = [0.0, -1e4, -1e4, -1e4]
-        w = GirsanovWeights(grid=TimeGrid(1.0, 2), log_m=log_m)
+        w = GirsanovWeights(log_m=log_m)
         assert w.ess_frac(0) == 1.0
         assert w.ess_frac(1) == pytest.approx(8.0 ** 2 / (4 * 20.0), rel=1e-12)
         assert w.ess_frac(-1) == 0.25
@@ -120,7 +120,7 @@ class TestStochasticExponential:
         log_m[:, 1] = [0.0, -1e4, 0.0, 0.0]           # 0.75
         log_m[:, 2] = [0.0, -1e4, -1e4, 0.0]          # 0.5, the smallest, twice
         log_m[:, 3] = [0.0, 0.0, -1e4, -1e4]
-        assert GirsanovWeights(grid=TimeGrid(1.0, 3), log_m=log_m).ess_frac_min() == (0.5, 2)
+        assert GirsanovWeights(log_m=log_m).ess_frac_min() == (0.5, 2)
         noise = generate_noise(2000, TimeGrid(1.0, 10), 9)
         w = stochastic_exponential(lq_spec, _drift_array(noise, 0.9), noise)
         fracs = [w.ess_frac(k) for k in range(1, 11)]
@@ -144,7 +144,7 @@ class TestWeightedExpectation:
         assert self_normalized_mean(np.full(5000, 3.25), w.m_terminal)[0] == pytest.approx(3.25)
 
     def test_unit_weights_are_plain_mean(self, lq_spec):
-        w = GirsanovWeights(grid=TimeGrid(1.0, 10), log_m=np.zeros((1000, 11)))
+        w = GirsanovWeights(log_m=np.zeros((1000, 11)))
         values = np.arange(1000.0)
         assert self_normalized_mean(values, w.m_terminal)[0] == pytest.approx(values.mean())
 

@@ -16,7 +16,6 @@ from cnmfg.girsanov import stochastic_exponential
 from cnmfg.sde import (
     TimeGrid,
     generate_noise,
-    simulate_common_state,
     simulate_driftless_state,
     simulate_markov_sde,
     step_major,
@@ -59,7 +58,6 @@ def test_simulators_and_orders(lq_spec, layers):
     grid, noise, paths, flow, solution, _ = layers
     _assert_step_major(noise.dw, (N, STEPS, 1))
     _assert_step_major(noise.dw0, (N, STEPS, 1))
-    _assert_step_major(simulate_common_state(lq_spec, noise), (N, STEPS + 1, 1))
     policy = extract_control(solution, lq_spec, flow)
     for bundle in (paths, simulate_markov_sde(lq_spec, policy, flow, noise)):
         _assert_step_major(bundle.x, (N, STEPS + 1, 1))

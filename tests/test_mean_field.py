@@ -89,7 +89,7 @@ def test_actions_and_policies(case):
         for policy in (extract_control(sol, spec, flow), table):
             for k in range(N_STEPS):
                 # keys of another bundle, some beyond every bin edge
-                keys = other.xc[:, flow.key_index(k), 0] * np.linspace(0.0, 3.0, other.n_paths)
+                keys = flow.keys(k, other.xc) * np.linspace(0.0, 3.0, other.n_paths)
                 out.append(policy.actions(k, other.x[:, k], other.xc[:, k], keys))
             fresh = generate_noise(2000, paths.grid, 11, 1, 1)
             out.append(simulate_markov_sde(spec, policy, flow, fresh).x)
@@ -142,7 +142,7 @@ def _two_action_spec():
     def terminal_cost(x, mu):
         return 0.5 * (x[:, 0] - w * mu.mean[0]) ** 2
 
-    return replace(cnmfg.make_instance("lq"), d_action=2, action_lo=[-1.0, -1.0],
+    return replace(cnmfg.make_instance("lq"), action_lo=[-1.0, -1.0],
                    action_hi=[1.0, 1.0], drift_bound=1.5, drift=drift,
                    running_cost=running_cost, terminal_cost=terminal_cost,
                    argmin_action=None, invert_drift=None, mean_field=True)

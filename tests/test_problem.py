@@ -43,6 +43,8 @@ class TestMeasureSummary:
         assert mu.mean is mu.mean                   # computed once, then cached
         with pytest.raises(ValueError, match="negative"):
             EmpiricalMeasure([[0.0], [1.0]], [-0.5, 1.5])   # validation stays eager
+        with pytest.raises(ValueError, match="non-empty support"):
+            EmpiricalMeasure([])
 
     def test_dirac(self):
         mu = EmpiricalMeasure([[2.0, 0.0]], [1.0])
@@ -273,6 +275,36 @@ class TestValidateSpec:
         report = validate_spec(spec, n_probes=64, seed=2)
         assert not report.passed
         assert report.max_drift > 1.0 + 1e-9
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("changes, message", [
+        ({"horizon": 0.0}, "horizon must be finite and > 0"),
+        ({"horizon": np.inf}, "horizon must be finite and > 0"),
+        ({"sigma": [[np.nan]]}, "sigma must be finite"),
+        ({"sigma": [[1.0, 0.0]]}, r"sigma must be a non-empty square matrix, got shape \(1, 2\)"),
+        ({"sigma": np.zeros((0, 0))},
+         r"sigma must be a non-empty square matrix, got shape \(0, 0\)"),
+        ({"sigma0": [[0.5, 0.5]]}, "sigma0 must be d_state x d_common"),
+        ({"sigmac": [[1.0], [0.0]]},
+         r"sigmac must be a non-empty square matrix, got shape \(2, 1\)"),
+        ({"action_lo": [], "action_hi": []}, "action box bounds must be non-empty vectors"),
+        ({"action_hi": [1.0, 1.0]}, "action box bounds must be non-empty vectors of one length"),
+        ({"action_lo": [1.0], "action_hi": [-1.0]}, r"empty action box \(lo > hi\)"),
+    ], ids=["horizon-0", "horizon-inf", "sigma-nan", "sigma-not-square", "sigma-empty",
+            "sigma0-shape", "sigmac-not-square", "box-no-axes", "box-lengths-differ",
+            "box-lo-above-hi"])
+    def test_rejected_inputs(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            replace(make_instance("lq"), **changes)
+
+    def test_sizes_are_read_off_the_matrices(self, lq2_spec):
+        assert (lq2_spec.d_state, lq2_spec.d_common, lq2_spec.d_action) == (2, 1, 1)
+        spec = replace(lq2_spec, sigma=np.eye(3), sigma0=np.full((3, 2), 0.5), sigmac=np.eye(2),
+                       action_lo=[-1.0] * 4, action_hi=[1.0] * 4)
+        assert (spec.d_state, spec.d_common, spec.d_action) == (3, 2, 4)
+        with pytest.raises(ValueError, match="d_state"):
+            replace(spec, d_state=3)
 
 
 class TestFamilies:

@@ -158,4 +158,4 @@ def test_consumers_leave_only_log_weights_on_the_weights(lq_spec, setup):
     estimate_conditional_flow(paths, w, cfg.n_bins)
     policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
     mimicking_check(lq_spec, (paths, w), policy, flow, fresh, checked_steps=[grid.n_steps])
-    assert set(vars(w)) == {"grid", "log_m"}
+    assert set(vars(w)) == {"log_m"}

@@ -15,7 +15,6 @@ from cnmfg.sde import (
     _philox_key,
     generate_noise,
     searchsorted_right,
-    simulate_common_state,
     simulate_driftless_state,
     simulate_markov_sde,
     sorted_ties,
@@ -232,14 +231,14 @@ class TestCommonState:
     def test_pure_integrator(self, lq_spec):
         grid = TimeGrid(1.0, 20)
         noise = generate_noise(500, grid, 3)
-        xc = simulate_common_state(lq_spec, noise)
+        xc = simulate_driftless_state(lq_spec, noise).xc
         expected = np.cumsum(noise.dw0[:, :, 0], axis=1)
         np.testing.assert_allclose(xc[:, 1:, 0], expected, atol=1e-12)
 
     def test_martingale_mean(self, lq_spec):
         grid = TimeGrid(1.0, 20)
         noise = generate_noise(100_000, grid, 4)
-        xc = simulate_common_state(lq_spec, noise)
+        xc = simulate_driftless_state(lq_spec, noise).xc
         terminal = xc[:, -1, 0]
         assert abs(terminal.mean()) <= 3 * terminal.std() / np.sqrt(terminal.size)
 
@@ -248,14 +247,14 @@ class TestCommonState:
                        common_drift_bound=1.0)
         grid = TimeGrid(1.0, 20)
         noise = generate_noise(100_000, grid, 5)
-        terminal = simulate_common_state(spec, noise)[:, -1, 0]
+        terminal = simulate_driftless_state(spec, noise).xc[:, -1, 0]
         assert abs(terminal.mean() - 1.0) <= 3 * terminal.std() / np.sqrt(terminal.size)
 
     def test_nonfinite_drift_aborts(self, lq_spec):
         spec = replace(lq_spec, common_drift=lambda t, xc: np.full_like(xc, np.nan))
         noise = generate_noise(10, TimeGrid(1.0, 5), 6)
         with pytest.raises(RuntimeError, match="non-finite common drift"):
-            simulate_common_state(spec, noise)
+            simulate_driftless_state(spec, noise)
 
 
 class TestDriftlessState:
@@ -292,8 +291,7 @@ class TestSpentNoise:
     def test_a_bundle_without_dw0_drives_no_simulator(self, lq_spec, small_config):
         noise = replace(generate_noise(100, small_config.grid(lq_spec), 14, 1, 1), dw0=None)
         flow = initial_flow(lq_spec, small_config)
-        for simulate in (lambda: simulate_common_state(lq_spec, noise),
-                         lambda: simulate_driftless_state(lq_spec, noise),
+        for simulate in (lambda: simulate_driftless_state(lq_spec, noise),
                          lambda: simulate_markov_sde(lq_spec, _ConstantPolicy(0.0), flow, noise)):
             with pytest.raises(ValueError, match="common increments were already integrated"):
                 simulate()
