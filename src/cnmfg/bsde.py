@@ -28,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import comb
 
 from .flows import ConditionalMeasureFlow
-from .girsanov import (GirsanovWeights, log_increments, put_log_increment,
+from .girsanov import (GirsanovWeights, _step_reader, log_increments, put_log_increment,
                        self_normalized_mean, stochastic_exponential)
 from .problem import ProblemSpec, minimize_hamiltonian_batch
 from .sde import NoiseBundle, PathBundle, TimeGrid, searchsorted_right, step_major
@@ -419,13 +419,6 @@ def extract_control(solution: BsdeSolution, spec: ProblemSpec,
                         solution=solution, label="bsde-feedback")
 
 
-def _control_array(actions: np.ndarray, paths: PathBundle) -> np.ndarray:
-    a = np.asarray(actions, float)
-    if a.shape[:2] != (paths.n_paths, paths.grid.n_steps):
-        raise ValueError(f"action array shape {a.shape} does not match paths")
-    return a
-
-
 def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                     actions: np.ndarray, paths: PathBundle,
                     noise: NoiseBundle) -> GirsanovWeights:
@@ -436,13 +429,13 @@ def control_weights(spec: ProblemSpec, flow: ConditionalMeasureFlow,
     accumulates them, so no (n, n_steps, d_state) drift array exists.  The
     BSDE's own control gets its weights from ``solve_bsde(..., weights=True)``.
     """
-    a = _control_array(actions, paths)
+    a = _step_reader(actions, (paths.n_paths, paths.grid.n_steps, spec.d_action), "actions")
 
     def step_drift(k):
         t_k = paths.grid.times[k]
         return flow.per_bin(
             k, paths, lambda mu, x, a_k: _sigma_inv_drift(spec, t_k, x, mu, a_k),
-            paths.x[:, k], a[:, k], mean_only=spec.mean_field)
+            paths.x[:, k], a(k), mean_only=spec.mean_field)
     return stochastic_exponential(spec, step_drift, noise)
 
 

@@ -51,6 +51,7 @@ _MIN_DAMPING = 1.0 / 64.0
 _STALL_ROWS = 5   # consecutive non-decreasing residuals at one damping that halve it
 _N_CONST = 9      # most constant deviation actions per axis of the exploitability family
 _SHIFT = 0.1      # size of its shifted-policy deviations
+_EVAL_SEED_OFFSET = 99_991   # the evaluation seed is the seed plus this
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ class SolverConfig:
             raise ValueError("min_bin_count must be >= 1")
         if self.seed < 0:
             raise ValueError("seed (config key 'seed') must be >= 0")
+        if self.eval_seed >= 1 << 64:
+            raise ValueError(f"seed (config key 'seed') must be < 2**64 - {_EVAL_SEED_OFFSET}")
         if self.partition_times is not None:
             object.__setattr__(self, "partition_times",
                                tuple(float(t) for t in self.partition_times))
@@ -100,7 +103,7 @@ class SolverConfig:
     @property
     def eval_seed(self) -> int:
         """Seed of the evaluation noise that the mimicking check and exploitability draw."""
-        return self.seed + 99_991
+        return self.seed + _EVAL_SEED_OFFSET
 
 
 @dataclass

@@ -389,7 +389,7 @@ class ConditionalMeasureFlow:
         return searchsorted_right(bins.edges[1:-1], keys)
 
     def per_bin(self, k: int, keys, fn, *rows, mean_only=False):
-        """``fn(measure(k, b), *row_slices)`` on each non-empty bin b of ``keys`` at step k.
+        """``fn(bins_at(k).measures[b], *row_slices)`` on each bin b that ``keys`` fill at step k.
 
         ``keys`` is as for ``assign``.  Each call gets exactly the rows of the
         mask ``assign(k, keys) == b``, in path order.  ``fn`` returns one array
@@ -415,31 +415,30 @@ class ConditionalMeasureFlow:
             for a in args:
                 a.flags.writeable = False
             res = fn(_RowMeans(means[:, labels]), *args)
-            parts = []
-            for part in (res if isinstance(res, tuple) else (res,)):
-                part = np.asarray(part)
-                if part.shape[:1] != (n,):
-                    raise ValueError(f"per_bin at step {k}: an output of shape {part.shape} "
-                                     f"has no leading entry per row ({n} rows)")
-                if not part.flags.owndata or any(np.may_share_memory(part, a) for a in args):
-                    part = part.copy()
-                parts.append(part)
+            parts = [p if p.flags.owndata and not any(np.may_share_memory(p, a) for a in args)
+                     else p.copy() for p in _outputs(k, res, n)]
             return tuple(parts) if isinstance(res, tuple) else parts[0]
         perm, groups = group_rows(labels, bins.n_bins)
-        measures = bins.measures
         gathered = [np.asarray(r)[perm] for r in rows]
         outs = None
         for b, lo, hi in groups:
-            res = fn(measures[b], *(g[lo:hi] for g in gathered))
-            parts = res if isinstance(res, tuple) else (res,)
+            res = fn(bins.measures[b], *(g[lo:hi] for g in gathered))
+            parts = _outputs(k, res, hi - lo)
             if outs is None:
-                outs = [np.empty((n,) + np.shape(p)[1:], np.result_type(p)) for p in parts]
+                outs = [np.empty((n,) + p.shape[1:], p.dtype) for p in parts]
             for out, part in zip(outs, parts):
                 out[perm[lo:hi]] = part
         return tuple(outs) if isinstance(res, tuple) else outs[0]
 
-    def measure(self, k: int, bin_idx: int) -> EmpiricalMeasure:
-        return self.steps[k].measures[bin_idx]
+
+def _outputs(k: int, res, n: int) -> list:
+    """The arrays of a ``per_bin`` call's result, checked to have one leading entry per row."""
+    parts = [np.asarray(part) for part in (res if isinstance(res, tuple) else (res,))]
+    for part in parts:
+        if part.shape[:1] != (n,):
+            raise ValueError(f"per_bin at step {k}: an output of shape {part.shape} "
+                             f"has no leading entry per row ({n} rows)")
+    return parts
 
 
 class _RowMeans:

@@ -86,14 +86,20 @@ def stochastic_exponential(spec: ProblemSpec, drift_samples, noise: NoiseBundle
     lambda . dW - |lambda|^2 dt / 2 goes straight into the step-major
     ``log_m``, which is then summed in place.
     """
-    dw = noise.dw
-    lam = drift_samples if callable(drift_samples) else np.asarray(drift_samples, float)
-    if not callable(lam) and lam.shape != dw.shape:
-        raise ValueError(f"drift_samples shape {lam.shape} != increments shape {dw.shape}")
-    log_m = step_major(dw.shape[0], noise.grid.n_steps + 1)
+    lam = drift_samples if callable(drift_samples) else _step_reader(
+        drift_samples, noise.dw.shape, "drift_samples")
+    log_m = step_major(noise.n_paths, noise.grid.n_steps + 1)
     for k in range(noise.grid.n_steps):
-        put_log_increment(log_m, k, lam(k) if callable(lam) else lam[:, k], noise)
+        put_log_increment(log_m, k, lam(k), noise)
     return GirsanovWeights.from_increments(log_m)
+
+
+def _step_reader(values, shape: tuple, name: str):
+    """``k -> values[:, k]``, once the whole (n_paths, n_steps, width) ``shape`` is checked."""
+    a = np.asarray(values, float)
+    if a.shape != shape:
+        raise ValueError(f"{name} shape {a.shape} does not match paths: expected {shape}")
+    return lambda k: a[:, k]
 
 
 def put_log_increment(log_m: np.ndarray, k: int, lam_k, noise: NoiseBundle) -> None:

@@ -53,10 +53,6 @@ _COND_LIMIT = 1e12
 _TIE_TOL = 1e-12
 
 
-class SingularDiffusionError(ValueError):
-    """Raised when a diffusion matrix is numerically singular (cond > 1e12)."""
-
-
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ class ProblemSpec:
         """Inverse of sigma, computed on first use rather than at construction
         so that validate_spec can still report on a singular spec."""
         if not np.isfinite(self.cond_sigma) or self.cond_sigma > _COND_LIMIT:
-            raise SingularDiffusionError(
+            raise ValueError(
                 f"sigma is numerically singular (cond={self.cond_sigma:.3g})"
             )
         return np.linalg.inv(self.sigma)

@@ -19,7 +19,7 @@ import numpy as np
 from .bsde import (BasisSpec, MarkovPolicy, stacked_objective_influence, _RIDGE,
                    _ridge_factor, _ridge_solve)
 from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport
-from .girsanov import GirsanovWeights, paired_gap
+from .girsanov import GirsanovWeights, _step_reader, paired_gap
 from .problem import ProblemSpec, box_minimize_batch
 from .sde import NoiseBundle, PathBundle, simulate_markov_sde, step_major
 
@@ -83,9 +83,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
     grid = paths.grid
     n = paths.n_paths
     n_steps = grid.n_steps
-    a = np.asarray(action_samples, float)
-    if a.shape[:2] != (n, n_steps):
-        raise ValueError("action_samples misaligned with paths")
+    a = _step_reader(action_samples, (n, n_steps, spec.d_action), "action_samples")
 
     fitted = basis.fit_stats(paths)
     x_axes = np.empty((n_steps, _N_X))
@@ -100,7 +98,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         w_k = weights.scaled(k)
 
         drift_vals = flow.per_bin(k, paths, lambda mu, xs, acts: np.asarray(
-            spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a[:, k],
+            spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a(k),
             mean_only=spec.mean_field)
 
         feats = fitted.features(k, paths.x[:, k], keys[:, None])
@@ -196,11 +194,12 @@ def project_cost_gap(spec: ProblemSpec, paths: PathBundle, action_samples: np.nd
     Both controls are scored in one stacked pass, each under its own weights;
     the policy's actions are evaluated one step at a time, as the pass needs them.
     """
-    original = np.asarray(action_samples, float)
+    original = _step_reader(action_samples, (paths.n_paths, paths.grid.n_steps, spec.d_action),
+                            "action_samples")
 
     def step_actions(k):
         keys = flow.keys(k, paths.xc)
         markov = spec.clip_action(policy.actions(k, paths.x[:, k], paths.xc[:, k], keys))
-        return np.stack([original[:, k], markov])
+        return np.stack([original(k), markov])
 
     return paired_gap(*stacked_objective_influence(spec, flow, step_actions, paths, noise))

@@ -242,6 +242,8 @@ def generate_noise(n_paths: int, grid: TimeGrid, seed: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     n_steps, d = grid.n_steps, d_state + d_common
     sqdt = np.sqrt(grid.dt)
     dw = step_major(n_paths, n_steps, d_state)
@@ -336,7 +338,6 @@ def simulate_markov_sde(spec: ProblemSpec, policy, flow, noise: NoiseBundle) -> 
     ``keys(k, xc)`` and ``per_bin(k, keys, fn, *rows, mean_only)``.  Actions falling
     outside the box are clamped and counted.
     """
-    grid = noise.grid
-    if grid.n_steps != flow.grid.n_steps or abs(grid.horizon - flow.grid.horizon) > 1e-12:
+    if noise.grid != flow.grid:
         raise ValueError("policy/flow grid does not match the noise grid")
     return _simulate(spec, noise, policy, flow)

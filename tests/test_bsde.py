@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,14 +177,15 @@ class TestEvaluateObjective:
             bins = flow.assign(k, keys)
             for b in np.unique(bins):
                 sel = bins == b
-                mu = flow.measure(k, int(b))
+                mu = flow.bins_at(k).measures[int(b)]
                 total[sel] += lq_spec.running_cost(grid.times[k], paths.x[sel, k], mu,
                                                    actions[sel, k]) * grid.dt
         kT = 20
         bins = flow.assign(kT, paths.xc[:, kT, 0])
         for b in np.unique(bins):
             sel = bins == b
-            total[sel] += lq_spec.terminal_cost(paths.x[sel, kT], flow.measure(kT, int(b)))
+            total[sel] += lq_spec.terminal_cost(paths.x[sel, kT],
+                                                flow.bins_at(kT).measures[int(b)])
         assert j == pytest.approx(total.mean(), rel=1e-12)
 
     def test_optimal_beats_perturbations(self, lq_nointeraction_spec):
@@ -268,7 +270,7 @@ class TestStackedScoring:
         with pytest.raises(RuntimeError, match=r"path 7, step 2"):
             control_weights(lq_spec, flow, a, paths, noise)
 
-    @pytest.mark.parametrize("shape", [(1000, 3, 1), (999, 4, 1)])
+    @pytest.mark.parametrize("shape", [(1000, 3, 1), (999, 4, 1), (1000, 4, 2)])
     def test_misaligned_controls_rejected(self, lq_spec, shape):
         grid, noise, paths, flow = _setup(lq_spec, n_paths=1000, n_steps=4, seed=9)
         with pytest.raises(ValueError, match="does not match paths"):
@@ -495,6 +497,24 @@ class TestBilinear:
         for k in range(3):
             want = _searchsorted_bilinear(x_axes[k], key_axes[k], tables[k], x[:, 0], key)
             _assert_bitwise(policy.actions(k, x, np.zeros((5000, 1)), key), want)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: BasisSpec(degree=-1), "degree must be >= 0"),
+        (lambda s: BasisSpec().features(1, s.paths.x[:, 1], s.paths.xc[:, 1]),
+         "basis statistics not fitted"),
+        (lambda s: solve_bsde(s.spec, s.flow, s.paths, s.noise, BasisSpec(), driver="other"),
+         "driver must be 'hamiltonian' or 'zero'"),
+        (lambda s: MarkovPolicy(grid=s.grid, kind="other").actions(
+            1, s.paths.x[:, 1], s.paths.xc[:, 1], s.paths.xc[:, 1, 0]),
+         "unknown policy kind 'other'"),
+    ], ids=["negative-degree", "unfitted-basis", "unknown-driver", "unknown-policy-kind"])
+    def test_raises(self, lq_spec, call, message):
+        grid, noise, paths, flow = _setup(lq_spec, n_paths=200, n_steps=3, n_bins=2)
+        setup = SimpleNamespace(spec=lq_spec, grid=grid, noise=noise, paths=paths, flow=flow)
+        with pytest.raises(ValueError, match=message):
+            call(setup)
 
 
 class TestFeatureColumns:

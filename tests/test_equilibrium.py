@@ -36,13 +36,15 @@ class TestSolverConfig:
     @pytest.mark.parametrize("field, value, key", [
         ("n_bins", 0, "bins"), ("n_bins", -2, "bins"),
         ("min_bin_count", 0, "min_bin_count"), ("min_bin_count", -5, "min_bin_count"),
-        ("seed", -1, "seed"),
+        ("seed", -1, "seed"), ("seed", 2**64 - 99_991, "seed"), ("max_iters", 0, "max_iters"),
     ])
     def test_binning_and_order_bounds(self, field, value, key):
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{field: value})
         cfg = SolverConfig(n_bins=1, min_bin_count=1)
         assert (cfg.n_bins, cfg.min_bin_count) == (1, 1)
+        # the largest seed whose evaluation seed is still a 64-bit noise seed
+        assert SolverConfig(seed=2**64 - 99_992).eval_seed == 2**64 - 1
 
     @pytest.mark.parametrize("n_paths", [1, 0, -4])
     def test_paths_at_least_two(self, n_paths):

@@ -61,6 +61,17 @@ class TestWasserstein1d:
         with pytest.raises(ValueError):
             wasserstein_1d(EmpiricalMeasure(np.zeros((2, 2))), _measure([0.0]), 1.0)
 
+    @pytest.mark.parametrize("kind", ["measure", "flow-bin"])
+    def test_sorted_1d_needs_a_1d_support(self, lq2_spec, kind):
+        if kind == "measure":
+            mu = EmpiricalMeasure(np.zeros((3, 2)))
+        else:
+            noise = generate_noise(200, TimeGrid(1.0, 3), 6, 2, 1)
+            mu = estimate_conditional_flow(simulate_driftless_state(lq2_spec, noise), None,
+                                           2).bins_at(1).measures[0]
+        with pytest.raises(ValueError, match="sorted_1d requires 1-d support"):
+            mu.sorted_1d
+
 
 def _searchsorted_w1(mu, nu, q):
     """The quantile coupling as first written: two searchsorted lookups per level."""
@@ -138,6 +149,10 @@ class TestLpTransport:
     def test_self_distance_zero(self):
         mu = _measure([0.1, 0.5, -2.0], [0.2, 0.5, 0.3])
         assert lp_transport(mu, mu, 2.0) == pytest.approx(0.0, abs=1e-9)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch between measures"):
+            lp_transport(_measure([0.0, 1.0]), EmpiricalMeasure(np.zeros((2, 2))))
 
     def test_euclidean_point_masses(self):
         mu = EmpiricalMeasure(np.array([[0.0, 0.0]]))
@@ -383,7 +398,8 @@ class TestFlowDistance:
                     a = int(m.assign(k, keys[i:i + 1, k])[0])
                     b = int(m2.assign(k, keys[i:i + 1, k])[0])
                     if (k, a, b) not in pairs:
-                        pairs[k, a, b] = distance(m.measure(k, a), m2.measure(k, b), q) ** 2
+                        pairs[k, a, b] = distance(m.bins_at(k).measures[a],
+                                                  m2.bins_at(k).measures[b], q) ** 2
                     w2[i, k] = pairs[k, a, b]
             trap_w = np.full(keys.shape[1], grid.dt)
             trap_w[0] = trap_w[-1] = 0.5 * grid.dt
@@ -406,7 +422,8 @@ class TestFlowDistance:
             for k in range(xc.shape[1]):
                 a = int(cur.assign(k, xc[i:i + 1, cur.key_idx[k]])[0])
                 b = int(part.assign(k, xc[i:i + 1, part.key_idx[k]])[0])
-                w2[i, k] = wasserstein_1d(cur.measure(k, a), part.measure(k, b), q) ** 2
+                w2[i, k] = wasserstein_1d(cur.bins_at(k).measures[a],
+                                          part.bins_at(k).measures[b], q) ** 2
         trap_w = np.full(xc.shape[1], grid.dt)
         trap_w[0] = trap_w[-1] = 0.5 * grid.dt
         expected = float(np.mean((w2 @ trap_w) ** (q / 2.0)) ** (1.0 / q))
@@ -534,7 +551,7 @@ class TestEstimateFlow:
         paths = simulate_driftless_state(lq_spec, noise)
         flow = estimate_conditional_flow(paths, None, 1)
         k = 10
-        mu = flow.measure(k, 0)
+        mu = flow.bins_at(k).measures[0]
         np.testing.assert_allclose(np.sort(mu.support[:, 0]), np.sort(paths.x[:, k, 0]))
         assert mu.weights.max() == pytest.approx(1.0 / 4000)
 
@@ -584,6 +601,11 @@ class TestEstimateFlow:
         paths = simulate_driftless_state(lq_spec, generate_noise(200, TimeGrid(1.0, 3), 6, 1, 1))
         with pytest.raises(ValueError, match="min_bin_count"):
             estimate_conditional_flow(paths, None, 4, min_bin_count=0)
+
+    def test_no_bins_rejected(self, lq_spec):
+        paths = simulate_driftless_state(lq_spec, generate_noise(200, TimeGrid(1.0, 3), 6, 1, 1))
+        with pytest.raises(ValueError, match="n_bins must be >= 1"):
+            estimate_conditional_flow(paths, None, 0)
 
     def test_bin_clamp_warns(self, lq_spec):
         noise = generate_noise(100, TimeGrid(1.0, 3), 6, 1, 1)
@@ -717,7 +739,7 @@ class TestPerBin:
             # one call on every row in path order, each row seeing its bin's mean
             ((mu, slices),) = calls
             np.testing.assert_array_equal(
-                mu.mean, np.stack([flow.measure(k, int(b)).mean for b in labels], axis=1))
+                mu.mean, np.stack([flow.bins_at(k).measures[int(b)].mean for b in labels], axis=1))
             for seen, r in zip(slices, rows):
                 np.testing.assert_array_equal(seen, r)
         else:
@@ -725,7 +747,7 @@ class TestPerBin:
             # itself and exactly the mask's rows in path order
             assert len(calls) == bins.size
             for (mu, slices), b in zip(calls, bins):
-                assert mu is flow.measure(k, int(b))
+                assert mu is flow.bins_at(k).measures[int(b)]
                 for seen, r in zip(slices, rows):
                     np.testing.assert_array_equal(seen, r[labels == b])
         single = not isinstance(got, tuple)
@@ -733,7 +755,7 @@ class TestPerBin:
         want = [np.full_like(g, np.nan) for g in got]
         for b in bins:
             mask = labels == b
-            res = fn(flow.measure(k, int(b)), *(r[mask] for r in rows))
+            res = fn(flow.bins_at(k).measures[int(b)], *(r[mask] for r in rows))
             for w, part in zip(want, (res,) if single else res):
                 w[mask] = part
         for g, w in zip(got, want):
@@ -807,13 +829,22 @@ class TestPerBin:
         np.testing.assert_array_equal(same, x)
         np.testing.assert_array_equal(view, x[:, 0])
 
+    @pytest.mark.parametrize("mean_only", [False, True])
+    @pytest.mark.parametrize("fn", [lambda mu, x: 0.0, lambda mu, x: np.zeros(1),
+                                    lambda mu, x: x[:-1]],
+                             ids=["scalar", "length-1", "one-row-short"])
+    def test_output_without_an_entry_per_row_rejected(self, lq_spec, small_config, fn, mean_only):
+        # both paths hold every output to one leading entry per row; none is broadcast
+        paths, flow = self._flow(lq_spec, small_config, 27)
+        with pytest.raises(ValueError, match="per_bin at step 4: an output of shape .* has no "
+                                             "leading entry per row"):
+            flow.per_bin(4, paths, fn, paths.x[:, 4], mean_only=mean_only)
+
     def test_per_row_measure_and_output_checks(self, lq_spec, small_config):
         paths, flow = self._flow(lq_spec, small_config, 26)
         with pytest.raises(AttributeError, match="mean_field"):
             flow.per_bin(4, paths, lambda mu, x: x * mu.pth_moment, paths.x[:, 4],
                          mean_only=True)
-        with pytest.raises(ValueError, match="step 4"):
-            flow.per_bin(4, paths, lambda mu, x: x[:-1], paths.x[:, 4], mean_only=True)
         with pytest.raises(ValueError, match="read-only"):
             flow.per_bin(4, paths, lambda mu, x: np.add(x, 1.0, out=x), paths.x[:, 4],
                          mean_only=True)
@@ -909,7 +940,7 @@ class TestFlowOwnedCaches:
                     np.testing.assert_array_equal(xs, mu.support[order, 0])
                     np.testing.assert_array_equal(ws, mu.weights[order])
         if x_decimals is not None:
-            support = flows["current"].measure(10, 2).support[:, 0]
+            support = flows["current"].bins_at(10).measures[2].support[:, 0]
             assert np.unique(support).size < support.size
 
 
@@ -1135,8 +1166,8 @@ class TestLookup:
         edges = flow.bins_at(k).edges
         mid = 0.5 * (edges[1] + edges[2])
         k = flow.grid.nearest_step(k * flow.grid.dt)
-        m1 = flow.measure(k, flow.assign(k, [mid])[0])
-        m2 = flow.measure(k, flow.assign(k, [mid + 1e-9])[0])
+        m1 = flow.bins_at(k).measures[flow.assign(k, [mid])[0]]
+        m2 = flow.bins_at(k).measures[flow.assign(k, [mid + 1e-9])[0]]
         assert m1 is m2
 
     def test_clamps_to_extreme_bins(self, lq_spec, small_config):
@@ -1144,9 +1175,10 @@ class TestLookup:
         paths = simulate_driftless_state(lq_spec, noise)
         flow = estimate_conditional_flow(paths, None, 4, min_bin_count=32)
         k = flow.grid.nearest_step(10 * flow.grid.dt)
-        assert flow.measure(k, flow.assign(k, [-1e6])[0]) is flow.measure(10, 0)
+        assert flow.bins_at(k).measures[flow.assign(k, [-1e6])[0]] is flow.bins_at(10).measures[0]
         last = flow.bins_at(10).n_bins - 1
-        assert flow.measure(k, flow.assign(k, [1e6])[0]) is flow.measure(10, last)
+        assert (flow.bins_at(k).measures[flow.assign(k, [1e6])[0]]
+                is flow.bins_at(10).measures[last])
 
     def test_assign_equals_searchsorted_on_interior_edges(self, lq_spec, small_config):
         noise = generate_noise(4000, small_config.grid(lq_spec), 14, 1, 1)
@@ -1170,8 +1202,8 @@ class TestLookup:
         dt = flow.grid.dt
         k1 = flow.grid.nearest_step(10 * dt + 0.4 * dt)
         k2 = flow.grid.nearest_step(10 * dt)
-        m1 = flow.measure(k1, flow.assign(k1, [0.0])[0])
-        assert m1 is flow.measure(k2, flow.assign(k2, [0.0])[0])
+        m1 = flow.bins_at(k1).measures[flow.assign(k1, [0.0])[0]]
+        assert m1 is flow.bins_at(k2).measures[flow.assign(k2, [0.0])[0]]
 
 
 class TestMixFlows:

@@ -75,6 +75,13 @@ class TestStochasticExponential:
         with pytest.raises(RuntimeError, match=r"path 3, step 2"):
             stochastic_exponential(lq_spec, lam, noise)
 
+    @pytest.mark.parametrize("shape", [(10, 6, 1), (10, 5, 2), (9, 5, 1)])
+    def test_misshapen_drift_array_rejected(self, lq_spec, shape):
+        noise = generate_noise(10, TimeGrid(1.0, 5), 6)
+        with pytest.raises(ValueError, match=r"drift_samples shape .* does not match paths: "
+                                             r"expected \(10, 5, 1\)"):
+            stochastic_exponential(lq_spec, np.zeros(shape), noise)
+
     @pytest.mark.parametrize("d_state", [1, 2])
     def test_streamed_drifts_equal_the_materialised_running_sum(self, lq_spec, d_state):
         noise = generate_noise(3000, TimeGrid(1.0, 12), 4, d_state=d_state, d_common=1)
@@ -143,6 +150,10 @@ class TestWeightedExpectation:
         w = stochastic_exponential(lq_spec, _drift_array(noise, 0.5), noise)
         assert self_normalized_mean(np.full(5000, 3.25), w.m_terminal)[0] == pytest.approx(3.25)
 
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ValueError, match="values and weights must be aligned by path"):
+            self_normalized_mean(np.zeros(5), np.ones(4))
+
     def test_unit_weights_are_plain_mean(self, lq_spec):
         w = GirsanovWeights(log_m=np.zeros((1000, 11)))
         values = np.arange(1000.0)
@@ -186,6 +197,10 @@ class TestConditionalValues:
         rep = weighted_conditional_values(vals, np.ones(6), bins, n_bins=3)
         np.testing.assert_allclose(rep.bin_means, [0, 1, 0])
         np.testing.assert_allclose(rep.counts, [2, 3, 1])
+        # without n_bins, the bins run to the largest label
+        inferred = weighted_conditional_values(vals, np.ones(6), bins)
+        np.testing.assert_array_equal(inferred.counts, rep.counts)
+        np.testing.assert_array_equal(inferred.bin_means, rep.bin_means)
 
     def test_independent_weights_and_keys(self, lq_spec):
         # sigma0 = 0 decouples X^c from W, so weights are independent of bins

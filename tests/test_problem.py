@@ -118,6 +118,16 @@ class TestMinimizeHamiltonian:
         a, _ = box_minimize_batch(flat, [-1.0], [1.0], 1)
         assert a[0, 0] == pytest.approx(-1.0)
 
+    def test_degenerate_box_axes_are_not_refined(self):
+        # a zero-width axis and one narrower than the refinement tolerance are
+        # left at their grid value; the free axis still reaches each row's minimum
+        target = np.array([0.3, -0.6])
+        a, h = box_minimize_batch(lambda a: (a[:, 2] - target) ** 2,
+                                  [0.5, 0.0, -1.0], [0.5, 1e-14, 1.0], 2)
+        np.testing.assert_array_equal(a[:, :2], [[0.5, 0.0], [0.5, 0.0]])
+        np.testing.assert_allclose(a[:, 2], target, atol=1e-7)
+        assert np.max(h) <= 1e-12
+
     def test_batch_matches_pointwise(self, lq_unit_spec, dirac0):
         z = np.array([[0.3], [-0.8], [2.0]])
         x = np.zeros((3, 1))
@@ -269,6 +279,20 @@ class TestValidateSpec:
         with pytest.raises(ValueError):
             spec.sigma_inv
 
+    @pytest.mark.parametrize("changes, flag, note", [
+        ({"drift": lambda t, x, mu, a: np.full_like(a, np.inf)}, "drift_ok",
+         "non-finite drift at probe 0"),
+        ({"sigmac": [[0.0]]}, "sigmac_ok", "singular sigmac"),
+    ], ids=["drift-non-finite", "sigmac-singular"])
+    def test_failed_check_is_noted(self, changes, flag, note):
+        report = validate_spec(replace(make_instance("lq"), **changes), n_probes=16, seed=1)
+        assert not report.passed and not getattr(report, flag)
+        assert note in report.notes
+
+    def test_needs_a_probe(self, lq_spec):
+        with pytest.raises(ValueError, match="n_probes must be >= 1"):
+            validate_spec(lq_spec, n_probes=0)
+
     def test_drift_bound_violation(self):
         base = make_instance("lq")
         spec = replace(base, drift=lambda t, x, mu, a: 2.0 * a, drift_bound=1.0)
@@ -312,7 +336,9 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unknown instance family"):
             make_instance("nosuch")
 
-    def test_registry_hook(self):
+    def test_registry_hook(self, monkeypatch):
+        # registered in a copy of the registry, so no later test sees the family
+        monkeypatch.setattr(problem_mod, "_FAMILIES", dict(_FAMILIES))
         called = {}
 
         def builder(**kw):
@@ -323,6 +349,7 @@ class TestFamilies:
         spec = make_instance("custom-test", interaction=0.5)
         assert called == {"interaction": 0.5}
         assert spec.d_state == 1
+        assert "custom-test" not in _FAMILIES
 
     @pytest.mark.parametrize("family", ["lq", "tanh"])
     def test_params_are_the_builder_keywords_as_floats(self, family):

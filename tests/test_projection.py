@@ -28,6 +28,21 @@ def setup(lq_spec):
     return cfg, grid, noise, paths, flow, fresh,
 
 
+def _zero_control(spec, n_steps):
+    """(paths, noise, flow, fresh noise, weights, projected policy) of the zero control on a
+    1000-path reference; ``fresh`` is the evaluation-seed noise."""
+    cfg = SolverConfig(seed=32, n_paths=1000, n_steps=n_steps, n_bins=4, min_bin_count=32)
+    grid = cfg.grid(spec)
+    noise = generate_noise(cfg.n_paths, grid, cfg.seed, 1, 1)
+    paths = simulate_driftless_state(spec, noise)
+    flow = initial_flow(spec, cfg, paths)
+    actions = np.zeros((cfg.n_paths, n_steps, 1))
+    w = control_weights(spec, flow, actions, paths, noise)
+    policy = project_control(spec, paths, actions, flow, w, BasisSpec(degree=1))
+    fresh = generate_noise(cfg.n_paths, grid, cfg.eval_seed, 1, 1)
+    return paths, noise, flow, fresh, w, policy
+
+
 def _affine_markov_actions(paths):
     # in the feature span of degree >= 1 and never clipped on 3-sigma cells
     return 0.15 * paths.x[:, :-1, :] + 0.05 * paths.xc[:, :-1, :] - 0.02
@@ -113,6 +128,12 @@ class TestMimicking:
         # must stay within twice the Markovian baseline
         assert rep_pd.max_w1 <= 2.0 * rep_mk.max_w1
 
+    def test_default_steps_end_at_the_horizon(self, lq_spec):
+        # at 25 steps the stride of 2 stops at step 24, so step 25 is appended
+        paths, noise, flow, fresh, w, policy = _zero_control(lq_spec, 25)
+        rep = mimicking_check(lq_spec, (paths, w), policy, flow, fresh)
+        assert rep.steps.tolist() == list(range(2, 25, 2)) + [25]
+
     def test_zero_drift_both_sides_identical_law(self, setup):
         spec = cnmfg.make_instance("lq")
         cfg, grid, noise, paths, flow, fresh = setup
@@ -149,6 +170,20 @@ class TestCostGap:
         policy = project_control(lq_spec, paths, actions, flow, w, BasisSpec(degree=2))
         gap, se = project_cost_gap(lq_spec, paths, actions, policy, flow, noise)
         assert gap >= -3 * se
+
+
+@pytest.mark.parametrize("entry", ["project_control", "project_cost_gap"])
+@pytest.mark.parametrize("extra_steps, width", [(1, 1), (0, 2)], ids=["extra-step", "width-2"])
+def test_misshapen_action_array_rejected(lq_spec, entry, extra_steps, width):
+    # the whole (n_paths, n_steps, d_action) shape is checked before any step is read
+    paths, noise, flow, fresh, w, policy = _zero_control(lq_spec, 4)
+    bad = np.zeros((paths.n_paths, 4 + extra_steps, width))
+    with pytest.raises(ValueError, match=rf"action_samples shape \(1000, {4 + extra_steps}, "
+                                         rf"{width}\) does not match paths"):
+        if entry == "project_control":
+            project_control(lq_spec, paths, bad, flow, w, BasisSpec(degree=1))
+        else:
+            project_cost_gap(lq_spec, paths, bad, policy, flow, noise)
 
 
 def test_consumers_leave_only_log_weights_on_the_weights(lq_spec, setup):

@@ -142,6 +142,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             grid.nearest_step(1.2)
 
+    @pytest.mark.parametrize("horizon, n_steps, message", [
+        (1.0, 0, "n_steps must be >= 1"), (0.0, 4, "horizon must be > 0"),
+    ])
+    def test_rejected_grids(self, horizon, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(horizon, n_steps)
+
 
 class TestGenerateNoise:
     def test_repeatable(self):
@@ -150,6 +157,16 @@ class TestGenerateNoise:
         b = generate_noise(2, grid, 7)
         assert np.array_equal(a.dw, b.dw)
         assert np.array_equal(a.dw0, b.dw0)
+
+    @pytest.mark.parametrize("n_paths, seed, message", [
+        (0, 1, "n_paths must be >= 1"),
+        (10, 2**64 + 1, r"seed must lie in \[0, 2\*\*64\), got 18446744073709551617"),
+        (10, -1, r"seed must lie in \[0, 2\*\*64\), got -1"),
+    ], ids=["no-paths", "seed-2**64+1", "seed-negative"])
+    def test_rejected_arguments(self, n_paths, seed, message):
+        # a seed is not reduced mod 2**64: 2**64 + 1 would draw seed 1's noise
+        with pytest.raises(ValueError, match=message):
+            generate_noise(n_paths, TimeGrid(1.0, 4), seed)
 
     def test_seed_separation(self):
         grid = TimeGrid(1.0, 4)
@@ -370,6 +387,16 @@ class TestMarkovSde:
         with pytest.raises(ValueError, match=rf"^{which} returned shape \(10,\), "
                                              rf"expected \(10, 1\)$"):
             simulate_driftless_state(spec, noise)
+
+    @pytest.mark.parametrize("horizon_shift, extra_steps", [(0.0, 1), (1.0, 0), (1e-13, 0)],
+                             ids=["steps", "horizon", "horizon-by-1e-13"])
+    def test_flow_on_another_grid_rejected(self, lq_spec, small_config, horizon_shift,
+                                           extra_steps):
+        grid = TimeGrid(lq_spec.horizon + horizon_shift, small_config.n_steps + extra_steps)
+        noise = generate_noise(50, grid, 16, 1, 1)
+        with pytest.raises(ValueError, match="policy/flow grid does not match the noise grid"):
+            simulate_markov_sde(lq_spec, _ConstantPolicy(0.0), initial_flow(lq_spec, small_config),
+                                noise)
 
     def test_zero_policy_matches_driftless(self, lq_spec, small_config):
         noise = generate_noise(small_config.n_paths, small_config.grid(lq_spec),
