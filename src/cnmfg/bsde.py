@@ -30,7 +30,7 @@ from scipy.special import comb
 from .flows import ConditionalMeasureFlow
 from .girsanov import (GirsanovWeights, _step_reader, log_increments, put_log_increment,
                        self_normalized_mean, stochastic_exponential)
-from .problem import ProblemSpec, minimize_hamiltonian_batch
+from .problem import ProblemSpec, _sigma_inv_drift, hamiltonian_batch, minimize_hamiltonian_batch
 from .sde import NoiseBundle, PathBundle, TimeGrid, searchsorted_right, step_major
 
 __all__ = [
@@ -250,12 +250,6 @@ def _terminal_values(spec: ProblemSpec, flow: ConditionalMeasureFlow,
                         paths.x[:, k], mean_only=spec.mean_field)
 
 
-def _sigma_inv_drift(spec: ProblemSpec, t: float, x: np.ndarray, mu,
-                     a: np.ndarray) -> np.ndarray:
-    """sigma^-1 b(t, x, mu, a), one row per path."""
-    return np.asarray(spec.drift(t, x, mu, a), float) @ spec.sigma_inv.T
-
-
 def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundle,
                noise: NoiseBundle, basis: BasisSpec, driver: str = "hamiltonian",
                weights: bool = False) -> BsdeSolution:
@@ -317,7 +311,8 @@ def solve_bsde(spec: ProblemSpec, flow: ConditionalMeasureFlow, paths: PathBundl
             t_k = grid.times[k]
 
             def minimize(mu, x, z):
-                a, h_bin = minimize_hamiltonian_batch(spec, t_k, x, mu, z)
+                a = minimize_hamiltonian_batch(spec, t_k, x, mu, z)
+                h_bin = hamiltonian_batch(spec, t_k, x, mu, a, z)
                 if log_m is None:
                     return (h_bin,)
                 return h_bin, _sigma_inv_drift(spec, t_k, x, mu, a)
@@ -355,7 +350,7 @@ def pass_actions(spec: ProblemSpec, solution: BsdeSolution, flow: ConditionalMea
     feats = solution.basis.features(k, paths.x[:, k], paths.xc[:, k])
     t_k = paths.grid.times[k]
     return flow.per_bin(
-        k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z, values=False),
+        k, paths, lambda mu, x, z: minimize_hamiltonian_batch(spec, t_k, x, mu, z),
         paths.x[:, k], feats @ solution.z_coef[k].T, mean_only=spec.mean_field)
 
 
@@ -381,8 +376,7 @@ class MarkovPolicy:
             z_hat = self.solution.z_smoothed(k, x, np.atleast_2d(xc))
             t_k = self.grid.times[k]
             return self.flow.per_bin(
-                k, key, lambda mu, xs, z: minimize_hamiltonian_batch(self.spec, t_k, xs, mu, z,
-                                                                     values=False),
+                k, key, lambda mu, xs, z: minimize_hamiltonian_batch(self.spec, t_k, xs, mu, z),
                 x, z_hat, mean_only=self.spec.mean_field)
         if self.kind == "table":
             return _bilinear(self.x_axes[k], self.key_axes[k], self.tables[k],

@@ -76,11 +76,6 @@ def _parse_number(raw: str, kind, path, lineno):
     raise ConfigError(f"{path}:{lineno}: unsupported value kind")
 
 
-def _require_finite(values, key, raw, path, lineno) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{path}:{lineno}: {key!r} must be finite, got {raw!r}")
-
-
 def parse_config(path):
     """Parse a config file into (ProblemSpec, SolverConfig, output options)."""
     path = Path(path)
@@ -122,7 +117,8 @@ def parse_config(path):
         problem_params[key] = _parse_number(raw, float, path, lineno)
     spec = make_instance(family, **problem_params)   # its own messages name the keys it checks
     for key, (raw, lineno) in table["problem"].items():
-        _require_finite([problem_params[key]], key, raw, path, lineno)
+        if not math.isfinite(problem_params[key]):
+            raise ConfigError(f"{path}:{lineno}: {key!r} must be finite, got {raw!r}")
 
     solver_params = {}
     for key, (raw, lineno) in table["solver"].items():

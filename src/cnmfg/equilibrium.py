@@ -86,6 +86,8 @@ class SolverConfig:
             raise ValueError("n_bins (config key 'bins') must be >= 1")
         if self.min_bin_count < 1:
             raise ValueError("min_bin_count must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed (config key 'seed') must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed (config key 'seed') must be >= 0")
         if self.eval_seed >= 1 << 64:

@@ -14,7 +14,6 @@ k's largest weight in the log domain and cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -157,8 +156,7 @@ class ConditionalBinReport:
 
 
 def weighted_conditional_values(values: np.ndarray, weights: np.ndarray,
-                                bin_index: np.ndarray, n_bins: Optional[int] = None
-                                ) -> ConditionalBinReport:
+                                bin_index: np.ndarray, n_bins: int) -> ConditionalBinReport:
     """Per-bin self-normalized means plus normalized per-bin weight masses.
 
     ``weights`` is a raw weight vector (e.g. M at some step); ``bin_index``
@@ -169,8 +167,6 @@ def weighted_conditional_values(values: np.ndarray, weights: np.ndarray,
     v = np.asarray(values, float).ravel()
     w = np.asarray(weights, float).ravel()
     b = np.asarray(bin_index).ravel()
-    if n_bins is None:
-        n_bins = int(b.max()) + 1 if b.size else 0
     counts = np.bincount(b, minlength=n_bins)
     wsum = np.bincount(b, weights=w, minlength=n_bins)
     wvsum = np.bincount(b, weights=w * v, minlength=n_bins)

@@ -255,12 +255,26 @@ def _bind_hook(hook: Optional[Callable], derived_from: tuple) -> Optional[_Bound
 # ---------------------------------------------------------------------------
 
 
+def _like_state(b, x: np.ndarray, name: str = "drift") -> np.ndarray:
+    """The drift ``b`` of the (n, d) states ``x``, shaped like ``x``: an (n,)
+    drift of a one-dimensional state reads as (n, 1), any other shape raises."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != x.shape and (b.shape != x.shape[:1] or x.shape[1:] != (1,)):
+        raise ValueError(f"{name} returned shape {b.shape}, expected {x.shape}")
+    return b.reshape(x.shape)
+
+
+def _sigma_inv_drift(spec: ProblemSpec, t: float, x: np.ndarray, mu,
+                     a: np.ndarray) -> np.ndarray:
+    """sigma^-1 b(t, x, mu, a), one row per path."""
+    return _like_state(spec.drift(t, x, mu, a), x) @ spec.sigma_inv.T
+
+
 def hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray, mu: EmpiricalMeasure,
                       a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Reduced Hamiltonian over a path batch: running cost plus z . sigma^-1 drift."""
-    b = np.asarray(spec.drift(t, x, mu, a), dtype=float).reshape(x.shape)
     f = np.asarray(spec.running_cost(t, x, mu, a), dtype=float).ravel()
-    return f + np.einsum("nk,nk->n", z, b @ spec.sigma_inv.T)
+    return f + np.einsum("nk,nk->n", z, _sigma_inv_drift(spec, t, x, mu, a))
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
@@ -341,25 +355,19 @@ def _golden_section_coord(objective, base_a, base_val, j, a_lo, a_hi):
 
 
 def minimize_hamiltonian_batch(spec: ProblemSpec, t: float, x: np.ndarray,
-                               mu: EmpiricalMeasure, z: np.ndarray, values: bool = True):
-    """Vectorized Hamiltonian minimization; returns (actions (n, d_action), values (n,)),
-    or the actions alone with ``values=False``.
+                               mu: EmpiricalMeasure, z: np.ndarray) -> np.ndarray:
+    """Vectorized Hamiltonian minimizer, (n, d_action).
 
     With an ``argmin_action`` hook the unconstrained minimizer is clipped to
-    the action box, and the Hamiltonian is evaluated only for ``values``;
-    otherwise the generic box search runs.
+    the action box and no Hamiltonian is evaluated; otherwise the generic box
+    search runs.
     """
     n = x.shape[0]
     if spec.argmin_action is not None:
         a = np.asarray(spec.argmin_action(t, x, mu, z), float).reshape(n, spec.d_action)
-        a = spec.clip_action(a)
-        return (a, hamiltonian_batch(spec, t, x, mu, a, z)) if values else a
-
-    def objective(a):
-        return hamiltonian_batch(spec, t, x, mu, a, z)
-
-    a, h = box_minimize_batch(objective, spec.action_lo, spec.action_hi, n)
-    return (a, h) if values else a
+        return spec.clip_action(a)
+    return box_minimize_batch(lambda a: hamiltonian_batch(spec, t, x, mu, a, z),
+                              spec.action_lo, spec.action_hi, n)[0]
 
 
 # ---------------------------------------------------------------------------

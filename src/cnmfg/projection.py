@@ -20,7 +20,7 @@ from .bsde import (BasisSpec, MarkovPolicy, stacked_objective_influence, _RIDGE,
                    _ridge_factor, _ridge_solve)
 from .flows import ConditionalMeasureFlow, EmpiricalMeasure, lp_transport
 from .girsanov import GirsanovWeights, _step_reader, paired_gap
-from .problem import ProblemSpec, box_minimize_batch
+from .problem import ProblemSpec, _like_state, box_minimize_batch
 from .sde import NoiseBundle, PathBundle, simulate_markov_sde, step_major
 
 __all__ = [
@@ -97,8 +97,8 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
         t_k = grid.times[k]
         w_k = weights.scaled(k)
 
-        drift_vals = flow.per_bin(k, paths, lambda mu, xs, acts: np.asarray(
-            spec.drift(t_k, xs, mu, acts), float), paths.x[:, k], a(k),
+        drift_vals = flow.per_bin(k, paths, lambda mu, xs, acts: _like_state(
+            spec.drift(t_k, xs, mu, acts), xs), paths.x[:, k], a(k),
             mean_only=spec.mean_field)
 
         feats = fitted.features(k, paths.x[:, k], keys[:, None])
@@ -116,7 +116,7 @@ def project_control(spec: ProblemSpec, paths: PathBundle, action_samples: np.nda
 
         def invert(mu, xs, target):
             def gap(actions):
-                bval = np.asarray(spec.drift(t_k, xs, mu, actions), float)
+                bval = _like_state(spec.drift(t_k, xs, mu, actions), xs)
                 return np.sum((bval - target) ** 2, axis=1)
 
             if spec.invert_drift is None:

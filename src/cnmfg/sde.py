@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import ProblemSpec, _like_state
 
 __all__ = [
     "step_major",
@@ -242,6 +242,8 @@ def generate_noise(n_paths: int, grid: TimeGrid, seed: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     n_steps, d = grid.n_steps, d_state + d_common
@@ -303,7 +305,7 @@ def _simulate(spec: ProblemSpec, noise: NoiseBundle, policy=None, flow=None) -> 
     sigma_t, sigma0_t, sigmac_t = spec.sigma.T, spec.sigma0.T, spec.sigmac.T
     clamped = 0
     for k in range(grid.n_steps):
-        bc = np.asarray(spec.common_drift(times[k], xc[:, k]), float)
+        bc = _like_state(spec.common_drift(times[k], xc[:, k]), xc[:, k], "common_drift")
         if not np.all(np.isfinite(bc)):
             bad = int(np.argwhere(~np.isfinite(bc))[0][0])
             raise RuntimeError(f"non-finite common drift at step {k}, path {bad}")
@@ -315,8 +317,8 @@ def _simulate(spec: ProblemSpec, noise: NoiseBundle, policy=None, flow=None) -> 
             outside = (a < spec.action_lo - 1e-12) | (a > spec.action_hi + 1e-12)
             clamped += int(np.count_nonzero(outside.any(axis=1)))
             a = spec.clip_action(a)
-            b = flow.per_bin(k, keys, lambda mu, xs, acts: np.asarray(
-                spec.drift(times[k], xs, mu, acts), float), x_k, a, mean_only=spec.mean_field)
+            b = flow.per_bin(k, keys, lambda mu, xs, acts: _like_state(
+                spec.drift(times[k], xs, mu, acts), xs), x_k, a, mean_only=spec.mean_field)
             if not np.all(np.isfinite(b)):
                 bad = int(np.argwhere(~np.isfinite(b))[0][0])
                 raise RuntimeError(f"non-finite controlled drift at step {k}, path {bad}")

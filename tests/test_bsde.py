@@ -23,7 +23,7 @@ from cnmfg.bsde import (
 from cnmfg.equilibrium import initial_flow
 from cnmfg.flows import estimate_conditional_flow
 from cnmfg.girsanov import self_normalized_mean
-from cnmfg.problem import minimize_hamiltonian_batch
+from cnmfg.problem import hamiltonian_batch, minimize_hamiltonian_batch
 from cnmfg.sde import (PathBundle, TimeGrid, generate_noise, simulate_driftless_state,
                        step_major)
 
@@ -379,8 +379,10 @@ class TestRegression:
         g = _terminal_values(lq_spec, flow, paths)
         centred = g - self._ridge_fit(feats, g, bsde_mod._RIDGE)
         z = self._ridge_fit(feats, centred * noise.dw[:, k, 0] / dt, bsde_mod._RIDGE)[:, None]
-        h = flow.per_bin(k, paths, lambda mu, x, zb: minimize_hamiltonian_batch(
-            lq_spec, grid.times[k], x, mu, zb)[1], paths.x[:, k], z)
+        t_k = grid.times[k]
+        h = flow.per_bin(k, paths, lambda mu, x, zb: hamiltonian_batch(
+            lq_spec, t_k, x, mu, minimize_hamiltonian_batch(lq_spec, t_k, x, mu, zb), zb),
+            paths.x[:, k], z)
         target = g + h * dt
         want = np.mean((target - self._ridge_fit(feats, target, bsde_mod._RIDGE)) ** 2)
         assert want > 0

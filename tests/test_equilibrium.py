@@ -36,7 +36,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("field, value, key", [
         ("n_bins", 0, "bins"), ("n_bins", -2, "bins"),
         ("min_bin_count", 0, "min_bin_count"), ("min_bin_count", -5, "min_bin_count"),
-        ("seed", -1, "seed"), ("seed", 2**64 - 99_991, "seed"), ("max_iters", 0, "max_iters"),
+        ("seed", -1, "seed"), ("seed", 2**64 - 99_991, "seed"), ("seed", 1.5, "seed"),
+        ("max_iters", 0, "max_iters"),
     ])
     def test_binning_and_order_bounds(self, field, value, key):
         with pytest.raises(ValueError, match=key):

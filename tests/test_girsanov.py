@@ -197,10 +197,6 @@ class TestConditionalValues:
         rep = weighted_conditional_values(vals, np.ones(6), bins, n_bins=3)
         np.testing.assert_allclose(rep.bin_means, [0, 1, 0])
         np.testing.assert_allclose(rep.counts, [2, 3, 1])
-        # without n_bins, the bins run to the largest label
-        inferred = weighted_conditional_values(vals, np.ones(6), bins)
-        np.testing.assert_array_equal(inferred.counts, rep.counts)
-        np.testing.assert_array_equal(inferred.bin_means, rep.bin_means)
 
     def test_independent_weights_and_keys(self, lq_spec):
         # sigma0 = 0 decouples X^c from W, so weights are independent of bins

@@ -63,9 +63,9 @@ def test_one_minimization_per_step(case, monkeypatch):
     declared, looped, noise, paths, flow = case
     calls = []
 
-    def counting(spec, t, x, mu, z, values=True):
+    def counting(spec, t, x, mu, z):
         calls.append(x.shape[0])
-        return minimize_hamiltonian_batch(spec, t, x, mu, z, values)
+        return minimize_hamiltonian_batch(spec, t, x, mu, z)
 
     monkeypatch.setattr(bsde_mod, "minimize_hamiltonian_batch", counting)
     solve_bsde(declared, flow, paths, noise, BasisSpec(degree=2))

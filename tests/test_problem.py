@@ -29,8 +29,8 @@ def hamiltonian(spec, t, x, mu, a, z):
 
 def minimize_hamiltonian(spec, t, x, mu, z):
     """(action, value) of the Hamiltonian minimizer at one point, as a one-row batch."""
-    a, h = minimize_hamiltonian_batch(spec, t, _row(x), mu, _row(z))
-    return a[0], float(h[0])
+    a = minimize_hamiltonian_batch(spec, t, _row(x), mu, _row(z))
+    return a[0], float(hamiltonian_batch(spec, t, _row(x), mu, a, _row(z))[0])
 
 
 class TestMeasureSummary:
@@ -74,6 +74,14 @@ class TestHamiltonian:
     def test_affine_in_adjoint(self, lq_unit_spec, dirac0, z1, z2, x, a):
         h = lambda z: hamiltonian(lq_unit_spec, 0.5, [x], dirac0, [a], [z])
         assert abs(h(z1 + z2) - h(z1) - h(z2) + h(0.0)) < 1e-10
+
+    def test_transposed_drift_rejected(self, lq2_spec, dirac0):
+        # a (2, n) drift of a 2-d state has n * 2 values but is not shaped like x
+        spec = replace(lq2_spec, drift=lambda t, x, mu, a: lq2_spec.drift(t, x, mu, a).T)
+        x, a, z = np.zeros((5, 2)), np.linspace(-1.0, 1.0, 5)[:, None], np.ones((5, 2))
+        with pytest.raises(ValueError, match=r"^drift returned shape \(2, 5\), "
+                                             r"expected \(5, 2\)$"):
+            hamiltonian_batch(spec, 0.0, x, dirac0, a, z)
 
 
 class TestMinimizeHamiltonian:
@@ -131,7 +139,8 @@ class TestMinimizeHamiltonian:
     def test_batch_matches_pointwise(self, lq_unit_spec, dirac0):
         z = np.array([[0.3], [-0.8], [2.0]])
         x = np.zeros((3, 1))
-        a_batch, h_batch = minimize_hamiltonian_batch(lq_unit_spec, 0.0, x, dirac0, z)
+        a_batch = minimize_hamiltonian_batch(lq_unit_spec, 0.0, x, dirac0, z)
+        h_batch = hamiltonian_batch(lq_unit_spec, 0.0, x, dirac0, a_batch, z)
         for i in range(3):
             a_single, h_single = minimize_hamiltonian(lq_unit_spec, 0.0, x[i], dirac0, z[i])
             assert a_batch[i, 0] == pytest.approx(a_single[0], abs=1e-12)
@@ -147,7 +156,7 @@ class TestActionsOnly:
         x = rng.normal(0.0, 1.0, size=(300, 1))
         z = rng.uniform(-4.0, 4.0, size=(300, 1))
         mu = EmpiricalMeasure(rng.normal(0.0, 1.0, size=(7, 1)))
-        a, _ = minimize_hamiltonian_batch(spec, 0.4, x, mu, z)
+        a = minimize_hamiltonian_batch(spec, 0.4, x, mu, z)
         calls = []
 
         def counting(*args):
@@ -155,8 +164,7 @@ class TestActionsOnly:
             return hamiltonian_batch(*args)
 
         monkeypatch.setattr(problem_mod, "hamiltonian_batch", counting)
-        only = minimize_hamiltonian_batch(spec, 0.4, x, mu, z, values=False)
-        np.testing.assert_array_equal(only, a)
+        np.testing.assert_array_equal(minimize_hamiltonian_batch(spec, 0.4, x, mu, z), a)
         # a closed-form argmin evaluates no Hamiltonian; the box search must
         assert (len(calls) == 0) == (spec.argmin_action is not None)
 
@@ -179,25 +187,25 @@ class TestClosedFormArgmin:
             x = rng.normal(0.0, 1.0, size=(n, 1))
             z = rng.uniform(-4.0, 4.0, size=(n, 1))
             mu = EmpiricalMeasure(rng.normal(0.0, 1.0, size=(7, 1)))
-            a, h = minimize_hamiltonian_batch(spec, t, x, mu, z)
+            a = minimize_hamiltonian_batch(spec, t, x, mu, z)
             a_box, h_box = box_minimize_batch(
                 lambda act: hamiltonian_batch(spec, t, x, mu, act, z),
                 spec.action_lo, spec.action_hi, n)
             assert np.any(a == spec.action_lo) and np.any(a == spec.action_hi)
             assert np.max(np.abs(a - a_box)) <= 1e-7
-            assert np.max(h - h_box) <= 1e-12
-            np.testing.assert_array_equal(h, hamiltonian_batch(spec, t, x, mu, a, z))
+            assert np.max(hamiltonian_batch(spec, t, x, mu, a, z) - h_box) <= 1e-12
 
     def test_spec_without_hook_uses_box_search(self, lq_unit_spec, dirac0):
         spec = replace(lq_unit_spec, argmin_action=None)
         z = np.array([[0.3], [-0.8], [2.0]])
         x = np.zeros((3, 1))
-        a, h = minimize_hamiltonian_batch(spec, 0.0, x, dirac0, z)
+        a = minimize_hamiltonian_batch(spec, 0.0, x, dirac0, z)
         a_box, h_box = box_minimize_batch(
             lambda act: hamiltonian_batch(spec, 0.0, x, dirac0, act, z),
             spec.action_lo, spec.action_hi, 3)
         np.testing.assert_array_equal(a, a_box)
-        np.testing.assert_array_equal(h, h_box)
+        # the search's objective is row-separable: H at its argmin has the bits of its value
+        np.testing.assert_array_equal(hamiltonian_batch(spec, 0.0, x, dirac0, a, z), h_box)
 
     def test_replace_keeps_hook_only_for_its_coefficients(self, lq_unit_spec, dirac0):
         assert replace(lq_unit_spec, horizon=2.0).argmin_action is lq_unit_spec.argmin_action
@@ -205,8 +213,8 @@ class TestClosedFormArgmin:
         doubled = replace(lq_unit_spec, drift=lambda t, x, mu, a: 2.0 * a)
         assert doubled.argmin_action is None
         # H = a^2/2 + 2 z a + ...: the argmin is -2z, not the stale closed form -z
-        a, _ = minimize_hamiltonian_batch(doubled, 0.0, np.zeros((1, 1)), dirac0,
-                                          np.array([[0.2]]))
+        a = minimize_hamiltonian_batch(doubled, 0.0, np.zeros((1, 1)), dirac0,
+                                       np.array([[0.2]]))
         assert a[0, 0] == pytest.approx(-0.4, abs=1e-7)
 
 

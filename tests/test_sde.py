@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -162,11 +163,20 @@ class TestGenerateNoise:
         (0, 1, "n_paths must be >= 1"),
         (10, 2**64 + 1, r"seed must lie in \[0, 2\*\*64\), got 18446744073709551617"),
         (10, -1, r"seed must lie in \[0, 2\*\*64\), got -1"),
-    ], ids=["no-paths", "seed-2**64+1", "seed-negative"])
+        (10, 1.5, r"seed must be an integer, got 1.5"),
+    ], ids=["no-paths", "seed-2**64+1", "seed-negative", "seed-fraction"])
     def test_rejected_arguments(self, n_paths, seed, message):
         # a seed is not reduced mod 2**64: 2**64 + 1 would draw seed 1's noise
         with pytest.raises(ValueError, match=message):
             generate_noise(n_paths, TimeGrid(1.0, 4), seed)
+
+    def test_numpy_integer_seed(self):
+        grid = TimeGrid(1.0, 4)
+        a = generate_noise(3, grid, np.uint64(7))
+        b = generate_noise(3, grid, 7)
+        assert a.seed == 7
+        np.testing.assert_array_equal(a.dw, b.dw)
+        np.testing.assert_array_equal(a.dw0, b.dw0)
 
     def test_seed_separation(self):
         grid = TimeGrid(1.0, 4)
@@ -266,6 +276,28 @@ class TestCommonState:
         noise = generate_noise(100_000, grid, 5)
         terminal = simulate_driftless_state(spec, noise).xc[:, -1, 0]
         assert abs(terminal.mean() - 1.0) <= 3 * terminal.std() / np.sqrt(terminal.size)
+
+    def test_vector_drift_of_a_scalar_common_state(self, lq_spec):
+        # an (n,) common drift of a one-dimensional common state is read as (n, 1)
+        noise = generate_noise(200, TimeGrid(1.0, 5), 5)
+        column = replace(lq_spec, common_drift=lambda t, xc: 0.5 + xc)
+        vector = replace(lq_spec, common_drift=lambda t, xc: 0.5 + xc[:, 0])
+        want, got = simulate_driftless_state(column, noise), simulate_driftless_state(vector, noise)
+        np.testing.assert_array_equal(got.xc, want.xc)
+        np.testing.assert_array_equal(got.x, want.x)
+
+    def test_misshapen_drift_raises_before_broadcasting(self, lq_spec):
+        # an (n + 1,) drift would broadcast against the (n, 1) state to (n, n + 1)
+        spec = replace(lq_spec, common_drift=lambda t, xc: np.zeros(xc.shape[0] + 1))
+        noise = generate_noise(3000, TimeGrid(1.0, 5), 6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="common_drift returned shape"):
+                simulate_driftless_state(spec, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_nonfinite_drift_aborts(self, lq_spec):
         spec = replace(lq_spec, common_drift=lambda t, xc: np.full_like(xc, np.nan))
@@ -380,13 +412,27 @@ class TestMarkovSde:
         np.testing.assert_array_equal(paths.x, reference.x)
         np.testing.assert_array_equal(paths.xc, reference.xc)
 
-    @pytest.mark.parametrize("which", ["init_state_sampler", "init_common_sampler"])
-    def test_misshapen_initial_draw_rejected(self, lq_spec, which):
-        spec = replace(lq_spec, **{which: lambda rng, n: np.zeros(n)})
+    @pytest.mark.parametrize("which, fn, shape", [
+        ("init_state_sampler", lambda rng, n: np.zeros(n), "10,"),
+        ("init_common_sampler", lambda rng, n: np.zeros(n), "10,"),
+        ("common_drift", lambda t, xc: np.zeros(xc.shape[0] + 1), "11,"),
+    ], ids=["init_state_sampler", "init_common_sampler", "common_drift"])
+    def test_misshapen_initial_draw_rejected(self, lq_spec, which, fn, shape):
+        spec = replace(lq_spec, **{which: fn})
         noise = generate_noise(10, TimeGrid(1.0, 3), 17, 1, 1)
-        with pytest.raises(ValueError, match=rf"^{which} returned shape \(10,\), "
+        with pytest.raises(ValueError, match=rf"^{which} returned shape \({shape}\), "
                                              rf"expected \(10, 1\)$"):
             simulate_driftless_state(spec, noise)
+
+    def test_vector_drift_of_a_scalar_state(self, lq_spec, small_config):
+        # an (n,) controlled drift of a one-dimensional state is read as (n, 1)
+        noise = generate_noise(500, small_config.grid(lq_spec), 18, 1, 1)
+        flow = initial_flow(lq_spec, small_config)
+        column = replace(lq_spec, drift=lambda t, x, mu, a: a + 0.1 * x)
+        vector = replace(lq_spec, drift=lambda t, x, mu, a: a[:, 0] + 0.1 * x[:, 0])
+        want = simulate_markov_sde(column, _ConstantPolicy(0.3), flow, noise)
+        got = simulate_markov_sde(vector, _ConstantPolicy(0.3), flow, noise)
+        np.testing.assert_array_equal(got.x, want.x)
 
     @pytest.mark.parametrize("horizon_shift, extra_steps", [(0.0, 1), (1.0, 0), (1e-13, 0)],
                              ids=["steps", "horizon", "horizon-by-1e-13"])
